@@ -20,9 +20,9 @@
 // The journal mount also recovers the tail burst, which the legacy path
 // loses (it only knows state as of the checkpoint). Flash write overhead
 // of journaling (journal-tenant programmed bytes vs all other write
-// traffic) is reported per cell. Results land in BENCH_recovery.json;
-// the 256k row's mount time and write overhead are regression-gated by
-// scripts/bench_gate.py.
+// traffic) is reported per cell. Results land in BENCH_recovery.json,
+// which CI diffs byte for byte against the committed copy
+// (scripts/golden_check.py).
 
 #include <algorithm>
 #include <functional>

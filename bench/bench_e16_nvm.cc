@@ -257,8 +257,8 @@ int main(int argc, char** argv) {
   // --nvm=<kib> restricts the sweep to one NVM size and --nvm-policy=<os|hw>
   // to one managed family (quick A/B runs; the no-NVM baseline always runs —
   // it is the denominator of the "cut" column). A restricted run does not
-  // refresh BENCH_nvm.json: the regression gate resolves rows by op name, so
-  // a partial file must never overwrite the committed baseline.
+  // refresh BENCH_nvm.json: CI diffs it byte for byte against the committed
+  // copy, so a partial file must never overwrite it.
   std::vector<uint64_t> sweep_kib(std::begin(kNvmSweepKib),
                                   std::end(kNvmSweepKib));
   uint64_t hw_kib = 1024;

@@ -1,65 +1,35 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate over the committed BENCH_*.json baselines.
+"""Host-time benchmark report against the committed BENCH_*.json baselines.
 
-Compares freshly measured result files against the committed baselines at
-the repo root and fails (exit 1) if any gated number regressed more than the
-allowed fraction. Which gates apply is decided by the fresh file's basename:
+Prints freshly measured host-time numbers next to the committed baselines at
+the repo root. It never fails: host time measured on one machine says little
+about a baseline recorded on another (two back-to-back runs of an unchanged
+tree on one host already moved the million-user bytes_per_user by 17%), so
+these rows are a report, not a gate. Compare host time only as a same-runner
+A/B, base and head built on one machine.
 
-BENCH_micro.json — three ops guard the three hot paths a change is most
-likely to break:
+Which rows are reported is decided by the fresh file's basename:
 
-  * BM_SimCoreReplay            — whole-machine replay (sim_ops_per_s,
-                                  higher is better);
+BENCH_micro.json — the three hot paths a change is most likely to slow:
+
+  * BM_SimCoreReplay            — whole-machine replay (sim_ops_per_s);
   * BM_LargeStoreRandOverwrite/65536 — FTL write + cleaning under steady
-                                  overwrite pressure (ns_per_op, lower is
-                                  better);
+                                  overwrite pressure (ns_per_op);
   * BM_CleaningRelocation/{512,4096} — the cleaner's zero-copy relocation
-                                  path in isolation (ns_per_op, lower is
-                                  better).
+                                  path in isolation (ns_per_op).
 
-BENCH_scaleout.json — the million-user fleet row guards the scale-out
-harness's two scaling claims:
+BENCH_scaleout.json — the million-user fleet row:
 
   * scaleout/users/1000000 sim_ops_per_host_s — streaming replay rate at
-                                  fleet scale (higher is better);
-  * scaleout/users/1000000 bytes_per_user — resident footprint per user
-                                  under the O(1)-per-user aggregate fold
-                                  (lower is better).
+                                  fleet scale;
+  * scaleout/users/1000000 bytes_per_user — resident footprint per user.
 
-BENCH_recovery.json — the 256k-inode row guards the E13 journal's two
-promises:
-
-  * recovery/inodes/262144 journal_mount_ns — crash-recovery mount time at
-                                  the largest namespace (lower is better);
-  * recovery/inodes/262144 journal_write_overhead_pct — flash write traffic
-                                  the journal adds over everything else
-                                  (lower is better).
-
-BENCH_nvm.json — the two headline E16 rows guard the NVM tier's reason to
-exist (both are deterministic simulated counters, so any movement is a
-behavior change, not runner noise):
-
-  * e16/os-nvm/1024kib flash_read_reduction_x — how much flash read traffic
-                                  the OS-managed 1 MiB NVM tier removes vs
-                                  the no-NVM baseline (higher is better);
-  * e16/hw-nvm/1024kib flash_read_reduction_x — the same cut from the
-                                  hardware access-counter migration path
-                                  (higher is better).
-
-Run from CI's bench-smoke leg after the benches have emitted their JSON
-next to the binaries; pass one or more fresh files:
+Deterministic simulated results are not reported here: every bench_e*
+console table and the BENCH_{migration,nvm,qos,recovery}.json files are
+compared byte for byte by scripts/golden_check.py.
 
     python3 scripts/bench_gate.py build-release/bench/BENCH_micro.json \
-        build-release/bench/BENCH_scaleout.json
-
-The committed baselines (BENCH_*.json at the repo root) are refreshed by
-scripts/regen_experiments.sh; regenerate them deliberately when a change is
-*supposed* to move a number, so the gate tracks intent rather than drift.
-
-The threshold is deliberately loose (15%) because shared CI runners are
-noisy; the gate exists to catch order-of-magnitude regressions in the
-simulation core (event queue, arena, FTL hot path) and in the scale-out
-memory discipline, not single-digit wobble.
+        bench-artifacts/BENCH_scaleout.json
 """
 
 import json
@@ -67,7 +37,7 @@ import os
 import sys
 
 # basename -> [(op, key, higher_is_better)], matched against row["op"].
-GATES = {
+REPORTS = {
     "BENCH_micro.json": [
         ("BM_SimCoreReplay", "sim_ops_per_s", True),
         ("BM_LargeStoreRandOverwrite/65536", "ns_per_op", False),
@@ -78,18 +48,7 @@ GATES = {
         ("scaleout/users/1000000", "sim_ops_per_host_s", True),
         ("scaleout/users/1000000", "bytes_per_user", False),
     ],
-    "BENCH_recovery.json": [
-        ("recovery/inodes/262144", "journal_mount_ns", False),
-        ("recovery/inodes/262144", "journal_write_overhead_pct", False),
-    ],
-    "BENCH_nvm.json": [
-        ("e16/os-nvm/1024kib", "flash_read_reduction_x", True),
-        ("e16/hw-nvm/1024kib", "flash_read_reduction_x", True),
-    ],
 }
-
-
-MAX_REGRESSION = 0.15
 
 
 def load_value(path, op, key):
@@ -98,33 +57,23 @@ def load_value(path, op, key):
     for row in rows:
         if row.get("op") == op:
             value = row.get(key)
-            if value is None:
-                raise SystemExit(f"{path}: {op} row has no {key}")
-            return float(value)
-    raise SystemExit(f"{path}: no {op} row")
+            return None if value is None else float(value)
+    return None
 
 
-def gate_file(fresh_path, baseline_path, gates):
-    failed = False
-    for op, key, higher_is_better in gates:
+def report_file(fresh_path, baseline_path, rows):
+    for op, key, higher_is_better in rows:
         baseline = load_value(baseline_path, op, key)
         fresh = load_value(fresh_path, op, key)
+        if baseline is None or fresh is None or baseline == 0 or fresh == 0:
+            print(f"{op} [{key}]: baseline {baseline}, measured {fresh}")
+            continue
         # Normalize so ratio > 1 always means "got better".
         ratio = fresh / baseline if higher_is_better else baseline / fresh
         print(
             f"{op} [{key}]: baseline {baseline:,.1f}, "
             f"measured {fresh:,.1f} ({ratio:.2%} of baseline)"
         )
-        if ratio < 1.0 - MAX_REGRESSION:
-            failed = True
-            print(
-                f"FAIL: {op} [{key}] regressed more than "
-                f"{MAX_REGRESSION:.0%}. If the change is intentional, "
-                "refresh the baseline with scripts/regen_experiments.sh and "
-                f"commit {os.path.basename(baseline_path)}.",
-                file=sys.stderr,
-            )
-    return failed
 
 
 def main():
@@ -133,20 +82,17 @@ def main():
             f"usage: {sys.argv[0]} <fresh BENCH_*.json> [<more fresh files>]"
         )
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    failed = False
     for fresh_path in sys.argv[1:]:
         name = os.path.basename(fresh_path)
-        gates = GATES.get(name)
-        if gates is None:
+        rows = REPORTS.get(name)
+        if rows is None:
             raise SystemExit(
-                f"{fresh_path}: no gates defined for {name} "
-                f"(known: {', '.join(sorted(GATES))})"
+                f"{fresh_path}: no report rows defined for {name} "
+                f"(known: {', '.join(sorted(REPORTS))})"
             )
-        baseline_path = os.path.join(repo_root, name)
-        failed = gate_file(fresh_path, baseline_path, gates) or failed
-    if failed:
-        return 1
-    print("OK: all gated benchmarks within regression budget")
+        report_file(fresh_path, os.path.join(repo_root, name), rows)
+    print("Host-time report only (never fails); compare host numbers as a "
+          "same-runner A/B.")
     return 0
 
 

@@ -13,8 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-presets=("${@:-release asan tsan}")
-# Word-split the default; explicit args arrive pre-split.
+presets=("$@")
 if [ $# -eq 0 ]; then presets=(release asan tsan); fi
 
 for preset in "${presets[@]}"; do

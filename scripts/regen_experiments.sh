@@ -3,15 +3,13 @@
 # rebuilds the release preset, runs every experiment bench (E1-E12, E14,
 # E16) plus the microbenchmarks, and refreshes the machine-readable result
 # files (BENCH_micro.json, BENCH_scaleout.json, BENCH_migration.json,
-# BENCH_qos.json, BENCH_nvm.json) at the repository root. BENCH_micro.json and
-# BENCH_scaleout.json double as the benchmark regression baselines: CI's
-# bench-smoke leg re-measures BM_SimCoreReplay,
-# BM_LargeStoreRandOverwrite/65536, BM_CleaningRelocation, and the
-# million-user scale-out row (sim_ops_per_host_s, bytes_per_user) and fails
-# if any regresses >15% against the committed numbers
-# (scripts/bench_gate.py), so rerun this script and commit the refreshed
-# JSON when a change is meant to move simulator throughput or fleet
-# footprint.
+# BENCH_qos.json, BENCH_nvm.json) at the repository root. CI's bench-smoke
+# leg diffs every bench's console output against tests/golden/ and the
+# simulated BENCH_{migration,nvm,qos,recovery}.json files against the
+# committed copies byte for byte (scripts/golden_check.py), and reports
+# BM_SimCoreReplay, BM_LargeStoreRandOverwrite/65536, BM_CleaningRelocation,
+# and the million-user scale-out row against BENCH_micro.json /
+# BENCH_scaleout.json without gating them (scripts/bench_gate.py).
 #
 #   scripts/regen_experiments.sh             # everything
 #   scripts/regen_experiments.sh --no-micro  # skip bench_micro/e11 (fast)
@@ -19,8 +17,9 @@
 # Per-bench console output lands in experiments_out/<bench>.txt so a diff
 # against the previous run shows exactly which tables moved; EXPERIMENTS.md
 # quotes those tables, so any diff here means EXPERIMENTS.md needs a matching
-# prose update (the numbers are deterministic — an unchanged simulator
-# reproduces them byte-for-byte). The E8 FIFO-vs-priority scheduling ablation
+# prose update and tests/golden/ a refresh (scripts/golden_check.py
+# --update). The numbers are deterministic: an unchanged simulator
+# reproduces them byte-for-byte. The E8 FIFO-vs-priority scheduling ablation
 # (opt-in: bench_e8_banks --tail) is captured alongside the default output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,9 +46,7 @@ done
 # bench_e12_migration, bench_e13_recovery, bench_e14_qos, and bench_e16_nvm
 # (in the loop above, run from the repo root) also refresh
 # BENCH_migration.json / BENCH_recovery.json / BENCH_qos.json /
-# BENCH_nvm.json in place; fail loudly if they did not. BENCH_recovery.json
-# doubles as the E13 mount-time regression baseline, and BENCH_nvm.json as
-# the E16 flash-read-reduction baseline (scripts/bench_gate.py).
+# BENCH_nvm.json in place; fail loudly if they did not.
 test -s BENCH_migration.json
 test -s BENCH_recovery.json
 test -s BENCH_qos.json

@@ -188,7 +188,6 @@ Result<Duration> DiskDevice::DoIo(uint64_t sector, uint64_t bytes,
     clock_.AdvanceTo(d.complete);
   }
   energy_accounted_until_ = std::max(energy_accounted_until_, d.complete);
-  last_op_end_ = std::max(last_op_end_, d.complete);
   return spin_up_part + d.wait + d.service;
 }
 

@@ -127,7 +127,6 @@ class DiskDevice {
   std::vector<uint8_t> contents_;
   uint64_t head_cylinder_ = 0;
   bool spinning_ = true;
-  SimTime last_op_end_ = 0;
   Duration spin_down_after_ = 5 * kSecond;
   Stats stats_;
   EnergyMeter energy_;

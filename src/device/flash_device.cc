@@ -4,22 +4,15 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/obs/obs.h"
-#include "src/support/log.h"
 
 namespace ssmc {
 
 namespace {
 constexpr uint8_t kErasedByte = 0xFF;
-
-bool ValidatePayloadsFromEnv() {
-  const char* v = std::getenv("SSMC_VALIDATE_PAYLOADS");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 }  // namespace
 
 FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
@@ -55,9 +48,6 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
     stats_.by_tenant.For(req.tenant).queue_wait_ns.Add(
         static_cast<uint64_t>(delta));
   });
-  if (ValidatePayloadsFromEnv()) {
-    set_validate_payloads(true);
-  }
 }
 
 FlashDevice::~FlashDevice() {
@@ -308,9 +298,6 @@ Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
     pos += n;
     remaining -= n;
   }
-  if (validate_payloads_) {
-    CheckAgainstShadow(addr, out.data(), out.size());
-  }
   stats_.reads.Add();
   stats_.read_bytes.Add(out.size());
   return d.wait + op_ns;
@@ -423,9 +410,6 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
       remaining -= n;
     }
   }
-  if (validate_payloads_) {
-    CheckAgainstShadow(addr, payload.data(), bytes);
-  }
   stats_.reads.Add();
   stats_.read_bytes.Add(bytes);
   return payload;
@@ -472,9 +456,6 @@ Result<Duration> FlashDevice::Program(uint64_t addr,
           std::min<uint64_t>(torn_program_bytes_, data.size());
       if (applied > 0) {
         std::memcpy(MaterializeSector(sector) + off, data.data(), applied);
-        if (validate_payloads_) {
-          std::memcpy(ShadowSector(sector) + off, data.data(), applied);
-        }
         meta.programmed_end = std::max(meta.programmed_end,
                                        static_cast<uint32_t>(off + applied));
       }
@@ -492,9 +473,6 @@ Result<Duration> FlashDevice::Program(uint64_t addr,
   }
 
   std::memcpy(MaterializeSector(sector) + off, data.data(), data.size());
-  if (validate_payloads_) {
-    std::memcpy(ShadowSector(sector) + off, data.data(), data.size());
-  }
   meta.programmed_end =
       std::max(meta.programmed_end, static_cast<uint32_t>(off + data.size()));
   stats_.programs.Add();
@@ -541,9 +519,6 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
       const uint64_t applied = std::min<uint64_t>(torn_program_bytes_, size);
       if (applied > 0) {
         std::memcpy(MaterializeSector(sector) + off, payload.data(), applied);
-        if (validate_payloads_) {
-          std::memcpy(ShadowSector(sector) + off, payload.data(), applied);
-        }
         meta.programmed_end = std::max(meta.programmed_end,
                                        static_cast<uint32_t>(off + applied));
       }
@@ -560,9 +535,6 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
     clock_.AdvanceTo(d.complete);
   }
 
-  if (validate_payloads_) {
-    std::memcpy(ShadowSector(sector) + off, payload.data(), size);
-  }
   // File the ref instead of copying the bytes: the device is now one more
   // holder of the extent.
   std::vector<ExtentEntry>& extents = sector_extents_[sector];
@@ -692,11 +664,6 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
   if (uint8_t* data_ptr = sector_data_[sector].get()) {
     std::memset(data_ptr, kErasedByte, sector_bytes());
   }
-  if (validate_payloads_) {
-    if (uint8_t* shadow = shadow_data_[sector].get()) {
-      std::memset(shadow, kErasedByte, sector_bytes());
-    }
-  }
   s.programmed_end = 0;
   return d.wait + op_ns;
 }
@@ -720,62 +687,6 @@ uint8_t* FlashDevice::MaterializeSector(uint64_t sector) {
     std::memset(slot.get(), kErasedByte, sector_bytes());
   }
   return slot.get();
-}
-
-uint8_t* FlashDevice::ShadowSector(uint64_t sector) {
-  std::unique_ptr<uint8_t[]>& slot = shadow_data_[sector];
-  if (!slot) {
-    slot.reset(new uint8_t[sector_bytes()]);
-    std::memset(slot.get(), kErasedByte, sector_bytes());
-  }
-  return slot.get();
-}
-
-void FlashDevice::set_validate_payloads(bool on) {
-  if (on == validate_payloads_) {
-    return;
-  }
-  validate_payloads_ = on;
-  if (!on) {
-    shadow_data_.clear();
-    return;
-  }
-  // Seed the shadow from the current merged contents so the oracle can be
-  // switched on mid-life (tests attach it after setup writes).
-  shadow_data_.resize(num_sectors());
-  for (uint64_t s = 0; s < num_sectors(); ++s) {
-    if (sector_data_[s] != nullptr || !sector_extents_[s].empty()) {
-      CopyOut(s, 0, sector_bytes(), ShadowSector(s));
-    }
-  }
-}
-
-void FlashDevice::CheckAgainstShadow(uint64_t addr, const uint8_t* got,
-                                     uint64_t n) {
-  uint64_t pos = addr;
-  uint64_t remaining = n;
-  while (remaining > 0) {
-    const uint64_t s = SectorOfAddr(pos);
-    const uint64_t off = OffsetInSector(pos);
-    const uint64_t chunk = std::min(remaining, sector_bytes() - off);
-    const uint8_t* shadow = shadow_data_[s].get();
-    bool match;
-    if (shadow != nullptr) {
-      match = std::memcmp(got + (pos - addr), shadow + off, chunk) == 0;
-    } else {
-      // Never-programmed sector: the memcpy path would have produced 0xFF.
-      match = std::memcmp(got + (pos - addr), erased_template_.data(),
-                          chunk) == 0;
-    }
-    if (!match) {
-      payload_validation_failures_ += 1;
-      SSMC_LOG(kError) << "flash payload oracle mismatch: read of "
-                       << chunk << " bytes at address " << pos
-                       << " disagrees with the memcpy shadow";
-    }
-    pos += chunk;
-    remaining -= chunk;
-  }
 }
 
 void FlashDevice::AccountIdleEnergy() {

@@ -207,20 +207,6 @@ class FlashDevice {
   // One-shot, like FailNextProgramAfterBytes.
   void InterruptNextErase() { erase_interrupt_armed_ = true; }
 
-  // Differential payload oracle (also enabled by the SSMC_VALIDATE_PAYLOADS
-  // env var, same pattern as the event queue's SSMC_VALIDATE_EVENTS): every
-  // program additionally memcpys its bytes into a flat shadow copy of the
-  // card — the representation the extent layer replaced — and every
-  // Read/ReadExtent result is memcmp'd against it. Mismatches are logged at
-  // kError and counted. O(bytes) per op — tests only.
-  void set_validate_payloads(bool on);
-  bool validate_payloads() const { return validate_payloads_; }
-  // Oracle disagreements observed (0 when the mode is off or every payload
-  // matched the memcpy path).
-  uint64_t payload_validation_failures() const {
-    return payload_validation_failures_;
-  }
-
   // --- Accounting -------------------------------------------------------
   // Keyed request attribution (io_stats.h): how much of each stream's
   // latency was queueing behind other work vs time on the medium, by
@@ -325,13 +311,6 @@ class FlashDevice {
   bool RangeErased(uint64_t sector, uint64_t off, uint64_t n,
                    uint64_t* first_programmed_addr) const;
 
-  // Shadow flat card for validate_payloads mode (lazy per sector, 0xFF
-  // before first program like sector_data_).
-  uint8_t* ShadowSector(uint64_t sector);
-  // memcmp `got` against the shadow's [addr, addr + n); logs + counts on
-  // mismatch.
-  void CheckAgainstShadow(uint64_t addr, const uint8_t* got, uint64_t n);
-
   FlashSpec spec_;
   uint64_t capacity_;
   SimClock& clock_;
@@ -354,10 +333,6 @@ class FlashDevice {
   // checks in Program() and IsSectorErased().
   std::vector<uint8_t> erased_template_;
   std::vector<Sector> sectors_;
-  // validate_payloads state (see set_validate_payloads).
-  bool validate_payloads_ = false;
-  uint64_t payload_validation_failures_ = 0;
-  std::vector<std::unique_ptr<uint8_t[]>> shadow_data_;
   IoScheduler sched_;  // One channel per bank.
   Stats stats_;
   EnergyMeter energy_;

@@ -48,32 +48,6 @@ MemoryFileSystem::~MemoryFileSystem() {
   }
 }
 
-Residency MemoryFileSystem::OracleResolve(const BlockKey& key,
-                                          int64_t flash_block) const {
-  if (buffer_.Contains(key)) {
-    return Residency::kDirty;
-  }
-  if (flash_block >= 0) {
-    return Residency::kFlash;
-  }
-  return Residency::kHole;
-}
-
-void MemoryFileSystem::CheckResolve(Residency got, const BlockKey& key,
-                                    int64_t flash_block) {
-  if (!options_.validate_residency) {
-    return;
-  }
-  const Residency want = OracleResolve(key, flash_block);
-  const bool ok =
-      got == want ||
-      ((got == Residency::kClean || got == Residency::kNvm) &&
-       want == Residency::kFlash && storage_.residency().enabled());
-  if (!ok) {
-    ++residency_validation_failures_;
-  }
-}
-
 Status MemoryFileSystem::JournalAppend(JournalRecord record) {
   if (options_.journal == nullptr || replaying_) {
     return Status::Ok();
@@ -338,7 +312,6 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
                              ? inode.flash_blocks[block]
                              : -1;
     const Residency where = res.Resolve(key, slot);
-    CheckResolve(where, key, slot);
     const SimTime now = storage_.flash_store().device().clock().now();
 
     switch (where) {
@@ -424,7 +397,6 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
                            ? inode.flash_blocks[block_index]
                            : -1;
   const Residency where = res.Resolve(key, slot);
-  CheckResolve(where, key, slot);
   switch (where) {
     case Residency::kDirty:
       SSMC_RETURN_IF_ERROR(buffer_.Get(key, staging));

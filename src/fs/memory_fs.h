@@ -50,13 +50,6 @@ struct MemoryFsOptions {
   uint64_t write_buffer_pages = 2048;
   // Dirty blocks older than this are flushed by TickFlush().
   Duration flush_age = 30 * kSecond;
-  // Differential oracle mode (PR 1 technique): every placement decision the
-  // residency manager makes is cross-checked against the pre-residency
-  // buffered->flash->hole resolution chain, counting mismatches in
-  // residency_validation_failures(). A clean-cache hit where the oracle
-  // says flash is the one legal divergence (under migration policies the
-  // flash copy stays authoritative).
-  bool validate_residency = false;
   // Durable metadata journal (ROADMAP E13). When set, every namespace
   // mutation appends a record to the journal before the operation is acked,
   // CheckpointMetadata() compacts through the journal's dense snapshot, and
@@ -193,12 +186,6 @@ class MemoryFileSystem : public FileSystem {
   };
   const Stats& stats() const { return stats_; }
 
-  // Mismatches found by MemoryFsOptions::validate_residency (0 = the
-  // residency manager agreed with the legacy resolution on every access).
-  uint64_t residency_validation_failures() const {
-    return residency_validation_failures_;
-  }
-
   // Observability (nullable; null detaches): a "memory-fs" trace track with
   // data-op and checkpoint spans plus a Stats mirror collector. Also attaches
   // the embedded write buffer. The machine re-attaches after crash recovery
@@ -282,13 +269,6 @@ class MemoryFileSystem : public FileSystem {
                          uint64_t offset_in_block,
                          std::span<const uint8_t> data);
 
-  // The pre-residency placement chain, kept as the differential oracle for
-  // MemoryFsOptions::validate_residency.
-  Residency OracleResolve(const BlockKey& key, int64_t flash_block) const;
-  // Counts a mismatch between `got` and the oracle (no-op unless
-  // validate_residency is set).
-  void CheckResolve(Residency got, const BlockKey& key, int64_t flash_block);
-
   StorageManager& storage_;
   MemoryFsOptions options_;
   WriteBuffer buffer_;
@@ -299,7 +279,6 @@ class MemoryFileSystem : public FileSystem {
   std::vector<uint64_t> checkpoint_blocks_;  // Data blocks of the last
                                              // checkpoint (superblock extra).
   SimTime last_checkpoint_at_ = -1;          // -1: never checkpointed.
-  uint64_t residency_validation_failures_ = 0;
   // True while RecoverFromJournal replays records: suppresses journal
   // emission from the mutation paths replay reuses.
   bool replaying_ = false;

@@ -208,23 +208,8 @@ void FlashStore::UpdateSectorIndexes(uint64_t sector) {
   }
 }
 
-void FlashStore::RecordIndexMismatch(const char* what, int64_t indexed,
-                                     int64_t oracle) {
-  index_validation_failures_ += 1;
-  SSMC_LOG(kError) << "FTL index mismatch (" << what << "): indexed " << indexed
-                   << " vs linear-scan oracle " << oracle;
-}
-
 int64_t FlashStore::TakeFreeSector(int bank) {
-  FreeSectorPool& pool = free_pool_[static_cast<size_t>(bank)];
-  if (options_.validate_indexes) {
-    const int64_t oracle = ScanPickFreeSector(
-        pool.SnapshotInsertionOrder(), options_.wear != WearPolicy::kNone);
-    if (oracle != pool.Peek()) {
-      RecordIndexMismatch("free-sector take", pool.Peek(), oracle);
-    }
-  }
-  const int64_t sector = pool.Take();
+  const int64_t sector = free_pool_[static_cast<size_t>(bank)].Take();
   if (sector < 0) {
     return -1;
   }
@@ -235,17 +220,6 @@ int64_t FlashStore::TakeFreeSector(int bank) {
 
 Result<uint64_t> FlashStore::AllocatePage(WriteStream stream,
                                           bool allow_clean) {
-  if (options_.validate_indexes) {
-    uint64_t pool_sum = 0;
-    for (const FreeSectorPool& pool : free_pool_) {
-      pool_sum += pool.size();
-    }
-    if (pool_sum != free_sector_count_) {
-      RecordIndexMismatch("free-sector count",
-                          static_cast<int64_t>(free_sector_count_),
-                          static_cast<int64_t>(pool_sum));
-    }
-  }
   // Proactive cleaning keeps the free pool above the low-water mark.
   if (allow_clean && free_sectors() <= options_.free_sector_low_water) {
     SSMC_RETURN_IF_ERROR(Clean());
@@ -644,14 +618,6 @@ Status FlashStore::Clean() {
 Result<bool> FlashStore::CleanOne() {
   const SimTime now = flash_.clock().now();
   const int64_t victim = victim_index_.Pick(now);
-  if (options_.validate_indexes) {
-    const int64_t oracle =
-        PickCleaningVictim(SnapshotSectors(), pages_per_sector(),
-                           options_.cleaner, now);
-    if (oracle != victim) {
-      RecordIndexMismatch("cleaning victim", victim, oracle);
-    }
-  }
   if (victim < 0) {
     return false;
   }
@@ -716,14 +682,6 @@ Result<bool> FlashStore::EvictColdSectorFromHotRange() {
   const SimTime now = flash_.clock().now();
   const int64_t victim =
       cold_index_.PickOlderThan(now, options_.cold_eviction_age);
-  if (options_.validate_indexes) {
-    const int64_t oracle = ScanPickColdEvictionVictim(
-        SnapshotSectors(), hot_sector_count_, now,
-        options_.cold_eviction_age);
-    if (oracle != victim) {
-      RecordIndexMismatch("cold eviction victim", victim, oracle);
-    }
-  }
   if (victim < 0) {
     return false;
   }
@@ -820,13 +778,6 @@ void FlashStore::MaybeStaticWearLevel() {
     max_erases = wear_index_->max_erases();
   }
   const int64_t coldest = wear_index_->ColdestOccupied();
-  if (options_.validate_indexes) {
-    const WearScanResult oracle = ScanWearLevelState(SnapshotSectors(), flash_);
-    if (oracle.coldest != coldest || oracle.min_erases != min_erases ||
-        oracle.max_erases != max_erases) {
-      RecordIndexMismatch("wear-level target", coldest, oracle.coldest);
-    }
-  }
   if (coldest < 0 || max_erases - min_erases <= options_.static_wear_delta) {
     return;
   }
@@ -933,11 +884,30 @@ Status FlashStore::CheckIndexConsistency() const {
     return InternalError("cold index size mismatch");
   }
   uint64_t pool_sum = 0;
-  for (const FreeSectorPool& pool : free_pool_) {
+  for (size_t bank = 0; bank < free_pool_.size(); ++bank) {
+    const FreeSectorPool& pool = free_pool_[bank];
     pool_sum += pool.size();
+    if (pool.Peek() != ScanPickFreeSector(pool.SnapshotInsertionOrder(),
+                                          options_.wear != WearPolicy::kNone)) {
+      return InternalError("free-sector pick disagrees with linear scan in "
+                           "bank " + std::to_string(bank));
+    }
   }
   if (pool_sum != free_count || free_sector_count_ != free_count) {
     return InternalError("free-sector count mismatch");
+  }
+
+  // Every indexed decision must match its linear-scan reference at `now`.
+  const std::vector<SectorMeta> sectors = SnapshotSectors();
+  const SimTime now = flash_.clock().now();
+  if (victim_index_.Pick(now) !=
+      PickCleaningVictim(sectors, pages_per_sector(), options_.cleaner, now)) {
+    return InternalError("cleaning victim disagrees with linear scan");
+  }
+  if (cold_index_.PickOlderThan(now, options_.cold_eviction_age) !=
+      ScanPickColdEvictionVictim(sectors, hot_sector_count_, now,
+                                 options_.cold_eviction_age)) {
+    return InternalError("cold eviction victim disagrees with linear scan");
   }
   if (wear_index_ != nullptr) {
     if (wear_index_->occupied_size() != occupied_count) {
@@ -946,7 +916,7 @@ Status FlashStore::CheckIndexConsistency() const {
     if (wear_index_->tracked_sectors() != non_bad) {
       return InternalError("wear erase-count tracker size mismatch");
     }
-    const WearScanResult scan = ScanWearLevelState(SnapshotSectors(), flash_);
+    const WearScanResult scan = ScanWearLevelState(sectors, flash_);
     if (wear_index_->has_sectors() &&
         (wear_index_->min_erases() != scan.min_erases ||
          wear_index_->max_erases() != scan.max_erases ||

@@ -75,21 +75,15 @@ struct FlashStoreOptions {
   // banks once it has gone unwritten this long (avoids ping-ponging data
   // that is merely between overwrites).
   Duration cold_eviction_age = 60 * kSecond;
-  // Debug/differential mode: cross-check every indexed decision (cleaning
-  // victim, free-sector take, cold eviction, wear-level target, free count)
-  // against the retained linear-scan oracles. Mismatches are logged at
-  // kError and counted in index_validation_failures(). O(sectors) per
-  // decision — tests only.
-  bool validate_indexes = false;
 };
 
 // Which append stream a page allocation serves (see hot_bank_count).
 enum class WriteStream { kUser, kRelocation };
 
-// Per-sector metadata exposed for policy testing and the wear benches.
-// Snapshot of one sector's metadata. The store itself keeps this state in
-// struct-of-arrays columns (see FlashStore); this assembled form is the
-// interchange type for the linear-scan oracles and tests.
+// Snapshot of one sector's metadata, exposed for policy testing and the wear
+// benches. The store itself keeps this state in struct-of-arrays columns
+// (see FlashStore); this assembled form is the interchange type for the
+// linear-scan references and tests.
 struct SectorMeta {
   uint32_t valid_pages = 0;
   uint32_t dead_pages = 0;
@@ -101,18 +95,18 @@ struct SectorMeta {
 };
 
 // Pure linear-scan victim selection, exercised directly by unit tests and
-// retained as the reference oracle for the indexed fast path (see
-// victim_index.h). Returns the victim sector index or -1 if no cleanable
-// sector exists. Only sectors that are neither active, free, nor bad, and
-// that contain at least one dead page, are candidates.
+// retained as the reference for the indexed fast path (see victim_index.h).
+// Returns the victim sector index or -1 if no cleanable sector exists. Only
+// sectors that are neither active, free, nor bad, and that contain at least
+// one dead page, are candidates.
 int64_t PickCleaningVictim(const std::vector<SectorMeta>& sectors,
                            uint32_t pages_per_sector, CleanerPolicy policy,
                            SimTime now);
 
-// Linear-scan oracles for the remaining indexed decisions. Each reproduces
-// the pre-index implementation verbatim; the indexed store must agree with
-// them bit-for-bit (enforced by FlashStoreOptions::validate_indexes and the
-// differential property suite).
+// Linear-scan references for the remaining indexed decisions. Each
+// reproduces the pre-index implementation verbatim; the indexed store must
+// agree with them bit-for-bit (audited by FlashStore::CheckIndexConsistency,
+// which the property suites call after every operation).
 
 // Free-sector choice over `pool` — (sector, erase_count) pairs in insertion
 // order: last entry under the naive LIFO policy (wear_ordered = false), else
@@ -268,14 +262,11 @@ class FlashStore {
   // attach that separately.
   void AttachObs(Obs* obs);
 
-  // Mismatches recorded by validate_indexes mode (0 when the mode is off or
-  // every indexed decision agreed with its linear-scan oracle).
-  uint64_t index_validation_failures() const {
-    return index_validation_failures_;
-  }
-
-  // Exhaustive structural audit: every index's membership and size must match
-  // a fresh scan of the sector metadata. O(sectors log sectors); tests only.
+  // Exhaustive audit: every index's membership and size must match a fresh
+  // scan of the sector metadata, and each indexed pick at the current time —
+  // cleaning victim, cold-eviction victim, each bank's next free sector, and
+  // the wear min/max/coldest trackers — must equal its linear-scan reference
+  // above. O(sectors log sectors); tests only.
   Status CheckIndexConsistency() const;
 
  private:
@@ -379,9 +370,6 @@ class FlashStore {
   // sector is active — active sectors belong to no index).
   void UpdateSectorIndexes(uint64_t sector);
 
-  // validate_indexes bookkeeping: logs at kError and bumps the counter.
-  void RecordIndexMismatch(const char* what, int64_t indexed, int64_t oracle);
-
   // Background passes never advance the clock; the end of a pass in sim time
   // is when the last bank reservation it queued completes.
   SimTime BanksBusyUntil() const;
@@ -401,10 +389,10 @@ class FlashStore {
   static constexpr uint8_t kBadFlag = 4;     // Worn out.
 
   // Hot column of the per-sector metadata: everything victim selection,
-  // index syncs, and the scan oracles read, packed into 16 bytes so a random
-  // sector access touches one cache line and a full-device scan walks a
-  // dense array (64 Ki sectors fit in 1 MiB). The write pointer lives in its
-  // own column below — only the page allocator reads it.
+  // index syncs, and the linear-scan references read, packed into 16 bytes
+  // so a random sector access touches one cache line and a full-device scan
+  // walks a dense array (64 Ki sectors fit in 1 MiB). The write pointer lives
+  // in its own column below — only the page allocator reads it.
   struct SectorHot {
     SimTime last_write_time = 0;
     uint16_t valid_pages = 0;
@@ -413,8 +401,8 @@ class FlashStore {
   };
   static_assert(sizeof(SectorHot) == 16);
 
-  // AoS snapshot of every sector for the linear-scan oracles (validate mode
-  // and consistency audits only — O(sectors)).
+  // AoS snapshot of every sector for the linear-scan references
+  // (CheckIndexConsistency only — O(sectors)).
   std::vector<SectorMeta> SnapshotSectors() const;
 
   // Page-sized payload extents for the whole data plane (user writes,
@@ -437,7 +425,6 @@ class FlashStore {
   // First hot_sector_count_ sectors form the hot-bank range; 0 = segregation
   // off (hot_bank_count outside (0, num_banks)).
   uint64_t hot_sector_count_ = 0;
-  uint64_t index_validation_failures_ = 0;
   int64_t deferred_sync_sector_ = -1;  // See DeferredSectorSync.
   std::vector<int64_t> active_;                  // Per-bank active sector.
   int next_bank_ = 0;

@@ -11,15 +11,15 @@
 // the retired linear scan would have made, including tie-breaking (the scans
 // kept the first, i.e. lowest-index, sector achieving the best score) and
 // the floating-point arithmetic of the cost-benefit score. The linear scans
-// are retained as reference oracles (PickCleaningVictim and the Scan*
-// functions in flash_store.h); FlashStoreOptions::validate_indexes
-// cross-checks every decision against them at runtime, and the differential
-// property suite sweeps that mode across the full policy matrix.
+// are retained as references (PickCleaningVictim and the Scan* functions in
+// flash_store.h); FlashStore::CheckIndexConsistency compares every indexed
+// pick against them, and the differential property suite calls it after
+// every operation across the full policy matrix.
 //
 // Known bound: cost-benefit exactness relies on distinct sector ages mapping
 // to distinct doubles, which holds while simulated time stays below 2^52 ns
-// (~52 days). All experiments run far below that; validation mode would
-// surface a violation as a mismatch rather than silently diverging.
+// (~52 days). All experiments run far below that; the audit would surface a
+// violation as a mismatch rather than silently diverging.
 //
 // All indexes store per-sector shadow nodes and are driven through Sync()
 // calls: the caller reports a sector's current metadata and eligibility, and
@@ -66,7 +66,7 @@ class FreeSectorPool {
   uint64_t size() const { return wear_ordered_ ? wear_size_ : lifo_.size(); }
 
   // (sector, erase_count) pairs in insertion order — the exact sequence the
-  // retired linear-scan allocator iterated. Used by the differential oracle
+  // retired linear-scan allocator iterated. Used by the consistency audit
   // and tests only; costs O(n log n) when wear-ordered.
   std::vector<std::pair<uint64_t, uint64_t>> SnapshotInsertionOrder() const;
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 
 namespace ssmc {
 namespace {
@@ -26,28 +23,7 @@ uint64_t HashTime(SimTime t) {
   return x ^ (x >> 31);
 }
 
-bool ValidateFromEnv() {
-  const char* v = std::getenv("SSMC_VALIDATE_EVENTS");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 }  // namespace
-
-struct EventQueue::OracleState {
-  explicit OracleState(SimClock& clock) : legacy(clock) {}
-  LegacyEventQueue legacy;
-  // Our EventId -> the legacy queue's id for the mirrored event.
-  std::unordered_map<EventId, LegacyEventQueue::EventId> ids;
-};
-
-EventQueue::EventQueue(SimClock& clock, bool validate_with_legacy)
-    : clock_(clock) {
-  if (validate_with_legacy || ValidateFromEnv()) {
-    oracle_ = std::make_unique<OracleState>(clock_);
-  }
-}
-
-EventQueue::~EventQueue() = default;
 
 // --- Slot and bucket pools --------------------------------------------------
 
@@ -126,7 +102,6 @@ void EventQueue::TableInsert(SimTime at, int32_t bucket) {
     ++table_used_;
   }
   table_[i] = bucket;
-  ++table_live_;
 }
 
 void EventQueue::TableErase(SimTime at) {
@@ -138,7 +113,6 @@ void EventQueue::TableErase(SimTime at) {
     if (e != kTombstone && e != kEmptySlot &&
         buckets_[static_cast<size_t>(e)].at == at) {
       table_[i] = kTombstone;
-      --table_live_;
       return;
     }
     i = (i + 1) & mask;
@@ -236,11 +210,7 @@ EventQueue::EventId EventQueue::ScheduleAt(SimTime at, Callback fn) {
     slots_[static_cast<size_t>(bucket.tail)].next = s;
   }
   bucket.tail = s;
-  const EventId id = MakeId(static_cast<uint32_t>(s), slot.gen);
-  if (oracle_) {
-    OracleSchedule(at, id);
-  }
-  return id;
+  return MakeId(static_cast<uint32_t>(s), slot.gen);
 }
 
 bool EventQueue::Cancel(EventId id) {
@@ -257,15 +227,11 @@ bool EventQueue::Cancel(EventId id) {
   slot.armed = false;
   --pending_;
   ++cancelled_;
-  if (oracle_) {
-    OracleCancel(id);
-  }
   CompactIfNeeded();
   return true;
 }
 
 void EventQueue::DrainBucket(int32_t b) {
-  running_bucket_ = b;
   const SimTime at = buckets_[static_cast<size_t>(b)].at;
   if (at > clock_.now()) {
     clock_.AdvanceTo(at);
@@ -292,16 +258,11 @@ void EventQueue::DrainBucket(int32_t b) {
     slot.fn = nullptr;
     slot.armed = false;
     --pending_;
-    const EventId id = MakeId(static_cast<uint32_t>(s), slot.gen);
     FreeSlot(s);
-    if (oracle_) {
-      OracleCheckFire(at, id);
-    }
     fn();
   }
   TableErase(at);
   FreeBucket(b);
-  running_bucket_ = kEmptySlot;
 }
 
 void EventQueue::RunUntil(SimTime t) {
@@ -313,9 +274,6 @@ void EventQueue::RunUntil(SimTime t) {
     HeapPopMin();
     DrainBucket(b);
   }
-  if (oracle_) {
-    OracleCheckDrained(t);
-  }
   if (t > clock_.now()) {
     clock_.AdvanceTo(t);
   }
@@ -324,9 +282,6 @@ void EventQueue::RunUntil(SimTime t) {
 void EventQueue::RunAll() {
   while (!heap_.empty()) {
     DrainBucket(HeapPopMin());
-  }
-  if (oracle_) {
-    OracleCheckDrained(std::numeric_limits<SimTime>::max());
   }
 }
 
@@ -340,8 +295,9 @@ void EventQueue::CompactIfNeeded() {
 }
 
 void EventQueue::Compact() {
-  // The running bucket is skipped: its drain loop reclaims dead slots itself
-  // and owns the chain head while callbacks run.
+  // Only buckets still in heap_ are swept. A bucket being drained was popped
+  // from heap_ before its drain began, so it is never visited here; its drain
+  // loop reclaims its own dead slots.
   size_t out = 0;
   for (size_t i = 0; i < heap_.size(); ++i) {
     const int32_t b = heap_[i];
@@ -379,58 +335,6 @@ void EventQueue::Compact() {
     return buckets_[static_cast<size_t>(a)].at >
            buckets_[static_cast<size_t>(b)].at;
   });
-}
-
-// --- Legacy oracle ----------------------------------------------------------
-
-namespace {
-
-[[noreturn]] void OracleDie(const char* what, SimTime at) {
-  std::fprintf(stderr,
-               "EventQueue validate mode: calendar queue diverged from the "
-               "legacy priority queue (%s at t=%lld)\n",
-               what, static_cast<long long>(at));
-  std::abort();
-}
-
-}  // namespace
-
-void EventQueue::OracleSchedule(SimTime at, EventId id) {
-  oracle_->ids.emplace(id, oracle_->legacy.ScheduleAt(at, [] {}));
-}
-
-void EventQueue::OracleCancel(EventId id) {
-  const auto it = oracle_->ids.find(id);
-  assert(it != oracle_->ids.end());
-  if (!oracle_->legacy.Cancel(it->second)) {
-    OracleDie("cancel accepted here, rejected by legacy", 0);
-  }
-  oracle_->ids.erase(it);
-}
-
-void EventQueue::OracleCheckFire(SimTime at, EventId id) {
-  SimTime legacy_at = 0;
-  LegacyEventQueue::EventId legacy_id = 0;
-  if (!oracle_->legacy.PopDue(at, &legacy_at, &legacy_id)) {
-    OracleDie("fired an event the legacy queue does not have due", at);
-  }
-  const auto it = oracle_->ids.find(id);
-  assert(it != oracle_->ids.end());
-  if (legacy_at != at || legacy_id != it->second) {
-    OracleDie("run order mismatch", at);
-  }
-  oracle_->ids.erase(it);
-}
-
-void EventQueue::OracleCheckDrained(SimTime t) {
-  SimTime legacy_at = 0;
-  LegacyEventQueue::EventId legacy_id = 0;
-  if (oracle_->legacy.PopDue(t, &legacy_at, &legacy_id)) {
-    OracleDie("legacy queue still had a due event after a drain", legacy_at);
-  }
-  if (oracle_->legacy.pending() != pending_) {
-    OracleDie("pending() mismatch after drain", t);
-  }
 }
 
 }  // namespace ssmc

@@ -26,23 +26,19 @@
 // compaction once disarmed slots outnumber armed ones (see Compact()), so
 // cancel-heavy workloads stay bounded in memory.
 //
-// Validate mode (constructor flag, or SSMC_VALIDATE_EVENTS=1 in the
-// environment) mirrors every schedule/cancel into the retired
-// priority-queue implementation (legacy_event_queue.h) and checks each
-// retirement against it, aborting on the first divergence in run order —
-// the same differential-oracle pattern the FTL uses for victim selection.
+// The retired priority-queue implementation lives on as a test-only
+// reference (tests/reference/legacy_event_queue.h); the determinism suite in
+// event_queue_test.cc runs randomized schedule/cancel interleavings against
+// both queues and requires bit-equal run order.
 
 #ifndef SSMC_SRC_SIM_EVENT_QUEUE_H_
 #define SSMC_SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/clock.h"
-#include "src/sim/legacy_event_queue.h"
 #include "src/support/units.h"
 
 namespace ssmc {
@@ -52,11 +48,7 @@ class EventQueue {
   using Callback = std::function<void()>;
   using EventId = uint64_t;
 
-  // `validate_with_legacy` (or SSMC_VALIDATE_EVENTS=1) enables the lockstep
-  // legacy oracle; it costs an allocation per event and is meant for tests
-  // and one-off whole-simulation audits, not production runs.
-  explicit EventQueue(SimClock& clock, bool validate_with_legacy = false);
-  ~EventQueue();
+  explicit EventQueue(SimClock& clock) : clock_(clock) {}
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -146,12 +138,6 @@ class EventQueue {
   void CompactIfNeeded();
   void Compact();
 
-  // Legacy-oracle mirroring (validate mode only).
-  void OracleSchedule(SimTime at, EventId id);
-  void OracleCancel(EventId id);
-  void OracleCheckFire(SimTime at, EventId id);
-  void OracleCheckDrained(SimTime t);
-
   SimClock& clock_;
   std::vector<Slot> slots_;
   int32_t free_slot_ = -1;
@@ -159,14 +145,9 @@ class EventQueue {
   int32_t free_bucket_ = -1;
   std::vector<int32_t> heap_;
   std::vector<int32_t> table_;  // kEmptySlot / kTombstone / bucket index
-  size_t table_live_ = 0;
-  size_t table_used_ = 0;  // live + tombstones
+  size_t table_used_ = 0;  // live entries + tombstones
   size_t pending_ = 0;     // armed events
   size_t cancelled_ = 0;   // disarmed slots still chained in buckets
-  int32_t running_bucket_ = -1;
-
-  struct OracleState;
-  std::unique_ptr<OracleState> oracle_;
 };
 
 }  // namespace ssmc

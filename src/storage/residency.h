@@ -27,9 +27,9 @@
 // Migration policies (MachineConfig::residency.policy):
 //  * kWriteBufferOnly — today's behavior, bit-identical: dirty blocks
 //    buffer in DRAM and flush to flash; clean data always reads from
-//    flash. The pre-residency code path is preserved under this policy and
-//    doubles as the differential oracle (MemoryFsOptions::
-//    validate_residency), the same technique PR 1 used for the FTL indexes.
+//    flash. ResidencyDifferentialTest (residency_test.cc) checks this
+//    stack's reads against an independent per-file byte model and the
+//    other policies against this stack.
 //  * kReadPromote — flash blocks whose decayed heat crosses
 //    promote_threshold are promoted into the clean cache. Promotion flash
 //    reads are issued cleaner-class and non-blocking (background

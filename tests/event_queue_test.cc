@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/sim/legacy_event_queue.h"
 #include "src/support/rng.h"
+#include "tests/reference/legacy_event_queue.h"
 
 namespace ssmc {
 namespace {
@@ -231,9 +231,9 @@ TEST(EventQueueTest, CancelChurnKeepsMemoryBounded) {
 // Randomized schedule/cancel/run interleavings applied in lockstep to the
 // calendar queue and to the retired priority-queue implementation
 // (LegacyEventQueue). Both record the logical index of every event they
-// fire; the sequences must be bit-equal. The calendar queue additionally
-// runs with its built-in validate-mode oracle enabled, so a divergence is
-// caught both here and by the queue's own lockstep check.
+// fire; the sequences must be bit-equal. Every third event schedules a child
+// from its callback (at the current time or 10ns later) in its own queue, so
+// same-time cascades are compared too, not just pre-scheduled events.
 
 TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
   constexpr int kRounds = 25;
@@ -242,7 +242,7 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
     Rng rng(0x5eed0000 + static_cast<uint64_t>(round));
     SimClock clock_a;
     SimClock clock_b;
-    EventQueue calendar(clock_a, /*validate_with_legacy=*/true);
+    EventQueue calendar(clock_a);
     LegacyEventQueue legacy(clock_b);
     std::vector<int> order_a;
     std::vector<int> order_b;
@@ -264,13 +264,24 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
             clock_a.now() + static_cast<SimTime>(rng.NextBelow(8)) * 10;
         const int logical = next_logical++;
         fired_a.push_back(0);
-        const auto ida = calendar.ScheduleAt(at, [&order_a, &fired_a,
-                                                  logical] {
+        // Children get the negative logical id of their parent.
+        const auto ida = calendar.ScheduleAt(at, [&, logical] {
           order_a.push_back(logical);
           fired_a[static_cast<size_t>(logical)] = 1;
+          if (logical % 3 == 0) {
+            calendar.ScheduleAfter((logical % 2) * 10, [&order_a, logical] {
+              order_a.push_back(-1 - logical);
+            });
+          }
         });
-        const auto idb = legacy.ScheduleAt(
-            at, [&order_b, logical] { order_b.push_back(logical); });
+        const auto idb = legacy.ScheduleAt(at, [&, logical] {
+          order_b.push_back(logical);
+          if (logical % 3 == 0) {
+            legacy.ScheduleAfter((logical % 2) * 10, [&order_b, logical] {
+              order_b.push_back(-1 - logical);
+            });
+          }
+        });
         live.push_back({logical, ida, idb});
       } else if (pick < 8) {
         if (!live.empty()) {
@@ -303,20 +314,25 @@ TEST(EventQueueTest, RandomizedInterleavingsMatchLegacyOracle) {
   }
 }
 
-// Same-time cascades under validate mode: the built-in oracle must agree on
-// cascade ordering, not just on pre-scheduled events.
-TEST(EventQueueTest, ValidateModeAcceptsCascades) {
+// A same-time cascade runs after the already-queued same-time events, and an
+// event it schedules for later runs at its own time, after the whole cascade.
+TEST(EventQueueTest, SameTimeCascadeThenLaterEvent) {
   SimClock clock;
-  EventQueue q(clock, /*validate_with_legacy=*/true);
+  EventQueue q(clock);
   std::vector<int> order;
+  SimTime later_ran_at = -1;
   q.ScheduleAt(100, [&] {
     order.push_back(1);
     q.ScheduleAt(100, [&] { order.push_back(3); });
-    q.ScheduleAfter(50, [&] { order.push_back(4); });
+    q.ScheduleAfter(50, [&] {
+      order.push_back(4);
+      later_ran_at = clock.now();
+    });
   });
   q.ScheduleAt(100, [&] { order.push_back(2); });
   q.RunUntil(200);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(later_ran_at, 150);
 }
 
 }  // namespace
