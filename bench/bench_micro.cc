@@ -430,6 +430,19 @@ void BM_SimCoreReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCoreReplay)->Unit(benchmark::kMillisecond);
 
+void BM_MachineConstruct(benchmark::State& state) {
+  // Builds and destroys one notebook machine (16 MiB DRAM, 32 MiB flash):
+  // the per-user setup a fleet run (RunScaleout) pays before replaying
+  // anything. Allocator free lists and FTL maps fill in as they are used,
+  // so this should not grow with the configured capacities.
+  const MachineConfig config = NotebookConfig();
+  for (auto _ : state) {
+    MobileComputer machine(config);
+    benchmark::DoNotOptimize(&machine);
+  }
+}
+BENCHMARK(BM_MachineConstruct)->Unit(benchmark::kMicrosecond);
+
 void BM_SingleLevelStoreLoad(benchmark::State& state) {
   MobileComputer machine(NotebookConfig());
   (void)machine.fs().Create("/f");

@@ -49,16 +49,13 @@ MemoryFileSystem::~MemoryFileSystem() {
 }
 
 Status MemoryFileSystem::JournalAppend(JournalRecord record) {
-  if (options_.journal == nullptr || replaying_) {
-    return Status::Ok();
-  }
+  assert(journaled());
   Result<uint64_t> lsn = options_.journal->Append(std::move(record));
   return lsn.ok() ? Status::Ok() : lsn.status();
 }
 
 void MemoryFileSystem::MaybeCompact() {
-  if (options_.journal == nullptr || replaying_ ||
-      !options_.journal->NeedsCompaction()) {
+  if (!journaled() || !options_.journal->NeedsCompaction()) {
     return;
   }
   (void)CheckpointMetadata();
@@ -103,7 +100,7 @@ Status MemoryFileSystem::Create(const std::string& path) {
   if (parent->children.find(base) != parent->children.end()) {
     return AlreadyExistsError(path);
   }
-  {
+  if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kCreate;
     rec.file_id = next_inode_id_;
@@ -132,7 +129,7 @@ Status MemoryFileSystem::Mkdir(const std::string& path) {
   if (parent->children.find(base) != parent->children.end()) {
     return AlreadyExistsError(path);
   }
-  {
+  if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kMkdir;
     rec.path = path;
@@ -171,7 +168,7 @@ Status MemoryFileSystem::Unlink(const std::string& path) {
   if (it->second->is_dir) {
     return FailedPreconditionError(path + " is a directory");
   }
-  {
+  if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kUnlink;
     rec.path = path;
@@ -213,7 +210,7 @@ Status MemoryFileSystem::Rmdir(const std::string& path) {
   if (!it->second->children.empty()) {
     return FailedPreconditionError(path + " is not empty");
   }
-  {
+  if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kRmdir;
     rec.path = path;
@@ -446,11 +443,13 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
   if (inode.last_writer != tenant_) {
     // The eventual flush of these blocks is billed to this tenant; the
     // journal must agree after a remount.
-    JournalRecord rec;
-    rec.type = JournalRecordType::kTenantStamp;
-    rec.file_id = inode.id;
-    rec.tenant = tenant_;
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
+    if (journaled()) {
+      JournalRecord rec;
+      rec.type = JournalRecordType::kTenantStamp;
+      rec.file_id = inode.id;
+      rec.tenant = tenant_;
+      SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
+    }
     inode.last_writer = tenant_;
   }
 
@@ -466,11 +465,13 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
     done += chunk;
   }
   if (offset + data.size() > inode.size) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kSetSize;
-    rec.file_id = inode.id;
-    rec.size = offset + data.size();
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
+    if (journaled()) {
+      JournalRecord rec;
+      rec.type = JournalRecordType::kSetSize;
+      rec.file_id = inode.id;
+      rec.size = offset + data.size();
+      SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
+    }
     inode.size = offset + data.size();
   }
   storage_.ChargeMetadataWrite(kInodeBytes);
@@ -497,7 +498,7 @@ Status MemoryFileSystem::Truncate(const std::string& path, uint64_t size) {
     return FailedPreconditionError(path + " is a directory");
   }
   Inode& inode = node->inode;
-  {
+  if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kSetSize;
     rec.file_id = inode.id;
@@ -558,7 +559,7 @@ Status MemoryFileSystem::Rename(const std::string& from,
   if (to_parent->children.find(to_base) != to_parent->children.end()) {
     return AlreadyExistsError(to);
   }
-  {
+  if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kRename;
     rec.path = from;
@@ -640,6 +641,9 @@ Status MemoryFileSystem::FlushBlock(const BlockKey& key,
   // names holds the flushed bytes. On append failure the flush reports
   // failure, the buffer keeps the block dirty, and the retry re-writes the
   // same slot and re-emits the record.
+  if (!journaled()) {
+    return Status::Ok();
+  }
   JournalRecord rec;
   rec.type = JournalRecordType::kExtent;
   rec.file_id = key.file_id;

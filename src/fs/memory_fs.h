@@ -236,9 +236,13 @@ class MemoryFileSystem : public FileSystem {
                                   uint32_t next_index, uint64_t* count,
                                   std::vector<uint8_t>& out) const;
 
-  // Appends `record` durably when journaling is on (no-op otherwise or
-  // during replay). The caller must not have applied the mutation yet: a
-  // failed append fails the operation with the namespace unchanged.
+  // True when mutations must be logged: a journal is attached and this is
+  // not a replay. Call sites check it before building a record, so an
+  // unjournaled file system never constructs one.
+  bool journaled() const { return options_.journal != nullptr && !replaying_; }
+  // Appends `record` durably; only valid when journaled(). The caller must
+  // not have applied the mutation yet: a failed append fails the operation
+  // with the namespace unchanged.
   Status JournalAppend(JournalRecord record);
   // Compacts the journal (through CheckpointMetadata) once its log passes
   // the configured bound. Advisory: failures are swallowed, the log just

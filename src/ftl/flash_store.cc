@@ -138,9 +138,8 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   assert(reserve < num_sectors && "device too small for its reserve");
   num_logical_blocks_ = (num_sectors - reserve) * pps;
 
-  map_.assign(num_logical_blocks_, kUnmapped);
-  page_owner_.assign(num_sectors * pps, kUnmapped);
-  page_tenant_.assign(num_sectors * pps, kDefaultTenant);
+  page_owner_ = std::make_unique_for_overwrite<uint64_t[]>(num_sectors * pps);
+  page_tenant_ = std::make_unique_for_overwrite<TenantId[]>(num_sectors * pps);
   assert(pps <= UINT16_MAX && "SectorHot packs page counts into 16 bits");
   hot_.resize(num_sectors);
   for (SectorHot& h : hot_) {
@@ -149,9 +148,17 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   next_free_page_.assign(num_sectors, 0);
   free_pool_.assign(static_cast<size_t>(flash_.num_banks()),
                     FreeSectorPool(options_.wear != WearPolicy::kNone));
-  for (uint64_t s = 0; s < num_sectors; ++s) {
-    free_pool_[static_cast<size_t>(flash_.BankOfSector(s))].Add(
-        s, flash_.EraseCount(s));
+  // Every sector starts free, added in ascending order at its current erase
+  // count: one run per stretch of equal counts (one per bank on a new card).
+  const uint64_t per_bank = flash_.sectors_per_bank();
+  for (size_t bank = 0; bank < free_pool_.size(); ++bank) {
+    const uint64_t end = (bank + 1) * per_bank;
+    for (uint64_t first = bank * per_bank, s = first + 1; s <= end; ++s) {
+      if (s == end || flash_.EraseCount(s) != flash_.EraseCount(first)) {
+        free_pool_[bank].AddRun(first, s - first, flash_.EraseCount(first));
+        first = s;
+      }
+    }
   }
   free_sector_count_ = num_sectors;
   active_.assign(static_cast<size_t>(flash_.num_banks()), -1);
@@ -215,6 +222,8 @@ int64_t FlashStore::TakeFreeSector(int bank) {
   }
   hot_[static_cast<size_t>(sector)].flags &= ~kFreeFlag;
   free_sector_count_ -= 1;
+  std::fill_n(&page_owner_[static_cast<uint64_t>(sector) * pps_], pps_,
+              kUnmapped);
   return sector;
 }
 
@@ -335,7 +344,7 @@ Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
   // between gives these random-access lines time to arrive. Advisory only —
   // cleaning may remap the block meanwhile, so the authoritative map_ read
   // happens after the program.
-  if (const uint64_t prior = map_[block]; prior != kUnmapped) {
+  if (const uint64_t prior = MappedPage(block); prior != kUnmapped) {
     __builtin_prefetch(&page_owner_[prior], 1);
     __builtin_prefetch(&hot_[SectorOfPage(prior)], 1);
     victim_index_.Prefetch(SectorOfPage(prior));
@@ -353,6 +362,9 @@ Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
     return programmed.status();
   }
 
+  if (block >= map_.size()) {
+    map_.resize(block + 1, kUnmapped);  // Grows geometrically.
+  }
   if (map_[block] != kUnmapped) {
     MarkPageDead(map_[block]);
   }
@@ -428,11 +440,12 @@ Result<Duration> FlashStore::Read(uint64_t block, std::span<uint8_t> out,
   if (out.size() != options_.block_bytes) {
     return InvalidArgumentError("flash store reads are whole blocks");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
-  Result<Duration> r = flash_.Read(PageAddress(map_[block]), out, issue);
+  Result<Duration> r = flash_.Read(PageAddress(page), out, issue);
   if (r.ok()) {
     stats_.user_reads.Add();
     TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
@@ -446,12 +459,13 @@ Result<PayloadRef> FlashStore::ReadRef(uint64_t block, IoIssue issue) {
   if (block >= num_logical_blocks_) {
     return OutOfRangeError("flash store block out of range");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
   Result<PayloadRef> r = flash_.ReadExtent(
-      PageAddress(map_[block]), options_.block_bytes, extent_pool_, issue);
+      PageAddress(page), options_.block_bytes, extent_pool_, issue);
   if (r.ok()) {
     stats_.user_reads.Add();
     TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
@@ -470,12 +484,12 @@ Result<Duration> FlashStore::ReadPartial(uint64_t block, uint64_t offset,
   if (offset + out.size() > options_.block_bytes) {
     return OutOfRangeError("partial read exceeds block bounds");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block " + std::to_string(block) +
                          " is not mapped");
   }
-  Result<Duration> r =
-      flash_.Read(PageAddress(map_[block]) + offset, out, issue);
+  Result<Duration> r = flash_.Read(PageAddress(page) + offset, out, issue);
   if (r.ok()) {
     stats_.user_reads.Add();
     TenantIoStats& lane = stats_.by_tenant.For(issue.tenant);
@@ -489,20 +503,22 @@ Status FlashStore::Trim(uint64_t block) {
   if (block >= num_logical_blocks_) {
     return OutOfRangeError("flash store block out of range");
   }
-  if (map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return Status::Ok();  // Idempotent.
   }
-  MarkPageDead(map_[block]);
+  MarkPageDead(page);
   map_[block] = kUnmapped;
   stats_.trims.Add();
   return Status::Ok();
 }
 
 Result<uint64_t> FlashStore::PhysicalAddressOf(uint64_t block) const {
-  if (block >= num_logical_blocks_ || map_[block] == kUnmapped) {
+  const uint64_t page = MappedPage(block);
+  if (page == kUnmapped) {
     return NotFoundError("flash store block is not mapped");
   }
-  return PageAddress(map_[block]);
+  return PageAddress(page);
 }
 
 void FlashStore::MarkPageDead(uint64_t page) {
@@ -895,6 +911,35 @@ Status FlashStore::CheckIndexConsistency() const {
   }
   if (pool_sum != free_count || free_sector_count_ != free_count) {
     return InternalError("free-sector count mismatch");
+  }
+
+  // The maps: only opened (non-free) sectors have initialized page columns.
+  uint64_t owned_pages = 0;
+  for (uint64_t s = 0; s < hot_.size(); ++s) {
+    if ((hot_[s].flags & kFreeFlag) != 0) {
+      continue;
+    }
+    uint64_t owned = 0;
+    for (uint64_t p = s * pps_; p < (s + 1) * pps_; ++p) {
+      if (page_owner_[p] == kUnmapped) {
+        continue;
+      }
+      if (MappedPage(page_owner_[p]) != p) {
+        return InternalError("page " + std::to_string(p) +
+                             " is not its owner's mapping");
+      }
+      owned += 1;
+    }
+    if (owned != hot_[s].valid_pages) {
+      return InternalError("sector " + std::to_string(s) +
+                           " owns a page count other than its valid count");
+    }
+    owned_pages += owned;
+  }
+  if (static_cast<uint64_t>(std::count_if(
+          map_.begin(), map_.end(),
+          [](uint64_t page) { return page != kUnmapped; })) != owned_pages) {
+    return InternalError("mapped blocks and owned pages disagree");
   }
 
   // Every indexed decision must match its linear-scan reference at `now`.

@@ -204,9 +204,7 @@ class FlashStore {
   // Drops a logical block's contents (marks its page dead).
   Status Trim(uint64_t block);
 
-  bool IsMapped(uint64_t block) const {
-    return block < map_.size() && map_[block] != kUnmapped;
-  }
+  bool IsMapped(uint64_t block) const { return MappedPage(block) != kUnmapped; }
 
   // Physical flash address currently holding the block (for execute-in-place
   // mappings). Fails if unmapped. NOTE: cleaning relocates blocks, so XIP
@@ -266,13 +264,21 @@ class FlashStore {
   // scan of the sector metadata, and each indexed pick at the current time —
   // cleaning victim, cold-eviction victim, each bank's next free sector, and
   // the wear min/max/coldest trackers — must equal its linear-scan reference
-  // above. O(sectors log sectors); tests only.
+  // above. It also checks that the lazily grown maps agree: every owned page
+  // of an opened sector is its block's mapping, each sector owns exactly its
+  // valid pages, and no other block is mapped. O(pages + sectors log
+  // sectors); tests only.
   Status CheckIndexConsistency() const;
 
  private:
   static constexpr uint64_t kUnmapped = ~uint64_t{0};
 
   uint32_t pages_per_sector() const { return pps_; }
+  // The block's physical page, or kUnmapped. map_ only reaches the highest
+  // block ever written; everything past it reads as unmapped.
+  uint64_t MappedPage(uint64_t block) const {
+    return block < map_.size() ? map_[block] : kUnmapped;
+  }
   uint64_t PageAddress(uint64_t page) const {
     return page * options_.block_bytes;
   }
@@ -411,9 +417,14 @@ class FlashStore {
   // bump plus a mapping update.
   ExtentPool extent_pool_;
 
-  std::vector<uint64_t> map_;           // logical block -> physical page.
-  std::vector<uint64_t> page_owner_;    // physical page -> logical block.
-  std::vector<TenantId> page_tenant_;   // physical page -> billing tenant.
+  // The maps cost nothing until used: map_ grows to the highest block ever
+  // written, and the page columns start uninitialized. TakeFreeSector resets
+  // a sector's page_owner_ slice when it opens the sector, and every program
+  // sets its page's tenant, so only pages of opened sectors are ever read
+  // (page_tenant_ only for owned pages).
+  std::vector<uint64_t> map_;  // logical block -> physical page.
+  std::unique_ptr<uint64_t[]> page_owner_;   // physical page -> logical block.
+  std::unique_ptr<TenantId[]> page_tenant_;  // physical page -> billing tenant.
   std::vector<SectorHot> hot_;          // SoA: hot per-sector metadata.
   std::vector<uint32_t> next_free_page_;  // SoA: per-sector write pointer.
   std::vector<FreeSectorPool> free_pool_;  // Per-bank free sectors.

@@ -7,75 +7,80 @@ namespace ssmc {
 
 // --- FreeSectorPool -------------------------------------------------------
 
-void FreeSectorPool::Add(uint64_t sector, uint64_t erase_count) {
-  const uint64_t seq = next_seq_++;
+void FreeSectorPool::AddRun(uint64_t first, uint64_t n,
+                            uint64_t erase_count) {
+  if (n == 0) {
+    return;
+  }
+  const Run run{first, n, next_seq_, erase_count};
+  next_seq_ += n;
+  size_ += n;
   if (wear_ordered_) {
-    by_wear_[erase_count].q.emplace_back(sector, seq);
-    ++wear_size_;
+    by_wear_[erase_count].q.push_back(run);
   } else {
-    lifo_.emplace_back(sector, erase_count, seq);
+    lifo_.push_back(run);
   }
 }
 
 int64_t FreeSectorPool::Peek() const {
+  if (size_ == 0) {
+    return -1;
+  }
   if (wear_ordered_) {
-    if (wear_size_ == 0) {
-      return -1;
-    }
     const WearBucket& b = by_wear_.begin()->second;
     return static_cast<int64_t>(b.q[b.head].first);
   }
-  if (lifo_.empty()) {
-    return -1;
-  }
-  return static_cast<int64_t>(std::get<0>(lifo_.back()));
+  const Run& r = lifo_.back();
+  return static_cast<int64_t>(r.first + r.n - 1);
 }
 
 int64_t FreeSectorPool::Take() {
-  if (wear_ordered_) {
-    if (wear_size_ == 0) {
-      return -1;
-    }
-    const auto it = by_wear_.begin();
-    WearBucket& b = it->second;
-    const int64_t sector = static_cast<int64_t>(b.q[b.head].first);
-    if (++b.head == b.q.size()) {
-      by_wear_.erase(it);
-    }
-    --wear_size_;
-    return sector;
-  }
-  if (lifo_.empty()) {
+  if (size_ == 0) {
     return -1;
   }
-  const int64_t sector = static_cast<int64_t>(std::get<0>(lifo_.back()));
-  lifo_.pop_back();
+  --size_;
+  if (wear_ordered_) {
+    const auto it = by_wear_.begin();
+    WearBucket& b = it->second;
+    Run& r = b.q[b.head];
+    const int64_t sector = static_cast<int64_t>(r.first);
+    r.first += 1;
+    r.seq += 1;
+    if (--r.n == 0 && ++b.head == b.q.size()) {
+      by_wear_.erase(it);
+    }
+    return sector;
+  }
+  Run& r = lifo_.back();
+  const int64_t sector = static_cast<int64_t>(r.first + r.n - 1);
+  if (--r.n == 0) {
+    lifo_.pop_back();
+  }
   return sector;
 }
 
 std::vector<std::pair<uint64_t, uint64_t>>
 FreeSectorPool::SnapshotInsertionOrder() const {
-  std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> entries;  // (seq, sector, count)
+  std::vector<Run> runs;
   if (wear_ordered_) {
-    entries.reserve(wear_size_);
     for (const auto& [count, bucket] : by_wear_) {
-      for (size_t i = bucket.head; i < bucket.q.size(); ++i) {
-        entries.emplace_back(bucket.q[i].second, bucket.q[i].first, count);
-      }
+      runs.insert(runs.end(), bucket.q.begin() + bucket.head, bucket.q.end());
     }
-    std::sort(entries.begin(), entries.end());
+    // Runs never interleave (each covers a contiguous block of seqs), so
+    // ordering them by first seq orders every entry.
+    std::sort(runs.begin(), runs.end(),
+              [](const Run& a, const Run& b) { return a.seq < b.seq; });
   } else {
-    entries.reserve(lifo_.size());
-    for (const auto& [sector, count, seq] : lifo_) {
-      entries.emplace_back(seq, sector, count);
-    }
     // lifo_ only grows at the back and shrinks from the back, so it is
     // already in insertion order.
+    runs = lifo_;
   }
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(entries.size());
-  for (const auto& [seq, sector, count] : entries) {
-    out.emplace_back(sector, count);
+  out.reserve(size_);
+  for (const Run& r : runs) {
+    for (uint64_t i = 0; i < r.n; ++i) {
+      out.emplace_back(r.first + i, r.count);
+    }
   }
   return out;
 }

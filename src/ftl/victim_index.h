@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,14 +55,20 @@ class FreeSectorPool {
  public:
   explicit FreeSectorPool(bool wear_ordered) : wear_ordered_(wear_ordered) {}
 
-  void Add(uint64_t sector, uint64_t erase_count);
+  void Add(uint64_t sector, uint64_t erase_count) {
+    AddRun(sector, 1, erase_count);
+  }
+  // Adds sectors [first, first + n), all at `erase_count`, as if by n Add
+  // calls in ascending order, but stored as one entry: seeding a fresh
+  // card's pool costs one entry per bank, not one per sector.
+  void AddRun(uint64_t first, uint64_t n, uint64_t erase_count);
   // The sector Take() would remove, or -1 if the pool is empty.
   int64_t Peek() const;
   // Removes and returns the pick, or -1 if the pool is empty.
   int64_t Take();
 
   bool empty() const { return size() == 0; }
-  uint64_t size() const { return wear_ordered_ ? wear_size_ : lifo_.size(); }
+  uint64_t size() const { return size_; }
 
   // (sector, erase_count) pairs in insertion order — the exact sequence the
   // retired linear-scan allocator iterated. Used by the consistency audit
@@ -71,29 +76,37 @@ class FreeSectorPool {
   std::vector<std::pair<uint64_t, uint64_t>> SnapshotInsertionOrder() const;
 
  private:
-  // FIFO of (sector, seq) entries awaiting allocation at one erase count.
-  // Drained from the front via a head cursor (amortized O(1), storage
-  // reclaimed when the bucket empties and its map node is erased).
+  // Sectors [first, first + n) with erase count `count`, added in ascending
+  // order with insertion seqs [seq, seq + n).
+  struct Run {
+    uint64_t first;
+    uint64_t n;
+    uint64_t seq;
+    uint64_t count;
+  };
+  // FIFO of runs awaiting allocation at one erase count, drained from the
+  // front via a head cursor (amortized O(1), storage reclaimed when the
+  // bucket empties and its map node is erased).
   struct WearBucket {
-    std::vector<std::pair<uint64_t, uint64_t>> q;
+    std::vector<Run> q;
     size_t head = 0;
-    bool empty() const { return head == q.size(); }
   };
 
   bool wear_ordered_;
   uint64_t next_seq_ = 0;
+  uint64_t size_ = 0;
   // wear_ordered_: per-erase-count FIFO buckets, keyed by erase count. The
   // retired flat set ordered entries by (erase_count, seq, sector); seq is
   // unique and assigned in insertion order, so within one erase count the
   // set's order was exactly FIFO and the sector tie-break was unreachable.
-  // begin()->front is therefore the same pick, but an Add/Take touches a
-  // handful of map nodes (one per *distinct* live erase count — wear
-  // leveling keeps that band narrow) instead of rebalancing a tree node per
-  // pooled sector.
+  // The front of begin()'s front run is therefore the same pick, but an
+  // Add/Take touches a handful of map nodes (one per *distinct* live erase
+  // count — wear leveling keeps that band narrow) instead of rebalancing a
+  // tree node per pooled sector.
   std::map<uint64_t, WearBucket> by_wear_;
-  uint64_t wear_size_ = 0;
-  // !wear_ordered_: (sector, erase_count, insertion_seq), back() next out.
-  std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> lifo_;
+  // !wear_ordered_: runs in insertion order; the back run's last sector is
+  // next out.
+  std::vector<Run> lifo_;
 };
 
 // Index of cleaning candidates (sectors that are neither active, free, nor

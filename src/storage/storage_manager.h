@@ -58,8 +58,8 @@ class StorageManager {
   const ResidencyManager& residency() const { return *residency_; }
 
   // --- DRAM page allocation ---------------------------------------------
-  uint64_t total_dram_pages() const { return total_dram_pages_; }
-  uint64_t free_dram_pages() const { return free_dram_pages_.size(); }
+  uint64_t total_dram_pages() const { return dram_pages_.capacity(); }
+  uint64_t free_dram_pages() const { return dram_pages_.free(); }
   // Returns the page index; the page's device address is index * page_bytes.
   // RESOURCE_EXHAUSTED when the pool is dry (a typed out-of-memory: callers
   // distinguish it from media-level kNoSpace).
@@ -72,22 +72,22 @@ class StorageManager {
   // as DRAM. Null / zero-sized when the machine has no NVM.
   NvmDevice* nvm() { return nvm_; }
   const NvmDevice* nvm() const { return nvm_; }
-  uint64_t total_nvm_pages() const { return total_nvm_pages_; }
-  uint64_t free_nvm_pages() const { return free_nvm_pages_.size(); }
+  uint64_t total_nvm_pages() const { return nvm_pages_.capacity(); }
+  uint64_t free_nvm_pages() const { return nvm_pages_.free(); }
   Result<uint64_t> AllocateNvmPage();
   Status FreeNvmPage(uint64_t page);
   uint64_t NvmPageAddress(uint64_t page) const { return page * page_bytes_; }
 
   // --- Flash logical-block allocation -------------------------------------
   uint64_t total_flash_blocks() const { return flash_store_.num_blocks(); }
-  uint64_t free_flash_blocks() const { return free_flash_blocks_.size(); }
+  uint64_t free_flash_blocks() const { return flash_blocks_.free(); }
   Result<uint64_t> AllocateFlashBlock();
   // Frees the block and trims its contents from the store.
   Status FreeFlashBlock(uint64_t block);
   // Claims a specific block (fixed superblock locations). Fails if taken.
   Status ReserveFlashBlock(uint64_t block);
   bool IsFlashBlockUsed(uint64_t block) const {
-    return block < flash_block_used_.size() && flash_block_used_[block];
+    return flash_blocks_.used(block);
   }
 
   // Observability (nullable; null detaches): free-pool gauges pulled at
@@ -154,20 +154,50 @@ class StorageManager {
   }
 
  private:
+  // One allocator pool over the indices [0, capacity). It hands indices out
+  // in exactly the order of a stack pre-filled with every index, lowest on
+  // top: recycled indices first, most recently freed first, then the lowest
+  // index never handed out. Only the recycled part is materialized; the
+  // never-used part is an ascending cursor that skips indices claimed out of
+  // order (Claim). So building a pool costs its used-bitmap, not a push per
+  // index, and Claim scans only the recycled stack. The cursor only moves
+  // while the recycled stack is empty, when every index handed out before
+  // is in use, so skipping in-use indices skips exactly those.
+  class IndexPool {
+   public:
+    explicit IndexPool(uint64_t capacity)
+        : used_(capacity, false), free_(capacity) {}
+
+    uint64_t capacity() const { return used_.size(); }
+    uint64_t free() const { return free_; }
+    bool used(uint64_t i) const { return i < used_.size() && used_[i]; }
+    // Every index Take() has handed out is below this.
+    uint64_t high_water() const { return cursor_; }
+    // Returns the next index; the pool must not be empty.
+    uint64_t Take();
+    // Returns a used index to the pool.
+    void Put(uint64_t i);
+    // Takes a specific unused index out of the pool.
+    void Claim(uint64_t i);
+
+   private:
+    std::vector<bool> used_;
+    std::vector<uint64_t> recycled_;  // LIFO; back() is the next Take().
+    uint64_t cursor_ = 0;             // Lowest index never handed out.
+    uint64_t free_;
+  };
+
   DramDevice& dram_;
   FlashStore& flash_store_;
   NvmDevice* nvm_;
   uint64_t page_bytes_;
-  uint64_t total_dram_pages_;
-  uint64_t total_nvm_pages_ = 0;
-  std::vector<uint64_t> free_dram_pages_;
-  std::vector<uint64_t> free_nvm_pages_;
-  std::vector<uint64_t> free_flash_blocks_;
-  std::vector<bool> dram_page_used_;
-  std::vector<bool> nvm_page_used_;
-  std::vector<bool> flash_block_used_;
-  std::vector<PayloadRef> page_payloads_;      // Indexed by DRAM page.
-  std::vector<PayloadRef> nvm_page_payloads_;  // Indexed by NVM page.
+  IndexPool dram_pages_;
+  IndexPool nvm_pages_;
+  IndexPool flash_blocks_;
+  // Indexed by page; each grows with its pool's high_water(), since only
+  // pages handed out so far can hold a payload.
+  std::vector<PayloadRef> page_payloads_;      // DRAM pages.
+  std::vector<PayloadRef> nvm_page_payloads_;  // NVM pages.
   PayloadRef zero_extent_;                 // Lazily built, shared by aliasing.
   Obs* obs_ = nullptr;
   // Declared last: its destructor returns the clean cache's DRAM pages to

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <vector>
+
+#include "src/support/rng.h"
 
 namespace ssmc {
 namespace {
@@ -469,6 +472,173 @@ TEST_F(FlashStoreTest, ColdDataDistilledOutOfHotBanks) {
     EXPECT_EQ(out, Block(static_cast<uint8_t>(b)));
   }
 }
+
+// --- Lazily grown maps ----------------------------------------------------
+
+// The logical map only reaches the highest block ever written; every lookup
+// past it must behave exactly like a lookup of an unmapped block, and
+// blocks past the logical capacity stay out of range.
+TEST_F(FlashStoreTest, LookupsPastTheWrittenHighWaterMarkAreUnmapped) {
+  const uint64_t last = store_->num_blocks() - 1;
+  auto expect_unmapped = [&](uint64_t block) {
+    auto out = Block(0);
+    EXPECT_FALSE(store_->IsMapped(block)) << block;
+    EXPECT_EQ(store_->Read(block, out).status().code(), ErrorCode::kNotFound)
+        << block;
+    EXPECT_EQ(store_->ReadRef(block).status().code(), ErrorCode::kNotFound)
+        << block;
+    std::vector<uint8_t> part(16);
+    EXPECT_EQ(store_->ReadPartial(block, 8, part).status().code(),
+              ErrorCode::kNotFound)
+        << block;
+    EXPECT_EQ(store_->PhysicalAddressOf(block).status().code(),
+              ErrorCode::kNotFound)
+        << block;
+    const uint64_t trims = store_->stats().trims.value();
+    EXPECT_TRUE(store_->Trim(block).ok()) << block;
+    EXPECT_EQ(store_->stats().trims.value(), trims) << block;
+  };
+  auto expect_out_of_range = [&](uint64_t block) {
+    auto out = Block(0);
+    std::vector<uint8_t> part(16);
+    EXPECT_FALSE(store_->IsMapped(block));
+    EXPECT_EQ(store_->Read(block, out).status().code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(store_->ReadRef(block).status().code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(store_->ReadPartial(block, 0, part).status().code(),
+              ErrorCode::kOutOfRange);
+    EXPECT_EQ(store_->Trim(block).code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(store_->PhysicalAddressOf(block).status().code(),
+              ErrorCode::kNotFound);
+  };
+
+  // Nothing written yet: the map is empty.
+  expect_unmapped(0);
+  expect_unmapped(last);
+  expect_out_of_range(last + 1);
+
+  ASSERT_TRUE(store_->Write(3, Block(0x33)).ok());
+  expect_unmapped(4);
+  expect_unmapped(64);
+  expect_unmapped(last);
+  expect_out_of_range(last + 1);
+  expect_out_of_range(~uint64_t{0});
+
+  // Growing the map to the last block keeps earlier mappings and leaves the
+  // blocks in between unmapped.
+  ASSERT_TRUE(store_->Write(last, Block(0x44)).ok());
+  auto out = Block(0);
+  ASSERT_TRUE(store_->Read(3, out).ok());
+  EXPECT_EQ(out, Block(0x33));
+  Result<PayloadRef> ref = store_->ReadRef(last);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref.value().data()[0], 0x44);
+  std::vector<uint8_t> part(16);
+  ASSERT_TRUE(store_->ReadPartial(last, 500, {part.data(), 12}).ok());
+  EXPECT_EQ(part[0], 0x44);
+  EXPECT_TRUE(store_->PhysicalAddressOf(last).ok());
+  expect_unmapped(4);
+  expect_unmapped(last - 1);
+
+  // Trimming the highest block unmaps it without shrinking anything; it can
+  // be written again.
+  ASSERT_TRUE(store_->Trim(last).ok());
+  expect_unmapped(last);
+  ASSERT_TRUE(store_->Write(last, Block(0x55)).ok());
+  ASSERT_TRUE(store_->Read(last, out).ok());
+  EXPECT_EQ(out, Block(0x55));
+  EXPECT_TRUE(store_->CheckIndexConsistency().ok());
+}
+
+// A store built over a used card: non-zero erase counts everywhere and one
+// sector already worn out. Construction seeds the free pools with every
+// sector in ascending order at its current erase count, so the sectors the
+// store opens must follow the linear-scan pick over exactly that pool, and
+// the audit must hold through cleaning and static wear leveling.
+class UsedCardTest : public ::testing::TestWithParam<WearPolicy> {
+ protected:
+  static constexpr uint64_t kBadSector = 14;
+
+  UsedCardTest() {
+    FlashSpec spec = SmallFlashSpec();
+    spec.endurance_cycles = 4;
+    // 16 sectors of 4 pages, one bank.
+    flash_ = std::make_unique<FlashDevice>(spec, 32 * 1024, 1, clock_, 5);
+    for (uint64_t s = 0; s < flash_->num_sectors(); ++s) {
+      for (uint64_t e = 0; e < (s * 7) % 4; ++e) {
+        EXPECT_TRUE(flash_->EraseSector(s).ok());
+      }
+    }
+    while (!flash_->IsSectorBad(kBadSector)) {
+      (void)flash_->EraseSector(kBadSector);
+    }
+    FlashStoreOptions options;
+    options.wear = GetParam();
+    options.static_wear_check_interval = 4;
+    options.static_wear_delta = 2;
+    store_ = std::make_unique<FlashStore>(*flash_, options);
+  }
+
+  SimClock clock_;
+  std::unique_ptr<FlashDevice> flash_;
+  std::unique_ptr<FlashStore> store_;
+};
+
+TEST_P(UsedCardTest, OpensSectorsInTheEagerPoolOrder) {
+  std::vector<std::pair<uint64_t, uint64_t>> pool;
+  for (uint64_t s = 0; s < flash_->num_sectors(); ++s) {
+    pool.emplace_back(s, flash_->EraseCount(s));
+  }
+  const bool wear_ordered = GetParam() != WearPolicy::kNone;
+  const uint64_t pps = flash_->sector_bytes() / store_->block_bytes();
+  ASSERT_TRUE(store_->CheckIndexConsistency().ok());
+  // Distinct blocks only: nothing dies, so nothing is cleaned and every
+  // write takes the next page of the sector opened last.
+  uint64_t sector = 0;
+  for (uint64_t block = 0; block < store_->num_blocks(); ++block) {
+    if (block % pps == 0) {
+      const int64_t pick = ScanPickFreeSector(pool, wear_ordered);
+      ASSERT_GE(pick, 0);
+      sector = static_cast<uint64_t>(pick);
+      pool.erase(std::find_if(pool.begin(), pool.end(), [&](const auto& e) {
+        return e.first == sector;
+      }));
+    }
+    const Result<Duration> w = store_->Write(block, Block(1));
+    if (sector == kBadSector) {
+      EXPECT_EQ(w.status().code(), ErrorCode::kDataLoss) << "block " << block;
+      EXPECT_FALSE(store_->IsMapped(block));
+    } else {
+      ASSERT_TRUE(w.ok()) << "block " << block << ": " << w.status().ToString();
+      EXPECT_EQ(store_->PhysicalAddressOf(block).value() /
+                    flash_->sector_bytes(),
+                sector)
+          << "block " << block;
+    }
+    const Status audit = store_->CheckIndexConsistency();
+    ASSERT_TRUE(audit.ok()) << "block " << block << ": " << audit.ToString();
+  }
+}
+
+TEST_P(UsedCardTest, AuditHoldsThroughCleaningAndWearLeveling) {
+  Rng rng(17);
+  const uint64_t span = store_->num_blocks() / 2;
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t block = rng.NextBelow(span);
+    (void)store_->Write(block, Block(static_cast<uint8_t>(i)));
+    const Status audit = store_->CheckIndexConsistency();
+    ASSERT_TRUE(audit.ok()) << "write " << i << ": " << audit.ToString();
+  }
+  EXPECT_GT(store_->stats().gc_runs.value(), 0u);
+  if (GetParam() == WearPolicy::kStatic) {
+    EXPECT_GT(store_->stats().wear_migrations.value(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WearPolicies, UsedCardTest,
+                         ::testing::Values(WearPolicy::kNone,
+                                           WearPolicy::kDynamic,
+                                           WearPolicy::kStatic));
 
 // --- Victim-selection policy unit tests ---------------------------------
 

@@ -85,7 +85,9 @@ int RunWorkload(MobileComputer& machine, uint64_t seed, int max_ops,
       const uint8_t fill = static_cast<uint8_t>(created % 251 + 1);
       ++created;
       Status s = fs.Create(path);
-      if (assert_ok) EXPECT_TRUE(s.ok()) << path << ": " << s.ToString();
+      if (assert_ok) {
+        EXPECT_TRUE(s.ok()) << path << ": " << s.ToString();
+      }
       if (s.ok()) model->files[path] = FileModel{0, fill};
     } else if (roll < 55) {
       // Append whole blocks of the file's fill byte.
@@ -94,26 +96,34 @@ int RunWorkload(MobileComputer& machine, uint64_t seed, int max_ops,
       const uint64_t len = 512 * (1 + (pick >> 8) % 4);
       std::vector<uint8_t> data(len, it->second.fill);
       Result<uint64_t> n = fs.Write(it->first, it->second.size, data);
-      if (assert_ok) EXPECT_TRUE(n.ok()) << it->first;
+      if (assert_ok) {
+        EXPECT_TRUE(n.ok()) << it->first;
+      }
       if (n.ok()) it->second.size += n.value();
     } else if (roll < 65) {
       const std::string path = "/d" + std::to_string(created);
       ++created;
       Status s = fs.Mkdir(path);
-      if (assert_ok) EXPECT_TRUE(s.ok()) << path;
+      if (assert_ok) {
+        EXPECT_TRUE(s.ok()) << path;
+      }
       if (s.ok()) model->dirs.insert(path);
     } else if (roll < 73) {
       auto it = model->files.begin();
       std::advance(it, pick % model->files.size());
       Status s = fs.Unlink(it->first);
-      if (assert_ok) EXPECT_TRUE(s.ok()) << it->first;
+      if (assert_ok) {
+        EXPECT_TRUE(s.ok()) << it->first;
+      }
       if (s.ok()) model->files.erase(it);
     } else if (roll < 80) {
       auto it = model->files.begin();
       std::advance(it, pick % model->files.size());
       const std::string to = it->first + ".r" + std::to_string(ops);
       Status s = fs.Rename(it->first, to);
-      if (assert_ok) EXPECT_TRUE(s.ok()) << it->first << " -> " << to;
+      if (assert_ok) {
+        EXPECT_TRUE(s.ok()) << it->first << " -> " << to;
+      }
       if (s.ok()) {
         FileModel moved = it->second;
         model->files.erase(it);
@@ -124,11 +134,15 @@ int RunWorkload(MobileComputer& machine, uint64_t seed, int max_ops,
       std::advance(it, pick % model->files.size());
       const uint64_t size = it->second.size / 2;
       Status s = fs.Truncate(it->first, size);
-      if (assert_ok) EXPECT_TRUE(s.ok()) << it->first;
+      if (assert_ok) {
+        EXPECT_TRUE(s.ok()) << it->first;
+      }
       if (s.ok()) it->second.size = size;
     } else if (roll < 93) {
       Status s = machine.fs().Sync();
-      if (assert_ok) EXPECT_TRUE(s.ok());
+      if (assert_ok) {
+        EXPECT_TRUE(s.ok());
+      }
     } else {
       // Let the flush daemon run (tears can land in daemon programs too).
       machine.Idle(machine.config().flush_period);

@@ -158,6 +158,36 @@ TEST(FreeSectorPoolTest, WearOrderedMatchesScanWithTies) {
   }
 }
 
+TEST(FreeSectorPoolTest, RunsBehaveLikeTheirIndividualAdds) {
+  // A pool seeded with runs must be indistinguishable from one fed the same
+  // sectors one Add at a time, through any mix of takes and later adds.
+  for (const bool wear : {false, true}) {
+    FreeSectorPool runs(wear);
+    FreeSectorPool singles(wear);
+    Rng rng(wear ? 11 : 12);
+    uint64_t next_sector = 0;
+    for (int step = 0; step < 2000; ++step) {
+      if (runs.empty() || rng.NextBool(0.3)) {
+        const uint64_t n = rng.NextBelow(6);
+        const uint64_t count = rng.NextBelow(3);
+        runs.AddRun(next_sector, n, count);
+        for (uint64_t i = 0; i < n; ++i) {
+          singles.Add(next_sector + i, count);
+        }
+        next_sector += n;
+      }
+      ASSERT_EQ(runs.size(), singles.size());
+      ASSERT_EQ(runs.SnapshotInsertionOrder(),
+                singles.SnapshotInsertionOrder());
+      ASSERT_EQ(runs.Peek(), ScanPickFreeSector(runs.SnapshotInsertionOrder(),
+                                                wear));
+      if (rng.NextBool(0.6)) {
+        ASSERT_EQ(runs.Take(), singles.Take());
+      }
+    }
+  }
+}
+
 TEST(FreeSectorPoolTest, EmptyPoolReturnsMinusOne) {
   for (const bool wear : {false, true}) {
     FreeSectorPool pool(wear);
