@@ -16,6 +16,7 @@
 #include "src/core/single_level_store.h"
 #include "src/device/disk_device.h"
 #include "src/fs/disk_fs.h"
+#include "src/harness/scaleout.h"
 #include "src/obs/metrics_export.h"
 #include "src/trace/generator.h"
 #include "src/vm/loader.h"
@@ -383,6 +384,30 @@ void BM_TraceGeneration(benchmark::State& state) {
       static_cast<double>(std::max<int64_t>(1, state.iterations()));
 }
 BENCHMARK(BM_TraceGeneration);
+
+void BM_TraceGenerationUser(benchmark::State& state) {
+  // One fleet user's trace (RunScaleout's per-user workload): two seconds,
+  // about 190 records, alternating office and write-hot users. A trace this
+  // short shows any fixed per-Generate() cost next to the per-record work.
+  const ScaleoutOptions fleet;
+  uint64_t user = 0;
+  uint64_t records = 0;
+  for (auto _ : state) {
+    WorkloadOptions options =
+        user % 2 != 0 ? WriteHotWorkload() : OfficeWorkload();
+    options.seed = DeriveCellSeed(fleet.base_seed, 2 * user);
+    options.duration = 2 * kSecond;
+    options.max_file_bytes = fleet.max_file_bytes;
+    ++user;
+    const Trace trace = WorkloadGenerator(options).Generate();
+    records += trace.size();
+    benchmark::DoNotOptimize(trace.size());
+  }
+  state.counters["records_per_iter"] =
+      static_cast<double>(records) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_TraceGenerationUser);
 
 void BM_TraceReplay(benchmark::State& state) {
   // Host cost of replaying one pre-generated office trace on a fresh

@@ -15,6 +15,8 @@ BENCH_micro.json — the hot paths a change is most likely to slow:
   * BM_SimCoreReplay            — whole-machine replay (sim_ops_per_s);
   * BM_MachineConstruct         — building and destroying one notebook
                                   machine, a fleet user's setup (ns_per_op);
+  * BM_TraceGenerationUser      — generating one fleet user's two-second
+                                  trace (ns_per_op);
   * BM_LargeStoreRandOverwrite/65536 — FTL write + cleaning under steady
                                   overwrite pressure (ns_per_op);
   * BM_CleaningRelocation/{512,4096} — the cleaner's zero-copy relocation
@@ -43,6 +45,7 @@ REPORTS = {
     "BENCH_micro.json": [
         ("BM_SimCoreReplay", "sim_ops_per_s", True),
         ("BM_MachineConstruct", "ns_per_op", False),
+        ("BM_TraceGenerationUser", "ns_per_op", False),
         ("BM_LargeStoreRandOverwrite/65536", "ns_per_op", False),
         ("BM_CleaningRelocation/512", "ns_per_op", False),
         ("BM_CleaningRelocation/4096", "ns_per_op", False),

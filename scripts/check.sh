@@ -4,7 +4,7 @@
 # E13 journal crash-injection sweep — torn programs + remount is exactly
 # where a stale-pointer or double-free would hide), then run the
 # parallel-harness tests (thread pool, parallel runner, sharded scale-out,
-# log sink) under ThreadSanitizer. Run from the repository root:
+# log sink, the shared Zipf table) under ThreadSanitizer. Run from the repository root:
 #
 #   scripts/check.sh            # all three configurations
 #   scripts/check.sh release    # just the optimized build

@@ -30,7 +30,7 @@ ReplayReport RunUser(const ScaleoutOptions& options, int user) {
   workload.max_file_bytes = options.max_file_bytes;
   Trace trace = WorkloadGenerator(workload).Generate();
   if (cls != nullptr && cls->tenant != kDefaultTenant) {
-    trace = trace.WithTenant(cls->tenant);
+    trace = std::move(trace).WithTenant(cls->tenant);
   }
 
   MachineConfig config = NotebookConfig();

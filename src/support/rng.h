@@ -12,6 +12,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 namespace ssmc {
@@ -96,14 +100,9 @@ class Rng {
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
   }
 
-  // Bounded Pareto sample in [lo, hi] with shape alpha. Used for file sizes.
-  double NextBoundedPareto(double alpha, double lo, double hi) {
-    assert(alpha > 0 && lo > 0 && hi > lo);
-    const double u = NextDouble();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-  }
+  // Bounded Pareto sample in [lo, hi] with shape alpha (see BoundedPareto,
+  // which keeps the per-distribution terms for repeated draws).
+  double NextBoundedPareto(double alpha, double lo, double hi);
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {
@@ -113,10 +112,57 @@ class Rng {
   uint64_t state_[4] = {};
 };
 
+// Bounded Pareto distribution on [lo, hi] with shape alpha. Used for file
+// sizes. The pow(lo, alpha), pow(hi, alpha) and -1/alpha terms depend only
+// on the distribution, so they are computed once here rather than per draw.
+// Rng::NextBoundedPareto is a one-off BoundedPareto, so both draw the same
+// bits.
+class BoundedPareto {
+ public:
+  BoundedPareto(double alpha, double lo, double hi)
+      : la_(std::pow(lo, alpha)),
+        ha_(std::pow(hi, alpha)),
+        exponent_(-1.0 / alpha) {
+    assert(alpha > 0 && lo > 0 && hi > lo);
+  }
+
+  double Sample(Rng& rng) const {
+    const double u = rng.NextDouble();
+    return std::pow(-(u * ha_ - u * la_ - ha_) / (ha_ * la_), exponent_);
+  }
+
+ private:
+  double la_;
+  double ha_;
+  double exponent_;
+};
+
+inline double Rng::NextBoundedPareto(double alpha, double lo, double hi) {
+  return BoundedPareto(alpha, lo, hi).Sample(*this);
+}
+
 // Samples indices 0..n-1 with Zipf-like skew (rank r has weight 1/(r+1)^s).
 // Precomputes the CDF once; Sample() is O(log n). Used to pick "hot" files.
 class ZipfSampler {
  public:
+  // The process-wide sampler for (n, skew): built on first use by the
+  // constructor below, then shared read-only and never evicted. A table
+  // costs n pow() calls, more than a short trace's draws, so callers that
+  // sample one shape repeatedly (a generator per fleet user) share it.
+  // Safe to call from concurrent threads.
+  static const ZipfSampler& Shared(size_t n, double skew) {
+    static std::mutex mu;
+    static std::map<std::pair<size_t, double>,
+                    std::unique_ptr<const ZipfSampler>>
+        cache;
+    std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<const ZipfSampler>& entry = cache[{n, skew}];
+    if (entry == nullptr) {
+      entry = std::make_unique<const ZipfSampler>(n, skew);
+    }
+    return *entry;
+  }
+
   ZipfSampler(size_t n, double skew) : cdf_(n) {
     assert(n > 0);
     double total = 0;

@@ -1,8 +1,11 @@
 #include "src/trace/generator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
-#include <unordered_set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace ssmc {
 
@@ -48,61 +51,63 @@ WorkloadGenerator::WorkloadGenerator(WorkloadOptions options)
 Trace WorkloadGenerator::Generate() {
   Trace trace;
 
+  // Each created file's id is its name_counter value: paths[id] is its path
+  // and slot[id] its index in `files` while it lives (kDead after).
+  constexpr size_t kDead = SIZE_MAX;
   struct LiveFile {
-    std::string path;
+    size_t id;
     uint64_t size;
   };
   std::vector<LiveFile> files;
-  std::unordered_set<std::string> live_paths;
-  // Short-lived files awaiting their scheduled deletion: (deadline, path).
-  using Deletion = std::pair<SimTime, std::string>;
-  std::priority_queue<Deletion, std::vector<Deletion>, std::greater<>> deaths;
+  std::vector<std::string> paths;
+  std::vector<size_t> slot;
+  // Short-lived files awaiting their scheduled deletion: (deadline, id),
+  // earliest first, equal deadlines in path order.
+  using Deletion = std::pair<SimTime, size_t>;
+  auto later = [&paths](const Deletion& a, const Deletion& b) {
+    if (a.first != b.first) {
+      return a.first > b.first;
+    }
+    return paths[a.second] > paths[b.second];
+  };
+  std::priority_queue<Deletion, std::vector<Deletion>, decltype(later)> deaths(
+      later);
 
   uint64_t name_counter = 0;
   // Zipf ranks map onto the live set; a fixed-size sampler keeps selection
-  // O(log n) while the live set churns.
-  ZipfSampler zipf(4096, options_.hot_skew);
-
-  auto pick_file = [&]() -> LiveFile* {
-    if (files.empty()) {
-      return nullptr;
-    }
-    const size_t rank = zipf.Sample(rng_) % files.size();
-    return &files[rank];
-  };
-
-  auto sample_file_size = [&]() -> uint64_t {
-    const double size = rng_.NextBoundedPareto(
-        options_.file_size_alpha, static_cast<double>(options_.min_file_bytes),
-        static_cast<double>(options_.max_file_bytes));
-    return static_cast<uint64_t>(size);
-  };
+  // O(log n) while the live set churns. Its table is shared across
+  // generators, so a short trace does not pay for building it.
+  const ZipfSampler& zipf = ZipfSampler::Shared(4096, options_.hot_skew);
+  const BoundedPareto file_size(options_.file_size_alpha,
+                                static_cast<double>(options_.min_file_bytes),
+                                static_cast<double>(options_.max_file_bytes));
 
   auto create_file = [&](SimTime at) {
     const int dir = static_cast<int>(rng_.NextBelow(
         static_cast<uint64_t>(options_.num_directories)));
-    const std::string path = "/dir" + std::to_string(dir) + "/f" +
-                             std::to_string(name_counter++);
-    const uint64_t size = sample_file_size();
+    const size_t id = name_counter++;
+    std::string path = "/dir" + std::to_string(dir) + "/f" + std::to_string(id);
+    const uint64_t size = static_cast<uint64_t>(file_size.Sample(rng_));
     trace.Add({at, TraceOp::kCreate, path, 0, 0, ""});
     trace.Add({at, TraceOp::kWrite, path, 0, size, ""});
-    files.push_back({path, size});
-    live_paths.insert(path);
+    paths.push_back(std::move(path));
+    slot.push_back(files.size());
+    files.push_back({id, size});
     if (rng_.NextBool(options_.p_short_lived)) {
       const Duration life = static_cast<Duration>(
           rng_.NextExponential(static_cast<double>(options_.short_lived_mean)));
-      deaths.emplace(at + std::max<Duration>(life, kMillisecond), path);
+      deaths.emplace(at + std::max<Duration>(life, kMillisecond), id);
     }
   };
 
-  auto remove_file = [&](const std::string& path) {
-    live_paths.erase(path);
-    auto it = std::find_if(files.begin(), files.end(),
-                           [&](const LiveFile& f) { return f.path == path; });
-    if (it != files.end()) {
-      *it = files.back();
-      files.pop_back();
-    }
+  // Swap-with-back removal. Zipf ranks index `files` in order, so any other
+  // reordering would change which files later ops touch.
+  auto remove_file = [&](size_t id) {
+    const size_t at = slot[id];
+    files[at] = files.back();
+    slot[files[at].id] = at;
+    files.pop_back();
+    slot[id] = kDead;
   };
 
   // --- Population phase ---------------------------------------------------
@@ -124,11 +129,11 @@ Trace WorkloadGenerator::Generate() {
 
     // Scheduled deaths that fall due before this op.
     while (!deaths.empty() && deaths.top().first <= t) {
-      const auto [when, path] = deaths.top();
+      const auto [when, id] = deaths.top();
       deaths.pop();
-      if (live_paths.count(path) != 0) {
-        trace.Add({when, TraceOp::kUnlink, path, 0, 0, ""});
-        remove_file(path);
+      if (slot[id] != kDead) {
+        trace.Add({when, TraceOp::kUnlink, paths[id], 0, 0, ""});
+        remove_file(id);
       }
     }
 
@@ -137,35 +142,36 @@ Trace WorkloadGenerator::Generate() {
       create_file(t);
       continue;
     }
-    LiveFile* file = pick_file();
+    LiveFile* file = &files[zipf.Sample(rng_) % files.size()];
+    const std::string& path = paths[file->id];
     if (u < options_.p_create + options_.p_delete) {
-      trace.Add({t, TraceOp::kUnlink, file->path, 0, 0, ""});
-      remove_file(file->path);
+      trace.Add({t, TraceOp::kUnlink, path, 0, 0, ""});
+      remove_file(file->id);
     } else if (u < options_.p_create + options_.p_delete + options_.p_write) {
       if (rng_.NextBool(options_.p_whole_file)) {
-        trace.Add({t, TraceOp::kWrite, file->path, 0, file->size, ""});
+        trace.Add({t, TraceOp::kWrite, path, 0, file->size, ""});
       } else {
         const uint64_t len = std::max<uint64_t>(
             1, static_cast<uint64_t>(rng_.NextExponential(
                    static_cast<double>(options_.partial_io_bytes))));
         const uint64_t offset = rng_.NextBelow(std::max<uint64_t>(1, file->size));
-        trace.Add({t, TraceOp::kWrite, file->path, offset, len, ""});
+        trace.Add({t, TraceOp::kWrite, path, offset, len, ""});
         file->size = std::max(file->size, offset + len);
       }
     } else if (u < options_.p_create + options_.p_delete + options_.p_write +
                        options_.p_read) {
       if (rng_.NextBool(options_.p_whole_file)) {
-        trace.Add({t, TraceOp::kRead, file->path, 0, file->size, ""});
+        trace.Add({t, TraceOp::kRead, path, 0, file->size, ""});
       } else {
         const uint64_t offset = rng_.NextBelow(std::max<uint64_t>(1, file->size));
         const uint64_t len = std::max<uint64_t>(
             1, std::min(file->size - offset,
                         static_cast<uint64_t>(rng_.NextExponential(
                             static_cast<double>(options_.partial_io_bytes)))));
-        trace.Add({t, TraceOp::kRead, file->path, offset, len, ""});
+        trace.Add({t, TraceOp::kRead, path, offset, len, ""});
       }
     } else {
-      trace.Add({t, TraceOp::kStat, file->path, 0, 0, ""});
+      trace.Add({t, TraceOp::kStat, path, 0, 0, ""});
     }
   }
   return trace;

@@ -1,7 +1,11 @@
 #include "src/trace/trace.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 namespace ssmc {
 
@@ -28,6 +32,19 @@ std::string_view TraceOpName(TraceOp op) {
 }
 
 namespace {
+// Parses the digits of a "t=<n>" token. All of it must be a decimal tenant
+// id: no digits, trailing garbage, or an id out of TenantId's range fail.
+std::optional<TenantId> ParseTenant(std::string_view digits) {
+  uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  if (ec != std::errc() || end != digits.data() + digits.size() ||
+      value > std::numeric_limits<TenantId>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<TenantId>(value);
+}
+
 Result<TraceOp> ParseOp(const std::string& name) {
   if (name == "create") return TraceOp::kCreate;
   if (name == "write") return TraceOp::kWrite;
@@ -87,13 +104,11 @@ Trace Trace::WithPathPrefix(const std::string& prefix) const {
   return out;
 }
 
-Trace Trace::WithTenant(TenantId tenant) const {
-  Trace out;
-  for (TraceRecord r : records_) {
+Trace Trace::WithTenant(TenantId tenant) && {
+  for (TraceRecord& r : records_) {
     r.tenant = tenant;
-    out.Add(std::move(r));
   }
-  return out;
+  return std::move(*this);
 }
 
 std::string Trace::ToText() const {
@@ -135,15 +150,30 @@ Result<Trace> Trace::FromText(const std::string& text) {
     }
     r.op = op.value();
     // Optional trailing tokens: a rename destination and/or a "t=<n>"
-    // tenant tag, in either order (writers emit path2 first).
+    // tenant tag, in either order (writers emit path2 first), each at most
+    // once.
     std::string token;
+    bool tagged = false;
     while (ls >> token) {
-      if (token.rfind("t=", 0) == 0) {
-        r.tenant = static_cast<TenantId>(
-            std::strtoul(token.c_str() + 2, nullptr, 10));
-      } else {
-        r.path2 = std::move(token);
+      const bool is_tag = token.rfind("t=", 0) == 0;
+      if (is_tag ? tagged : !r.path2.empty()) {
+        return InvalidArgumentError("extra token '" + token +
+                                    "' on trace line " +
+                                    std::to_string(line_no));
       }
+      if (!is_tag) {
+        r.path2 = std::move(token);
+        continue;
+      }
+      const std::optional<TenantId> tenant =
+          ParseTenant(std::string_view(token).substr(2));
+      if (!tenant.has_value()) {
+        return InvalidArgumentError("bad tenant tag '" + token +
+                                    "' on trace line " +
+                                    std::to_string(line_no));
+      }
+      r.tenant = *tenant;
+      tagged = true;
     }
     trace.Add(std::move(r));
   }

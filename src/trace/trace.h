@@ -68,9 +68,11 @@ class Trace {
   // prefix must be a valid absolute directory path, and callers mkdir it).
   Trace WithPathPrefix(const std::string& prefix) const;
 
-  // A copy with every record attributed to `tenant` (tenant-mix
+  // This trace with every record attributed to `tenant` (tenant-mix
   // composition: per-user workloads stamped with the user's tenant class).
-  Trace WithTenant(TenantId tenant) const;
+  // Stamps in place and moves the records out, so nothing is copied; an
+  // lvalue caller that wants to keep its trace copies it explicitly.
+  Trace WithTenant(TenantId tenant) &&;
 
   // One line per record:
   // "<at> <op> <path> <offset> <length> [<path2>] [t=<tenant>]".

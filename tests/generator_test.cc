@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <unordered_set>
+
+#include "tests/reference/legacy_generator.h"
 
 namespace ssmc {
 namespace {
@@ -145,6 +148,81 @@ TEST(GeneratorTest, ReadMostlyProfileReadsDominate) {
   Trace trace = WorkloadGenerator(options).Generate();
   EXPECT_GT(trace.TotalBytesRead(), 2 * trace.TotalBytesWritten());
 }
+
+// Differential suite: WorkloadGenerator against the original generator
+// (tests/reference/legacy_generator.h), record for record, across the three
+// profiles, three trace lengths, and a churn variant whose many 1 ms
+// lifetimes and 256-file population drive heavy unlink traffic.
+class GeneratorDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Index of the first record where the traces differ, or -1 if none do.
+int64_t FirstMismatch(const Trace& a, const Trace& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (!(a.records()[i] == b.records()[i])) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return a.size() == b.size() ? -1 : static_cast<int64_t>(n);
+}
+
+TEST_P(GeneratorDifferentialTest, MatchesLegacyGenerator) {
+  const uint64_t seed = GetParam();
+  const std::pair<const char*, WorkloadOptions> profiles[] = {
+      {"office", OfficeWorkload()},
+      {"write-hot", WriteHotWorkload()},
+      {"read-mostly", ReadMostlyWorkload()},
+  };
+  for (const auto& [name, profile] : profiles) {
+    for (const Duration duration : {2 * kSecond, 30 * kSecond, 3 * kMinute}) {
+      for (const bool churn : {false, true}) {
+        WorkloadOptions options = profile;
+        options.seed = profile.seed * 1000003 + seed;
+        options.duration = duration;
+        if (churn) {
+          options.initial_files = 256;
+          options.short_lived_mean = kMillisecond;
+        }
+        const Trace expected = LegacyWorkloadGenerator(options).Generate();
+        const Trace actual = WorkloadGenerator(options).Generate();
+        ASSERT_EQ(FirstMismatch(actual, expected), -1)
+            << name << " seed " << options.seed << " duration " << duration
+            << (churn ? " churn" : "") << ": " << actual.size() << " vs "
+            << expected.size() << " records";
+      }
+    }
+  }
+}
+
+TEST(GeneratorDifferentialTest, TiedDeadlinesMatchLegacyGenerator) {
+  // Deaths on the same nanosecond pop in path order. The profiles above
+  // never tie (deadlines are integer ns spread over seconds), so this dense
+  // mix of 1 ms lifetimes every ~0.5 us makes ties common enough to check.
+  int ties = 0;
+  for (uint64_t seed = 0; seed < 32; ++seed) {
+    WorkloadOptions options = OfficeWorkload();
+    options.seed = seed;
+    options.duration = 10 * kMillisecond;
+    options.mean_interarrival = 500;
+    options.p_create = 0.5;
+    options.p_delete = 0.05;
+    options.p_short_lived = 1.0;
+    options.short_lived_mean = kMillisecond;
+    const Trace expected = LegacyWorkloadGenerator(options).Generate();
+    const Trace actual = WorkloadGenerator(options).Generate();
+    ASSERT_EQ(FirstMismatch(actual, expected), -1) << "seed " << seed;
+    const std::vector<TraceRecord>& records = expected.records();
+    for (size_t i = 0; i + 1 < records.size(); ++i) {
+      ties += records[i].op == TraceOp::kUnlink &&
+              records[i + 1].op == TraceOp::kUnlink &&
+              records[i].at == records[i + 1].at;
+    }
+  }
+  EXPECT_GE(ties, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorDifferentialTest,
+                         ::testing::Range<uint64_t>(0, 64));
 
 }  // namespace
 }  // namespace ssmc

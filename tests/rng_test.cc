@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <thread>
 #include <vector>
+
+#include "src/trace/generator.h"
 
 namespace ssmc {
 namespace {
@@ -126,6 +130,27 @@ TEST(RngTest, BoundedParetoIsSkewedTowardSmall) {
   EXPECT_GT(small, n / 2);
 }
 
+TEST(RngTest, BoundedParetoMatchesThePerDrawFormula) {
+  // Hoisting the pow(lo, a) and pow(hi, a) terms must not move a bit: the
+  // reference recomputes them on every draw, as the original sampler did.
+  const double alpha = 1.1;
+  const double lo = 256;
+  const double hi = 256 * 1024;
+  const BoundedPareto pareto(alpha, lo, hi);
+  Rng a(99);
+  Rng b(99);
+  Rng c(99);
+  for (int i = 0; i < 100000; ++i) {
+    const double u = a.NextDouble();
+    const double la = std::pow(lo, alpha);
+    const double ha = std::pow(hi, alpha);
+    const double expected =
+        std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+    ASSERT_EQ(pareto.Sample(b), expected) << "draw " << i;
+    ASSERT_EQ(c.NextBoundedPareto(alpha, lo, hi), expected) << "draw " << i;
+  }
+}
+
 TEST(ZipfSamplerTest, RankZeroIsMostFrequent) {
   Rng rng(42);
   ZipfSampler zipf(100, 1.0);
@@ -161,6 +186,71 @@ TEST(ZipfSamplerTest, SkewZeroIsUniform) {
   }
   for (const auto& [idx, c] : counts) {
     EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02) << "index " << idx;
+  }
+}
+
+TEST(ZipfSamplerTest, SharedIsOneInstancePerShape) {
+  const ZipfSampler& a = ZipfSampler::Shared(4096, 1.0);
+  EXPECT_EQ(&a, &ZipfSampler::Shared(4096, 1.0));
+  EXPECT_NE(&a, &ZipfSampler::Shared(4096, 1.2));
+  EXPECT_NE(&a, &ZipfSampler::Shared(1024, 1.0));
+  EXPECT_EQ(a.size(), 4096u);
+  EXPECT_EQ(ZipfSampler::Shared(1024, 1.0).size(), 1024u);
+}
+
+// Draws `draws` samples from the shared and a freshly built sampler of the
+// same shape, from equal seeds, and requires every index to match.
+void ExpectSharedMatchesFresh(size_t n, double skew, int draws) {
+  const ZipfSampler& shared = ZipfSampler::Shared(n, skew);
+  const ZipfSampler fresh(n, skew);
+  Rng a(7);
+  Rng b(7);
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(shared.Sample(a), fresh.Sample(b))
+        << "n " << n << " skew " << skew << " draw " << i;
+  }
+}
+
+TEST(ZipfSamplerTest, SharedSamplesLikeAFreshSampler) {
+  ExpectSharedMatchesFresh(4096, 1.0, 100000);
+  ExpectSharedMatchesFresh(4096, 1.2, 100000);
+}
+
+TEST(ZipfSamplerTest, ConcurrentGeneratorsMatchASerialLoop) {
+  // Skews no other test uses, so the first users of each shared table are
+  // the four threads below, racing to build it: every thread's first trace
+  // uses skews[0], its second skews[1], and so on.
+  constexpr int kThreads = 4;
+  constexpr int kTraces = 64;
+  const double skews[] = {1.01, 1.02, 1.03, 1.04};
+  auto options_for = [&](int i) {
+    WorkloadOptions options = i % 2 == 0 ? OfficeWorkload() : WriteHotWorkload();
+    options.seed = 1000 + static_cast<uint64_t>(i);
+    options.duration = 2 * kSecond;
+    options.hot_skew = skews[(i / kThreads) % 4];
+    return options;
+  };
+  std::vector<Trace> concurrent(kTraces);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = w; i < kTraces; i += kThreads) {
+        concurrent[static_cast<size_t>(i)] =
+            WorkloadGenerator(options_for(i)).Generate();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int i = 0; i < kTraces; ++i) {
+    const Trace serial = WorkloadGenerator(options_for(i)).Generate();
+    EXPECT_EQ(concurrent[static_cast<size_t>(i)].records(), serial.records())
+        << "trace " << i;
+  }
+  // The tables the threads built are the ones a single thread would build.
+  for (const double skew : skews) {
+    ExpectSharedMatchesFresh(4096, skew, 10000);
   }
 }
 

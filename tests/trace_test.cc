@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/trace/generator.h"
+
 namespace ssmc {
 namespace {
+
+// Expects `text` to fail to parse with INVALID_ARGUMENT naming line 2.
+void ExpectRejectedOnLineTwo(const std::string& text) {
+  const Result<Trace> parsed = Trace::FromText(text);
+  ASSERT_FALSE(parsed.ok()) << text;
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument) << text;
+  EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+      << parsed.status().message();
+}
 
 TEST(TraceTest, OpNamesRoundTripThroughText) {
   Trace trace;
@@ -85,7 +98,7 @@ TEST(TraceTest, TenantTagRoundTripsThroughText) {
   trace.Add({100, TraceOp::kCreate, "/f", 0, 0, ""});
   trace.Add({200, TraceOp::kWrite, "/f", 0, 64, ""});
   trace.Add({300, TraceOp::kRename, "/f", 0, 0, "/g"});  // Optional path2.
-  const Trace tagged = trace.WithTenant(5);
+  const Trace tagged = Trace(trace).WithTenant(5);
   ASSERT_EQ(tagged.size(), 3u);
   for (const TraceRecord& r : tagged.records()) {
     EXPECT_EQ(r.tenant, 5);
@@ -114,6 +127,44 @@ TEST(TraceTest, DefaultTenantSerializesWithoutTenantToken) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed.value().size(), 1u);
   EXPECT_EQ(parsed.value().records()[0].tenant, kDefaultTenant);
+}
+
+TEST(TraceTest, ParserRejectsMalformedTenantTags) {
+  // No digits, trailing garbage, and ids past TenantId's range used to parse
+  // silently (as tenant 0, or truncated).
+  for (const std::string tag : {"t=", "t=abc", "t=3x", "t=-1", "t=65536"}) {
+    ExpectRejectedOnLineTwo("100 create /f 0 0\n200 write /f 0 64 " + tag +
+                            "\n");
+  }
+}
+
+TEST(TraceTest, ParserRejectsExtraTrailingTokens) {
+  // A third trailing token used to overwrite the rename destination.
+  ExpectRejectedOnLineTwo("100 create /f 0 0\n300 rename /f 0 0 /g /h\n");
+  ExpectRejectedOnLineTwo("100 create /f 0 0\n300 rename /f 0 0 /g t=1 /h\n");
+  ExpectRejectedOnLineTwo("100 create /f 0 0\n200 write /f 0 64 t=1 t=2\n");
+}
+
+TEST(TraceTest, ParserAcceptsTrailingTokensInEitherOrder) {
+  Result<Trace> parsed =
+      Trace::FromText("300 rename /f 0 0 t=65535 /g\n400 stat /g 0 0 t=0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(parsed.value().size(), 2u);
+  EXPECT_EQ(parsed.value().records()[0].path2, "/g");
+  EXPECT_EQ(parsed.value().records()[0].tenant, 65535);
+  EXPECT_EQ(parsed.value().records()[1].tenant, kDefaultTenant);
+}
+
+TEST(TraceTest, GeneratedTracesRoundTripThroughText) {
+  for (const TenantId tenant : {kDefaultTenant, TenantId{3}}) {
+    WorkloadOptions options = WriteHotWorkload();
+    options.duration = kMinute;
+    const Trace trace =
+        WorkloadGenerator(options).Generate().WithTenant(tenant);
+    Result<Trace> parsed = Trace::FromText(trace.ToText());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    EXPECT_EQ(parsed.value().records(), trace.records());
+  }
 }
 
 }  // namespace
