@@ -411,8 +411,8 @@ BENCHMARK(BM_TraceGenerationUser);
 
 void BM_TraceReplay(benchmark::State& state) {
   // Host cost of replaying one pre-generated office trace on a fresh
-  // machine. Exercises the replayer's per-record path (pattern fill with the
-  // cached per-path hash, one-shot buffer reservation) on top of the FS.
+  // machine. Exercises the replayer's per-record path (period-256 pattern
+  // fill, one-shot buffer reservation) on top of the FS.
   WorkloadOptions options = OfficeWorkload();
   options.duration = kMinute;
   options.max_file_bytes = 64 * 1024;

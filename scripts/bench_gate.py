@@ -17,6 +17,9 @@ BENCH_micro.json — the hot paths a change is most likely to slow:
                                   machine, a fleet user's setup (ns_per_op);
   * BM_TraceGenerationUser      — generating one fleet user's two-second
                                   trace (ns_per_op);
+  * BM_TraceReplay              — replaying a one-minute office trace on a
+                                  fresh notebook machine: replayer and FS
+                                  data path (ns_per_op);
   * BM_LargeStoreRandOverwrite/65536 — FTL write + cleaning under steady
                                   overwrite pressure (ns_per_op);
   * BM_CleaningRelocation/{512,4096} — the cleaner's zero-copy relocation
@@ -46,6 +49,7 @@ REPORTS = {
         ("BM_SimCoreReplay", "sim_ops_per_s", True),
         ("BM_MachineConstruct", "ns_per_op", False),
         ("BM_TraceGenerationUser", "ns_per_op", False),
+        ("BM_TraceReplay", "ns_per_op", False),
         ("BM_LargeStoreRandOverwrite/65536", "ns_per_op", False),
         ("BM_CleaningRelocation/512", "ns_per_op", False),
         ("BM_CleaningRelocation/4096", "ns_per_op", False),

@@ -797,6 +797,9 @@ Result<FileInfo> DiskFileSystem::Stat(const std::string& path) {
 }
 
 Status DiskFileSystem::Rename(const std::string& from, const std::string& to) {
+  if (IsSameOrUnder(to, from)) {
+    return InvalidArgumentError("cannot move " + from + " into itself");
+  }
   Result<uint32_t> from_parent = ResolveParent(from);
   if (!from_parent.ok()) {
     return from_parent.status();

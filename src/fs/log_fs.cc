@@ -485,6 +485,9 @@ Result<FileInfo> LogFileSystem::Stat(const std::string& path) {
 }
 
 Status LogFileSystem::Rename(const std::string& from, const std::string& to) {
+  if (IsSameOrUnder(to, from)) {
+    return InvalidArgumentError("cannot move " + from + " into itself");
+  }
   Node* from_parent = LookupParent(from);
   if (from_parent == nullptr) {
     return NotFoundError(from);

@@ -20,7 +20,8 @@ MemoryFileSystem::MemoryFileSystem(StorageManager& storage,
                      TenantId tenant) {
                 return FlushBlock(key, data, tenant);
               }),
-      root_(std::make_unique<Node>()) {
+      root_(std::make_unique<Node>()),
+      scratch_(storage.page_bytes()) {
   root_->is_dir = true;
   // The write buffer is the dirty side of the residency map; the manager
   // resolves kDirty through it.
@@ -295,7 +296,7 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
   }
   const uint64_t n = std::min<uint64_t>(out.size(), inode.size - offset);
   const uint64_t bs = block_bytes();
-  std::vector<uint8_t> staging(bs);
+  const std::span<uint8_t> staging(scratch_);
   ResidencyManager& res = storage_.residency();
 
   uint64_t done = 0;
@@ -389,7 +390,9 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
     return buffer_.Put(key, data, now, tenant_);
   }
 
-  std::vector<uint8_t> staging(bs, 0);
+  // Holes copy-on-write as zeros.
+  const std::span<uint8_t> staging(scratch_);
+  std::memset(staging.data(), 0, bs);
   const int64_t slot = block_index < inode.flash_blocks.size()
                            ? inode.flash_blocks[block_index]
                            : -1;
@@ -426,6 +429,56 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
   return buffer_.Put(key, staging, now, tenant_);
 }
 
+Status MemoryFileSystem::ReleaseTail(Inode& inode, uint64_t size,
+                                     uint64_t end) {
+  const uint64_t bs = block_bytes();
+  const uint64_t first_dead = (size + bs - 1) / bs;
+  const uint64_t old_blocks = std::max<uint64_t>((end + bs - 1) / bs,
+                                                 inode.flash_blocks.size());
+  for (uint64_t b = first_dead; b < old_blocks; ++b) {
+    ReleaseBlock(inode, b);
+  }
+  if (inode.flash_blocks.size() > first_dead) {
+    inode.flash_blocks.resize(first_dead, -1);
+  }
+  // Zero the tail of the surviving partial block: if the file is later
+  // extended, the cut-off bytes must read back as zeros, not stale data.
+  const uint64_t tail = size % bs;
+  if (tail == 0) {
+    return Status::Ok();
+  }
+  const std::vector<uint8_t> zeros(std::min(end - size, bs - tail), 0);
+  return StageBlockWrite(inode, size / bs, tail, zeros);
+}
+
+void MemoryFileSystem::AbandonWrite(Inode& inode, uint64_t end) {
+  if (end <= inode.size) {
+    return;
+  }
+  if (journaled()) {
+    // Replay trims the block map to this size, so extents the write flushed
+    // past EOF are forgotten along with the blocks freed below.
+    JournalRecord rec;
+    rec.type = JournalRecordType::kSetSize;
+    rec.file_id = inode.id;
+    rec.size = inode.size;
+    if (!JournalAppend(std::move(rec)).ok()) {
+      // The journal still names those extents, so their flash blocks stay
+      // mapped (Unlink and Truncate free them); only buffered blocks go.
+      const uint64_t bs = block_bytes();
+      for (uint64_t b = (inode.size + bs - 1) / bs; b < (end + bs - 1) / bs;
+           ++b) {
+        buffer_.Drop(BlockKey{inode.id, b});
+        storage_.residency().ForgetHeat(BlockKey{inode.id, b});
+      }
+      return;
+    }
+  }
+  // Best effort: the write has already failed, and any block this cannot
+  // zero lies inside the file, where Unlink and Truncate still reach it.
+  (void)ReleaseTail(inode, inode.size, end);
+}
+
 Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
                                          uint64_t offset,
                                          std::span<const uint8_t> data) {
@@ -459,9 +512,13 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
     const uint64_t block = pos / bs;
     const uint64_t in_block = pos % bs;
     const uint64_t chunk = std::min(bs - in_block, data.size() - done);
-    SSMC_RETURN_IF_ERROR(StageBlockWrite(
+    const Status staged = StageBlockWrite(
         inode, block, in_block,
-        std::span<const uint8_t>(data.data() + done, chunk)));
+        std::span<const uint8_t>(data.data() + done, chunk));
+    if (!staged.ok()) {
+      AbandonWrite(inode, pos + chunk);
+      return staged;
+    }
     done += chunk;
   }
   if (offset + data.size() > inode.size) {
@@ -470,7 +527,11 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
       rec.type = JournalRecordType::kSetSize;
       rec.file_id = inode.id;
       rec.size = offset + data.size();
-      SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
+      const Status logged = JournalAppend(std::move(rec));
+      if (!logged.ok()) {
+        AbandonWrite(inode, offset + data.size());
+        return logged;
+      }
     }
     inode.size = offset + data.size();
   }
@@ -505,24 +566,8 @@ Status MemoryFileSystem::Truncate(const std::string& path, uint64_t size) {
     rec.size = size;
     SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
   }
-  const uint64_t bs = block_bytes();
   if (size < inode.size) {
-    const uint64_t first_dead = (size + bs - 1) / bs;
-    const uint64_t old_blocks = (inode.size + bs - 1) / bs;
-    for (uint64_t b = first_dead; b < old_blocks; ++b) {
-      ReleaseBlock(inode, b);
-    }
-    if (inode.flash_blocks.size() > first_dead) {
-      inode.flash_blocks.resize(first_dead, -1);
-    }
-    // Zero the tail of the surviving partial block: if the file is later
-    // extended, the cut-off bytes must read back as zeros, not stale data.
-    const uint64_t tail = size % bs;
-    if (tail != 0) {
-      const uint64_t zero_len = std::min(inode.size - size, bs - tail);
-      const std::vector<uint8_t> zeros(zero_len, 0);
-      SSMC_RETURN_IF_ERROR(StageBlockWrite(inode, size / bs, tail, zeros));
-    }
+    SSMC_RETURN_IF_ERROR(ReleaseTail(inode, size, inode.size));
   }
   inode.size = size;
   storage_.ChargeMetadataWrite(kInodeBytes);
@@ -543,6 +588,9 @@ Result<FileInfo> MemoryFileSystem::Stat(const std::string& path) {
 
 Status MemoryFileSystem::Rename(const std::string& from,
                                 const std::string& to) {
+  if (IsSameOrUnder(to, from)) {
+    return InvalidArgumentError("cannot move " + from + " into itself");
+  }
   Node* from_parent = LookupParent(from);
   if (from_parent == nullptr) {
     return NotFoundError(from);
@@ -1139,13 +1187,12 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
       }
       Inode& inode = *it->second;
       const uint64_t bs = block_bytes();
-      if (record.size < inode.size) {
-        // The original truncate freed the dead blocks; here only the map
-        // shrinks (see kUnlink for why the allocator stays untouched).
-        const uint64_t first_dead = (record.size + bs - 1) / bs;
-        if (inode.flash_blocks.size() > first_dead) {
-          inode.flash_blocks.resize(first_dead, -1);
-        }
+      // The original truncate (or failed write) freed the blocks past the
+      // new size; here only the map shrinks (see kUnlink for why the
+      // allocator stays untouched).
+      const uint64_t first_dead = (record.size + bs - 1) / bs;
+      if (inode.flash_blocks.size() > first_dead) {
+        inode.flash_blocks.resize(first_dead, -1);
       }
       inode.size = record.size;
       storage_.ChargeMetadataWrite(kInodeBytes);

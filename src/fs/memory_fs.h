@@ -266,9 +266,19 @@ class MemoryFileSystem : public FileSystem {
   // Releases one file block everywhere (buffer + flash).
   void ReleaseBlock(Inode& inode, uint64_t block_index);
 
+  // Releases the blocks holding bytes [size, end) and any flash block mapped
+  // past them, and zeroes the rest of the block holding byte `size`, so a
+  // later extension reads zeros. The inode's size is the caller's to set.
+  Status ReleaseTail(Inode& inode, uint64_t size, uint64_t end);
+
+  // Undoes what a failed Write left past the file's end (it ran to byte
+  // `end`): Unlink and Truncate only reach blocks below the size, so
+  // anything staged beyond it would outlive the inode in the write buffer.
+  void AbandonWrite(Inode& inode, uint64_t end);
+
   // Stages a block into the write buffer, performing copy-on-write from
   // flash (or the clean cache, at DRAM speed) when the write does not cover
-  // the whole block.
+  // the whole block. Assembles the block in scratch_.
   Status StageBlockWrite(Inode& inode, uint64_t block_index,
                          uint64_t offset_in_block,
                          std::span<const uint8_t> data);
@@ -277,6 +287,10 @@ class MemoryFileSystem : public FileSystem {
   MemoryFsOptions options_;
   WriteBuffer buffer_;
   std::unique_ptr<Node> root_;
+  // One block of staging for Read's dirty blocks and StageBlockWrite's
+  // copy-on-write. Neither nests: nothing under buffer_.Put (eviction ->
+  // FlushBlock -> flash) calls back into the file system.
+  std::vector<uint8_t> scratch_;
   // Inode id -> inode (for flush callbacks); owned by the node tree.
   std::unordered_map<uint64_t, Inode*> inode_index_;
   uint64_t next_inode_id_ = 1;

@@ -81,6 +81,11 @@ std::string_view BaseNameView(std::string_view path) {
   return path.substr(path.rfind('/') + 1);
 }
 
+bool IsSameOrUnder(std::string_view path, std::string_view dir) {
+  return path.starts_with(dir) &&
+         (path.size() == dir.size() || path[dir.size()] == '/');
+}
+
 std::string JoinPath(std::string_view dir, std::string_view name) {
   if (dir == "/") {
     return "/" + std::string(name);

@@ -30,6 +30,10 @@ std::string BaseName(std::string_view path);
 // Joins a directory and a name ("/a" + "b" -> "/a/b"; "/" + "b" -> "/b").
 std::string JoinPath(std::string_view dir, std::string_view name);
 
+// True when `path` is `dir` itself or lies under `dir + "/"` (a rename of
+// `dir` to such a path would make a directory its own ancestor).
+bool IsSameOrUnder(std::string_view path, std::string_view dir);
+
 // Zero-allocation variants for per-operation lookups: views into `path`,
 // valid as long as the argument's backing storage. Same preconditions as
 // the owning versions above.

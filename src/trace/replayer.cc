@@ -1,6 +1,8 @@
 #include "src/trace/replayer.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -49,19 +51,21 @@ void TraceReplayer::AttachObs(Obs* obs) {
   }
 }
 
-uint64_t TraceReplayer::PathHash(const std::string& path) {
-  const auto [it, inserted] = path_hash_cache_.try_emplace(path, 0);
-  if (inserted) {
-    it->second = std::hash<std::string>()(path);
-  }
-  return it->second;
-}
-
 void TraceReplayer::FillPattern(const std::string& path, uint64_t offset,
                                 std::span<uint8_t> out) {
-  const uint64_t h = PathHash(path);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<uint8_t>((h + offset + i) * 131);
+  // Byte i depends only on (hash + offset + i) mod 256, so the pattern
+  // repeats every 256 bytes: compute one period, then double it in place.
+  const auto start =
+      static_cast<uint8_t>(std::hash<std::string>()(path) + offset);
+  const size_t n = out.size();
+  const size_t period = std::min<size_t>(n, 256);
+  for (unsigned i = 0; i < period; ++i) {
+    out[i] = static_cast<uint8_t>((start + i) * 131u);
+  }
+  for (size_t filled = period; filled < n;) {
+    const size_t chunk = std::min(filled, n - filled);
+    std::memcpy(out.data() + filled, out.data(), chunk);
+    filled += chunk;
   }
 }
 

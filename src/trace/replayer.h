@@ -7,8 +7,8 @@
 #define SSMC_SRC_TRACE_REPLAYER_H_
 
 #include <array>
+#include <span>
 #include <string>
-#include <unordered_map>
 
 #include "src/fs/file_system.h"
 #include "src/sim/clock.h"
@@ -95,17 +95,14 @@ class TraceReplayer {
   void AttachObs(Obs* obs);
 
  private:
-  // Deterministic content for writes (so read-back checks are possible).
-  void FillPattern(const std::string& path, uint64_t offset,
-                   std::span<uint8_t> out);
-  // The pattern seeds from the path's hash; traces revisit the same paths
-  // constantly, so the hash is computed once per path, not per record.
-  uint64_t PathHash(const std::string& path);
+  // Deterministic content for writes (so read-back checks are possible):
+  // byte i is uint8((hash(path) + offset + i) * 131).
+  static void FillPattern(const std::string& path, uint64_t offset,
+                          std::span<uint8_t> out);
 
   FileSystem& fs_;
   SimClock& clock_;
   EventQueue* events_;
-  std::unordered_map<std::string, uint64_t> path_hash_cache_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;
 };

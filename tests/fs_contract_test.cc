@@ -327,6 +327,31 @@ TEST_P(FsContractTest, RenameOntoExistingFails) {
   EXPECT_EQ(fs().Rename("/a", "/b").code(), ErrorCode::kAlreadyExists);
 }
 
+// Regression: moving a directory into its own subtree used to succeed and
+// orphan the whole subtree (and, in the memory and log file systems, leak
+// it: the directory ended up owning its own ancestor).
+TEST_P(FsContractTest, RenameIntoOwnSubtreeFails) {
+  ASSERT_TRUE(fs().Mkdir("/a").ok());
+  ASSERT_TRUE(fs().Mkdir("/a/b").ok());
+  ASSERT_TRUE(fs().Create("/a/b/f").ok());
+  ASSERT_TRUE(fs().Write("/a/b/f", 0, Pattern(300)).ok());
+  EXPECT_EQ(fs().Rename("/a", "/a/b/c").code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(fs().Rename("/a", "/a/c").code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(fs().Rename("/a", "/a").code(), ErrorCode::kInvalidArgument);
+  std::vector<uint8_t> out(300);
+  Result<uint64_t> read = fs().Read("/a/b/f", 0, out);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), 300u);
+  EXPECT_EQ(out, Pattern(300));
+  Result<std::vector<std::string>> root = fs().List("/");
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(root.value(), std::vector<std::string>{"a"});
+  // A sibling whose name merely starts with the source's is fine.
+  ASSERT_TRUE(fs().Rename("/a", "/ab").ok());
+  ASSERT_TRUE(fs().Read("/ab/b/f", 0, out).ok());
+  EXPECT_EQ(out, Pattern(300));
+}
+
 TEST_P(FsContractTest, TruncateShrinks) {
   ASSERT_TRUE(fs().Create("/f").ok());
   ASSERT_TRUE(fs().Write("/f", 0, Pattern(5000)).ok());

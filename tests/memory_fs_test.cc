@@ -7,6 +7,8 @@
 
 #include <memory>
 
+#include "src/journal/journal.h"
+
 namespace ssmc {
 namespace {
 
@@ -14,7 +16,7 @@ class MemoryFsTest : public ::testing::Test {
  protected:
   void SetUp() override { Recreate(MemoryFsOptions{}); }
 
-  void Recreate(MemoryFsOptions options) {
+  void Recreate(MemoryFsOptions options, uint64_t flash_bytes = 8 * kMiB) {
     // Tear down in reverse dependency order before rebuilding: the file
     // system detaches from the storage manager's residency tracker in its
     // destructor, so it must not outlive the manager it references.
@@ -36,7 +38,7 @@ class MemoryFsTest : public ::testing::Test {
     flash_spec.erase_sector_bytes = 4096;
     flash_spec.erase_ns = 100 * kMillisecond;
     flash_spec.endurance_cycles = 1000000;
-    flash_ = std::make_unique<FlashDevice>(flash_spec, 8 * kMiB, 2, clock_);
+    flash_ = std::make_unique<FlashDevice>(flash_spec, flash_bytes, 2, clock_);
 
     store_ = std::make_unique<FlashStore>(*flash_, FlashStoreOptions{});
     manager_ = std::make_unique<StorageManager>(*dram_, *store_, 512);
@@ -49,6 +51,17 @@ class MemoryFsTest : public ::testing::Test {
       v[i] = static_cast<uint8_t>(seed + i * 13);
     }
     return v;
+  }
+
+  // Appends `chunk`-byte writes to `path` until one fails or the file
+  // reaches `limit` bytes; returns the size the acked appends reached.
+  uint64_t AppendUntilFailure(const std::string& path, uint64_t chunk,
+                              uint64_t limit) {
+    uint64_t size = 0;
+    while (size < limit && fs_->Write(path, size, Pattern(chunk)).ok()) {
+      size += chunk;
+    }
+    return size;
   }
 
   SimClock clock_;
@@ -210,6 +223,59 @@ TEST_F(MemoryFsTest, LoseBufferedDataDropsDirtyOnly) {
   // first block) is what survives.
   ASSERT_TRUE(fs_->Read("/f", 0, out).ok());
   EXPECT_EQ(out, std::vector<uint8_t>(original.begin(), original.begin() + 512));
+}
+
+// Regression: a multi-block append that fails partway (flash full) had
+// staged blocks past the file's old end. Unlink releases only blocks below
+// the size, so those outlived their inode and every later Sync failed with
+// "flush for unlinked inode".
+TEST_F(MemoryFsTest, FailedAppendLeavesNothingBufferedPastEof) {
+  MemoryFsOptions options;
+  options.write_buffer_pages = 8;
+  Recreate(options, 1 * kMiB);
+  ASSERT_TRUE(fs_->Create("/fill").ok());
+  const uint64_t size = AppendUntilFailure("/fill", 4096, 2 * kMiB);
+  ASSERT_LT(size, 2 * kMiB) << "the card never filled";
+  // The failed append staged some of its blocks before running out.
+  EXPECT_GT(fs_->write_buffer().stats().puts.value(), size / 512);
+  Result<FileInfo> info = fs_->Stat("/fill");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().size, size);
+
+  ASSERT_TRUE(fs_->Unlink("/fill").ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  EXPECT_EQ(fs_->write_buffer().dirty_pages(), 0u);
+  // The freed card takes new data again.
+  ASSERT_TRUE(fs_->Create("/g").ok());
+  ASSERT_TRUE(fs_->Write("/g", 0, Pattern(4096)).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+}
+
+// The same wedge with the journal on, where the append fails for DRAM
+// rather than flash: the rollback journals the old size, then releases.
+TEST_F(MemoryFsTest, FailedAppendUnderJournalLeavesNothingBufferedPastEof) {
+  fs_.reset();
+  manager_ = std::make_unique<StorageManager>(*dram_, *store_, 512);
+  MetadataJournal journal(*manager_);
+  ASSERT_TRUE(journal.Format().ok());
+  MemoryFsOptions options;
+  options.write_buffer_pages = 1 << 20;  // Larger than the 2 MiB of DRAM.
+  options.journal = &journal;
+  fs_ = std::make_unique<MemoryFileSystem>(*manager_, options);
+
+  ASSERT_TRUE(fs_->Create("/fill").ok());
+  // Six blocks per append, so the last one runs out partway.
+  const uint64_t size = AppendUntilFailure("/fill", 3072, 4 * kMiB);
+  ASSERT_LT(size, 4 * kMiB) << "DRAM never filled";
+  EXPECT_GT(fs_->write_buffer().stats().puts.value(), size / 512);
+  Result<FileInfo> info = fs_->Stat("/fill");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().size, size);
+
+  ASSERT_TRUE(fs_->Unlink("/fill").ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  EXPECT_EQ(fs_->write_buffer().dirty_pages(), 0u);
+  fs_.reset();  // Before the journal it points at.
 }
 
 TEST_F(MemoryFsTest, MetadataOpsCostDramTimeOnly) {

@@ -46,6 +46,15 @@ TEST(PathTest, JoinPath) {
   EXPECT_EQ(JoinPath("/a", "b"), "/a/b");
 }
 
+TEST(PathTest, IsSameOrUnder) {
+  EXPECT_TRUE(IsSameOrUnder("/a", "/a"));
+  EXPECT_TRUE(IsSameOrUnder("/a/b", "/a"));
+  EXPECT_TRUE(IsSameOrUnder("/a/b/c", "/a"));
+  EXPECT_FALSE(IsSameOrUnder("/ab", "/a"));
+  EXPECT_FALSE(IsSameOrUnder("/a", "/a/b"));
+  EXPECT_FALSE(IsSameOrUnder("/b/a", "/a"));
+}
+
 TEST(PathTest, JoinThenSplitRoundTrips) {
   const std::string joined = JoinPath(JoinPath("/", "x"), "y");
   EXPECT_EQ(joined, "/x/y");

@@ -2,13 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/core/machine.h"
 #include "src/trace/generator.h"
 
 namespace ssmc {
 namespace {
+
+// The replayer's original write pattern, one byte at a time, kept verbatim
+// as the reference for the period-256 fill.
+void LegacyFillPattern(const std::string& path, uint64_t offset,
+                       std::span<uint8_t> out) {
+  const uint64_t h = std::hash<std::string>()(path);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<uint8_t>((h + offset + i) * 131);
+  }
+}
 
 class ReplayerTest : public ::testing::Test {
  protected:
@@ -164,6 +178,44 @@ TEST(ReplayReportTest, MergeCombinesShards) {
   EXPECT_EQ(merged.ops, before.ops);
   EXPECT_EQ(merged.started, before.started);
   EXPECT_EQ(merged.finished, before.finished);
+}
+
+// Every byte a replayed write stores must be the legacy pattern's: lengths
+// around the 256-byte period and its doublings, at offsets that shift the
+// phase, each on its own path (so its own path hash), read back through
+// the file system.
+TEST_F(ReplayerTest, WrittenBytesMatchTheLegacyPattern) {
+  const uint64_t lengths[] = {1, 63, 255, 256, 257, 511, 512, 513, 4103, 65536};
+  const uint64_t offsets[] = {0, 1, 255, 1000};
+  Trace trace;
+  trace.Add({0, TraceOp::kMkdir, "/w", 0, 0, ""});
+  SimTime at = 0;
+  for (const uint64_t length : lengths) {
+    for (const uint64_t offset : offsets) {
+      const std::string path = "/w/len" + std::to_string(length) + "_off" +
+                               std::to_string(offset);
+      trace.Add({at += kMillisecond, TraceOp::kCreate, path, 0, 0, ""});
+      trace.Add(
+          {at += kMillisecond, TraceOp::kWrite, path, offset, length, ""});
+    }
+  }
+  ReplayReport report = machine_.RunTrace(trace);
+  ASSERT_EQ(report.failures, 0u);
+
+  for (const uint64_t length : lengths) {
+    for (const uint64_t offset : offsets) {
+      const std::string path = "/w/len" + std::to_string(length) + "_off" +
+                               std::to_string(offset);
+      std::vector<uint8_t> expected(offset + length, 0);
+      LegacyFillPattern(path, offset,
+                        std::span<uint8_t>(expected).subspan(offset));
+      std::vector<uint8_t> actual(offset + length);
+      Result<uint64_t> n = machine_.fs().Read(path, 0, actual);
+      ASSERT_TRUE(n.ok()) << path;
+      ASSERT_EQ(n.value(), expected.size()) << path;
+      EXPECT_EQ(actual, expected) << path;
+    }
+  }
 }
 
 TEST_F(ReplayerTest, FlushDaemonRunsDuringReplay) {
