@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
                "traffic (and thus wear):\na shorter age loses less at "
                "failure but forfeits part of the E6 write absorption.\n";
 
-  // Crash recovery via metadata checkpointing.
-  std::cout << "\nRecovery after total failure (30 s metadata checkpoints):\n";
+  // Crash recovery through the metadata journal.
+  std::cout << "\nRecovery after total failure (metadata journal):\n";
   {
     WorkloadOptions options = OfficeWorkload();
     options.duration = 3 * kMinute;
@@ -132,12 +132,12 @@ int main(int argc, char** argv) {
     const Trace full = WorkloadGenerator(options).Generate();
     const Trace prefix = full.Prefix(full.DurationNs() * 7 / 10);
     MachineConfig config = NotebookConfig();
-    config.checkpoint_period = 30 * kSecond;
-    // Pair checkpoints with a shorter flush age: metadata recovery is only
+    config.journal = true;
+    // Pair the journal with a shorter flush age: metadata recovery is only
     // as useful as the data that actually reached flash.
     config.fs_options.flush_age = 10 * kSecond;
-    // Capture cell 25 (after the 5x5 failure matrix): the checkpoint /
-    // crash / recovery spans land on this cell's "machine" track.
+    // Capture cell 25 (after the 5x5 failure matrix): the crash / journal
+    // mount spans land on this cell's "machine" track.
     config.obs = capture.ForCell(25);
     MobileComputer machine(config);
     (void)machine.RunTrace(prefix);
@@ -146,9 +146,11 @@ int main(int argc, char** argv) {
     if (recovery.ok()) {
       std::cout << "  lost at failure: "
                 << FormatSize(crash.lost_dirty_bytes)
-                << " dirty; recovered from a checkpoint "
+                << " dirty\n  journal remount: "
+                << recovery.value().journal_records_replayed
+                << " log records replayed over a checkpoint "
                 << FormatDuration(recovery.value().checkpoint_age)
-                << " old:\n    " << recovery.value().directories_recovered
+                << " old\n    " << recovery.value().directories_recovered
                 << " directories, " << recovery.value().files_recovered
                 << " files, " << FormatSize(recovery.value().bytes_recovered)
                 << " of file data back from flash.\n";

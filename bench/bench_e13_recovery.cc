@@ -10,19 +10,15 @@
 // not with per-path rebuild work against one serially-busy bank.
 //
 // Method: per namespace size N (1k..256k inodes), populate a journaled
-// machine (journal_oracle keeps the legacy block-0 checkpoint alongside),
-// checkpoint, apply a fixed burst of post-checkpoint tail mutations, then
-// pull the battery. Mount the SAME flash image both ways and compare
-// simulated wall time:
-//   checkpoint rebuild — the legacy serial path: read the block-0 chain,
-//     re-create every path (the pre-E13 recovery story);
-//   journal mount      — dense checkpoint install + log-tail replay.
-// The journal mount also recovers the tail burst, which the legacy path
-// loses (it only knows state as of the checkpoint). Flash write overhead
-// of journaling (journal-tenant programmed bytes vs all other write
-// traffic) is reported per cell. Results land in BENCH_recovery.json,
-// which CI diffs byte for byte against the committed copy
-// (scripts/golden_check.py).
+// machine, checkpoint, apply a fixed burst of post-checkpoint tail
+// mutations, then pull the battery and time the journal mount (dense
+// checkpoint install + log-tail replay) on the simulated clock. Every
+// file, the tail burst included, must come back. Flash write overhead of
+// journaling (journal-tenant programmed bytes vs all other write traffic)
+// is reported per cell. Results land in BENCH_recovery.json, which CI
+// diffs byte for byte against the committed copy
+// (scripts/golden_check.py). EXPERIMENTS.md keeps the historical
+// comparison against the retired serial block-0 checkpoint rebuild.
 
 #include <algorithm>
 #include <functional>
@@ -35,7 +31,6 @@
 #include "src/fs/memory_fs.h"
 #include "src/journal/journal.h"
 #include "src/obs/metrics_export.h"
-#include "src/storage/storage_manager.h"
 
 namespace ssmc {
 namespace {
@@ -48,12 +43,10 @@ constexpr uint64_t kTailMutations = 128;  // Acked after the last checkpoint.
 
 struct RecoveryResult {
   uint64_t inodes = 0;
-  uint64_t checkpoint_mount_ns = 0;  // Legacy serial rebuild.
-  uint64_t journal_mount_ns = 0;     // Dense checkpoint + log-tail replay.
-  uint64_t journal_files = 0;        // Files each path recovered.
-  uint64_t legacy_files = 0;
-  uint64_t tail_replayed = 0;        // Log records applied on top.
-  double journal_overhead_pct = 0;   // Journal programs vs all other writes.
+  uint64_t journal_mount_ns = 0;    // Dense checkpoint + log-tail replay.
+  uint64_t journal_files = 0;       // Files the mount recovered.
+  uint64_t tail_replayed = 0;       // Log records applied on top.
+  double journal_overhead_pct = 0;  // Journal programs vs all other writes.
   bool ok = false;
 };
 
@@ -65,7 +58,6 @@ RecoveryResult RunCell(uint64_t inodes, Obs* obs) {
   config.flash_bytes = 128 * kMiB;
   config.flash_banks = 8;
   config.journal = true;
-  config.journal_oracle = true;  // Maintain the legacy checkpoint too.
   // One explicit checkpoint below; no compaction mid-population, so the
   // cell measures one well-defined checkpoint + tail image.
   config.journal_options.compact_log_blocks = 0;
@@ -103,7 +95,7 @@ RecoveryResult RunCell(uint64_t inodes, Obs* obs) {
 
   // Journal share of all flash write traffic (tail-block programs, the
   // checkpoint chain, and cleaner relocations of journal blocks) against
-  // everything else (user data, legacy checkpoint, user relocations).
+  // everything else (user data and its relocations).
   uint64_t journal_bytes = 0;
   uint64_t total_bytes = 0;
   for (const auto& entry : machine.flash_store().stats().by_tenant.entries()) {
@@ -119,7 +111,7 @@ RecoveryResult RunCell(uint64_t inodes, Obs* obs) {
   }
 
   // Population queued its programs non-blocking; let every bank drain so
-  // the two mounts time their own reads, not the population backlog.
+  // the mount times its own reads, not the population backlog.
   SimTime quiesce = machine.clock().now();
   for (int b = 0; b < machine.config().flash_banks; ++b) {
     quiesce = std::max(quiesce, machine.flash().BankBusyUntil(b));
@@ -128,30 +120,14 @@ RecoveryResult RunCell(uint64_t inodes, Obs* obs) {
 
   machine.InjectBatteryFailure();
 
-  // Legacy oracle mount over the SAME surviving flash: a throwaway manager,
-  // since the rebuild only reads flash and re-registers blocks with its own
-  // allocator. This is the pre-E13 recovery path, timed on the same clock.
-  {
-    const SimTime t0 = machine.clock().now();
-    StorageManager oracle(machine.dram(), machine.flash_store(),
-                          machine.config().page_bytes);
-    RecoveryReport legacy_report;
-    Result<std::unique_ptr<MemoryFileSystem>> legacy =
-        MemoryFileSystem::RecoverFromCheckpoint(oracle, MemoryFsOptions{},
-                                                &legacy_report);
-    if (!legacy.ok()) return result;
-    result.checkpoint_mount_ns = machine.clock().now() - t0;
-    result.legacy_files = legacy_report.files_recovered;
-  }
-
-  // Journal mount: the machine's real recovery path.
-  const SimTime t1 = machine.clock().now();
+  const SimTime t0 = machine.clock().now();
   Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
   if (!report.ok()) return result;
-  result.journal_mount_ns = machine.clock().now() - t1;
+  result.journal_mount_ns = machine.clock().now() - t0;
   result.journal_files = report.value().files_recovered;
   result.tail_replayed = report.value().journal_records_replayed;
-  result.ok = true;
+  // Every acked create must come back, the tail burst included.
+  result.ok = result.journal_files == inodes + kTailMutations;
   return result;
 }
 
@@ -167,8 +143,7 @@ int main(int argc, char** argv) {
               "of the namespace; acked tail mutations survive.");
   std::cout << "Flash 128 MiB x8 banks, 16 MiB file data, " << kDirs
             << " dirs, " << kTailMutations
-            << " post-checkpoint tail mutations;\nnamespace size swept. "
-               "Both recovery paths mount the same crashed image.\n";
+            << " post-checkpoint tail mutations;\nnamespace size swept.\n";
 
   ObsCapture capture(argc, argv);
   std::vector<std::function<RecoveryResult()>> cells;
@@ -181,24 +156,15 @@ int main(int argc, char** argv) {
       RunCellsOrdered(argc, argv, std::move(cells));
 
   std::cout << "\n";
-  Table table({"inodes", "checkpoint rebuild", "journal mount", "speedup",
-               "files (legacy)", "files (journal)", "tail replayed",
+  Table table({"inodes", "journal mount", "files recovered", "tail replayed",
                "journal write overhead"});
   std::vector<MetricsSnapshot> rows;
   bool all_ok = true;
   for (const RecoveryResult& r : results) {
     all_ok = all_ok && r.ok;
-    const double speedup =
-        r.journal_mount_ns > 0
-            ? static_cast<double>(r.checkpoint_mount_ns) /
-                  static_cast<double>(r.journal_mount_ns)
-            : 0;
     table.AddRow();
     table.AddCell(r.inodes);
-    table.AddCell(FormatDuration(r.checkpoint_mount_ns));
     table.AddCell(FormatDuration(r.journal_mount_ns));
-    table.AddCell(speedup, 1);
-    table.AddCell(r.legacy_files);
     table.AddCell(r.journal_files);
     table.AddCell(r.tail_replayed);
     table.AddCell(Pct(r.journal_overhead_pct / 100.0));
@@ -208,9 +174,6 @@ int main(int argc, char** argv) {
                                           std::to_string(r.inodes)));
     row.Set("journal_mount_ns",
             MetricValue::MakeInt(static_cast<int64_t>(r.journal_mount_ns)));
-    row.Set("checkpoint_mount_ns", MetricValue::MakeInt(static_cast<int64_t>(
-                                       r.checkpoint_mount_ns)));
-    row.Set("speedup", MetricValue::MakeDouble(speedup));
     row.Set("journal_write_overhead_pct",
             MetricValue::MakeDouble(r.journal_overhead_pct));
     row.Set("files_recovered",
@@ -221,15 +184,14 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  std::cout << "\nReading: the legacy path re-reads the block-0 checkpoint "
-               "chain serially and re-creates\nevery path, so mount time "
-               "grows with namespace size against one busy bank. The "
-               "journal\nmount streams the dense checkpoint across all "
-               "banks and replays only the log tail —\nand it is the only "
-               "path that recovers the post-checkpoint mutations (files "
-               "journal vs\nlegacy differ by the tail burst).\n";
+  std::cout << "\nReading: the mount streams the dense checkpoint across "
+               "all banks and replays only the\nlog tail, so it grows with "
+               "checkpoint bytes, not with a per-path rebuild; every file\n"
+               "comes back, the post-checkpoint tail burst included (inodes "
+               "+ " << kTailMutations << ").\n";
   if (!all_ok) {
-    std::cerr << "\nERROR: at least one cell failed to populate or mount.\n";
+    std::cerr << "\nERROR: at least one cell failed to populate, mount, or "
+                 "recover every file.\n";
     return 1;
   }
   (void)WriteMetricsJsonArrayFile("BENCH_recovery.json", rows);

@@ -75,24 +75,8 @@ MobileComputer::MobileComputer(MachineConfig config)
   store_options.background_writes = true;
   store_options.block_bytes = config_.page_bytes;
   store_ = std::make_unique<FlashStore>(*flash_, store_options);
-  storage_ = std::make_unique<StorageManager>(*dram_, *store_,
-                                              config_.page_bytes,
-                                              config_.residency, nvm_.get());
-  MemoryFsOptions fs_options = config_.fs_options;
-  if (config_.journal) {
-    journal_ = std::make_unique<MetadataJournal>(*storage_,
-                                                 config_.journal_options);
-    Status formatted = journal_->Format();
-    if (!formatted.ok()) {
-      SSMC_LOG(kWarning) << "journal format failed, running unjournaled: "
-                         << formatted.ToString();
-      journal_.reset();
-    } else {
-      fs_options.journal = journal_.get();
-      fs_options.journal_oracle = config_.journal_oracle;
-    }
-  }
-  fs_ = std::make_unique<MemoryFileSystem>(*storage_, fs_options);
+  RebuildStorage();
+  FormatFileSystem();
   if (config_.obs != nullptr) {
     obs_track_ = config_.obs->tracer().RegisterTrack("machine");
     flash_->AttachObs(config_.obs);
@@ -100,16 +84,9 @@ MobileComputer::MobileComputer(MachineConfig config)
       nvm_->AttachObs(config_.obs);
     }
     store_->AttachObs(config_.obs);
-    storage_->AttachObs(config_.obs);
-    if (journal_ != nullptr) {
-      journal_->AttachObs(config_.obs);
-    }
-    fs_->AttachObs(config_.obs);
+    AttachRebuildableObs();
   }
   ScheduleFlushDaemon();
-  if (config_.checkpoint_period > 0) {
-    ScheduleCheckpointDaemon();
-  }
 }
 
 MobileComputer::~MobileComputer() = default;
@@ -126,17 +103,37 @@ void MobileComputer::ScheduleFlushDaemon() {
   });
 }
 
-void MobileComputer::ScheduleCheckpointDaemon() {
-  events_.ScheduleAfter(config_.checkpoint_period, [this] {
-    if (!battery_->dead()) {
-      Status checkpointed = fs_->CheckpointMetadata();
-      if (!checkpointed.ok()) {
-        SSMC_LOG(kWarning) << "checkpoint daemon: "
-                           << checkpointed.ToString();
-      }
+void MobileComputer::RebuildStorage() {
+  storage_ = std::make_unique<StorageManager>(*dram_, *store_,
+                                              config_.page_bytes,
+                                              config_.residency, nvm_.get());
+}
+
+void MobileComputer::FormatFileSystem() {
+  MemoryFsOptions fs_options = config_.fs_options;
+  if (config_.journal) {
+    journal_ = std::make_unique<MetadataJournal>(*storage_,
+                                                 config_.journal_options);
+    Status formatted = journal_->Format();
+    if (!formatted.ok()) {
+      SSMC_LOG(kWarning) << "journal format failed, running unjournaled: "
+                         << formatted.ToString();
+      journal_.reset();
+    } else {
+      fs_options.journal = journal_.get();
     }
-    ScheduleCheckpointDaemon();
-  });
+  }
+  fs_ = std::make_unique<MemoryFileSystem>(*storage_, fs_options);
+}
+
+void MobileComputer::AttachRebuildableObs() {
+  // Keyed collectors replace and track registration dedupes by name, so
+  // re-attaching after recovery rebuilt these instances is safe.
+  storage_->AttachObs(config_.obs);
+  if (journal_ != nullptr) {
+    journal_->AttachObs(config_.obs);
+  }
+  fs_->AttachObs(config_.obs);
 }
 
 Result<RecoveryReport> MobileComputer::RecoverAfterFailure(
@@ -149,92 +146,39 @@ Result<RecoveryReport> MobileComputer::RecoverAfterFailure(
   // (allocators, namespace) from flash.
   fs_.reset();
   journal_.reset();
-  storage_ = std::make_unique<StorageManager>(*dram_, *store_,
-                                              config_.page_bytes,
-                                              config_.residency, nvm_.get());
+  RebuildStorage();
   RecoveryReport report;
+  Status mounted =
+      FailedPreconditionError("no metadata journal: the namespace is lost");
   if (config_.journal) {
     journal_ = std::make_unique<MetadataJournal>(*storage_,
                                                  config_.journal_options);
-    MemoryFsOptions fs_options = config_.fs_options;
-    fs_options.journal_oracle = config_.journal_oracle;
     Result<std::unique_ptr<MemoryFileSystem>> remounted =
-        MemoryFileSystem::RecoverFromJournal(*journal_, *storage_, fs_options,
-                                             &report);
-    if (!remounted.ok()) {
-      // No (or unreadable) journal: factory-reset to an empty, freshly
-      // formatted journaled fs. The failed mount left reservations behind,
-      // so rebuild the manager first.
-      journal_.reset();
-      storage_ = std::make_unique<StorageManager>(*dram_, *store_,
-                                                  config_.page_bytes,
-                                                  config_.residency,
-                                                  nvm_.get());
-      journal_ = std::make_unique<MetadataJournal>(*storage_,
-                                                   config_.journal_options);
-      MemoryFsOptions fresh = config_.fs_options;
-      Status formatted = journal_->Format();
-      if (!formatted.ok()) {
-        SSMC_LOG(kWarning) << "journal reformat failed, running unjournaled: "
-                           << formatted.ToString();
-        journal_.reset();
-      } else {
-        fresh.journal = journal_.get();
-        fresh.journal_oracle = config_.journal_oracle;
-      }
-      fs_ = std::make_unique<MemoryFileSystem>(*storage_, fresh);
+        MemoryFileSystem::RecoverFromJournal(*journal_, *storage_,
+                                             config_.fs_options, &report);
+    if (remounted.ok()) {
+      fs_ = std::move(remounted).value();
       if (config_.obs != nullptr) {
-        storage_->AttachObs(config_.obs);
-        if (journal_ != nullptr) {
-          journal_->AttachObs(config_.obs);
-        }
-        fs_->AttachObs(config_.obs);
+        AttachRebuildableObs();
+        config_.obs->tracer().Span(
+            obs_track_, "journal-mount", recovery_start,
+            clock_.now() - recovery_start, {"files", report.files_recovered},
+            {"records", report.journal_records_replayed});
       }
-      return remounted.status();
+      return report;
     }
-    fs_ = std::move(remounted).value();
-    if (config_.obs != nullptr) {
-      storage_->AttachObs(config_.obs);
-      journal_->AttachObs(config_.obs);
-      fs_->AttachObs(config_.obs);
-      config_.obs->tracer().Span(obs_track_, "journal-mount", recovery_start,
-                                 clock_.now() - recovery_start,
-                                 {"files", report.files_recovered},
-                                 {"records", report.journal_records_replayed});
-    }
-    return report;
+    mounted = remounted.status();
+    // The failed mount left reservations behind; start from a fresh manager.
+    journal_.reset();
+    RebuildStorage();
   }
-  Result<std::unique_ptr<MemoryFileSystem>> recovered =
-      MemoryFileSystem::RecoverFromCheckpoint(*storage_, config_.fs_options,
-                                              &report);
-  if (!recovered.ok()) {
-    // No checkpoint: come up with an empty file system (factory-reset).
-    // The failed recovery attempt constructed (and destroyed) a file system
-    // that reserved the superblock — and possibly checkpoint index blocks —
-    // in storage_, so rebuild the manager before constructing the fresh FS.
-    storage_ = std::make_unique<StorageManager>(*dram_, *store_,
-                                                config_.page_bytes,
-                                                config_.residency, nvm_.get());
-    fs_ = std::make_unique<MemoryFileSystem>(*storage_, config_.fs_options);
-    if (config_.obs != nullptr) {
-      storage_->AttachObs(config_.obs);
-      fs_->AttachObs(config_.obs);
-    }
-    return recovered.status();
-  }
-  fs_ = std::move(recovered).value();
+  // Factory reset: an empty file system (freshly formatted journal if the
+  // config has one).
+  FormatFileSystem();
   if (config_.obs != nullptr) {
-    // The fs and storage manager were rebuilt; re-point their collectors and
-    // tracks at the new instances (keyed collectors replace, track
-    // registration dedupes by name).
-    storage_->AttachObs(config_.obs);
-    fs_->AttachObs(config_.obs);
-    config_.obs->tracer().Span(obs_track_, "recovery", recovery_start,
-                               clock_.now() - recovery_start,
-                               {"files", report.files_recovered},
-                               {"bytes", report.bytes_recovered});
+    AttachRebuildableObs();
   }
-  return report;
+  return mounted;
 }
 
 AddressSpace& MobileComputer::CreateAddressSpace() {

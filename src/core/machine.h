@@ -77,20 +77,15 @@ struct MachineConfig {
   double primary_battery_mwh = 20000;  // Notebook pack.
   double backup_battery_mwh = 250;     // Lithium backup.
   Duration flush_period = 5 * kSecond;
-  // Period of the metadata-checkpoint daemon; 0 disables checkpointing.
-  // With it off, a total battery failure loses the whole namespace.
-  Duration checkpoint_period = 0;
-  // Durable metadata journal (ROADMAP E13). Off by default — byte-identical
-  // legacy behavior. When on, every namespace mutation is appended to the
-  // journal before it is acked, CheckpointMetadata() compacts through the
-  // journal, and RecoverAfterFailure() remounts from checkpoint + log tail,
-  // restoring every acked mutation — not just state as of the last
-  // checkpoint.
+  // Durable metadata journal (ROADMAP E13), the machine's only metadata
+  // durability path. Off by default: the namespace lives only in
+  // battery-backed DRAM, and a total battery failure loses all of it. When
+  // on, every namespace mutation is appended to the journal before it is
+  // acked, the log is compacted into a dense checkpoint once it reaches
+  // journal_options.compact_log_blocks, and RecoverAfterFailure() remounts
+  // from checkpoint + log tail, restoring every acked mutation.
   bool journal = false;
   MetadataJournalOptions journal_options;
-  // With the journal on, also maintain the legacy block-0 checkpoint so the
-  // two recovery paths can be compared differentially (tests, E13 bench).
-  bool journal_oracle = false;
   uint64_t page_bytes = 512;
   uint64_t seed = 1;
   // Observability bundle (metrics registry + span tracer), not owned. Null
@@ -163,15 +158,25 @@ class MobileComputer {
   bool SwapBattery(double fresh_mwh);
 
   // After a total battery failure: installs a fresh primary pack, rebuilds
-  // the storage manager over the surviving flash, and recovers the file
-  // system from its last metadata checkpoint (fails FAILED_PRECONDITION if
-  // none was ever taken). Address spaces do not survive; data written after
-  // the last checkpoint is gone.
+  // the storage manager over the surviving flash, and remounts the file
+  // system from its metadata journal. Without a journal (or if the mount
+  // fails) the machine comes up factory-reset with an empty file system
+  // and the error is returned (FAILED_PRECONDITION when there is no
+  // journal). Address spaces do not survive; buffered data that never
+  // reached flash is gone.
   Result<RecoveryReport> RecoverAfterFailure(double fresh_battery_mwh);
 
  private:
   void ScheduleFlushDaemon();
-  void ScheduleCheckpointDaemon();
+  // Builds a fresh storage manager over the surviving flash store.
+  void RebuildStorage();
+  // Builds an empty file system on storage_, first formatting a fresh
+  // journal when the config asks for one (running unjournaled if that
+  // fails).
+  void FormatFileSystem();
+  // Points obs at the layers recovery rebuilds: the storage manager, the
+  // journal and the file system.
+  void AttachRebuildableObs();
   double CurrentStandbyMw() const;
 
   MachineConfig config_;

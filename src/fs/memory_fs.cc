@@ -26,11 +26,13 @@ MemoryFileSystem::MemoryFileSystem(StorageManager& storage,
   // The write buffer is the dirty side of the residency map; the manager
   // resolves kDirty through it.
   storage_.residency().BindDirtyBackend(&buffer_);
-  // Claim the fixed superblock that anchors metadata checkpoints. On a
+  // Logical block 0 stays out of the allocator although nothing is stored
+  // there: handing it out would give every later allocation a different
+  // block id, which moves simulated results (E9's archive rows). On a
   // recovery path the fresh storage manager has it free; reservation only
   // fails if two file systems share one manager, which is unsupported.
-  Status reserved = storage_.ReserveFlashBlock(kSuperblock);
-  assert(reserved.ok() && "superblock unavailable");
+  Status reserved = storage_.ReserveFlashBlock(kReservedBlock);
+  assert(reserved.ok() && "reserved block unavailable");
   (void)reserved;
 }
 
@@ -713,9 +715,6 @@ Result<uint64_t> MemoryFileSystem::FileId(const std::string& path) {
 
 namespace {
 
-constexpr uint64_t kCheckpointMagic = 0x53534D43434B5031ULL;  // "SSMCCKP1"
-constexpr uint64_t kNoBlock = ~uint64_t{0};
-
 void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -784,7 +783,6 @@ class BlobReader {
     pos_ += n;
     return true;
   }
-  bool AtEnd() const { return pos_ >= data_.size(); }
 
  private:
   std::span<const uint8_t> data_;
@@ -792,27 +790,6 @@ class BlobReader {
 };
 
 }  // namespace
-
-void MemoryFileSystem::SerializeTree(const Node& node, const std::string& path,
-                                     std::vector<uint8_t>& out) const {
-  if (&node != root_.get()) {
-    AppendU16(out, static_cast<uint16_t>(path.size()));
-    out.insert(out.end(), path.begin(), path.end());
-    out.push_back(node.is_dir ? 1 : 0);
-    if (!node.is_dir) {
-      AppendU64(out, node.inode.size);
-      AppendU64(out, node.inode.flash_blocks.size());
-      for (const int64_t block : node.inode.flash_blocks) {
-        AppendU64(out, static_cast<uint64_t>(block));
-      }
-    }
-  }
-  if (node.is_dir) {
-    for (const auto& [name, child] : node.children) {
-      SerializeTree(*child, path == "/" ? "/" + name : path + "/" + name, out);
-    }
-  }
-}
 
 // --- Dense snapshot (journal checkpoints) ----------------------------------
 // Layout: u64 next_inode_id, u64 node_count, then one preorder record per
@@ -860,267 +837,21 @@ void MemoryFileSystem::SerializeDense(std::vector<uint8_t>& out) const {
   }
 }
 
-void MemoryFileSystem::ReleaseCheckpointBlocks(std::vector<uint64_t> blocks) {
-  for (const uint64_t block : blocks) {
-    // Skip blocks this manager does not hold: after a crash recovery the
-    // fresh StorageManager never re-reserved them (or a previous release
-    // already returned them), and freeing would fail closed.
-    if (!storage_.IsFlashBlockUsed(block)) {
-      continue;
-    }
-    (void)storage_.FreeFlashBlock(block);
-  }
-}
-
-void MemoryFileSystem::ReleaseOldCheckpoint() {
-  // Detach the list before touching the allocator so a re-entrant call (a
-  // recovery path replacing state mid-release) sees an empty list instead
-  // of double-freeing.
-  ReleaseCheckpointBlocks(std::exchange(checkpoint_blocks_, {}));
-}
-
 Status MemoryFileSystem::CheckpointMetadata() {
-  if (options_.journal != nullptr) {
-    const SimTime j0 = storage_.flash_store().device().clock().now();
-    std::vector<uint8_t> dense;
-    SerializeDense(dense);
-    const uint64_t dense_bytes = dense.size();
-    SSMC_RETURN_IF_ERROR(options_.journal->WriteCheckpoint(dense));
-    last_checkpoint_at_ = j0;
-    if (obs_ != nullptr) {
-      const SimTime t1 = storage_.flash_store().device().clock().now();
-      obs_->tracer().Span(obs_track_, "journal-checkpoint", j0, t1 - j0,
-                          {"bytes", dense_bytes});
-    }
-    if (!options_.journal_oracle) {
-      return Status::Ok();
-    }
-    // Oracle mode: fall through and also take the legacy block-0 checkpoint
-    // so both recovery paths stay comparable.
+  if (options_.journal == nullptr) {
+    return FailedPreconditionError(
+        "metadata checkpoints need a journal (MemoryFsOptions::journal)");
   }
-  const uint64_t bs = block_bytes();
-  const SimTime now = storage_.flash_store().device().clock().now();
-
-  // 1. Serialize the namespace.
-  std::vector<uint8_t> blob;
-  SerializeTree(*root_, "/", blob);
-  const uint64_t blob_size = blob.size();
-  blob.resize((blob.size() + bs - 1) / bs * bs, 0);
-
-  // 2. Write the data blocks into freshly allocated flash blocks.
-  std::vector<uint64_t> new_blocks;
-  auto fail_cleanup = [&](const Status& status) {
-    for (const uint64_t block : new_blocks) {
-      (void)storage_.FreeFlashBlock(block);
-    }
-    return status;
-  };
-  std::vector<uint64_t> data_ids;
-  for (uint64_t off = 0; off < blob.size(); off += bs) {
-    Result<uint64_t> block = storage_.AllocateFlashBlock();
-    if (!block.ok()) {
-      return fail_cleanup(block.status());
-    }
-    new_blocks.push_back(block.value());
-    data_ids.push_back(block.value());
-    Result<Duration> wrote = storage_.flash_store().Write(
-        block.value(), std::span<const uint8_t>(blob.data() + off, bs),
-        WriteStream::kRelocation);
-    if (!wrote.ok()) {
-      return fail_cleanup(wrote.status());
-    }
-  }
-
-  // 3. Build the index chain. Every index block (including the fixed
-  // superblock) holds: magic, checkpoint time, blob size, total data
-  // blocks, ids-in-this-block, next-index-block, then the ids.
-  const uint64_t ids_per_index = (bs - 48) / 8;
-  // Chain blocks after the first are allocated; write them back to front so
-  // each knows its successor.
-  std::vector<std::pair<uint64_t, std::pair<uint64_t, uint64_t>>> chain;
-  for (uint64_t start = ids_per_index; start < data_ids.size();
-       start += ids_per_index) {
-    Result<uint64_t> block = storage_.AllocateFlashBlock();
-    if (!block.ok()) {
-      return fail_cleanup(block.status());
-    }
-    new_blocks.push_back(block.value());
-    chain.emplace_back(
-        block.value(),
-        std::make_pair(start,
-                       std::min<uint64_t>(start + ids_per_index,
-                                          data_ids.size())));
-  }
-  auto write_index = [&](uint64_t block, uint64_t id_begin, uint64_t id_end,
-                         uint64_t next) -> Status {
-    std::vector<uint8_t> index;
-    index.reserve(bs);
-    AppendU64(index, kCheckpointMagic);
-    AppendU64(index, static_cast<uint64_t>(now));
-    AppendU64(index, blob_size);
-    AppendU64(index, data_ids.size());
-    AppendU64(index, id_end - id_begin);
-    AppendU64(index, next);
-    for (uint64_t i = id_begin; i < id_end; ++i) {
-      AppendU64(index, data_ids[i]);
-    }
-    index.resize(bs, 0);
-    Result<Duration> wrote = storage_.flash_store().Write(
-        block, index, WriteStream::kRelocation);
-    return wrote.ok() ? Status::Ok() : wrote.status();
-  };
-  uint64_t next = kNoBlock;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    SSMC_RETURN_IF_ERROR(
-        write_index(it->first, it->second.first, it->second.second, next));
-    next = it->first;
-  }
-  // 4. The superblock goes last: until it lands, the old checkpoint is the
-  // valid one (FlashStore rewrites it out of place).
-  SSMC_RETURN_IF_ERROR(write_index(
-      kSuperblock, 0, std::min<uint64_t>(ids_per_index, data_ids.size()),
-      next));
-
-  // 5. Retire the previous checkpoint's blocks — installing the new list
-  // first, so the fs never points at freed ids if the release is
-  // interrupted by recovery.
-  std::vector<uint64_t> old_blocks =
-      std::exchange(checkpoint_blocks_, std::move(new_blocks));
-  ReleaseCheckpointBlocks(std::move(old_blocks));
-  last_checkpoint_at_ = now;
+  const SimTime t0 = storage_.flash_store().device().clock().now();
+  std::vector<uint8_t> dense;
+  SerializeDense(dense);
+  SSMC_RETURN_IF_ERROR(options_.journal->WriteCheckpoint(dense));
   if (obs_ != nullptr) {
     const SimTime t1 = storage_.flash_store().device().clock().now();
-    obs_->tracer().Span(obs_track_, "checkpoint", now, t1 - now,
-                        {"blocks", data_ids.size()}, {"bytes", blob_size});
+    obs_->tracer().Span(obs_track_, "journal-checkpoint", t0, t1 - t0,
+                        {"bytes", dense.size()});
   }
   return Status::Ok();
-}
-
-Result<std::unique_ptr<MemoryFileSystem>>
-MemoryFileSystem::RecoverFromCheckpoint(StorageManager& storage,
-                                        MemoryFsOptions options,
-                                        RecoveryReport* report) {
-  auto fs = std::make_unique<MemoryFileSystem>(storage, options);
-  FlashStore& store = storage.flash_store();
-  const uint64_t bs = store.block_bytes();
-
-  // Walk the index chain from the fixed superblock.
-  std::vector<uint64_t> data_ids;
-  uint64_t blob_size = 0;
-  uint64_t total_data_blocks = 0;
-  SimTime checkpoint_time = 0;
-  uint64_t index_block = kSuperblock;
-  while (index_block != kNoBlock) {
-    std::vector<uint8_t> raw(bs);
-    Result<Duration> read = store.Read(index_block, raw);
-    if (!read.ok()) {
-      return FailedPreconditionError("no metadata checkpoint found: " +
-                                     read.status().message());
-    }
-    if (index_block != kSuperblock) {
-      SSMC_RETURN_IF_ERROR(storage.ReserveFlashBlock(index_block));
-      fs->checkpoint_blocks_.push_back(index_block);
-    }
-    BlobReader reader(raw);
-    uint64_t magic = 0;
-    uint64_t time = 0;
-    uint64_t count = 0;
-    uint64_t next = 0;
-    if (!reader.ReadU64(&magic) || magic != kCheckpointMagic) {
-      return DataLossError("checkpoint superblock is corrupt");
-    }
-    if (!reader.ReadU64(&time) || !reader.ReadU64(&blob_size) ||
-        !reader.ReadU64(&total_data_blocks) || !reader.ReadU64(&count) ||
-        !reader.ReadU64(&next)) {
-      return DataLossError("checkpoint index header is truncated");
-    }
-    checkpoint_time = static_cast<SimTime>(time);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!reader.ReadU64(&id)) {
-        return DataLossError("checkpoint index is truncated");
-      }
-      data_ids.push_back(id);
-    }
-    index_block = next;
-  }
-  if (data_ids.size() != total_data_blocks) {
-    return DataLossError("checkpoint index is incomplete");
-  }
-
-  // Read the blob.
-  std::vector<uint8_t> blob;
-  blob.reserve(data_ids.size() * bs);
-  std::vector<uint8_t> chunk(bs);
-  for (const uint64_t id : data_ids) {
-    Result<Duration> read = store.Read(id, chunk);
-    if (!read.ok()) {
-      return DataLossError("checkpoint data block unreadable: " +
-                           read.status().message());
-    }
-    SSMC_RETURN_IF_ERROR(storage.ReserveFlashBlock(id));
-    fs->checkpoint_blocks_.push_back(id);
-    blob.insert(blob.end(), chunk.begin(), chunk.end());
-  }
-  if (blob_size > blob.size()) {
-    return DataLossError("checkpoint blob is truncated");
-  }
-  blob.resize(blob_size);
-
-  // Rebuild the tree. Records are depth-first, parents before children.
-  RecoveryReport result;
-  BlobReader reader(blob);
-  while (!reader.AtEnd()) {
-    uint16_t path_len = 0;
-    std::string path;
-    uint8_t is_dir = 0;
-    if (!reader.ReadU16(&path_len) || !reader.ReadString(path_len, &path) ||
-        !reader.ReadU8(&is_dir)) {
-      return DataLossError("checkpoint record is malformed");
-    }
-    if (is_dir != 0) {
-      SSMC_RETURN_IF_ERROR(fs->Mkdir(path));
-      result.directories_recovered += 1;
-      continue;
-    }
-    uint64_t size = 0;
-    uint64_t nblocks = 0;
-    if (!reader.ReadU64(&size) || !reader.ReadU64(&nblocks)) {
-      return DataLossError("checkpoint record is malformed");
-    }
-    SSMC_RETURN_IF_ERROR(fs->Create(path));
-    Node* node = fs->Lookup(path);
-    assert(node != nullptr && !node->is_dir);
-    node->inode.size = size;
-    node->inode.flash_blocks.reserve(nblocks);
-    for (uint64_t i = 0; i < nblocks; ++i) {
-      uint64_t raw_block = 0;
-      if (!reader.ReadU64(&raw_block)) {
-        return DataLossError("checkpoint record is malformed");
-      }
-      int64_t block = static_cast<int64_t>(raw_block);
-      if (block >= 0) {
-        // A block freed and reused since the checkpoint is stale: treat it
-        // as a hole rather than resurrect someone else's data.
-        if (!store.IsMapped(static_cast<uint64_t>(block)) ||
-            !storage.ReserveFlashBlock(static_cast<uint64_t>(block)).ok()) {
-          block = -1;
-        } else {
-          result.bytes_recovered += bs;
-        }
-      }
-      node->inode.flash_blocks.push_back(block);
-    }
-    result.files_recovered += 1;
-  }
-
-  fs->last_checkpoint_at_ = checkpoint_time;
-  if (report != nullptr) {
-    result.checkpoint_age =
-        store.device().clock().now() - checkpoint_time;
-    *report = result;
-  }
-  return fs;
 }
 
 // --- Journal-based recovery ------------------------------------------------
@@ -1293,8 +1024,8 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
     }
     fs->next_inode_id_ = next_id;
     // The dense image installs as ONE streaming DRAM write of the snapshot
-    // bytes — avoiding a per-node random-access charge is exactly what the
-    // dense format is for (the legacy path pays per-path re-creation).
+    // bytes — avoiding a per-node random-access charge (a per-path
+    // re-creation) is exactly what the dense format is for.
     storage.ChargeMetadataWrite(mount.value().checkpoint.size());
   }
 
@@ -1305,11 +1036,29 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
   }
   fs->replaying_ = false;
 
-  // 3. Claim live extents with the fresh allocator. A block unmapped or
+  // 3. One preorder walk of the tree (each directory's entries in name
+  // order, so the order depends only on the namespace) counts the census
+  // and claims live extents with the fresh allocator. A block unmapped or
   // already taken (reused before the crash, or now journal-owned) is stale:
-  // it becomes a hole rather than resurrect someone else's data.
-  for (auto& [id, inode_ptr] : fs->inode_index_) {
-    for (int64_t& slot : inode_ptr->flash_blocks) {
+  // it becomes a hole rather than resurrect someone else's data. If two
+  // inodes name one block, the one the walk reaches first — the smaller
+  // path, comparing component by component — keeps it.
+  std::vector<Node*> stack = {fs->root_.get()};
+  while (!stack.empty()) {
+    Node* n = stack.back();
+    stack.pop_back();
+    for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
+      stack.push_back(it->second.get());
+    }
+    if (n == fs->root_.get()) {
+      continue;
+    }
+    if (n->is_dir) {
+      result.directories_recovered += 1;
+      continue;
+    }
+    result.files_recovered += 1;
+    for (int64_t& slot : n->inode.flash_blocks) {
       if (slot < 0) {
         continue;
       }
@@ -1322,22 +1071,6 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
     }
   }
 
-  // Final namespace census (replay may have added or removed nodes).
-  std::vector<const Node*> stack = {fs->root_.get()};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    for (const auto& [name, child] : n->children) {
-      if (child->is_dir) {
-        result.directories_recovered += 1;
-        stack.push_back(child.get());
-      } else {
-        result.files_recovered += 1;
-      }
-    }
-  }
-
-  fs->last_checkpoint_at_ = mount.value().checkpoint_time;
   if (report != nullptr) {
     result.checkpoint_age =
         store.device().clock().now() - mount.value().checkpoint_time;

@@ -50,16 +50,13 @@ struct MemoryFsOptions {
   uint64_t write_buffer_pages = 2048;
   // Dirty blocks older than this are flushed by TickFlush().
   Duration flush_age = 30 * kSecond;
-  // Durable metadata journal (ROADMAP E13). When set, every namespace
-  // mutation appends a record to the journal before the operation is acked,
+  // Durable metadata journal (ROADMAP E13), the only way the namespace
+  // survives a total power failure. When set, every namespace mutation
+  // appends a record to the journal before the operation is acked,
   // CheckpointMetadata() compacts through the journal's dense snapshot, and
-  // the log is bounded by the journal's compaction advisory. Null = legacy
-  // behavior, byte-identical to the pre-journal file system.
+  // the log is bounded by the journal's compaction advisory. Null = no
+  // durable metadata: the namespace lives only in battery-backed DRAM.
   MetadataJournal* journal = nullptr;
-  // With the journal enabled, ALSO maintain the legacy block-0 checkpoint on
-  // every CheckpointMetadata() so the two recovery paths can be compared
-  // differentially (tests and the E13 bench).
-  bool journal_oracle = false;
 };
 
 // Where a mapped file block currently lives (consumed by the VM layer for
@@ -70,15 +67,15 @@ struct BlockLocation {
   uint64_t flash_block = 0;  // Valid when kind == kFlash.
 };
 
-// Outcome of rebuilding a file system from its flash checkpoint after the
+// Outcome of remounting a file system from its journal after the
 // battery-backed metadata was lost.
 struct RecoveryReport {
   uint64_t directories_recovered = 0;
   uint64_t files_recovered = 0;
   uint64_t bytes_recovered = 0;  // File bytes whose blocks are in flash.
-  SimTime checkpoint_age = 0;    // How stale the recovered state is.
+  SimTime checkpoint_age = 0;    // Age of the dense checkpoint under the log.
   uint64_t journal_records_replayed = 0;  // Log-tail records applied on top
-                                          // of the checkpoint (journal path).
+                                          // of the checkpoint.
 };
 
 class MemoryFileSystem : public FileSystem {
@@ -89,30 +86,22 @@ class MemoryFileSystem : public FileSystem {
   // --- Crash safety (Section 3.1) ----------------------------------------
   // The namespace and inodes live in battery-backed DRAM; flash must also
   // hold a recoverable copy or a total battery failure loses every file.
-  // CheckpointMetadata serializes the namespace into flash blocks anchored
-  // at a fixed superblock (flash logical block 0), replacing the previous
-  // checkpoint atomically (the superblock is rewritten last, out of place).
+  // That copy is the metadata journal (MemoryFsOptions::journal).
+  // CheckpointMetadata compacts it: the namespace is serialized into the
+  // journal's dense checkpoint chain and the log is truncated. Fails with
+  // FAILED_PRECONDITION on an unjournaled file system.
   Status CheckpointMetadata();
-
-  // Rebuilds a file system from the checkpoint in `storage`'s flash store.
-  // Used after a total battery failure: the caller constructs a fresh
-  // StorageManager over the surviving FlashStore (the FTL's mapping is
-  // recoverable from per-sector summaries on real hardware) and this
-  // factory re-reads the superblock, rebuilds the tree, and re-registers
-  // every referenced flash block with the allocator. Data written after the
-  // last checkpoint — and anything still in the write buffer at the crash —
-  // is gone; the report says what survived.
-  static Result<std::unique_ptr<MemoryFileSystem>> RecoverFromCheckpoint(
-      StorageManager& storage, MemoryFsOptions options,
-      RecoveryReport* report);
 
   // Journal-based remount (ROADMAP E13): mounts `journal` from flash (the
   // newest valid superblock), installs its dense namespace checkpoint, and
   // replays the log tail so every mutation the journal acked before the
-  // crash is restored — not just state as of the last checkpoint. Mount
-  // work scales with checkpoint size + log-tail length, never with a
-  // per-path walk of the namespace. `options.journal` is overwritten to
-  // point at `journal`; the returned fs keeps journaling.
+  // crash is restored. Used after a total battery failure: the caller
+  // constructs a fresh StorageManager over the surviving FlashStore (the
+  // FTL's mapping is recoverable from per-sector summaries on real
+  // hardware). Mount work scales with checkpoint size + log-tail length,
+  // never with a per-path walk of the namespace. Buffered data that never
+  // reached flash is gone; its blocks read as holes. `options.journal` is
+  // overwritten to point at `journal`; the returned fs keeps journaling.
   static Result<std::unique_ptr<MemoryFileSystem>> RecoverFromJournal(
       MetadataJournal& journal, StorageManager& storage,
       MemoryFsOptions options, RecoveryReport* report);
@@ -121,9 +110,9 @@ class MemoryFileSystem : public FileSystem {
 
   // The issuing tenant for subsequent operations: stamped onto every flash
   // read this fs issues, onto buffered dirty blocks (the eventual flush is
-  // billed to the last writer), and onto per-tenant fs stats. Checkpoint
-  // metadata I/O stays on the default (system) tenant. Also steers the
-  // residency manager's promotion attribution.
+  // billed to the last writer), and onto per-tenant fs stats. Journal I/O
+  // is billed to kJournalTenant instead. Also steers the residency
+  // manager's promotion attribution.
   void set_current_tenant(TenantId tenant) override;
   TenantId current_tenant() const override { return tenant_; }
 
@@ -216,17 +205,9 @@ class MemoryFileSystem : public FileSystem {
   // Per-component metadata costs (bytes charged to DRAM per operation).
   static constexpr uint64_t kDirEntryBytes = 48;
   static constexpr uint64_t kInodeBytes = 64;
-  // Flash logical block anchoring the checkpoint chain.
-  static constexpr uint64_t kSuperblock = 0;
-
-  // Serializes the namespace tree (paths, inodes, block maps) to a blob.
-  void SerializeTree(const Node& node, const std::string& path,
-                     std::vector<uint8_t>& out) const;
-  // Releases the flash blocks of the previous checkpoint.
-  void ReleaseOldCheckpoint();
-  // Frees a detached checkpoint-block list, skipping blocks this manager no
-  // longer holds (safe across recovery replacing the manager mid-release).
-  void ReleaseCheckpointBlocks(std::vector<uint64_t> blocks);
+  // Flash logical block the file system keeps out of the allocator (see
+  // the constructor).
+  static constexpr uint64_t kReservedBlock = 0;
 
   // Dense snapshot for the journal's checkpoint chain: parent-index +
   // basename per node instead of one full path per record, preorder, so
@@ -294,9 +275,6 @@ class MemoryFileSystem : public FileSystem {
   // Inode id -> inode (for flush callbacks); owned by the node tree.
   std::unordered_map<uint64_t, Inode*> inode_index_;
   uint64_t next_inode_id_ = 1;
-  std::vector<uint64_t> checkpoint_blocks_;  // Data blocks of the last
-                                             // checkpoint (superblock extra).
-  SimTime last_checkpoint_at_ = -1;          // -1: never checkpointed.
   // True while RecoverFromJournal replays records: suppresses journal
   // emission from the mutation paths replay reuses.
   bool replaying_ = false;

@@ -69,10 +69,8 @@ struct MetadataJournalOptions {
 
 class MetadataJournal {
  public:
-  // Fixed superblock locations. Logical block 0 stays the legacy
-  // whole-namespace checkpoint anchor (memory_fs.h), so the two formats
-  // coexist on one store — the differential-oracle configurations depend
-  // on that.
+  // Fixed superblock locations. Logical block 0 is kept out of the
+  // allocator by the file system (memory_fs.cc) and holds nothing.
   static constexpr uint64_t kSuperblockA = 1;
   static constexpr uint64_t kSuperblockB = 2;
 

@@ -9,9 +9,9 @@
 // underlying structure rebalances and regardless of how many same-time
 // events are interleaved with cancellations. Simulation reproducibility
 // depends on this — the I/O request pipeline (io_scheduler.h) breaks
-// same-time dispatch ties the same way, and the flush/checkpoint daemons
-// rely on it when both fire in the same tick. Guarded by the regression and
-// property tests in event_queue_test.cc; do not weaken it.
+// same-time dispatch ties the same way, and the flush daemon relies on it
+// when it fires in the same tick as other events. Guarded by the regression
+// and property tests in event_queue_test.cc; do not weaken it.
 //
 // Implementation: a calendar of timestamp buckets. Each distinct pending
 // timestamp owns one bucket holding a FIFO chain of event slots, so the

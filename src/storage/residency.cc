@@ -11,6 +11,18 @@
 
 namespace ssmc {
 
+namespace {
+
+// kAggressive: flushes of blocks with decayed heat below this go out on the
+// relocation (cold) write stream.
+constexpr double kColdHintHeat = 0.5;
+// Decayed heat a flash block needs to enter the NVM tier. 1.0 admits on
+// first touch, so the combined DRAM+NVM ladder approximates one big LRU —
+// what the Ju et al. analytical oracle (tier_model.h) models.
+constexpr double kNvmAdmitHeat = 1.0;
+
+}  // namespace
+
 const char* ResidencyPolicyName(ResidencyPolicy policy) {
   switch (policy) {
     case ResidencyPolicy::kWriteBufferOnly:
@@ -53,9 +65,7 @@ ResidencyManager::ResidencyManager(StorageManager& storage,
   if (storage_.total_nvm_pages() > 0) {
     CacheTier nvm_tier;
     nvm_tier.residency = Residency::kNvm;
-    nvm_tier.capacity_pages = static_cast<uint64_t>(
-        options_.max_nvm_fraction *
-        static_cast<double>(storage_.total_nvm_pages()));
+    nvm_tier.capacity_pages = storage_.total_nvm_pages();
     tiers_.push_back(std::move(nvm_tier));
   }
 }
@@ -306,10 +316,10 @@ bool ResidencyManager::ShouldAdmitFromFlash(const Heat& h) const {
     case ResidencyPolicy::kWriteBufferOnly:
       return false;
     case ResidencyPolicy::kReadPromote:
-      return h.decayed >= options_.nvm_promote_threshold;
+      return h.decayed >= kNvmAdmitHeat;
     case ResidencyPolicy::kAggressive:
       return h.raw >= options_.aggressive_touches ||
-             h.decayed >= options_.nvm_promote_threshold;
+             h.decayed >= kNvmAdmitHeat;
   }
   return false;
 }
@@ -376,7 +386,7 @@ WriteStream ResidencyManager::FlushStream(const BlockKey& key, SimTime now) {
   if (flush_heat_ != nullptr) {
     flush_heat_->Record(static_cast<uint64_t>(heat * 100.0));
   }
-  if (heat < options_.cold_hint_threshold) {
+  if (heat < kColdHintHeat) {
     stats_.cold_stream_hints.Add();
     return WriteStream::kRelocation;
   }

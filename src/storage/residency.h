@@ -37,8 +37,8 @@
 //    triggered it; subsequent reads of the block run at DRAM speed.
 //  * kAggressive — promote on the second raw touch, and additionally
 //    forward cold-data hints to the FlashStore: blocks whose heat has
-//    decayed below cold_hint_threshold flush on the relocation (cold)
-//    stream, pre-segregating write-once data into the cold banks.
+//    decayed below kColdHintHeat (residency.cc) flush on the relocation
+//    (cold) stream, pre-segregating write-once data into the cold banks.
 //
 // The clean cache holds only re-fetchable data (the flash copy stays
 // authoritative), so demotion is free: under any DRAM pressure the cache
@@ -92,18 +92,8 @@ struct ResidencyOptions {
   // recycles its own LRU tail beyond this; it never squeezes dirty data or
   // VM frames to grow.
   double max_clean_fraction = 0.5;
-  // kAggressive: flushes of blocks with decayed heat below this go out on
-  // the relocation (cold) write stream.
-  double cold_hint_threshold = 0.5;
   // Heat table size bound; crossing it sweeps entries colder than ~0.25.
   uint64_t max_heat_entries = 65536;
-  // --- NVM tier (active only when the machine has NVM capacity) -----------
-  // Cap on the NVM cache as a fraction of total NVM pages.
-  double max_nvm_fraction = 1.0;
-  // Heat needed to enter the NVM tier from flash. The default (1.0) admits
-  // on first touch, so the combined DRAM+NVM ladder approximates a big LRU
-  // — what the Ju et al. analytical oracle (tier_model.h) models.
-  double nvm_promote_threshold = 1.0;
 };
 
 // Where a logical block currently lives.

@@ -11,7 +11,7 @@
 //
 // and object i's hit probability is 1 - exp(-p_i * T). An exclusive
 // two-level ladder (DRAM over NVM, demote-on-pressure, promote-on-hit —
-// what ResidencyManager runs with nvm_promote_threshold = 1) holds the
+// what ResidencyManager runs, admitting to NVM on first touch) holds the
 // C1 + C2 most-recently-used blocks, so its combined hit rate is that of
 // one LRU of C1 + C2 slots, and the DRAM share alone is Che(C1).
 //

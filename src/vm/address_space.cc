@@ -337,8 +337,7 @@ void AddressSpace::NoteHwAccess(uint64_t page_va) {
 
 void AddressSpace::RunHwEpoch() {
   stats_.hw_epochs.Add();
-  const bool to_nvm =
-      hw_migration_.use_nvm && storage_.total_nvm_pages() > 0;
+  const bool to_nvm = storage_.total_nvm_pages() > 0;
   for (const uint64_t page_va : hw_access_order_) {
     if (hw_access_counts_[page_va] < hw_migration_.promote_threshold) {
       continue;

@@ -24,9 +24,9 @@ class IntegrationTest : public ::testing::Test {
   }
 };
 
-TEST_F(IntegrationTest, FullDayOfOfficeWorkWithCheckpoints) {
+TEST_F(IntegrationTest, FullDayOfOfficeWorkWithJournal) {
   MachineConfig config = NotebookConfig();
-  config.checkpoint_period = kMinute;
+  config.journal = true;
   MobileComputer machine(config);
 
   // Three workload sessions separated by idle periods, like a real day.
@@ -50,7 +50,8 @@ TEST_F(IntegrationTest, FullDayOfOfficeWorkWithCheckpoints) {
   EXPECT_EQ(total_failures, 0u);
   // The day's activity reached flash via the flush daemon.
   EXPECT_GT(machine.flash_store().stats().user_writes.value(), 0u);
-  // Checkpoints were taken.
+  // Every acked namespace mutation reached the journal.
+  EXPECT_GT(machine.journal()->stats().records.value(), 0u);
   EXPECT_FALSE(machine.battery().dead());
 
   // The machine is dropped at the end of the day...
@@ -144,10 +145,10 @@ TEST_F(IntegrationTest, ProtectionAcrossAddressSpaces) {
 
 TEST_F(IntegrationTest, SustainedChurnKeepsInvariantsOverHours) {
   // A soak: hours of simulated hot churn through the whole stack. The
-  // cleaner, wear leveler, flush and checkpoint daemons all run; nothing
-  // may leak, corrupt, or dead-end.
+  // cleaner, wear leveler, flush daemon and metadata journal all run;
+  // nothing may leak, corrupt, or dead-end.
   MachineConfig config = PdaConfig();
-  config.checkpoint_period = 5 * kMinute;
+  config.journal = true;
   MobileComputer machine(config);
   MemoryFileSystem& fs = machine.fs();
   ASSERT_TRUE(fs.Mkdir("/data").ok());

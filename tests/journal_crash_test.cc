@@ -19,7 +19,6 @@
 #include "src/core/machine.h"
 #include "src/fs/memory_fs.h"
 #include "src/journal/journal.h"
-#include "src/storage/storage_manager.h"
 
 namespace ssmc {
 namespace {
@@ -257,14 +256,11 @@ TEST(JournalCrashTest, EveryProgramBoundarySurvivesPowerFailure) {
   EXPECT_GE(boundaries, 5000u);
 }
 
-// Differential oracle: with journal_oracle on, CheckpointMetadata maintains
-// BOTH the journal checkpoint and the legacy block-0 checkpoint. Crashing
-// right after a checkpoint, the journal remount and the legacy remount must
-// agree on the namespace exactly.
-TEST(JournalCrashTest, JournalRecoveryMatchesLegacyCheckpointOracle) {
-  MachineConfig config = CrashConfig(/*compact_log_blocks=*/256);
-  config.journal_oracle = true;
-  MobileComputer machine(config);
+// Crashing right after a checkpoint, the remount must restore exactly the
+// acked model, and the census it reports must count the model's files and
+// directories.
+TEST(JournalCrashTest, RecoveryAfterCheckpointMatchesModel) {
+  MobileComputer machine(CrashConfig(/*compact_log_blocks=*/256));
   ASSERT_NE(machine.journal(), nullptr);
 
   Model model;
@@ -277,65 +273,95 @@ TEST(JournalCrashTest, JournalRecoveryMatchesLegacyCheckpointOracle) {
   Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   VerifyAgainstModel(machine, model, "journal remount");
-  Model via_journal;
-  Collect(machine.fs(), "", &via_journal);
-
-  // Legacy oracle over the SAME surviving flash: a throwaway manager, since
-  // legacy recovery only reads and re-registers blocks.
-  StorageManager oracle(machine.dram(), machine.flash_store(),
-                        machine.config().page_bytes);
-  RecoveryReport legacy_report;
-  Result<std::unique_ptr<MemoryFileSystem>> legacy =
-      MemoryFileSystem::RecoverFromCheckpoint(oracle, MemoryFsOptions{},
-                                              &legacy_report);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  Model via_legacy;
-  Collect(*legacy.value(), "", &via_legacy);
-
-  EXPECT_EQ(via_journal.dirs, via_legacy.dirs);
-  ASSERT_EQ(via_journal.files.size(), via_legacy.files.size());
-  for (const auto& [path, info] : via_journal.files) {
-    auto it = via_legacy.files.find(path);
-    ASSERT_TRUE(it != via_legacy.files.end()) << path;
-    EXPECT_EQ(it->second.size, info.size) << path;
-  }
-  EXPECT_EQ(legacy_report.files_recovered, report.value().files_recovered);
-  EXPECT_EQ(legacy_report.directories_recovered,
-            report.value().directories_recovered);
+  EXPECT_EQ(report.value().files_recovered, model.files.size());
+  EXPECT_EQ(report.value().directories_recovered, model.dirs.size());
 }
 
 // Regression: recover -> checkpoint -> crash -> recover -> checkpoint again.
-// The second checkpoint releases the blocks the first recovery re-registered;
-// ReleaseOldCheckpoint must tolerate that cycle without double-freeing or
-// freeing live blocks (it once cleared its block list only partially on
-// this path).
+// Each checkpoint frees the chain and log blocks the previous remount
+// re-registered; that cycle must neither double-free nor free live blocks.
 TEST(JournalCrashTest, DoubleRecoveryAndRecheckpointIsStable) {
-  for (const bool journaled : {false, true}) {
-    MachineConfig config = CrashConfig(/*compact_log_blocks=*/256);
-    config.journal = journaled;
-    config.journal_oracle = journaled;
-    MobileComputer machine(config);
+  MobileComputer machine(CrashConfig(/*compact_log_blocks=*/256));
 
-    Model model;
-    RunWorkload(machine, /*seed=*/11, /*max_ops=*/80, &model,
-                /*assert_ok=*/true);
-    ASSERT_TRUE(machine.fs().Sync().ok());
-    ASSERT_TRUE(machine.fs().CheckpointMetadata().ok());
+  Model model;
+  RunWorkload(machine, /*seed=*/11, /*max_ops=*/80, &model,
+              /*assert_ok=*/true);
+  ASSERT_TRUE(machine.fs().Sync().ok());
+  ASSERT_TRUE(machine.fs().CheckpointMetadata().ok());
 
-    for (int round = 0; round < 3; ++round) {
-      machine.InjectBatteryFailure();
-      Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
-      ASSERT_TRUE(report.ok())
-          << (journaled ? "journal" : "legacy") << " round " << round << ": "
-          << report.status().ToString();
-      VerifyAgainstModel(machine, model,
-                         std::string(journaled ? "journal" : "legacy") +
-                             " round " + std::to_string(round));
-      // Re-checkpointing from a recovered fs must free the old chain
-      // safely and leave a mountable image for the next round.
-      ASSERT_TRUE(machine.fs().CheckpointMetadata().ok()) << round;
-    }
+  for (int round = 0; round < 3; ++round) {
+    machine.InjectBatteryFailure();
+    Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
+    ASSERT_TRUE(report.ok())
+        << "round " << round << ": " << report.status().ToString();
+    VerifyAgainstModel(machine, model, "round " + std::to_string(round));
+    // Re-checkpointing from a recovered fs must free the old chain
+    // safely and leave a mountable image for the next round.
+    ASSERT_TRUE(machine.fs().CheckpointMetadata().ok()) << round;
   }
+}
+
+// Two inodes whose log records name one flash block (a stale extent the
+// allocator handed out again) must not both map it after a remount. The
+// claim walks the tree in preorder with each directory's entries in name
+// order, so /a/x keeps the block and /b reads a hole. /b is logged later
+// and with the lower inode id, so neither log order, inode-id order, nor
+// the inode table's hash order would pick /a/x.
+TEST(JournalCrashTest, DoubleClaimedBlockGoesToFirstPathInTreeOrder) {
+  MobileComputer machine(CrashConfig(/*compact_log_blocks=*/256));
+  MetadataJournal& journal = *machine.journal();
+  const uint64_t bs = machine.config().page_bytes;
+  ASSERT_TRUE(machine.fs().Mkdir("/a").ok());
+
+  Result<uint64_t> block = machine.storage().AllocateFlashBlock();
+  ASSERT_TRUE(block.ok());
+  const std::vector<uint8_t> data(bs, 0x5C);
+  ASSERT_TRUE(machine.flash_store().Write(block.value(), data).ok());
+
+  auto append = [&](JournalRecordType type, const std::string& path,
+                    uint64_t file_id) {
+    JournalRecord rec;
+    rec.type = type;
+    rec.path = path;
+    rec.file_id = file_id;
+    return journal.Append(std::move(rec)).ok();
+  };
+  ASSERT_TRUE(append(JournalRecordType::kCreate, "/a/x", 101));
+  ASSERT_TRUE(append(JournalRecordType::kCreate, "/b", 100));
+  for (const uint64_t id : {100, 101}) {
+    JournalRecord extent;
+    extent.type = JournalRecordType::kExtent;
+    extent.file_id = id;
+    extent.size = 0;  // Block index.
+    extent.flash_block = block.value();
+    ASSERT_TRUE(journal.Append(std::move(extent)).ok());
+    JournalRecord size;
+    size.type = JournalRecordType::kSetSize;
+    size.file_id = id;
+    size.size = bs;
+    ASSERT_TRUE(journal.Append(std::move(size)).ok());
+  }
+
+  machine.InjectBatteryFailure();
+  Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().bytes_recovered, bs);
+
+  Result<std::vector<BlockLocation>> keeper =
+      machine.fs().BlockLocations("/a/x");
+  Result<std::vector<BlockLocation>> loser = machine.fs().BlockLocations("/b");
+  ASSERT_TRUE(keeper.ok() && loser.ok());
+  ASSERT_EQ(keeper.value().size(), 1u);
+  ASSERT_EQ(loser.value().size(), 1u);
+  EXPECT_EQ(keeper.value()[0].kind, BlockLocation::Kind::kFlash);
+  EXPECT_EQ(keeper.value()[0].flash_block, block.value());
+  EXPECT_EQ(loser.value()[0].kind, BlockLocation::Kind::kHole);
+
+  std::vector<uint8_t> out(bs);
+  ASSERT_TRUE(machine.fs().Read("/a/x", 0, out).ok());
+  EXPECT_EQ(out, data);
+  ASSERT_TRUE(machine.fs().Read("/b", 0, out).ok());
+  EXPECT_EQ(out, std::vector<uint8_t>(bs, 0));
 }
 
 }  // namespace

@@ -86,14 +86,15 @@ TEST(MachineTest, SwapBatteryKeepsMachineAlive) {
 
 TEST(MachineTest, RecoverAfterFailureRestoresCheckpointedState) {
   MachineConfig config = OmniBookConfig();
-  config.checkpoint_period = 10 * kSecond;
+  config.journal = true;
   MobileComputer machine(config);
   ASSERT_TRUE(machine.fs().Mkdir("/docs").ok());
   ASSERT_TRUE(machine.fs().Create("/docs/f").ok());
   std::vector<uint8_t> data(2048, 0x42);
   ASSERT_TRUE(machine.fs().Write("/docs/f", 0, data).ok());
   ASSERT_TRUE(machine.fs().Sync().ok());
-  machine.Idle(30 * kSecond);  // Checkpoint daemon runs.
+  ASSERT_TRUE(machine.fs().CheckpointMetadata().ok());
+  machine.Idle(30 * kSecond);  // The flush daemon runs.
 
   machine.InjectBatteryFailure();
   Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
@@ -107,7 +108,7 @@ TEST(MachineTest, RecoverAfterFailureRestoresCheckpointedState) {
 }
 
 TEST(MachineTest, RecoverWithoutCheckpointComesUpEmpty) {
-  MobileComputer machine(OmniBookConfig());  // Checkpointing off.
+  MobileComputer machine(OmniBookConfig());  // No journal.
   ASSERT_TRUE(machine.fs().Create("/f").ok());
   ASSERT_TRUE(machine.fs().Sync().ok());
   machine.InjectBatteryFailure();

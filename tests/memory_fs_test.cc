@@ -278,6 +278,52 @@ TEST_F(MemoryFsTest, FailedAppendUnderJournalLeavesNothingBufferedPastEof) {
   fs_.reset();  // Before the journal it points at.
 }
 
+// The rollback's own kSetSize append can fail too (here a torn program of
+// the journal tail). The journal then still names any extent the write
+// flushed past EOF, so those stay mapped and only buffered blocks go; none
+// may stay buffered past EOF, or Unlink leaves them behind and Sync wedges.
+TEST_F(MemoryFsTest, FailedAppendWithUnjournaledRollbackDropsBufferedTail) {
+  fs_.reset();
+  manager_ = std::make_unique<StorageManager>(*dram_, *store_, 512);
+  MetadataJournal journal(*manager_);
+  ASSERT_TRUE(journal.Format().ok());
+  MemoryFsOptions options;
+  options.write_buffer_pages = 1 << 20;  // Larger than the 2 MiB of DRAM.
+  options.journal = &journal;
+  fs_ = std::make_unique<MemoryFileSystem>(*manager_, options);
+
+  ASSERT_TRUE(fs_->Create("/fill").ok());
+  // Whole-block appends take one DRAM page per block; stop while 1-6 pages
+  // are left.
+  constexpr uint64_t kBlocks = 6;
+  uint64_t size = 0;
+  while (manager_->free_dram_pages() > kBlocks) {
+    ASSERT_TRUE(fs_->Write("/fill", size, Pattern(kBlocks * 512)).ok());
+    size += kBlocks * 512;
+  }
+  const uint64_t staged = manager_->free_dram_pages();
+  ASSERT_GT(staged, 0u);
+
+  // One block more than DRAM holds: staging fails after `staged` blocks,
+  // with no flash program on the way, so the tear lands on the rollback's
+  // kSetSize append.
+  const uint64_t lsn = journal.next_lsn();
+  flash_->FailNextProgramAfterBytes(0);
+  EXPECT_FALSE(fs_->Write("/fill", size, Pattern((staged + 1) * 512)).ok());
+  EXPECT_EQ(flash_->stats().torn_programs.value(), 1u);
+  EXPECT_EQ(journal.next_lsn(), lsn) << "the rollback was journaled";
+  Result<FileInfo> info = fs_->Stat("/fill");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().size, size);
+  // The staged blocks past EOF are gone; everything below EOF stays.
+  EXPECT_EQ(fs_->write_buffer().dirty_pages(), size / 512);
+
+  ASSERT_TRUE(fs_->Unlink("/fill").ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  EXPECT_EQ(fs_->write_buffer().dirty_pages(), 0u);
+  fs_.reset();  // Before the journal it points at.
+}
+
 TEST_F(MemoryFsTest, MetadataOpsCostDramTimeOnly) {
   ASSERT_TRUE(fs_->Mkdir("/d").ok());
   ASSERT_TRUE(fs_->Create("/d/f").ok());
@@ -294,16 +340,33 @@ TEST_F(MemoryFsTest, MetadataOpsCostDramTimeOnly) {
 
 class MemoryFsCheckpointTest : public MemoryFsTest {
  protected:
+  void SetUp() override {
+    MemoryFsTest::SetUp();
+    fs_.reset();
+    manager_ = std::make_unique<StorageManager>(*dram_, *store_, 512);
+    journal_ = std::make_unique<MetadataJournal>(*manager_);
+    ASSERT_TRUE(journal_->Format().ok());
+    MemoryFsOptions options;
+    options.journal = journal_.get();
+    fs_ = std::make_unique<MemoryFileSystem>(*manager_, options);
+  }
+
+  void TearDown() override { fs_.reset(); }  // Before the journal.
+
   // Simulates total battery failure + reboot: drops the buffer, builds a
-  // fresh storage manager over the surviving flash, recovers.
+  // fresh storage manager over the surviving flash, remounts the journal.
   Result<std::unique_ptr<MemoryFileSystem>> CrashAndRecover(
       RecoveryReport* report) {
     fs_->LoseBufferedData();
     fs_.reset();  // DRAM-resident metadata is gone.
+    journal_.reset();
     manager_ = std::make_unique<StorageManager>(*dram_, *store_, 512);
-    return MemoryFileSystem::RecoverFromCheckpoint(*manager_,
-                                                   MemoryFsOptions{}, report);
+    journal_ = std::make_unique<MetadataJournal>(*manager_);
+    return MemoryFileSystem::RecoverFromJournal(*journal_, *manager_,
+                                                MemoryFsOptions{}, report);
   }
+
+  std::unique_ptr<MetadataJournal> journal_;
 };
 
 TEST_F(MemoryFsCheckpointTest, RecoverRestoresNamespaceAndData) {
@@ -331,31 +394,40 @@ TEST_F(MemoryFsCheckpointTest, RecoverRestoresNamespaceAndData) {
   EXPECT_EQ(out, data);
 }
 
-TEST_F(MemoryFsCheckpointTest, RecoveryWithoutCheckpointFails) {
+// Without a journal nothing durable describes the namespace: there is no
+// checkpoint to take and nothing to remount.
+TEST_F(MemoryFsCheckpointTest, RecoveryWithoutJournalFails) {
+  fs_.reset();
+  journal_.reset();
+  Recreate(MemoryFsOptions{});
   ASSERT_TRUE(fs_->Create("/f").ok());
   ASSERT_TRUE(fs_->Sync().ok());
+  EXPECT_EQ(fs_->CheckpointMetadata().code(), ErrorCode::kFailedPrecondition);
   RecoveryReport report;
   auto recovered = CrashAndRecover(&report);
   EXPECT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), ErrorCode::kFailedPrecondition);
 }
 
-TEST_F(MemoryFsCheckpointTest, DataAfterCheckpointIsLost) {
+// The log tail carries every mutation acked after the checkpoint.
+TEST_F(MemoryFsCheckpointTest, AckedCreatesAfterCheckpointSurvive) {
   ASSERT_TRUE(fs_->Create("/old").ok());
   ASSERT_TRUE(fs_->Write("/old", 0, Pattern(512)).ok());
   ASSERT_TRUE(fs_->Sync().ok());
   ASSERT_TRUE(fs_->CheckpointMetadata().ok());
-  // Created after the checkpoint: not in the recovered namespace.
   ASSERT_TRUE(fs_->Create("/new").ok());
-  ASSERT_TRUE(fs_->Write("/new", 0, Pattern(512)).ok());
+  ASSERT_TRUE(fs_->Write("/new", 0, Pattern(512, 5)).ok());
   ASSERT_TRUE(fs_->Sync().ok());
 
   RecoveryReport report;
   auto recovered = CrashAndRecover(&report);
-  ASSERT_TRUE(recovered.ok());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_GT(report.journal_records_replayed, 0u);
+  EXPECT_EQ(report.files_recovered, 2u);
   EXPECT_TRUE(recovered.value()->Stat("/old").ok());
-  EXPECT_EQ(recovered.value()->Stat("/new").status().code(),
-            ErrorCode::kNotFound);
+  std::vector<uint8_t> out(512);
+  ASSERT_TRUE(recovered.value()->Read("/new", 0, out).ok());
+  EXPECT_EQ(out, Pattern(512, 5));
 }
 
 TEST_F(MemoryFsCheckpointTest, UnflushedBlocksRecoverAsHoles) {
@@ -377,7 +449,9 @@ TEST_F(MemoryFsCheckpointTest, UnflushedBlocksRecoverAsHoles) {
   EXPECT_EQ(report.bytes_recovered, 0u);
 }
 
-TEST_F(MemoryFsCheckpointTest, BlocksFreedAfterCheckpointRecoverAsHoles) {
+// An unlink acked after the checkpoint replays from the log: the file stays
+// gone, and its trimmed block is not claimed again.
+TEST_F(MemoryFsCheckpointTest, UnlinkAfterCheckpointStaysGone) {
   ASSERT_TRUE(fs_->Create("/f").ok());
   ASSERT_TRUE(fs_->Write("/f", 0, Pattern(512, 0x33)).ok());
   ASSERT_TRUE(fs_->Sync().ok());
@@ -386,13 +460,11 @@ TEST_F(MemoryFsCheckpointTest, BlocksFreedAfterCheckpointRecoverAsHoles) {
 
   RecoveryReport report;
   auto recovered = CrashAndRecover(&report);
-  ASSERT_TRUE(recovered.ok());
-  // The stale namespace resurrects the file, but its trimmed block must
-  // read as a hole, never as someone else's data.
-  std::vector<uint8_t> out(512);
-  Result<uint64_t> read = recovered.value()->Read("/f", 0, out);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(out, std::vector<uint8_t>(512, 0));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->Stat("/f").status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(report.files_recovered, 0u);
+  EXPECT_EQ(report.bytes_recovered, 0u);
 }
 
 TEST_F(MemoryFsCheckpointTest, RepeatedCheckpointsDoNotLeakFlash) {
@@ -404,12 +476,12 @@ TEST_F(MemoryFsCheckpointTest, RepeatedCheckpointsDoNotLeakFlash) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(fs_->CheckpointMetadata().ok());
   }
-  // Each checkpoint replaces the previous one's blocks.
+  // Each checkpoint replaces the previous one's blocks and the old log.
   EXPECT_EQ(manager_->free_flash_blocks(), free_after_first);
 }
 
 TEST_F(MemoryFsCheckpointTest, LargeNamespaceSurvivesRoundTrip) {
-  // Enough files that the checkpoint index must chain past one block.
+  // Enough files that the checkpoint must chain past one block.
   for (int d = 0; d < 4; ++d) {
     const std::string dir = "/d" + std::to_string(d);
     ASSERT_TRUE(fs_->Mkdir(dir).ok());
@@ -422,6 +494,7 @@ TEST_F(MemoryFsCheckpointTest, LargeNamespaceSurvivesRoundTrip) {
   }
   ASSERT_TRUE(fs_->Sync().ok());
   ASSERT_TRUE(fs_->CheckpointMetadata().ok());
+  EXPECT_GT(journal_->checkpoint_blocks(), 1u);
 
   RecoveryReport report;
   auto recovered = CrashAndRecover(&report);
