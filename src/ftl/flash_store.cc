@@ -202,17 +202,45 @@ std::vector<SectorMeta> FlashStore::SnapshotSectors() const {
 }
 
 void FlashStore::UpdateSectorIndexes(uint64_t sector) {
-  const SectorHot& h = hot_[sector];
-  const bool usable = h.flags == 0;  // Neither active, free, nor bad.
-  victim_index_.Sync(sector, h.valid_pages, h.dead_pages, h.last_write_time,
-                     usable && h.dead_pages > 0);
-  if (sector < hot_sector_count_) {
-    cold_index_.Sync(sector, h.last_write_time,
-                     usable && h.dead_pages == 0 && h.valid_pages > 0);
+  SectorHot& h = hot_[sector];
+  if ((h.flags & kPendingFlag) == 0) {
+    h.flags |= kPendingFlag;
+    pending_.push_back(sector);
   }
-  if (wear_index_ != nullptr) {
-    wear_index_->SyncOccupied(sector, flash_.EraseCount(sector), usable);
+}
+
+void FlashStore::SettleIndexes() {
+  // Pending sectors are scattered over hot_ and the victim index's nodes,
+  // and on a random-overwrite workload each was last touched a whole
+  // cleaner pass ago: keep the misses for the next few sectors in flight.
+  constexpr size_t kAhead = 8;
+  const size_t n = pending_.size();
+  const auto prefetch = [this](uint64_t sector) {
+    __builtin_prefetch(&hot_[sector], 1);
+    victim_index_.Prefetch(sector);
+  };
+  for (size_t i = 0; i < std::min(n, kAhead); ++i) {
+    prefetch(pending_[i]);
   }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) {
+      prefetch(pending_[i + kAhead]);
+    }
+    const uint64_t sector = pending_[i];
+    SectorHot& h = hot_[sector];
+    h.flags &= ~kPendingFlag;
+    const bool usable = h.flags == 0;  // Neither active, free, nor bad.
+    victim_index_.Sync(sector, h.valid_pages, h.dead_pages, h.last_write_time,
+                       usable && h.dead_pages > 0);
+    if (sector < hot_sector_count_) {
+      cold_index_.Sync(sector, h.last_write_time,
+                       usable && h.dead_pages == 0 && h.valid_pages > 0);
+    }
+    if (wear_index_ != nullptr) {
+      wear_index_->SyncOccupied(sector, flash_.EraseCount(sector), usable);
+    }
+  }
+  pending_.clear();
 }
 
 int64_t FlashStore::TakeFreeSector(int bank) {
@@ -347,7 +375,6 @@ Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
   if (const uint64_t prior = MappedPage(block); prior != kUnmapped) {
     __builtin_prefetch(&page_owner_[prior], 1);
     __builtin_prefetch(&hot_[SectorOfPage(prior)], 1);
-    victim_index_.Prefetch(SectorOfPage(prior));
   }
 
   Result<uint64_t> page = AllocatePage(stream, allow_clean);
@@ -528,9 +555,7 @@ void FlashStore::MarkPageDead(uint64_t page) {
   h.valid_pages -= 1;
   h.dead_pages += 1;
   page_owner_[page] = kUnmapped;
-  if (static_cast<int64_t>(sector) != deferred_sync_sector_) {
-    UpdateSectorIndexes(sector);
-  }
+  UpdateSectorIndexes(sector);
 }
 
 void FlashStore::AttachObs(Obs* obs) {
@@ -632,6 +657,7 @@ Status FlashStore::Clean() {
 }
 
 Result<bool> FlashStore::CleanOne() {
+  SettleIndexes();
   const SimTime now = flash_.clock().now();
   const int64_t victim = victim_index_.Pick(now);
   if (victim < 0) {
@@ -647,7 +673,6 @@ Result<bool> FlashStore::CleanOne() {
   const WriteStream stream = WriteStream::kRelocation;
   const uint64_t pps = pages_per_sector();
   const uint64_t first_page = static_cast<uint64_t>(victim) * pps;
-  DeferredSectorSync defer(*this, static_cast<uint64_t>(victim));
   // The owners' map entries are scattered or cold; start pulling them in
   // before the relocation loop takes its first dependent miss on each. (The
   // payloads themselves are untouched: ReadExtent + WriteInternalRef move
@@ -695,6 +720,7 @@ Result<bool> FlashStore::EvictColdSectorFromHotRange() {
     return false;
   }
   // Oldest fully-valid, non-active sector in a hot bank.
+  SettleIndexes();
   const SimTime now = flash_.clock().now();
   const int64_t victim =
       cold_index_.PickOlderThan(now, options_.cold_eviction_age);
@@ -704,7 +730,6 @@ Result<bool> FlashStore::EvictColdSectorFromHotRange() {
   const uint64_t relocations_before = stats_.gc_relocations.value();
   const uint64_t pps = pages_per_sector();
   const uint64_t first_page = static_cast<uint64_t>(victim) * pps;
-  DeferredSectorSync defer(*this, static_cast<uint64_t>(victim));
   for (uint64_t p = first_page; p < first_page + pps; ++p) {
     if (page_owner_[p] != kUnmapped) {
       __builtin_prefetch(&map_[page_owner_[p]], 1);
@@ -765,8 +790,9 @@ Status FlashStore::EraseAndFree(uint64_t sector) {
     return erased.status();
   }
   stats_.erases.Add();
+  const uint8_t pending = h.flags & kPendingFlag;  // Still in pending_.
   h = SectorHot{};
-  h.flags = kFreeFlag;
+  h.flags = kFreeFlag | pending;
   next_free_page_[sector] = 0;
   UpdateSectorIndexes(sector);
   free_pool_[static_cast<size_t>(flash_.BankOfSector(sector))].Add(
@@ -785,6 +811,7 @@ void FlashStore::MaybeStaticWearLevel() {
     return;
   }
   erases_since_wear_check_ = 0;
+  SettleIndexes();
 
   // Wear spread and the coldest occupied sector, from the running trackers.
   uint64_t min_erases = ~uint64_t{0};
@@ -805,7 +832,6 @@ void FlashStore::MaybeStaticWearLevel() {
   const uint64_t relocations_before = stats_.gc_relocations.value();
   const uint64_t pps = pages_per_sector();
   const uint64_t first_page = static_cast<uint64_t>(coldest) * pps;
-  DeferredSectorSync defer(*this, static_cast<uint64_t>(coldest));
   for (uint64_t p = first_page; p < first_page + pps; ++p) {
     if (page_owner_[p] != kUnmapped) {
       __builtin_prefetch(&map_[page_owner_[p]], 1);
@@ -857,7 +883,8 @@ void FlashStore::MaybeStaticWearLevel() {
   wear_leveling_ = false;
 }
 
-Status FlashStore::CheckIndexConsistency() const {
+Status FlashStore::CheckIndexConsistency() {
+  SettleIndexes();
   uint64_t free_count = 0;
   uint64_t victim_count = 0;
   uint64_t cold_count = 0;

@@ -260,7 +260,8 @@ class FlashStore {
   // attach that separately.
   void AttachObs(Obs* obs);
 
-  // Exhaustive audit: every index's membership and size must match a fresh
+  // Exhaustive audit (settles pending index updates first, like every other
+  // index query): every index's membership and size must match a fresh
   // scan of the sector metadata, and each indexed pick at the current time —
   // cleaning victim, cold-eviction victim, each bank's next free sector, and
   // the wear min/max/coldest trackers — must equal its linear-scan reference
@@ -268,7 +269,7 @@ class FlashStore {
   // of an opened sector is its block's mapping, each sector owns exactly its
   // valid pages, and no other block is mapped. O(pages + sectors log
   // sectors); tests only.
-  Status CheckIndexConsistency() const;
+  Status CheckIndexConsistency();
 
  private:
   static constexpr uint64_t kUnmapped = ~uint64_t{0};
@@ -326,34 +327,6 @@ class FlashStore {
 
   void MarkPageDead(uint64_t page);
 
-  // Scoped suppression of index syncs for one sector. The cleaner kills a
-  // victim's valid pages one relocation at a time, and each MarkPageDead
-  // would re-index the victim under keys nobody can observe — no index is
-  // queried until the relocation loop finishes (allocations inside it run
-  // with allow_clean = false). Deferring collapses those intermediate
-  // Remove/Insert pairs into the single sync the guard issues on scope exit
-  // (by which point EraseAndFree has usually already settled the sector).
-  // Nests by restoring the previous deferred sector.
-  class DeferredSectorSync {
-   public:
-    DeferredSectorSync(FlashStore& store, uint64_t sector)
-        : store_(store), sector_(sector),
-          prev_(store.deferred_sync_sector_) {
-      store_.deferred_sync_sector_ = static_cast<int64_t>(sector);
-    }
-    ~DeferredSectorSync() {
-      store_.deferred_sync_sector_ = prev_;
-      store_.UpdateSectorIndexes(sector_);
-    }
-    DeferredSectorSync(const DeferredSectorSync&) = delete;
-    DeferredSectorSync& operator=(const DeferredSectorSync&) = delete;
-
-   private:
-    FlashStore& store_;
-    uint64_t sector_;
-    int64_t prev_;
-  };
-
   // Cleans one victim sector; returns true if a sector was reclaimed.
   Result<bool> CleanOne();
 
@@ -370,11 +343,24 @@ class FlashStore {
   // Static wear leveling check, run after every erase.
   void MaybeStaticWearLevel();
 
-  // Re-syncs `sector`'s membership in the victim, cold-eviction, and wear
-  // indexes from its current metadata. Must be called after any transition
+  // Marks `sector` for re-indexing: its membership in the victim,
+  // cold-eviction, and wear indexes is brought in line with its metadata at
+  // the next SettleIndexes(), not now. Must be called after any transition
   // of a sector's free/active/bad flags or page counts (except while the
-  // sector is active — active sectors belong to no index).
+  // sector is active — active sectors belong to no index). An overwrite
+  // burst kills many pages in a few sectors between cleaner passes; marking
+  // costs one flag test per page death, and each sector is re-indexed once,
+  // under its final keys.
   void UpdateSectorIndexes(uint64_t sector);
+
+  // Re-syncs every pending sector from its current metadata. Each index's
+  // pick depends only on its member set and keys (ties go to the lowest
+  // sector index; epochs screen out stale heap entries), so settling only
+  // a sector's final state picks exactly what syncing every intermediate
+  // step would have. Every index query calls this first: CleanOne,
+  // EvictColdSectorFromHotRange, MaybeStaticWearLevel, and
+  // CheckIndexConsistency.
+  void SettleIndexes();
 
   // Background passes never advance the clock; the end of a pass in sim time
   // is when the last bank reservation it queued completes.
@@ -393,6 +379,7 @@ class FlashStore {
   static constexpr uint8_t kActiveFlag = 1;  // Append target of a bank.
   static constexpr uint8_t kFreeFlag = 2;    // Erased, in the free pool.
   static constexpr uint8_t kBadFlag = 4;     // Worn out.
+  static constexpr uint8_t kPendingFlag = 8;  // Listed in pending_.
 
   // Hot column of the per-sector metadata: everything victim selection,
   // index syncs, and the linear-scan references read, packed into 16 bytes
@@ -436,7 +423,9 @@ class FlashStore {
   // First hot_sector_count_ sectors form the hot-bank range; 0 = segregation
   // off (hot_bank_count outside (0, num_banks)).
   uint64_t hot_sector_count_ = 0;
-  int64_t deferred_sync_sector_ = -1;  // See DeferredSectorSync.
+  // Sectors whose index membership awaits SettleIndexes(), each once (its
+  // kPendingFlag is set while listed).
+  std::vector<uint64_t> pending_;
   std::vector<int64_t> active_;                  // Per-bank active sector.
   int next_bank_ = 0;
   uint64_t erases_since_wear_check_ = 0;

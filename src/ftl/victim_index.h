@@ -23,9 +23,13 @@
 //
 // All indexes store per-sector shadow nodes and are driven through Sync()
 // calls: the caller reports a sector's current metadata and eligibility, and
-// the index inserts/moves/removes the sector as needed. This keeps every
-// transition (dead-page count change, activation, erase, retirement) a
-// single call site in the FlashStore.
+// the index inserts/moves/removes the sector as needed. The FlashStore does
+// not sync on every transition (dead-page count change, activation, erase,
+// retirement). It only marks the sector pending, and settles every pending
+// sector, once each and under its final metadata, before it queries any
+// index. A pick depends only on the member set and its keys, so settling
+// on query picks exactly what syncing every step would have; most of an
+// overwrite burst's page deaths never reach an index.
 
 #ifndef SSMC_SRC_FTL_VICTIM_INDEX_H_
 #define SSMC_SRC_FTL_VICTIM_INDEX_H_
@@ -125,14 +129,14 @@ class FreeSectorPool {
 //    oldest candidate's age clamps to 1, the whole bucket ties and the scan
 //    would keep the lowest sector index.
 //
-// Membership changes on nearly every FTL write (an overwrite moves the old
-// page's sector between buckets), so the buckets are flat binary min-heaps
-// with lazy deletion rather than ordered node-based sets: an update is a
-// contiguous-array sift instead of red-black rebalancing over pointer-chased
-// nodes, and a departed sector's entry is simply left behind to be pruned
-// when it surfaces at the top of its heap (the per-sector Node spots stale
-// entries). Heaps compact once stale entries outnumber live ones, so memory
-// stays proportional to the live candidate set.
+// Membership changes at nearly every settle (an overwrite burst moves the
+// old pages' sectors between buckets), so the buckets are flat binary
+// min-heaps with lazy deletion rather than ordered node-based sets: an
+// update is a contiguous-array sift instead of red-black rebalancing over
+// pointer-chased nodes, and a departed sector's entry is simply left behind
+// to be pruned when it surfaces at the top of its heap (the per-sector Node
+// spots stale entries). Heaps compact once stale entries outnumber live
+// ones, so memory stays proportional to the live candidate set.
 class VictimIndex {
  public:
   VictimIndex(CleanerPolicy policy, uint32_t pages_per_sector,
@@ -252,8 +256,9 @@ class ColdSectorIndex {
 // full-device scan per wear check.
 //
 // Erase counts of occupied sectors are frozen (only EraseAndFree erases, and
-// it runs on sectors leaving the occupied set), so the occupied set's keys
-// never go stale between the erase notification and the follow-up Sync.
+// it runs on sectors leaving the occupied set). The erase notification
+// arrives eagerly and re-keys a still-indexed sector; the FlashStore's next
+// settle then removes it, so no key is stale when the set is queried.
 class WearIndex {
  public:
   explicit WearIndex(uint64_t num_sectors) : nodes_(num_sectors) {}

@@ -22,7 +22,7 @@
 #define SSMC_SRC_SIM_IO_REQUEST_H_
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 #include "src/support/units.h"
 
@@ -127,15 +127,13 @@ struct IoRequest {
   SimTime start_time = 0;     // When the medium began serving it.
   SimTime complete_time = 0;  // When the medium finished.
 
-  // Invoked once with the final timestamps when the request retires (its
-  // completion time has passed). Fired from IoScheduler::Poll() or from a
-  // later Submit on the same channel — the pipeline is pumped by traffic,
-  // not by a hidden daemon.
-  std::function<void(const IoRequest&)> on_complete;
-
   Duration queue_wait() const { return start_time - issue_time; }
   Duration service() const { return complete_time - start_time; }
 };
+// Plain data: submission copies it into a reservation with no destructor to
+// run, and the retire hook (IoScheduler::set_retire_hook) is the one way to
+// see a request's final timestamps.
+static_assert(std::is_trivially_copyable_v<IoRequest>);
 
 }  // namespace ssmc
 

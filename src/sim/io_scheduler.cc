@@ -187,9 +187,6 @@ void IoScheduler::Retire(int channel_index, Channel& channel) {
     if (retire_hook_) {
       retire_hook_(channel_index, done->req);
     }
-    if (done->req.on_complete) {
-      done->req.on_complete(done->req);
-    }
     arena_.Delete(done);
   }
 }
@@ -219,11 +216,10 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
   req.issue_time = now;
   Retire(channel_index, channel);
 
-  // Fast path: under FIFO with no hooks to fire, the request's dispatch is
+  // Fast path: under FIFO with no retire hook, the request's dispatch is
   // final at submission and nothing ever needs to revisit it — record only
   // its completion time.
-  if (policy_ == IoSchedPolicy::kFifo && retire_hook_ == nullptr &&
-      req.on_complete == nullptr) {
+  if (policy_ == IoSchedPolicy::kFifo && retire_hook_ == nullptr) {
     const SimTime start = std::max(now, channel.busy_until);
     const Duration service =
         service_fn != nullptr ? (*service_fn)(start) : service_now;

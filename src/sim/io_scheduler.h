@@ -36,13 +36,13 @@
 //    gated request leaves its channel idle rather than letting later work
 //    overtake it.
 //
-// Request-path allocation: a FIFO request with no completion callback and no
-// retire hook attached is fully described by its completion time — under
-// FIFO it can never be reordered and nobody needs its IoRequest back — so it
-// is never materialized as a reservation at all; the channel just advances
-// its busy-until and records the completion time in a small ring (keeping
-// pending() exact). Only requests that must be revisited (a callback to
-// fire, a tracing hook, or priority placement) become Reservation objects,
+// Request-path allocation: with no retire hook attached, a FIFO request is
+// fully described by its completion time — under FIFO it can never be
+// reordered and nobody needs its IoRequest back — so it is never
+// materialized as a reservation at all; the channel just advances its
+// busy-until and records the completion time in a small ring (keeping
+// pending() exact). Only requests that must be revisited (a tracing hook
+// to feed, or placement under a non-FIFO policy) become Reservation objects,
 // and those live on an intrusive per-channel list allocated from a
 // fixed-chunk RequestArena — steady-state submission touches the heap for
 // neither kind.
@@ -116,14 +116,14 @@ class IoScheduler {
   // Called as each reservation retires, with its channel and the request
   // carrying FINAL timestamps (queued reservations may shift later under
   // kPriority until they start, so retirement is the only point where the
-  // full queue-wait/service split is settled). Fires before the request's
-  // own on_complete. Tracing hook: must not submit or advance the clock.
+  // full queue-wait/service split is settled). Tracing hook: must not
+  // submit or advance the clock.
   using RetireHook = std::function<void(int channel, const IoRequest&)>;
   void set_retire_hook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
   // Reserves channel time for `req` (service `service_ns`) and returns its
   // dispatch. Retires every reservation on the channel whose completion time
-  // has passed (firing on_complete callbacks) as a side effect.
+  // has passed (feeding the retire hook) as a side effect.
   Dispatch Submit(int channel, IoRequest req, Duration service_ns);
 
   // As above with the service time computed at dispatch. The service
@@ -132,7 +132,8 @@ class IoScheduler {
   // disk, the only position-dependent device, schedules FIFO.
   Dispatch Submit(int channel, IoRequest req, const ServiceFn& service);
 
-  // Retires completed reservations on every channel (fires on_complete).
+  // Retires completed reservations on every channel (feeds the retire
+  // hook).
   void Poll();
 
   // Time at which the channel's last reservation completes; monotone, like
@@ -157,9 +158,9 @@ class IoScheduler {
     uint64_t vstart = 0;  // kWeightedFair virtual start tag; else 0.
   };
 
-  // Growable power-of-two ring of completion times for callback-free FIFO
-  // requests. Steady state pushes and pops in place; it only allocates while
-  // growing to the channel's high-water depth.
+  // Growable power-of-two ring of completion times for light (never
+  // materialized) FIFO requests. Steady state pushes and pops in place; it
+  // only allocates while growing to the channel's high-water depth.
   class TimeRing {
    public:
     void push(SimTime t);
@@ -183,7 +184,7 @@ class IoScheduler {
     Reservation* head = nullptr;
     Reservation* tail = nullptr;
     size_t queued = 0;
-    // Completion times of in-flight callback-free FIFO requests.
+    // Completion times of in-flight light FIFO requests.
     TimeRing light;
     // Completion time of the latest-completing request ever placed on the
     // channel; never decreases.
@@ -207,7 +208,8 @@ class IoScheduler {
     SimTime refilled_to = 0;
   };
 
-  // Pops front reservations with complete_time <= now, firing callbacks.
+  // Pops front reservations with complete_time <= now, feeding the retire
+  // hook.
   void Retire(int channel_index, Channel& channel);
   // Recomputes start/complete for the reservations after `from`, notifying
   // shifts.

@@ -346,6 +346,50 @@ TEST_F(FlashStoreTest, RetirementRemovesSectorFromEveryIndex) {
   EXPECT_TRUE(store_->CheckIndexConsistency().ok());
 }
 
+TEST_F(FlashStoreTest, CleanerSeesPageDeathsPendingSinceLastPick) {
+  // Page deaths only mark their sector for re-indexing; the cleaner must
+  // settle every mark before it picks. Greedy on one bank: 64 sectors of 4
+  // pages, 57 of them logical, filled in order so sector s holds blocks
+  // 4s..4s+3. Writes never query an index here: each allocation starts
+  // with more free sectors than the low-water mark of 2, so only the
+  // explicit Clean() calls pick.
+  FlashStoreOptions opts;
+  opts.cleaner = CleanerPolicy::kGreedy;
+  Recreate(128 * 1024, 1, opts);
+  for (uint64_t b = 0; b < store_->num_blocks(); ++b) {
+    ASSERT_TRUE(store_->Write(b, Block(1)).ok());
+  }
+  ASSERT_EQ(store_->free_sectors(), 7u);
+
+  // Kill all of sector 20 and one page in each of sectors 0..12: 17
+  // overwrites fill sectors 57..60 and open sector 61, leaving 2 free.
+  for (uint64_t b = 80; b < 84; ++b) {
+    ASSERT_TRUE(store_->Write(b, Block(2)).ok());
+  }
+  for (uint64_t s = 0; s < 13; ++s) {
+    ASSERT_TRUE(store_->Write(4 * s, Block(2)).ok());
+  }
+  ASSERT_EQ(store_->free_sectors(), 2u);
+  ASSERT_EQ(store_->stats().gc_runs.value(), 0u);
+  ASSERT_TRUE(store_->Clean().ok());
+  EXPECT_EQ(store_->stats().erases.value(), 1u);
+  EXPECT_EQ(flash_->EraseCount(20), 1u);
+
+  // The pick above indexed sectors 0..12 with one dead page each. Now kill
+  // all of sector 40 (4 overwrites fill sector 61 and open sector 62,
+  // leaving 2 free again): a cleaner that picked from the index as of its
+  // last pick would take sector 0.
+  for (uint64_t b = 160; b < 164; ++b) {
+    ASSERT_TRUE(store_->Write(b, Block(3)).ok());
+  }
+  ASSERT_EQ(store_->free_sectors(), 2u);
+  ASSERT_TRUE(store_->Clean().ok());
+  EXPECT_EQ(store_->stats().erases.value(), 2u);
+  EXPECT_EQ(flash_->EraseCount(40), 1u);
+  EXPECT_EQ(flash_->EraseCount(0), 0u);
+  EXPECT_TRUE(store_->CheckIndexConsistency().ok());
+}
+
 TEST_F(FlashStoreTest, WearLevelMigrationFailureIsCountedNotSwallowed) {
   // A failing wear-leveling migration must surface in stats (and the log),
   // not vanish: the seed implementation dropped the error on the floor.

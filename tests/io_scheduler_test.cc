@@ -193,15 +193,14 @@ TEST(IoSchedulerTest, BusyUntilIsMonotoneAcrossIdlePeriods) {
   EXPECT_EQ(sched.ChannelBusyUntil(0), 1000);
 }
 
-TEST(IoSchedulerTest, OnCompleteFiresWithFinalTimestamps) {
+TEST(IoSchedulerTest, RetireHookFiresWithFinalTimestamps) {
   SimClock clock;
   IoScheduler sched(clock, 1);
   std::vector<std::pair<SimTime, SimTime>> completed;
-  IoRequest req = MakeReq(IoOp::kProgram, IoPriority::kFlush, false);
-  req.on_complete = [&](const IoRequest& r) {
+  sched.set_retire_hook([&](int, const IoRequest& r) {
     completed.emplace_back(r.start_time, r.complete_time);
-  };
-  sched.Submit(0, std::move(req), 700);
+  });
+  sched.Submit(0, MakeReq(IoOp::kProgram, IoPriority::kFlush, false), 700);
   EXPECT_TRUE(completed.empty());
   clock.Advance(699);
   sched.Poll();
@@ -218,9 +217,8 @@ TEST(IoSchedulerTest, LaterSubmitRetiresCompletedFront) {
   SimClock clock;
   IoScheduler sched(clock, 1);
   int completions = 0;
-  IoRequest req = MakeReq(IoOp::kProgram, IoPriority::kFlush, false);
-  req.on_complete = [&](const IoRequest&) { ++completions; };
-  sched.Submit(0, std::move(req), 100);
+  sched.set_retire_hook([&](int, const IoRequest&) { ++completions; });
+  sched.Submit(0, MakeReq(IoOp::kProgram, IoPriority::kFlush, false), 100);
   clock.Advance(100);
   // The pipeline is pumped by traffic: the next submit retires the front.
   sched.Submit(0, MakeReq(IoOp::kRead, IoPriority::kForeground, true), 10);
@@ -308,7 +306,7 @@ TEST(IoSchedulerTest, ShiftObserverReportsPushback) {
   EXPECT_EQ(shifted_class, IoPriority::kCleaner);
 }
 
-// Final queue waits reported via on_complete must equal the dispatch-time
+// Final queue waits reported via the retire hook must equal the dispatch-time
 // wait plus every observed shift — the attribution invariant FlashDevice's
 // per-class counters rely on.
 TEST(IoSchedulerTest, ShiftsReconcileWithFinalTimestamps) {
@@ -320,6 +318,8 @@ TEST(IoSchedulerTest, ShiftsReconcileWithFinalTimestamps) {
   Duration final_waits = 0;
   sched.set_shift_observer(
       [&](const IoRequest&, Duration delta) { observed_shifts += delta; });
+  sched.set_retire_hook(
+      [&](int, const IoRequest& r) { final_waits += r.queue_wait(); });
 
   for (int i = 0; i < 5000; ++i) {
     if (rng.NextBelow(3) == 0) {
@@ -329,10 +329,8 @@ TEST(IoSchedulerTest, ShiftsReconcileWithFinalTimestamps) {
     const IoPriority priority =
         static_cast<IoPriority>(rng.NextBelow(kNumIoPriorities));
     const bool blocking = priority == IoPriority::kForeground;
-    IoRequest req = MakeReq(IoOp::kProgram, priority, blocking);
-    req.on_complete =
-        [&](const IoRequest& r) { final_waits += r.queue_wait(); };
-    const auto d = sched.Submit(channel, std::move(req),
+    const auto d = sched.Submit(channel,
+                                MakeReq(IoOp::kProgram, priority, blocking),
                                 static_cast<Duration>(1 + rng.NextBelow(500)));
     dispatch_waits += d.wait;
     if (blocking) {
@@ -508,13 +506,13 @@ TEST(IoSchedulerWfqTest, WeightedShareTracksWeights) {
   constexpr int kPerTenant = 200;
 
   std::vector<std::pair<SimTime, TenantId>> starts;
+  sched.set_retire_hook([&starts](int, const IoRequest& r) {
+    starts.emplace_back(r.start_time, r.tenant);
+  });
   for (int i = 0; i < kPerTenant; ++i) {
     for (TenantId t : {TenantId{1}, TenantId{2}}) {
-      IoRequest req = MakeTenantReq(t, IoPriority::kForeground, false);
-      req.on_complete = [&starts](const IoRequest& r) {
-        starts.emplace_back(r.start_time, r.tenant);
-      };
-      sched.Submit(0, std::move(req), kService);
+      sched.Submit(0, MakeTenantReq(t, IoPriority::kForeground, false),
+                   kService);
     }
   }
   // Work conservation: the channel never idles while backlogged, whatever
