@@ -1,7 +1,9 @@
 #include "src/fs/buffer_cache.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <vector>
 
 namespace ssmc {
 
@@ -118,8 +120,16 @@ Status BufferCache::WritePartial(uint64_t block, uint64_t offset,
 }
 
 Status BufferCache::Sync() {
-  for (auto& [block, entry] : entries_) {
-    SSMC_RETURN_IF_ERROR(WriteBack(block, entry));
+  // Ascending block order: the disk's seek pattern, and so every timing a
+  // sync produces, depends only on which blocks are cached.
+  std::vector<uint64_t> blocks;
+  blocks.reserve(entries_.size());
+  for (const auto& [block, entry] : entries_) {
+    blocks.push_back(block);
+  }
+  std::sort(blocks.begin(), blocks.end());
+  for (const uint64_t block : blocks) {
+    SSMC_RETURN_IF_ERROR(WriteBack(block, entries_.find(block)->second));
   }
   return Status::Ok();
 }

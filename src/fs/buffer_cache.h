@@ -90,6 +90,7 @@ class BufferCache {
   uint64_t block_bytes_;
   uint64_t capacity_blocks_;
   ExtentPool pool_;
+  // Iterated only by Sync, which sorts the block numbers first.
   std::unordered_map<uint64_t, Entry> entries_;
   std::list<uint64_t> lru_;  // Front = least recently used.
   Stats stats_;

@@ -139,6 +139,7 @@ class LogFileSystem : public FileSystem {
   DiskDevice& disk_;
   LogFsOptions options_;
   std::unique_ptr<Node> root_;
+  // Inode id -> inode; only probed by id, never iterated.
   std::unordered_map<uint64_t, Inode*> inode_index_;
   uint64_t next_inode_id_ = 1;
 

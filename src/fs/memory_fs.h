@@ -272,7 +272,8 @@ class MemoryFileSystem : public FileSystem {
   // copy-on-write. Neither nests: nothing under buffer_.Put (eviction ->
   // FlushBlock -> flash) calls back into the file system.
   std::vector<uint8_t> scratch_;
-  // Inode id -> inode (for flush callbacks); owned by the node tree.
+  // Inode id -> inode (for flush callbacks); owned by the node tree. Only
+  // probed by id, never iterated.
   std::unordered_map<uint64_t, Inode*> inode_index_;
   uint64_t next_inode_id_ = 1;
   // True while RecoverFromJournal replays records: suppresses journal

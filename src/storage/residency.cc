@@ -202,8 +202,10 @@ void ResidencyManager::InvalidateClean(const BlockKey& key) {
 void ResidencyManager::InvalidateAllClean() {
   for (CacheTier& tier : tiers_) {
     stats_.demotions_invalidated.Add(tier.entries.size());
-    for (auto& [key, entry] : tier.entries) {
-      FreeTierPage(tier, entry.page);
+    // LRU order: the allocator hands freed pages out again in reverse, and
+    // an NVM page's index picks its bank.
+    for (const BlockKey& key : tier.lru) {
+      FreeTierPage(tier, tier.entries.find(key)->second.page);
     }
     tier.entries.clear();
     tier.lru.clear();

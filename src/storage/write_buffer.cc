@@ -16,9 +16,10 @@ WriteBuffer::WriteBuffer(StorageManager& storage, uint64_t capacity_pages,
 }
 
 WriteBuffer::~WriteBuffer() {
-  // Return DRAM pages; contents are owned by the file system's lifetime.
-  for (auto& [key, entry] : entries_) {
-    (void)storage_.FreeDramPage(entry.dram_page);
+  // Return DRAM pages in LRU order; contents are owned by the file
+  // system's lifetime.
+  for (const BlockKey& key : lru_) {
+    (void)storage_.FreeDramPage(entries_.find(key)->second.dram_page);
   }
   if (obs_ != nullptr) {
     obs_->metrics().FlushAndRemoveCollector("wbuf");
@@ -197,8 +198,10 @@ Status WriteBuffer::FlushOlderThan(SimTime now, Duration max_age) {
 Status WriteBuffer::FlushAll() {
   const uint64_t flushes_before = stats_.flushes.value();
   const SimTime t0 = storage_.dram().clock().now();
-  while (!entries_.empty()) {
-    SSMC_RETURN_IF_ERROR(FlushEntry(entries_.begin()));
+  // LRU (first-dirtied) order, so the flash layout a sync leaves behind
+  // depends only on the write sequence, never on hash-table layout.
+  while (!lru_.empty()) {
+    SSMC_RETURN_IF_ERROR(FlushEntry(entries_.find(lru_.front())));
   }
   if (obs_ != nullptr && stats_.flushes.value() != flushes_before) {
     obs_->tracer().Span(obs_track_, "sync-flush", t0,
@@ -215,8 +218,9 @@ uint64_t WriteBuffer::DropAllUnflushed() {
                            storage_.dram().clock().now(),
                            {"bytes_lost", lost});
   }
-  for (auto& [key, entry] : entries_) {
-    (void)storage_.FreeDramPage(entry.dram_page);
+  // LRU order: the allocator hands freed pages out again in reverse.
+  for (const BlockKey& key : lru_) {
+    (void)storage_.FreeDramPage(entries_.find(key)->second.dram_page);
   }
   entries_.clear();
   lru_.clear();

@@ -193,6 +193,34 @@ TEST_F(WriteBufferTest, FlushAllWritesEverything) {
   EXPECT_EQ(buffer->stats().flushes.value(), 5u);
 }
 
+TEST_F(WriteBufferTest, FlushAllFollowsLruOrder) {
+  // Sync drains in first-dirtied order, so the flash layout it leaves (and
+  // every simulated number after it) depends only on the write sequence.
+  std::vector<uint64_t> order;
+  WriteBuffer buffer(
+      manager_, 64,
+      [this, &order](const BlockKey& key, const PayloadRef& data,
+                     TenantId) -> Status {
+        order.push_back(key.file_id * 100 + key.block_index);
+        Result<Duration> r =
+            store_.WriteRef(order.size(), data, WriteStream::kUser,
+                            IoPriority::kForeground);
+        return r.ok() ? Status::Ok() : r.status();
+      });
+  Rng rng(0x5EED);
+  std::vector<uint64_t> expected;
+  for (int i = 0; i < 48; ++i) {
+    const BlockKey key{1 + rng.NextBelow(9), rng.NextBelow(40)};
+    const uint64_t id = key.file_id * 100 + key.block_index;
+    if (std::find(expected.begin(), expected.end(), id) == expected.end()) {
+      expected.push_back(id);
+    }
+    ASSERT_TRUE(buffer.Put(key, Page(1), clock_.now()).ok());
+  }
+  ASSERT_TRUE(buffer.FlushAll().ok());
+  EXPECT_EQ(order, expected);
+}
+
 TEST_F(WriteBufferTest, FlushOlderThanHonorsAge) {
   auto buffer = MakeBuffer(16);
   ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
