@@ -312,6 +312,109 @@ void BM_MemoryFsRead4K(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryFsRead4K);
 
+// --- Write-buffer / residency boundary -------------------------------------
+//
+// The layer between the file system and the FTL: the DRAM write buffer and
+// the residency tiers. Both rows drive MemoryFileSystem's public API over a
+// bare storage stack, so the per-block bookkeeping (dirty/clean/NVM state,
+// LRUs, heat) is the cost that moves.
+
+struct BoundaryStack {
+  BoundaryStack(ResidencyOptions residency, uint64_t nvm_bytes,
+                MemoryFsOptions fs_options)
+      : dram(NecDram1993(), 1 * kMiB, clock),
+        flash(MicroFlashSpec(), 4 * kMiB, 4, clock),
+        store(flash, FlashStoreOptions{}) {
+    if (nvm_bytes > 0) {
+      nvm = std::make_unique<NvmDevice>(PcmNvm(), nvm_bytes, 2, clock);
+    }
+    storage = std::make_unique<StorageManager>(dram, store, 512, residency,
+                                               nvm.get());
+    fs = std::make_unique<MemoryFileSystem>(*storage, fs_options);
+  }
+
+  SimClock clock;
+  DramDevice dram;
+  FlashDevice flash;
+  FlashStore store;
+  std::unique_ptr<NvmDevice> nvm;
+  std::unique_ptr<StorageManager> storage;
+  std::unique_ptr<MemoryFileSystem> fs;
+};
+
+void BM_WriteBufferChurn(benchmark::State& state) {
+  // Sub-block overwrites over 16 files x 32 blocks, four times the buffer:
+  // every op is a copy-on-write into the buffer or an absorbed overwrite,
+  // with capacity evictions and a periodic age flush draining it.
+  MemoryFsOptions fs_options;
+  fs_options.write_buffer_pages = 128;
+  fs_options.flush_age = 20 * kMillisecond;
+  BoundaryStack stack(ResidencyOptions{}, 0, fs_options);
+  MemoryFileSystem& fs = *stack.fs;
+  std::vector<std::string> paths;
+  for (int f = 0; f < 16; ++f) {
+    paths.push_back("/f" + std::to_string(f));
+    (void)fs.Create(paths.back());
+    (void)fs.Write(paths.back(), 0, std::vector<uint8_t>(32 * 512, 1));
+  }
+  (void)fs.Sync();
+  std::vector<uint8_t> data(100, 7);
+  Rng rng(5);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const std::string& path = paths[rng.NextBelow(paths.size())];
+    benchmark::DoNotOptimize(
+        fs.Write(path, rng.NextBelow(32 * 512 - 100), data));
+    stack.clock.Advance(100 * kMicrosecond);
+    if (++i % 64 == 0) {
+      (void)fs.TickFlush(stack.clock.now());
+    }
+  }
+  // Per op: the share of writes absorbed in DRAM and of capacity evictions.
+  const WriteBuffer::Stats& wb = fs.write_buffer().stats();
+  state.counters["absorbed"] = benchmark::Counter(
+      static_cast<double>(wb.absorbed_overwrites.value()),
+      benchmark::Counter::kAvgIterations);
+  state.counters["evictions"] = benchmark::Counter(
+      static_cast<double>(wb.capacity_evictions.value()),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WriteBufferChurn);
+
+void BM_ResidencyLadderRead(benchmark::State& state) {
+  // Read-promote with an NVM tier: 512-byte reads over 1024 synced blocks,
+  // against a 102-page DRAM clean cache over a 256-page NVM tier. Reads
+  // climb flash -> NVM -> DRAM and the DRAM tail falls back into NVM.
+  ResidencyOptions residency;
+  residency.policy = ResidencyPolicy::kReadPromote;
+  residency.max_clean_fraction = 0.05;
+  BoundaryStack stack(residency, 256 * 512, MemoryFsOptions{});
+  MemoryFileSystem& fs = *stack.fs;
+  std::vector<std::string> paths;
+  for (int f = 0; f < 16; ++f) {
+    paths.push_back("/f" + std::to_string(f));
+    (void)fs.Create(paths.back());
+    (void)fs.Write(paths.back(), 0, std::vector<uint8_t>(64 * 512, 1));
+  }
+  (void)fs.Sync();
+  std::vector<uint8_t> out(512);
+  Rng rng(7);
+  for (auto _ : state) {
+    const std::string& path = paths[rng.NextBelow(paths.size())];
+    benchmark::DoNotOptimize(fs.Read(path, rng.NextBelow(64) * 512, out));
+    stack.clock.Advance(10 * kMicrosecond);
+  }
+  // Per op: climbs from NVM into DRAM and falls from DRAM back into NVM.
+  const ResidencyManager::Stats& res = stack.storage->residency().stats();
+  state.counters["nvm_to_dram"] = benchmark::Counter(
+      static_cast<double>(res.nvm_to_dram_promotions.value()),
+      benchmark::Counter::kAvgIterations);
+  state.counters["demotions_to_nvm"] = benchmark::Counter(
+      static_cast<double>(res.demotions_to_nvm.value()),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ResidencyLadderRead);
+
 void BM_DiskFsRead4KWarm(benchmark::State& state) {
   SimClock clock;
   DiskDevice disk(KittyHawkDisk1993(), clock);

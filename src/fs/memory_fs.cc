@@ -146,16 +146,33 @@ Status MemoryFileSystem::Mkdir(const std::string& path) {
   return Status::Ok();
 }
 
+SlotId MemoryFileSystem::AcquireSlot(Inode& inode, uint64_t b) {
+  if (b >= inode.blocks.size()) {
+    inode.blocks.resize(b + 1);
+  }
+  SlotId& slot = inode.blocks[b].slot;
+  slot = storage_.residency().blocks().Acquire(slot, BlockKey{inode.id, b});
+  return slot;
+}
+
+void MemoryFileSystem::DropBlockState(Inode& inode, uint64_t b) {
+  const SlotId slot = FindSlot(inode, b);
+  if (slot == kNoSlot) {
+    return;
+  }
+  ResidencyManager& res = storage_.residency();
+  buffer_.Drop(slot);
+  res.InvalidateClean(slot);
+  res.ForgetHeat(slot);
+  inode.blocks[b].slot = kNoSlot;
+}
+
 void MemoryFileSystem::ReleaseBlock(Inode& inode, uint64_t block_index) {
-  const BlockKey key{inode.id, block_index};
-  buffer_.Drop(key);
-  storage_.residency().InvalidateClean(key);
-  storage_.residency().ForgetHeat(key);
-  if (block_index < inode.flash_blocks.size() &&
-      inode.flash_blocks[block_index] >= 0) {
-    (void)storage_.FreeFlashBlock(
-        static_cast<uint64_t>(inode.flash_blocks[block_index]));
-    inode.flash_blocks[block_index] = -1;
+  DropBlockState(inode, block_index);
+  if (block_index < inode.blocks.size() &&
+      inode.blocks[block_index].flash != BlockEntry::kNoFlash) {
+    (void)storage_.FreeFlashBlock(inode.blocks[block_index].flash);
+    inode.blocks[block_index].flash = BlockEntry::kNoFlash;
   }
 }
 
@@ -178,17 +195,10 @@ Status MemoryFileSystem::Unlink(const std::string& path) {
     SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
   }
   Inode& inode = it->second->inode;
-  const uint64_t blocks = inode.flash_blocks.size();
-  for (uint64_t b = 0; b < blocks; ++b) {
+  // The block map covers every block with state, including buffered
+  // blocks past the last flushed one.
+  for (uint64_t b = 0; b < inode.blocks.size(); ++b) {
     ReleaseBlock(inode, b);
-  }
-  // Also drop buffered blocks beyond the flash map (never-flushed tail).
-  const uint64_t total_blocks =
-      (inode.size + block_bytes() - 1) / block_bytes();
-  for (uint64_t b = blocks; b < total_blocks; ++b) {
-    const BlockKey key{inode.id, b};
-    buffer_.Drop(key);
-    storage_.residency().ForgetHeat(key);
   }
   inode_index_.erase(inode.id);
   storage_.ChargeMetadataWrite(kDirEntryBytes + kInodeBytes);
@@ -307,51 +317,52 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
     const uint64_t block = pos / bs;
     const uint64_t in_block = pos % bs;
     const uint64_t chunk = std::min(bs - in_block, n - done);
-    const BlockKey key{inode.id, block};
-    const int64_t slot = block < inode.flash_blocks.size()
-                             ? inode.flash_blocks[block]
-                             : -1;
-    const Residency where = res.Resolve(key, slot);
+    const SlotId slot = FindSlot(inode, block);
+    const int64_t flash = inode.flash(block);
+    const Residency where = res.Resolve(slot, flash);
     const SimTime now = storage_.flash_store().device().clock().now();
 
     switch (where) {
       case Residency::kDirty: {
         // Dirty block: serve from the DRAM buffer.
-        SSMC_RETURN_IF_ERROR(buffer_.Get(key, staging));
+        SSMC_RETURN_IF_ERROR(buffer_.Get(slot, staging));
         std::memcpy(out.data() + done, staging.data() + in_block, chunk);
         stats_.buffered_read_bytes.Add(chunk);
-        res.TouchRead(key, now);
+        res.TouchRead(slot, now);
         break;
       }
       case Residency::kClean: {
         // Promoted hot block: serve from the clean DRAM cache.
         SSMC_RETURN_IF_ERROR(res.ReadClean(
-            key, in_block, std::span<uint8_t>(out.data() + done, chunk)));
+            slot, in_block, std::span<uint8_t>(out.data() + done, chunk)));
         stats_.clean_cached_read_bytes.Add(chunk);
-        res.TouchRead(key, now);
+        res.TouchRead(slot, now);
         break;
       }
       case Residency::kNvm: {
         // Warm block: serve from the byte-addressable NVM tier. The touch
         // may climb it one tier up into the DRAM clean cache.
         SSMC_RETURN_IF_ERROR(res.ReadNvm(
-            key, in_block, std::span<uint8_t>(out.data() + done, chunk)));
+            slot, in_block, std::span<uint8_t>(out.data() + done, chunk)));
         stats_.nvm_cached_read_bytes.Add(chunk);
-        res.OnNvmRead(key, now);
+        res.OnNvmRead(slot, now);
         break;
       }
       case Residency::kFlash: {
         // Clean block: read directly from flash, byte-granular. The heat
         // update may promote the block for future reads.
         Result<Duration> r = storage_.flash_store().ReadPartial(
-            static_cast<uint64_t>(slot), in_block,
+            static_cast<uint64_t>(flash), in_block,
             std::span<uint8_t>(out.data() + done, chunk),
             ForTenant(kForegroundIo, tenant_));
         if (!r.ok()) {
           return r.status();
         }
         stats_.flash_direct_read_bytes.Add(chunk);
-        res.OnFlashRead(key, static_cast<uint64_t>(slot), now);
+        if (res.enabled()) {
+          res.OnFlashRead(AcquireSlot(inode, block),
+                          static_cast<uint64_t>(flash), now);
+        }
         break;
       }
       case Residency::kHole: {
@@ -380,44 +391,45 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
                                          std::span<const uint8_t> data) {
   const uint64_t bs = block_bytes();
   assert(offset_in_block + data.size() <= bs);
-  const BlockKey key{inode.id, block_index};
   ResidencyManager& res = storage_.residency();
   const SimTime now = storage_.flash_store().device().clock().now();
-  res.TouchWrite(key, now);
+  // The write needs the slot from here on. Until Put dirties it, a fresh
+  // slot holds nothing (under kWriteBufferOnly the touch is a no-op);
+  // Put releases it again if it fails, and so does the one early return.
+  const SlotId slot = AcquireSlot(inode, block_index);
+  res.TouchWrite(slot, now);
 
   if (offset_in_block == 0 && data.size() == bs) {
     // Whole-block write: no need to know the old contents. Any clean-cached
     // copy is stale the moment the block dirties.
-    res.InvalidateClean(key);
-    return buffer_.Put(key, data, now, tenant_);
+    res.InvalidateClean(slot);
+    return buffer_.Put(slot, data, now, tenant_);
   }
 
   // Holes copy-on-write as zeros.
   const std::span<uint8_t> staging(scratch_);
   std::memset(staging.data(), 0, bs);
-  const int64_t slot = block_index < inode.flash_blocks.size()
-                           ? inode.flash_blocks[block_index]
-                           : -1;
-  const Residency where = res.Resolve(key, slot);
-  switch (where) {
+  const int64_t flash = inode.flash(block_index);
+  switch (res.Resolve(slot, flash)) {
     case Residency::kDirty:
-      SSMC_RETURN_IF_ERROR(buffer_.Get(key, staging));
+      SSMC_RETURN_IF_ERROR(buffer_.Get(slot, staging));
       break;
     case Residency::kClean:
       // The promoted copy doubles as a DRAM-speed copy-on-write source.
-      SSMC_RETURN_IF_ERROR(res.ReadClean(key, 0, staging));
+      SSMC_RETURN_IF_ERROR(res.ReadClean(slot, 0, staging));
       break;
     case Residency::kNvm:
       // NVM-speed copy-on-write source; still cheaper than a flash read.
-      SSMC_RETURN_IF_ERROR(res.ReadNvm(key, 0, staging));
+      SSMC_RETURN_IF_ERROR(res.ReadNvm(slot, 0, staging));
       break;
     case Residency::kFlash: {
       // Copy-on-write: "when a write operation occurs, the affected block
       // can be copied to DRAM, where it is left in a write buffer."
       Result<Duration> r = storage_.flash_store().Read(
-          static_cast<uint64_t>(slot), staging,
+          static_cast<uint64_t>(flash), staging,
           ForTenant(kForegroundIo, tenant_));
       if (!r.ok()) {
+        res.ReleaseIfIdle(slot);
         return r.status();
       }
       stats_.cow_block_copies.Add();
@@ -427,22 +439,21 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
       break;
   }
   std::memcpy(staging.data() + offset_in_block, data.data(), data.size());
-  res.InvalidateClean(key);
-  return buffer_.Put(key, staging, now, tenant_);
+  res.InvalidateClean(slot);
+  return buffer_.Put(slot, staging, now, tenant_);
 }
 
 Status MemoryFileSystem::ReleaseTail(Inode& inode, uint64_t size,
                                      uint64_t end) {
   const uint64_t bs = block_bytes();
   const uint64_t first_dead = (size + bs - 1) / bs;
-  const uint64_t old_blocks = std::max<uint64_t>((end + bs - 1) / bs,
-                                                 inode.flash_blocks.size());
-  for (uint64_t b = first_dead; b < old_blocks; ++b) {
+  for (uint64_t b = first_dead; b < inode.blocks.size(); ++b) {
     ReleaseBlock(inode, b);
   }
-  if (inode.flash_blocks.size() > first_dead) {
-    inode.flash_blocks.resize(first_dead, -1);
+  if (inode.blocks.size() > first_dead) {
+    inode.blocks.resize(first_dead);
   }
+  inode.mapped = std::min(inode.mapped, first_dead);
   // Zero the tail of the surviving partial block: if the file is later
   // extended, the cut-off bytes must read back as zeros, not stale data.
   const uint64_t tail = size % bs;
@@ -470,8 +481,7 @@ void MemoryFileSystem::AbandonWrite(Inode& inode, uint64_t end) {
       const uint64_t bs = block_bytes();
       for (uint64_t b = (inode.size + bs - 1) / bs; b < (end + bs - 1) / bs;
            ++b) {
-        buffer_.Drop(BlockKey{inode.id, b});
-        storage_.residency().ForgetHeat(BlockKey{inode.id, b});
+        DropBlockState(inode, b);
       }
       return;
     }
@@ -662,16 +672,23 @@ Status MemoryFileSystem::FlushBlock(const BlockKey& key,
                          std::to_string(key.file_id));
   }
   Inode& inode = *it->second;
-  if (inode.flash_blocks.size() <= key.block_index) {
-    inode.flash_blocks.resize(key.block_index + 1, -1);
+  const uint64_t b = key.block_index;
+  if (inode.blocks.size() <= b) {
+    inode.blocks.resize(b + 1);
   }
-  int64_t& slot = inode.flash_blocks[key.block_index];
-  if (slot < 0) {
+  inode.mapped = std::max(inode.mapped, b + 1);
+  uint32_t& flash = inode.blocks[b].flash;
+  if (flash == BlockEntry::kNoFlash) {
     Result<uint64_t> block = storage_.AllocateFlashBlock();
     if (!block.ok()) {
       return block.status();
     }
-    slot = static_cast<int64_t>(block.value());
+    if (block.value() >= BlockEntry::kNoFlash) {
+      // The block map stores 32-bit flash block numbers.
+      (void)storage_.FreeFlashBlock(block.value());
+      return ResourceExhaustedError("flash block number exceeds 32 bits");
+    }
+    flash = static_cast<uint32_t>(block.value());
   }
   // This is the write buffer draining: flush-class traffic, never cleaner,
   // never foreground (whether it blocks still follows the store's
@@ -679,11 +696,11 @@ Status MemoryFileSystem::FlushBlock(const BlockKey& key,
   // kAggressive routes heat-cold blocks onto the relocation (cold-bank)
   // stream; every other policy flushes kUser exactly as before.
   const WriteStream stream = storage_.residency().FlushStream(
-      key, storage_.flash_store().device().clock().now());
+      FindSlot(inode, b), storage_.flash_store().device().clock().now());
   // Zero-copy drain: the store programs the buffer's own extent into flash
   // (one more ref on it), so the flush moves no payload bytes.
   Result<Duration> written = storage_.flash_store().WriteRef(
-      static_cast<uint64_t>(slot), data, stream, IoPriority::kFlush, tenant);
+      flash, data, stream, IoPriority::kFlush, tenant);
   if (!written.ok()) {
     return written.status();
   }
@@ -698,7 +715,7 @@ Status MemoryFileSystem::FlushBlock(const BlockKey& key,
   rec.type = JournalRecordType::kExtent;
   rec.file_id = key.file_id;
   rec.size = key.block_index;
-  rec.flash_block = static_cast<uint64_t>(slot);
+  rec.flash_block = flash;
   rec.tenant = tenant;
   return JournalAppend(std::move(rec));
 }
@@ -812,9 +829,9 @@ uint32_t MemoryFileSystem::SerializeDenseChildren(
       AppendU64(out, child->inode.id);
       AppendU64(out, child->inode.size);
       AppendU16(out, child->inode.last_writer);
-      AppendU64(out, child->inode.flash_blocks.size());
-      for (const int64_t block : child->inode.flash_blocks) {
-        AppendU64(out, static_cast<uint64_t>(block));
+      AppendU64(out, child->inode.mapped);
+      for (uint64_t b = 0; b < child->inode.mapped; ++b) {
+        AppendU64(out, static_cast<uint64_t>(child->inode.flash(b)));
       }
     }
     ++*count;
@@ -922,9 +939,10 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
       // new size; here only the map shrinks (see kUnlink for why the
       // allocator stays untouched).
       const uint64_t first_dead = (record.size + bs - 1) / bs;
-      if (inode.flash_blocks.size() > first_dead) {
-        inode.flash_blocks.resize(first_dead, -1);
+      if (inode.blocks.size() > first_dead) {
+        inode.blocks.resize(first_dead);
       }
+      inode.mapped = std::min(inode.mapped, first_dead);
       inode.size = record.size;
       storage_.ChargeMetadataWrite(kInodeBytes);
       return Status::Ok();
@@ -937,13 +955,14 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
       }
       Inode& inode = *it->second;
       const uint64_t index = record.size;
-      if (inode.flash_blocks.size() <= index) {
-        inode.flash_blocks.resize(index + 1, -1);
+      if (inode.blocks.size() <= index) {
+        inode.blocks.resize(index + 1);
       }
-      inode.flash_blocks[index] =
+      inode.mapped = std::max(inode.mapped, index + 1);
+      inode.blocks[index].flash =
           record.flash_block == kNoFlashBlock
-              ? -1
-              : static_cast<int64_t>(record.flash_block);
+              ? BlockEntry::kNoFlash
+              : static_cast<uint32_t>(record.flash_block);
       return Status::Ok();
     }
     case JournalRecordType::kTenantStamp: {
@@ -1008,13 +1027,18 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
           return DataLossError("journal checkpoint record is malformed");
         }
         node->inode.last_writer = last_writer;
-        node->inode.flash_blocks.reserve(nblocks);
-        for (uint64_t i = 0; i < nblocks; ++i) {
+        node->inode.blocks.resize(nblocks);
+        node->inode.mapped = nblocks;
+        for (BlockEntry& entry : node->inode.blocks) {
           uint64_t raw = 0;
           if (!reader.ReadU64(&raw)) {
             return DataLossError("journal checkpoint record is malformed");
           }
-          node->inode.flash_blocks.push_back(static_cast<int64_t>(raw));
+          // ~0 (the serialized -1) and any other out-of-range number is a
+          // hole; the claim pass below drops unmapped blocks too.
+          if (raw < BlockEntry::kNoFlash) {
+            entry.flash = static_cast<uint32_t>(raw);
+          }
         }
         fs->inode_index_[node->inode.id] = &node->inode;
       }
@@ -1058,13 +1082,13 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
       continue;
     }
     result.files_recovered += 1;
-    for (int64_t& slot : n->inode.flash_blocks) {
-      if (slot < 0) {
+    for (BlockEntry& entry : n->inode.blocks) {
+      if (entry.flash == BlockEntry::kNoFlash) {
         continue;
       }
-      const uint64_t block = static_cast<uint64_t>(slot);
+      const uint64_t block = entry.flash;
       if (!store.IsMapped(block) || !storage.ReserveFlashBlock(block).ok()) {
-        slot = -1;
+        entry.flash = BlockEntry::kNoFlash;
       } else {
         result.bytes_recovered += bs;
       }
@@ -1093,16 +1117,27 @@ Result<std::vector<BlockLocation>> MemoryFileSystem::BlockLocations(
   // VM must never map it.
   for (uint64_t b = 0; b < blocks; ++b) {
     BlockLocation& loc = locations[b];
-    if (buffer_.Contains(BlockKey{inode.id, b})) {
+    if (buffer_.Contains(FindSlot(inode, b))) {
       loc.kind = BlockLocation::Kind::kBuffered;
-    } else if (b < inode.flash_blocks.size() && inode.flash_blocks[b] >= 0) {
+    } else if (inode.flash(b) >= 0) {
       loc.kind = BlockLocation::Kind::kFlash;
-      loc.flash_block = static_cast<uint64_t>(inode.flash_blocks[b]);
+      loc.flash_block = static_cast<uint64_t>(inode.flash(b));
     } else {
       loc.kind = BlockLocation::Kind::kHole;
     }
   }
   return locations;
+}
+
+bool MemoryFileSystem::NoteVmFault(const std::string& path,
+                                   uint64_t block_index) {
+  Node* node = Lookup(path);
+  if (node == nullptr || node->is_dir) {
+    return false;
+  }
+  return storage_.residency().NoteVmFault(
+      AcquireSlot(node->inode, block_index),
+      storage_.flash_store().device().clock().now());
 }
 
 }  // namespace ssmc

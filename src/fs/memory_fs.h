@@ -133,14 +133,19 @@ class MemoryFileSystem : public FileSystem {
   // Periodic age-based flush; the machine's flush daemon calls this.
   Status TickFlush(SimTime now);
 
-  // Stable identifier of a file (used as the write-buffer key space and by
-  // the VM layer for mappings).
+  // Stable identifier of a file: the file_id of its blocks' BlockKeys.
   Result<uint64_t> FileId(const std::string& path);
 
   // Current location of each block of the file; blocks beyond EOF excluded.
   // VM mappings re-resolve through this after faults because the cleaner
   // relocates flash blocks.
   Result<std::vector<BlockLocation>> BlockLocations(const std::string& path);
+
+  // A VM fault is about to map block `block_index` of `path` from flash:
+  // feeds the block's heat and returns true when the residency manager
+  // wants it copied to DRAM instead (ResidencyManager::NoteVmFault). Walks
+  // the path like FileId; false if it names no file.
+  bool NoteVmFault(const std::string& path, uint64_t block_index);
 
   // Simulates total battery failure: every dirty buffered block is lost,
   // and the (battery-backed DRAM) clean cache evaporates with it — though
@@ -183,16 +188,35 @@ class MemoryFileSystem : public FileSystem {
   void AttachObs(Obs* obs);
 
  private:
+  // One block-map entry, 8 bytes: the block's flash logical block and its
+  // residency state slot (block_state.h), each optional.
+  struct BlockEntry {
+    static constexpr uint32_t kNoFlash = ~uint32_t{0};
+    uint32_t flash = kNoFlash;
+    SlotId slot = kNoSlot;
+  };
+  static_assert(sizeof(BlockEntry) == 8);
+
   struct Inode {
     uint64_t id = 0;
     uint64_t size = 0;
-    // Block index -> flash logical block, or -1 if not (yet) in flash.
-    // Deliberately a flat vector: "the complexity of multiple levels of
-    // indirect blocks may also be eliminated."
-    std::vector<int64_t> flash_blocks;
+    // Block index -> entry. Deliberately a flat vector: "the complexity of
+    // multiple levels of indirect blocks may also be eliminated."
+    std::vector<BlockEntry> blocks;
+    // Length of the flash block map the journal records. Entries at or past
+    // it never hold a flash block, only a state slot (a block dirtied past
+    // the last flushed one).
+    uint64_t mapped = 0;
     // Last tenant to write this file; journaled (kTenantStamp) so post-crash
     // flush attribution survives remount.
     TenantId last_writer = kDefaultTenant;
+
+    // Block `b`'s flash logical block, or -1 if not (yet) in flash.
+    int64_t flash(uint64_t b) const {
+      return b < blocks.size() && blocks[b].flash != BlockEntry::kNoFlash
+                 ? int64_t{blocks[b].flash}
+                 : int64_t{-1};
+    }
   };
 
   struct Node {
@@ -244,11 +268,24 @@ class MemoryFileSystem : public FileSystem {
   Status FlushBlock(const BlockKey& key, const PayloadRef& data,
                     TenantId tenant);
 
-  // Releases one file block everywhere (buffer + flash).
+  // Block `b`'s state slot, or kNoSlot if it has none.
+  SlotId FindSlot(const Inode& inode, uint64_t b) const {
+    return b < inode.blocks.size()
+               ? storage_.residency().blocks().Find(inode.blocks[b].slot,
+                                                    BlockKey{inode.id, b})
+               : kNoSlot;
+  }
+  // Block `b`'s state slot, allocating one (and the map entry) if needed.
+  SlotId AcquireSlot(Inode& inode, uint64_t b);
+
+  // Drops block `b`'s buffered data, cached copy and heat.
+  void DropBlockState(Inode& inode, uint64_t b);
+  // Releases one file block everywhere (buffer, caches, heat, flash).
   void ReleaseBlock(Inode& inode, uint64_t block_index);
 
-  // Releases the blocks holding bytes [size, end) and any flash block mapped
-  // past them, and zeroes the rest of the block holding byte `size`, so a
+  // Releases every block from the one after byte `size` to the end of the
+  // block map (which covers bytes up to `end` and any flash block or state
+  // past them), and zeroes the rest of the block holding byte `size`, so a
   // later extension reads zeros. The inode's size is the caller's to set.
   Status ReleaseTail(Inode& inode, uint64_t size, uint64_t end);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -55,18 +56,21 @@ ResidencyManager::ResidencyManager(StorageManager& storage,
                                    ResidencyOptions options)
     : storage_(storage), options_(options) {
   assert(options_.heat_half_life > 0);
+  // BlockState keeps page indices in 32 bits.
+  assert(storage_.total_dram_pages() <= UINT32_MAX &&
+         storage_.total_nvm_pages() <= UINT32_MAX);
   // Tier 0: the DRAM clean cache, always present.
   CacheTier dram_tier;
   dram_tier.residency = Residency::kClean;
   dram_tier.capacity_pages = MaxCleanPages();
-  tiers_.push_back(std::move(dram_tier));
+  tiers_.push_back(dram_tier);
   // Tier 1: the NVM cache, only when the machine has NVM capacity — the
   // two-tier hierarchy stays bit-identical with no NVM behind the manager.
   if (storage_.total_nvm_pages() > 0) {
     CacheTier nvm_tier;
     nvm_tier.residency = Residency::kNvm;
     nvm_tier.capacity_pages = storage_.total_nvm_pages();
-    tiers_.push_back(std::move(nvm_tier));
+    tiers_.push_back(nvm_tier);
   }
 }
 
@@ -80,7 +84,11 @@ ResidencyManager::~ResidencyManager() {
 void ResidencyManager::DetachFilesystem() {
   dirty_backend_ = nullptr;
   InvalidateAllClean();
-  heat_.clear();
+  // Forget all heat. Dirty slots stay live until the write buffer, which
+  // the file system destroys next, frees them.
+  for (SlotId id = 1; id < blocks_.end(); ++id) {
+    ForgetHeat(id);
+  }
 }
 
 void ResidencyManager::RegisterSource(ReclaimSource* source) {
@@ -94,23 +102,6 @@ void ResidencyManager::DropSource(ReclaimSource* source) {
                  sources_.end());
 }
 
-Residency ResidencyManager::Resolve(const BlockKey& key,
-                                    int64_t flash_block) const {
-  if (dirty_backend_ != nullptr && dirty_backend_->Contains(key)) {
-    return Residency::kDirty;
-  }
-  // Cache tiers top-down: the fastest copy wins.
-  for (const CacheTier& tier : tiers_) {
-    if (tier.entries.find(key) != tier.entries.end()) {
-      return tier.residency;
-    }
-  }
-  if (flash_block >= 0) {
-    return Residency::kFlash;
-  }
-  return Residency::kHole;
-}
-
 std::vector<ResidencyManager::TierStatus> ResidencyManager::Tiers() const {
   std::vector<TierStatus> out;
   out.reserve(tiers_.size());
@@ -118,25 +109,22 @@ std::vector<ResidencyManager::TierStatus> ResidencyManager::Tiers() const {
     TierStatus s;
     s.residency = tier.residency;
     s.capacity_pages = tier.capacity_pages;
-    s.cached_pages = tier.entries.size();
+    s.cached_pages = tier.lru.size;
     out.push_back(s);
   }
   return out;
 }
 
-Status ResidencyManager::ReadClean(const BlockKey& key, uint64_t offset,
+Status ResidencyManager::ReadClean(SlotId slot, uint64_t offset,
                                    std::span<uint8_t> out) {
-  CacheTier& tier = tiers_[kDramTier];
-  auto it = tier.entries.find(key);
-  if (it == tier.entries.end()) {
+  if (!CleanCached(slot)) {
     return NotFoundError("block not clean-cached");
   }
   if (offset + out.size() > storage_.page_bytes()) {
     return OutOfRangeError("clean-cache read exceeds block bounds");
   }
-  // Refresh LRU: splice the entry to the MRU end.
-  tier.lru.splice(tier.lru.end(), tier.lru, it->second.lru_it);
-  storage_.ReadPagePayload(it->second.page, offset, out);
+  blocks_.MoveToBack(tiers_[kDramTier].lru, slot);
+  storage_.ReadPagePayload(blocks_[slot].page, offset, out);
   stats_.clean_hits.Add();
   stats_.clean_hit_bytes.Add(out.size());
   TenantResidency& lane = stats_.by_tenant.For(tenant_);
@@ -145,23 +133,18 @@ Status ResidencyManager::ReadClean(const BlockKey& key, uint64_t offset,
   return Status::Ok();
 }
 
-Status ResidencyManager::ReadNvm(const BlockKey& key, uint64_t offset,
+Status ResidencyManager::ReadNvm(SlotId slot, uint64_t offset,
                                  std::span<uint8_t> out) {
-  if (!has_nvm_tier()) {
-    return NotFoundError("no NVM tier");
-  }
-  CacheTier& tier = tiers_[kNvmTier];
-  auto it = tier.entries.find(key);
-  if (it == tier.entries.end()) {
+  if (!NvmCached(slot)) {
     return NotFoundError("block not NVM-cached");
   }
   if (offset + out.size() > storage_.page_bytes()) {
     return OutOfRangeError("NVM-cache read exceeds block bounds");
   }
-  tier.lru.splice(tier.lru.end(), tier.lru, it->second.lru_it);
+  blocks_.MoveToBack(tiers_[kNvmTier].lru, slot);
   // A foreground blocking read through the NVM bank scheduler: the caller
   // waits on the byte-addressable medium, at NVM (not flash) latency.
-  storage_.ReadNvmPagePayload(it->second.page, offset, out,
+  storage_.ReadNvmPagePayload(blocks_[slot].page, offset, out,
                               ForTenant(kForegroundIo, tenant_));
   stats_.nvm_hits.Add();
   stats_.nvm_hit_bytes.Add(out.size());
@@ -179,67 +162,70 @@ void ResidencyManager::FreeTierPage(const CacheTier& tier, uint64_t page) {
   }
 }
 
-void ResidencyManager::EraseCacheEntry(
-    CacheTier& tier,
-    std::unordered_map<BlockKey, CacheEntry, BlockKeyHash>::iterator it) {
-  FreeTierPage(tier, it->second.page);
-  tier.lru.erase(it->second.lru_it);
-  tier.entries.erase(it);
+void ResidencyManager::Install(size_t tier_index, SlotId slot, uint64_t page,
+                               TenantId tenant) {
+  CacheTier& tier = tiers_[tier_index];
+  BlockState& b = blocks_[slot];
+  b.where = tier.residency;
+  b.page = static_cast<uint32_t>(page);
+  b.tenant = tenant;
+  blocks_.PushBack(tier.lru, slot);
 }
 
-void ResidencyManager::InvalidateClean(const BlockKey& key) {
+void ResidencyManager::EraseCacheEntry(CacheTier& tier, SlotId slot) {
+  FreeTierPage(tier, blocks_[slot].page);
+  blocks_.Unlink(tier.lru, slot);
+  blocks_[slot].where = Residency::kHole;
+}
+
+void ResidencyManager::InvalidateClean(SlotId slot) {
+  if (slot == kNoSlot) {
+    return;
+  }
+  // Exclusive: a block lives in at most one tier.
   for (CacheTier& tier : tiers_) {
-    auto it = tier.entries.find(key);
-    if (it == tier.entries.end()) {
-      continue;
+    if (blocks_[slot].where == tier.residency) {
+      stats_.demotions_invalidated.Add();
+      EraseCacheEntry(tier, slot);
+      ReleaseIfIdle(slot);
+      return;
     }
-    stats_.demotions_invalidated.Add();
-    EraseCacheEntry(tier, it);
-    return;  // Exclusive: a block lives in at most one tier.
   }
 }
 
 void ResidencyManager::InvalidateAllClean() {
   for (CacheTier& tier : tiers_) {
-    stats_.demotions_invalidated.Add(tier.entries.size());
+    stats_.demotions_invalidated.Add(tier.lru.size);
     // LRU order: the allocator hands freed pages out again in reverse, and
     // an NVM page's index picks its bank.
-    for (const BlockKey& key : tier.lru) {
-      FreeTierPage(tier, tier.entries.find(key)->second.page);
+    while (tier.lru.head != kNoSlot) {
+      const SlotId slot = tier.lru.head;
+      EraseCacheEntry(tier, slot);
+      ReleaseIfIdle(slot);
     }
-    tier.entries.clear();
-    tier.lru.clear();
   }
 }
 
 bool ResidencyManager::DemoteOne(size_t tier_index, bool pressure) {
   CacheTier& tier = tiers_[tier_index];
-  if (tier.lru.empty()) {
+  const SlotId victim = tier.lru.head;
+  if (victim == kNoSlot) {
     return false;
   }
-  auto it = tier.entries.find(tier.lru.front());
-  assert(it != tier.entries.end());
   // Adjacent-tier demotion: the DRAM tail falls into the NVM tier when one
   // exists (the payload moves by reference; the block stays cached, one
   // tier colder). The bottom tier's tail drops — flash is authoritative.
   if (tier_index + 1 < tiers_.size()) {
-    const BlockKey key = it->first;
-    const TenantId owner = it->second.tenant;
+    const TenantId owner = blocks_[victim].tenant;
     const Result<uint64_t> below = AllocateTierPage(tier_index + 1);
     if (below.ok()) {
-      CacheTier& lower = tiers_[tier_index + 1];
       // Move the payload down by reference: one full-page read from the
       // upper medium, one background write to the lower.
-      PayloadRef payload = storage_.ReadPagePayloadRef(it->second.page);
+      PayloadRef payload = storage_.ReadPagePayloadRef(blocks_[victim].page);
       storage_.InstallNvmPagePayload(below.value(), std::move(payload),
                                      ForTenant(kCleanerIo, owner));
-      EraseCacheEntry(tier, it);
-      lower.lru.push_back(key);
-      CacheEntry entry;
-      entry.page = below.value();
-      entry.tenant = owner;
-      entry.lru_it = std::prev(lower.lru.end());
-      lower.entries.emplace(key, entry);
+      EraseCacheEntry(tier, victim);
+      Install(tier_index + 1, victim, below.value(), owner);
       stats_.demotions_to_nvm.Add();
       if (pressure) {
         stats_.demotions_pressure.Add();
@@ -262,129 +248,115 @@ bool ResidencyManager::DemoteOne(size_t tier_index, bool pressure) {
   } else {
     stats_.demotions_invalidated.Add();
   }
-  EraseCacheEntry(tier, it);
+  EraseCacheEntry(tier, victim);
+  ReleaseIfIdle(victim);
   return true;
 }
 
-double ResidencyManager::DecayTo(Heat& h, SimTime now) const {
-  if (now > h.last) {
-    const double dt = static_cast<double>(now - h.last);
-    h.decayed *= std::exp2(-dt / static_cast<double>(options_.heat_half_life));
-    h.last = now;
+double ResidencyManager::DecayTo(BlockState& b, SimTime now) const {
+  if (now > b.last) {
+    const double dt = static_cast<double>(now - b.last);
+    b.decayed *= std::exp2(-dt / static_cast<double>(options_.heat_half_life));
+    b.last = now;
   }
-  return h.decayed;
+  return b.decayed;
 }
 
-double ResidencyManager::Touch(const BlockKey& key, SimTime now) {
+double ResidencyManager::Touch(SlotId slot, SimTime now) {
+  assert(blocks_.live(slot));
   stats_.touches.Add();
-  Heat& h = heat_[key];
-  DecayTo(h, now);
-  h.decayed += 1.0;
-  h.raw += 1;
-  const double current = h.decayed;
-  if (heat_.size() > options_.max_heat_entries) {
-    // Sweep entries that have gone cold. The result is order-independent
-    // (every entry below the threshold goes), so unordered_map iteration
-    // order cannot affect behavior.
-    for (auto it = heat_.begin(); it != heat_.end();) {
-      if (DecayTo(it->second, now) < 0.25) {
-        it = heat_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  BlockState& b = blocks_[slot];
+  if (b.raw == 0) {
+    ++heated_;
   }
-  return current;
+  DecayTo(b, now);
+  b.decayed += 1.0;
+  b.raw += 1;
+  return b.decayed;
 }
 
-bool ResidencyManager::ShouldPromote(const Heat& h) const {
+bool ResidencyManager::ShouldPromote(const BlockState& b) const {
   switch (options_.policy) {
     case ResidencyPolicy::kWriteBufferOnly:
       return false;
     case ResidencyPolicy::kReadPromote:
-      return h.decayed >= options_.promote_threshold;
+      return b.decayed >= options_.promote_threshold;
     case ResidencyPolicy::kAggressive:
-      return h.raw >= options_.aggressive_touches ||
-             h.decayed >= options_.promote_threshold;
+      return b.raw >= options_.aggressive_touches ||
+             b.decayed >= options_.promote_threshold;
   }
   return false;
 }
 
-bool ResidencyManager::ShouldAdmitFromFlash(const Heat& h) const {
+bool ResidencyManager::ShouldAdmitFromFlash(const BlockState& b) const {
   if (!has_nvm_tier()) {
-    return ShouldPromote(h);
+    return ShouldPromote(b);
   }
   switch (options_.policy) {
     case ResidencyPolicy::kWriteBufferOnly:
       return false;
     case ResidencyPolicy::kReadPromote:
-      return h.decayed >= kNvmAdmitHeat;
+      return b.decayed >= kNvmAdmitHeat;
     case ResidencyPolicy::kAggressive:
-      return h.raw >= options_.aggressive_touches ||
-             h.decayed >= kNvmAdmitHeat;
+      return b.raw >= options_.aggressive_touches ||
+             b.decayed >= kNvmAdmitHeat;
   }
   return false;
 }
 
-void ResidencyManager::TouchRead(const BlockKey& key, SimTime now) {
+void ResidencyManager::TouchRead(SlotId slot, SimTime now) {
   if (!enabled()) {
     return;
   }
-  (void)Touch(key, now);
+  (void)Touch(slot, now);
 }
 
-void ResidencyManager::TouchWrite(const BlockKey& key, SimTime now) {
+void ResidencyManager::TouchWrite(SlotId slot, SimTime now) {
   if (!enabled()) {
     return;
   }
-  (void)Touch(key, now);
+  (void)Touch(slot, now);
 }
 
-void ResidencyManager::OnFlashRead(const BlockKey& key, uint64_t flash_block,
+void ResidencyManager::OnFlashRead(SlotId slot, uint64_t flash_block,
                                    SimTime now) {
   if (!enabled()) {
     return;
   }
-  (void)Touch(key, now);
-  auto it = heat_.find(key);
-  assert(it != heat_.end());
-  if (ShouldAdmitFromFlash(it->second) && !CleanCached(key) &&
-      !NvmCached(key)) {
-    PromoteFromFlash(key, flash_block, now);
+  (void)Touch(slot, now);
+  if (ShouldAdmitFromFlash(blocks_[slot]) &&
+      blocks_[slot].where == Residency::kHole) {
+    PromoteFromFlash(slot, flash_block, now);
   }
 }
 
-void ResidencyManager::OnNvmRead(const BlockKey& key, SimTime now) {
+void ResidencyManager::OnNvmRead(SlotId slot, SimTime now) {
   if (!enabled()) {
     return;
   }
-  (void)Touch(key, now);
-  auto it = heat_.find(key);
-  assert(it != heat_.end());
-  if (ShouldPromote(it->second) && NvmCached(key)) {
-    PromoteNvmToDram(key, now);
+  (void)Touch(slot, now);
+  if (ShouldPromote(blocks_[slot]) && NvmCached(slot)) {
+    PromoteNvmToDram(slot, now);
   }
 }
 
-bool ResidencyManager::NoteVmFault(const BlockKey& key, SimTime now) {
+bool ResidencyManager::NoteVmFault(SlotId slot, SimTime now) {
   if (!enabled()) {
     return false;
   }
-  (void)Touch(key, now);
-  auto it = heat_.find(key);
-  assert(it != heat_.end());
-  if (ShouldPromote(it->second)) {
+  (void)Touch(slot, now);
+  if (ShouldPromote(blocks_[slot])) {
     stats_.vm_promote_faults.Add();
     return true;
   }
   return false;
 }
 
-WriteStream ResidencyManager::FlushStream(const BlockKey& key, SimTime now) {
+WriteStream ResidencyManager::FlushStream(SlotId slot, SimTime now) {
   if (options_.policy != ResidencyPolicy::kAggressive) {
     return WriteStream::kUser;
   }
-  const double heat = HeatOf(key, now);
+  const double heat = HeatOf(slot, now);
   if (flush_heat_ != nullptr) {
     flush_heat_->Record(static_cast<uint64_t>(heat * 100.0));
   }
@@ -395,20 +367,31 @@ WriteStream ResidencyManager::FlushStream(const BlockKey& key, SimTime now) {
   return WriteStream::kUser;
 }
 
-void ResidencyManager::ForgetHeat(const BlockKey& key) { heat_.erase(key); }
+void ResidencyManager::ForgetHeat(SlotId slot) {
+  if (!blocks_.live(slot)) {
+    return;
+  }
+  BlockState& b = blocks_[slot];
+  if (b.raw != 0) {
+    --heated_;
+  }
+  b.decayed = 0;
+  b.raw = 0;
+  b.last = 0;
+  ReleaseIfIdle(slot);
+}
 
-double ResidencyManager::HeatOf(const BlockKey& key, SimTime now) const {
-  auto it = heat_.find(key);
-  if (it == heat_.end()) {
+double ResidencyManager::HeatOf(SlotId slot, SimTime now) const {
+  if (slot == kNoSlot) {
     return 0.0;
   }
-  // Read-only decay: do not update the stored entry.
-  const Heat& h = it->second;
-  if (now <= h.last) {
-    return h.decayed;
+  // Read-only decay: do not update the stored heat.
+  const BlockState& b = blocks_[slot];
+  if (now <= b.last) {
+    return b.decayed;
   }
-  const double dt = static_cast<double>(now - h.last);
-  return h.decayed *
+  const double dt = static_cast<double>(now - b.last);
+  return b.decayed *
          std::exp2(-dt / static_cast<double>(options_.heat_half_life));
 }
 
@@ -424,7 +407,7 @@ Result<uint64_t> ResidencyManager::AllocateTierPage(size_t tier_index) {
   }
   // Recycle the tier's own LRU tail at its budget — a cache never squeezes
   // dirty data or VM frames to grow.
-  while (tier.entries.size() >= tier.capacity_pages) {
+  while (tier.lru.size >= tier.capacity_pages) {
     (void)DemoteOne(tier_index, /*pressure=*/true);
   }
   const bool nvm = tier.residency == Residency::kNvm;
@@ -436,8 +419,8 @@ Result<uint64_t> ResidencyManager::AllocateTierPage(size_t tier_index) {
   return page;
 }
 
-void ResidencyManager::PromoteFromFlash(const BlockKey& key,
-                                        uint64_t flash_block, SimTime now) {
+void ResidencyManager::PromoteFromFlash(SlotId slot, uint64_t flash_block,
+                                        SimTime now) {
   // Admission from flash targets the bottom cache tier; blocks climb the
   // rest of the ladder one tier at a time as their heat holds up.
   const size_t target = tiers_.size() - 1;
@@ -457,8 +440,7 @@ void ResidencyManager::PromoteFromFlash(const BlockKey& key,
     FreeTierPage(tiers_[target], page.value());
     return;
   }
-  CacheTier& tier = tiers_[target];
-  if (tier.residency == Residency::kNvm) {
+  if (tiers_[target].residency == Residency::kNvm) {
     storage_.InstallNvmPagePayload(page.value(), std::move(read.value()),
                                    ForTenant(kCleanerIo, tenant_));
     stats_.nvm_promotions.Add();
@@ -471,46 +453,37 @@ void ResidencyManager::PromoteFromFlash(const BlockKey& key,
     lane.promotions.Add();
     lane.promoted_bytes.Add(storage_.page_bytes());
   }
-  tier.lru.push_back(key);
-  CacheEntry entry;
-  entry.page = page.value();
-  entry.tenant = tenant_;
-  entry.lru_it = std::prev(tier.lru.end());
-  tier.entries.emplace(key, entry);
+  Install(target, slot, page.value(), tenant_);
   if (promote_heat_ != nullptr) {
-    promote_heat_->Record(static_cast<uint64_t>(HeatOf(key, now) * 100.0));
+    promote_heat_->Record(static_cast<uint64_t>(HeatOf(slot, now) * 100.0));
   }
   if (obs_ != nullptr) {
+    const BlockKey& key = blocks_[slot].key;
     const SimTime t1 = storage_.dram().clock().now();
     obs_->tracer().Span(obs_track_, "promote", now, t1 - now,
                         {"file", key.file_id}, {"block", key.block_index});
   }
 }
 
-void ResidencyManager::PromoteNvmToDram(const BlockKey& key, SimTime now) {
-  CacheTier& nvm_tier = tiers_[kNvmTier];
-  auto it = nvm_tier.entries.find(key);
-  if (it == nvm_tier.entries.end()) {
-    return;
-  }
+void ResidencyManager::PromoteNvmToDram(SlotId slot, SimTime now) {
   const Result<uint64_t> page = AllocateTierPage(kDramTier);
   if (!page.ok()) {
     return;  // DRAM budget dry: the block stays warm in NVM.
+  }
+  if (!NvmCached(slot)) {
+    // Making room in DRAM demoted the DRAM tail into a full NVM tier, whose
+    // own tail was this block: it has dropped to flash.
+    FreeTierPage(tiers_[kDramTier], page.value());
+    return;
   }
   // Move the payload up by reference: a background NVM read (the migration
   // engine pulls the page) and a DRAM install. The NVM page returns to the
   // pool — tiers are exclusive.
   PayloadRef payload = storage_.ReadNvmPagePayloadRef(
-      it->second.page, ForTenant(kCleanerIo, tenant_));
+      blocks_[slot].page, ForTenant(kCleanerIo, tenant_));
   storage_.InstallPagePayload(page.value(), std::move(payload));
-  EraseCacheEntry(nvm_tier, it);
-  CacheTier& dram_tier = tiers_[kDramTier];
-  dram_tier.lru.push_back(key);
-  CacheEntry entry;
-  entry.page = page.value();
-  entry.tenant = tenant_;
-  entry.lru_it = std::prev(dram_tier.lru.end());
-  dram_tier.entries.emplace(key, entry);
+  EraseCacheEntry(tiers_[kNvmTier], slot);
+  Install(kDramTier, slot, page.value(), tenant_);
   stats_.nvm_to_dram_promotions.Add();
   stats_.promotions.Add();
   stats_.promoted_bytes.Add(storage_.page_bytes());
@@ -518,9 +491,10 @@ void ResidencyManager::PromoteNvmToDram(const BlockKey& key, SimTime now) {
   lane.promotions.Add();
   lane.promoted_bytes.Add(storage_.page_bytes());
   if (promote_heat_ != nullptr) {
-    promote_heat_->Record(static_cast<uint64_t>(HeatOf(key, now) * 100.0));
+    promote_heat_->Record(static_cast<uint64_t>(HeatOf(slot, now) * 100.0));
   }
   if (obs_ != nullptr) {
+    const BlockKey& key = blocks_[slot].key;
     const SimTime t1 = storage_.dram().clock().now();
     obs_->tracer().Span(obs_track_, "promote-nvm-dram", now, t1 - now,
                         {"file", key.file_id}, {"block", key.block_index});
@@ -614,7 +588,7 @@ void ResidencyManager::AttachObs(Obs* obs) {
     mirror(cold_hints, stats_.cold_stream_hints);
     mirror(vm_promotes, stats_.vm_promote_faults);
     clean_pages_g->Set(static_cast<int64_t>(clean_pages()));
-    heat_entries->Set(static_cast<int64_t>(heat_.size()));
+    heat_entries->Set(static_cast<int64_t>(heated_));
     if (nvm_promotions != nullptr) {
       mirror(nvm_promotions, stats_.nvm_promotions);
       mirror(nvm_promoted_bytes, stats_.nvm_promoted_bytes);
@@ -630,8 +604,9 @@ void ResidencyManager::AttachObs(Obs* obs) {
     // cache beats keeping counters consistent across every demote path.
     if (!stats_.by_tenant.empty()) {
       TenantTable<uint64_t> pages;
-      for (const auto& [key, entry] : tiers_[kDramTier].entries) {
-        pages.For(entry.tenant) += 1;
+      for (SlotId id = tiers_[kDramTier].lru.head; id != kNoSlot;
+           id = blocks_[id].next) {
+        pages.For(blocks_[id].tenant) += 1;
       }
       for (const auto& e : stats_.by_tenant.entries()) {
         const std::string base =
@@ -656,6 +631,84 @@ void ResidencyManager::AttachObs(Obs* obs) {
       }
     }
   });
+}
+
+Status ResidencyManager::CheckInvariants() const {
+  const auto fail = [](SlotId id, const std::string& what) {
+    return InternalError("residency: slot " + std::to_string(id) + " " + what);
+  };
+  // Which list each slot was found on, by walking every list once.
+  std::vector<uint8_t> seen(blocks_.end(), 0);
+  std::vector<uint8_t> dram_used(storage_.total_dram_pages(), 0);
+  std::vector<uint8_t> nvm_used(storage_.total_nvm_pages(), 0);
+  // dirty_pages(), clean_pages() and nvm_pages() are the lists' sizes.
+  const auto walk = [&](const SlotList& list, Residency where,
+                        const char* name) -> Status {
+    uint64_t length = 0;
+    SlotId prev = kNoSlot;
+    for (SlotId id = list.head; id != kNoSlot; id = blocks_[id].next) {
+      if (id >= blocks_.end() || !blocks_.live(id)) {
+        return fail(id, std::string("is free but linked on ") + name);
+      }
+      if (seen[id] != 0) {
+        return fail(id, std::string("is on two lists, or twice on ") + name);
+      }
+      seen[id] = 1;
+      const BlockState& b = blocks_[id];
+      if (b.where != where || b.prev != prev) {
+        return fail(id, std::string("is mislinked on ") + name);
+      }
+      const bool nvm = where == Residency::kNvm;
+      std::vector<uint8_t>& used = nvm ? nvm_used : dram_used;
+      const bool allocated = nvm ? storage_.IsNvmPageUsed(b.page)
+                                 : storage_.IsDramPageUsed(b.page);
+      if (!allocated || used[b.page] != 0) {
+        return fail(id, "holds a page that is free or shared");
+      }
+      used[b.page] = 1;
+      prev = id;
+      ++length;
+    }
+    if (list.tail != prev || length != list.size) {
+      return InternalError(std::string("residency: ") + name +
+                           " list length does not match its count");
+    }
+    return Status::Ok();
+  };
+  if (dirty_backend_ != nullptr) {
+    SSMC_RETURN_IF_ERROR(
+        walk(dirty_backend_->lru(), Residency::kDirty, "dirty"));
+  }
+  for (const CacheTier& tier : tiers_) {
+    SSMC_RETURN_IF_ERROR(walk(tier.lru, tier.residency,
+                              tier.residency == Residency::kNvm ? "nvm"
+                                                                : "clean"));
+    if (tier.lru.size > tier.capacity_pages) {
+      return InternalError("residency: a cache tier exceeds its budget");
+    }
+  }
+  uint64_t live = 0;
+  uint64_t heated = 0;
+  for (SlotId id = 1; id < blocks_.end(); ++id) {
+    const BlockState& b = blocks_[id];
+    if (!blocks_.live(id)) {
+      if (b.where != Residency::kHole || b.prev != kNoSlot ||
+          b.next != kNoSlot) {
+        return fail(id, "is free but still linked");
+      }
+      continue;
+    }
+    ++live;
+    heated += b.raw != 0 ? 1 : 0;
+    if (b.where == Residency::kHole ? b.raw == 0 : seen[id] == 0) {
+      return fail(id, b.where == Residency::kHole ? "is live but idle"
+                                                   : "is on no list");
+    }
+  }
+  if (live != blocks_.live_slots() || heated != heated_) {
+    return InternalError("residency: slot or heat count is off");
+  }
+  return Status::Ok();
 }
 
 }  // namespace ssmc

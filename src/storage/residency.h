@@ -9,10 +9,14 @@
 // FIFO, and nothing could *promote* a hot read-mostly flash block into
 // DRAM. The ResidencyManager centralizes that:
 //
-//  * it answers, for any logical block, where it currently lives
-//    (DRAM-dirty, DRAM-clean-cached, NVM-cached, flash, hole) — Resolve();
+//  * it owns the BlockStateTable (block_state.h): one pooled slot per file
+//    block that is dirty, cached or hot, reached from the file system's
+//    inode block map by slot id. The slot says where the block lives, so
+//    Resolve() — DRAM-dirty, DRAM-clean-cached, NVM-cached, flash, hole —
+//    is a field read, and the write buffer's LRU and both tier LRUs are
+//    intrusive links through the slots;
 //  * it tracks per-block access heat as sim-time-decayed touch counts, fed
-//    by file-system reads/writes and VM faults;
+//    by file-system reads/writes and VM faults, in the same slot;
 //  * it owns a table of clean cache tiers — tier 0 the DRAM clean cache,
 //    tier 1 the optional NVM cache — each with its own page budget and LRU,
 //    with heat-driven promotion/demotion between adjacent tiers: blocks
@@ -48,16 +52,14 @@
 #define SSMC_SRC_STORAGE_RESIDENCY_H_
 
 #include <cstdint>
-#include <list>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/ftl/flash_store.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
-#include "src/storage/block_key.h"
+#include "src/storage/block_state.h"
 #include "src/support/status.h"
 #include "src/support/units.h"
 
@@ -92,17 +94,6 @@ struct ResidencyOptions {
   // recycles its own LRU tail beyond this; it never squeezes dirty data or
   // VM frames to grow.
   double max_clean_fraction = 0.5;
-  // Heat table size bound; crossing it sweeps entries colder than ~0.25.
-  uint64_t max_heat_entries = 65536;
-};
-
-// Where a logical block currently lives.
-enum class Residency : uint8_t {
-  kHole = 0,   // Never written (or released): reads are zero fill.
-  kDirty = 1,  // In the DRAM write buffer, not yet flushed.
-  kClean = 2,  // In the DRAM clean cache; the flash copy is authoritative.
-  kFlash = 3,  // Only in flash.
-  kNvm = 4,    // In the NVM cache tier; the flash copy is authoritative.
 };
 
 class ResidencyManager {
@@ -134,7 +125,8 @@ class ResidencyManager {
 
   // --- Wiring -------------------------------------------------------------
   // The dirty side of the residency map is the file system's write buffer;
-  // the file system binds it at construction (null unbinds).
+  // the file system binds it at construction (null unbinds). Only the
+  // audit reads it: a dirty block's slot already says kDirty.
   void BindDirtyBackend(WriteBuffer* buffer) { dirty_backend_ = buffer; }
   // Called by the file system's destructor: drops the clean cache and heat
   // (their keys die with the namespace) and unbinds the dirty backend.
@@ -151,24 +143,52 @@ class ResidencyManager {
   void set_current_tenant(TenantId tenant) { tenant_ = tenant; }
   TenantId current_tenant() const { return tenant_; }
 
+  // --- Block-state slots --------------------------------------------------
+  // The table every per-block layer shares (block_state.h). Callers name a
+  // block by the slot id they keep beside it (the inode block map):
+  // blocks().Find to look, blocks().Acquire before a write or touch. Every
+  // method below taking a SlotId accepts kNoSlot as "no state".
+  BlockStateTable& blocks() { return blocks_; }
+  const BlockStateTable& blocks() const { return blocks_; }
+  // Returns the slot to the pool if it holds nothing: no DRAM/NVM copy and
+  // no heat. A no-op on kNoSlot or an already-freed slot.
+  void ReleaseIfIdle(SlotId slot) {
+    if (blocks_.live(slot) && blocks_[slot].where == Residency::kHole &&
+        blocks_[slot].raw == 0) {
+      blocks_.Free(slot);
+    }
+  }
+
+  // Audits the slot table (ROADMAP's tier-exclusivity invariant): every
+  // live slot sits on at most one list, the one its `where` names; each
+  // list's length is dirty_pages() / clean_pages() / nvm_pages(); each
+  // tier is within capacity_pages; every listed slot holds a page its
+  // allocator marks used, and no two hold the same page; no free slot is
+  // linked, no live slot is idle, and the heat count matches. Returns the
+  // first violation found.
+  Status CheckInvariants() const;
+
   // --- Placement ----------------------------------------------------------
   // Where does this block live? `flash_block` is the file system's mapping
-  // for the block (-1 = none). Precedence over the generalized tier table:
-  // dirty buffer, then each cache tier top-down (DRAM, then NVM), then
-  // flash, then hole. Pure bookkeeping: charges nothing.
-  Residency Resolve(const BlockKey& key, int64_t flash_block) const;
-
-  bool CleanCached(const BlockKey& key) const {
-    return tiers_[kDramTier].entries.find(key) !=
-           tiers_[kDramTier].entries.end();
+  // for the block (-1 = none). The slot's `where` wins (dirty buffer, then
+  // a cache tier — tiers are exclusive), then flash, then hole. Pure
+  // bookkeeping: charges nothing.
+  Residency Resolve(SlotId slot, int64_t flash_block) const {
+    if (slot != kNoSlot && blocks_[slot].where != Residency::kHole) {
+      return blocks_[slot].where;
+    }
+    return flash_block >= 0 ? Residency::kFlash : Residency::kHole;
   }
-  uint64_t clean_pages() const { return tiers_[kDramTier].entries.size(); }
-  bool NvmCached(const BlockKey& key) const {
-    return has_nvm_tier() && tiers_[kNvmTier].entries.find(key) !=
-                                 tiers_[kNvmTier].entries.end();
+
+  bool CleanCached(SlotId slot) const {
+    return slot != kNoSlot && blocks_[slot].where == Residency::kClean;
+  }
+  uint64_t clean_pages() const { return tiers_[kDramTier].lru.size; }
+  bool NvmCached(SlotId slot) const {
+    return slot != kNoSlot && blocks_[slot].where == Residency::kNvm;
   }
   uint64_t nvm_pages() const {
-    return has_nvm_tier() ? tiers_[kNvmTier].entries.size() : 0;
+    return has_nvm_tier() ? tiers_[kNvmTier].lru.size : 0;
   }
   // True when the machine has NVM capacity behind this manager (the tier
   // exists; whether it fills depends on the policy being enabled).
@@ -183,49 +203,52 @@ class ResidencyManager {
   std::vector<TierStatus> Tiers() const;
 
   // Reads bytes from a clean-cached block (DRAM access, charged to the
-  // caller's clock). Refreshes the entry's LRU position. NOT_FOUND if the
+  // caller's clock). Refreshes the block's LRU position. NOT_FOUND if the
   // block is not cached.
-  Status ReadClean(const BlockKey& key, uint64_t offset,
-                   std::span<uint8_t> out);
+  Status ReadClean(SlotId slot, uint64_t offset, std::span<uint8_t> out);
 
   // Reads bytes from an NVM-cached block: a foreground blocking read through
   // the NVM device's bank scheduler, billed to the current tenant. Refreshes
-  // the entry's LRU position. NOT_FOUND if the block is not in the NVM tier.
-  Status ReadNvm(const BlockKey& key, uint64_t offset, std::span<uint8_t> out);
+  // the block's LRU position. NOT_FOUND if the block is not in the NVM tier.
+  Status ReadNvm(SlotId slot, uint64_t offset, std::span<uint8_t> out);
 
   // Drops one / every cached block from every tier (content changed, file
   // released, battery-backed DRAM lost). The flash copy is authoritative,
   // so nothing is lost.
-  void InvalidateClean(const BlockKey& key);
+  void InvalidateClean(SlotId slot);
   void InvalidateAllClean();
 
   // --- Heat & migration ---------------------------------------------------
-  // Access notifications from the file system. OnFlashRead may promote the
-  // block into the bottom cache tier (policy-dependent): the NVM tier when
-  // one exists, else straight into the DRAM clean cache. The promotion
-  // flash read is issued cleaner-class non-blocking.
-  void TouchRead(const BlockKey& key, SimTime now);
-  void TouchWrite(const BlockKey& key, SimTime now);
-  void OnFlashRead(const BlockKey& key, uint64_t flash_block, SimTime now);
+  // Access notifications from the file system. Under kWriteBufferOnly they
+  // return at once, so the slot may be kNoSlot; otherwise it must be live.
+  // OnFlashRead may promote the block into the bottom cache tier
+  // (policy-dependent): the NVM tier when one exists, else straight into
+  // the DRAM clean cache. The promotion flash read is issued cleaner-class
+  // non-blocking.
+  void TouchRead(SlotId slot, SimTime now);
+  void TouchWrite(SlotId slot, SimTime now);
+  void OnFlashRead(SlotId slot, uint64_t flash_block, SimTime now);
   // After a read served from the NVM tier: touches the block and, when its
   // heat crosses the DRAM tier's threshold, promotes it one tier up (the
   // payload moves by reference; the NVM page returns to the pool).
-  void OnNvmRead(const BlockKey& key, SimTime now);
+  void OnNvmRead(SlotId slot, SimTime now);
 
   // A VM fault is about to map this flash block in place. Returns true if
   // the block is hot enough that the VM should copy it to DRAM instead
   // (promotion through the fault path: later accesses run at DRAM speed).
-  bool NoteVmFault(const BlockKey& key, SimTime now);
+  bool NoteVmFault(SlotId slot, SimTime now);
 
   // Which write stream a flush of this block should use. kAggressive routes
   // heat-cold blocks onto the relocation stream (FlashStore's cold banks);
   // every other policy returns kUser.
-  WriteStream FlushStream(const BlockKey& key, SimTime now);
+  WriteStream FlushStream(SlotId slot, SimTime now);
 
-  // Drops the heat entry (file block released).
-  void ForgetHeat(const BlockKey& key);
+  // Drops the block's heat (file block released), freeing an idle slot.
+  void ForgetHeat(SlotId slot);
   // Decayed touch count as of `now` (0 if never touched).
-  double HeatOf(const BlockKey& key, SimTime now) const;
+  double HeatOf(SlotId slot, SimTime now) const;
+  // Blocks that carry heat.
+  uint64_t heat_entries() const { return heated_; }
 
   // --- Shared DRAM budget -------------------------------------------------
   // Allocates a DRAM page, applying migration pressure when the pool is
@@ -279,8 +302,9 @@ class ResidencyManager {
 
   // Observability (nullable; null detaches): a "residency" trace track with
   // promotion spans and demotion instants, a stats mirror collector
-  // (clean-cache size and heat-table size as gauges), and heat histograms
-  // sampled at promotion and flush decisions (x100 fixed point).
+  // (clean-cache size and the count of blocks carrying heat as gauges),
+  // and heat histograms sampled at promotion and flush decisions (x100
+  // fixed point).
   void AttachObs(Obs* obs);
 
  private:
@@ -289,49 +313,37 @@ class ResidencyManager {
   static constexpr size_t kDramTier = 0;
   static constexpr size_t kNvmTier = 1;
 
-  struct CacheEntry {
-    uint64_t page = 0;  // DRAM page index (tier 0) or NVM page (tier 1).
-    TenantId tenant = kDefaultTenant;  // Who the promotion was billed to;
-                                       // this page is their share.
-    std::list<BlockKey>::iterator lru_it;  // Position in the tier's LRU.
-  };
-  // One clean cache tier. Entries are exclusive across tiers: a block lives
-  // in at most one, moving between adjacent tiers as its heat changes.
+  // One clean cache tier. Its blocks are the slots on `lru`, all with
+  // where == `residency`; tiers are exclusive, so a block moves between
+  // adjacent tiers as its heat changes.
   struct CacheTier {
-    Residency residency = Residency::kClean;  // What Resolve reports.
+    Residency residency = Residency::kClean;  // kClean or kNvm.
     uint64_t capacity_pages = 0;              // Per-tier budget.
-    std::unordered_map<BlockKey, CacheEntry, BlockKeyHash> entries;
-    std::list<BlockKey> lru;  // Front = least recently used.
+    SlotList lru;                             // Head = least recently used.
   };
 
-  struct Heat {
-    double decayed = 0;  // Exponentially decayed touch count.
-    uint64_t raw = 0;    // Lifetime touches (kAggressive trigger).
-    SimTime last = 0;    // When `decayed` was last brought current.
-  };
-
-  // Decays `h` to `now` and returns the current count.
-  double DecayTo(Heat& h, SimTime now) const;
+  // Decays the slot's heat to `now` and returns the current count.
+  double DecayTo(BlockState& b, SimTime now) const;
   // Records one touch; returns the decayed count after it.
-  double Touch(const BlockKey& key, SimTime now);
+  double Touch(SlotId slot, SimTime now);
   // Admission test for the DRAM tier (the historical promote rule).
-  bool ShouldPromote(const Heat& h) const;
+  bool ShouldPromote(const BlockState& b) const;
   // Admission test for the bottom cache tier from flash: the NVM tier's
   // (lower) threshold when the tier exists, else the DRAM rule.
-  bool ShouldAdmitFromFlash(const Heat& h) const;
+  bool ShouldAdmitFromFlash(const BlockState& b) const;
   // Promotes a flash block into the bottom cache tier.
-  void PromoteFromFlash(const BlockKey& key, uint64_t flash_block,
-                        SimTime now);
-  // Moves an NVM-tier entry one tier up into the DRAM clean cache.
-  void PromoteNvmToDram(const BlockKey& key, SimTime now);
+  void PromoteFromFlash(SlotId slot, uint64_t flash_block, SimTime now);
+  // Moves an NVM-tier block one tier up into the DRAM clean cache.
+  void PromoteNvmToDram(SlotId slot, SimTime now);
   // Drops (or, for the DRAM tier with an NVM tier below, demotes) the
-  // tier's LRU entry; false if the tier is empty.
+  // tier's LRU block; false if the tier is empty.
   bool DemoteOne(size_t tier, bool pressure);
   bool DemoteOneClean(bool pressure) { return DemoteOne(kDramTier, pressure); }
-  void EraseCacheEntry(
-      CacheTier& tier,
-      std::unordered_map<BlockKey, CacheEntry, BlockKeyHash>::iterator it);
-  // Frees `entry.page` back to the allocator owning `tier`'s pages.
+  // Links `slot` at the MRU end of `tier`, holding `page` for `tenant`.
+  void Install(size_t tier, SlotId slot, uint64_t page, TenantId tenant);
+  // Takes `slot` off its tier and frees its page; the slot stays live.
+  void EraseCacheEntry(CacheTier& tier, SlotId slot);
+  // Frees `page` back to the allocator owning `tier`'s pages.
   void FreeTierPage(const CacheTier& tier, uint64_t page);
   // Allocates a page for `tier`, recycling the tier's own LRU tail at its
   // budget. Failure (pool and tail both dry) returns !ok.
@@ -344,10 +356,11 @@ class ResidencyManager {
   WriteBuffer* dirty_backend_ = nullptr;
   std::vector<ReclaimSource*> sources_;  // Registration order (determinism).
 
+  BlockStateTable blocks_;
   // Tier table: [0] the DRAM clean cache, [1] the NVM cache when the
   // machine has NVM capacity. Sized at construction.
   std::vector<CacheTier> tiers_;
-  std::unordered_map<BlockKey, Heat, BlockKeyHash> heat_;
+  uint64_t heated_ = 0;  // Live slots with raw > 0.
 
   Stats stats_;
   Obs* obs_ = nullptr;

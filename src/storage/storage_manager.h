@@ -65,6 +65,7 @@ class StorageManager {
   // distinguish it from media-level kNoSpace).
   Result<uint64_t> AllocateDramPage();
   Status FreeDramPage(uint64_t page);
+  bool IsDramPageUsed(uint64_t page) const { return dram_pages_.used(page); }
   uint64_t DramPageAddress(uint64_t page) const { return page * page_bytes_; }
 
   // --- NVM page allocation ------------------------------------------------
@@ -76,6 +77,7 @@ class StorageManager {
   uint64_t free_nvm_pages() const { return nvm_pages_.free(); }
   Result<uint64_t> AllocateNvmPage();
   Status FreeNvmPage(uint64_t page);
+  bool IsNvmPageUsed(uint64_t page) const { return nvm_pages_.used(page); }
   uint64_t NvmPageAddress(uint64_t page) const { return page * page_bytes_; }
 
   // --- Flash logical-block allocation -------------------------------------

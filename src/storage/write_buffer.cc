@@ -1,7 +1,6 @@
 #include "src/storage/write_buffer.h"
 
 #include <cassert>
-#include <vector>
 
 #include "src/obs/obs.h"
 
@@ -11,16 +10,15 @@ WriteBuffer::WriteBuffer(StorageManager& storage, uint64_t capacity_pages,
                          FlushFn flush_fn)
     : storage_(storage),
       capacity_pages_(capacity_pages),
-      flush_fn_(std::move(flush_fn)) {
+      flush_fn_(std::move(flush_fn)),
+      residency_(storage.residency()),
+      blocks_(residency_.blocks()) {
   assert(flush_fn_ && "write buffer needs a flush destination");
 }
 
 WriteBuffer::~WriteBuffer() {
-  // Return DRAM pages in LRU order; contents are owned by the file
-  // system's lifetime.
-  for (const BlockKey& key : lru_) {
-    (void)storage_.FreeDramPage(entries_.find(key)->second.dram_page);
-  }
+  // Return DRAM pages; contents are owned by the file system's lifetime.
+  RemoveAll();
   if (obs_ != nullptr) {
     obs_->metrics().FlushAndRemoveCollector("wbuf");
   }
@@ -54,13 +52,16 @@ void WriteBuffer::AttachObs(Obs* obs) {
     mirror(flushed_bytes, stats_.flushed_bytes);
     mirror(evictions, stats_.capacity_evictions);
     mirror(dropped, stats_.dropped_writes);
-    dirty->Set(static_cast<int64_t>(entries_.size()));
+    dirty->Set(static_cast<int64_t>(lru_.size));
   });
 }
 
-Status WriteBuffer::Put(const BlockKey& key, std::span<const uint8_t> data,
+Status WriteBuffer::Put(SlotId slot, std::span<const uint8_t> data,
                         SimTime now, TenantId tenant) {
+  assert(blocks_[slot].where == Residency::kHole ||
+         blocks_[slot].where == Residency::kDirty);
   if (data.size() != page_bytes()) {
+    residency_.ReleaseIfIdle(slot);
     return InvalidArgumentError("write buffer stores whole blocks");
   }
   stats_.puts.Add();
@@ -73,119 +74,121 @@ Status WriteBuffer::Put(const BlockKey& key, std::span<const uint8_t> data,
     // Unbuffered baseline: write straight through to flash.
     stats_.flushes.Add();
     stats_.flushed_bytes.Add(data.size());
-    return flush_fn_(key, storage_.extent_pool().AllocateCopy(data.data()),
-                     tenant);
+    const BlockKey key = blocks_[slot].key;
+    const Status flushed = flush_fn_(
+        key, storage_.extent_pool().AllocateCopy(data.data()), tenant);
+    residency_.ReleaseIfIdle(slot);
+    return flushed;
   }
 
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (blocks_[slot].where == Residency::kDirty) {
     // Overwrite absorbed in DRAM — this flash write never happens. The
     // block keeps its original dirty_since (the BSD 30-second rule ages
     // from first dirtying), so even hot blocks reach stable storage within
     // one age window. The billing tenant does refresh: last writer owns
     // the eventual flush.
     stats_.absorbed_overwrites.Add();
-    it->second.tenant = tenant;
-    storage_.WritePagePayload(it->second.dram_page, 0, data);
+    blocks_[slot].tenant = tenant;
+    storage_.WritePagePayload(blocks_[slot].page, 0, data);
     return Status::Ok();
   }
 
   // Make room if needed by flushing the oldest dirty block.
-  while (entries_.size() >= capacity_pages_) {
-    assert(!lru_.empty());
-    auto victim = entries_.find(lru_.front());
-    assert(victim != entries_.end());
+  while (lru_.size >= capacity_pages_) {
     stats_.capacity_evictions.Add();
     if (obs_ != nullptr) {
       obs_->tracer().Instant(obs_track_, "capacity-evict",
                              storage_.dram().clock().now());
     }
-    SSMC_RETURN_IF_ERROR(FlushEntry(victim));
+    const Status flushed = FlushEntry(lru_.head);
+    if (!flushed.ok()) {
+      residency_.ReleaseIfIdle(slot);
+      return flushed;
+    }
   }
 
   // Dirty data is the buffer's reason to exist: allocate through the
   // residency manager so the clean cache (and, under migration policies,
   // other consumers' reclaimable pages) yields before a Put fails. Under
   // kWriteBufferOnly this is exactly the raw allocator.
-  Result<uint64_t> page =
-      storage_.residency().AllocateDramPage(/*requester=*/nullptr);
+  Result<uint64_t> page = residency_.AllocateDramPage(/*requester=*/nullptr);
   if (!page.ok()) {
+    residency_.ReleaseIfIdle(slot);
     return page.status();
   }
   storage_.WritePagePayload(page.value(), 0, data);
-  lru_.push_back(key);
-  Entry entry;
-  entry.dram_page = page.value();
-  entry.dirty_since = now;
-  entry.tenant = tenant;
-  entry.lru_it = std::prev(lru_.end());
-  entries_.emplace(key, entry);
+  BlockState& block = blocks_[slot];
+  block.where = Residency::kDirty;
+  block.page = static_cast<uint32_t>(page.value());
+  block.dirty_since = now;
+  block.tenant = tenant;
+  blocks_.PushBack(lru_, slot);
   return Status::Ok();
 }
 
-Status WriteBuffer::Get(const BlockKey& key, std::span<uint8_t> out) {
+Status WriteBuffer::Get(SlotId slot, std::span<uint8_t> out) {
   if (out.size() != page_bytes()) {
     return InvalidArgumentError("write buffer reads whole blocks");
   }
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (!Contains(slot)) {
     return NotFoundError("block not buffered");
   }
-  storage_.ReadPagePayload(it->second.dram_page, 0, out);
+  storage_.ReadPagePayload(blocks_[slot].page, 0, out);
   return Status::Ok();
 }
 
-bool WriteBuffer::Drop(const BlockKey& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+void WriteBuffer::Remove(SlotId slot) {
+  BlockState& block = blocks_[slot];
+  (void)storage_.FreeDramPage(block.page);
+  blocks_.Unlink(lru_, slot);
+  block.where = Residency::kHole;
+  residency_.ReleaseIfIdle(slot);
+}
+
+void WriteBuffer::RemoveAll() {
+  while (lru_.head != kNoSlot) {
+    Remove(lru_.head);
+  }
+}
+
+bool WriteBuffer::Drop(SlotId slot) {
+  if (!Contains(slot)) {
     return false;
   }
   stats_.dropped_writes.Add();
   stats_.dropped_bytes.Add(page_bytes());
-  (void)storage_.FreeDramPage(it->second.dram_page);
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
+  Remove(slot);
   return true;
 }
 
-Status WriteBuffer::FlushEntry(
-    std::unordered_map<BlockKey, Entry, BlockKeyHash>::iterator it) {
+Status WriteBuffer::FlushEntry(SlotId slot) {
   // Reading the buffered page costs DRAM time as before, but hands the
   // flush destination the page's own extent: no staging copy.
-  PayloadRef data = storage_.ReadPagePayloadRef(it->second.dram_page);
-  SSMC_RETURN_IF_ERROR(flush_fn_(it->first, data, it->second.tenant));
+  const BlockState block = blocks_[slot];
+  PayloadRef data = storage_.ReadPagePayloadRef(block.page);
+  SSMC_RETURN_IF_ERROR(flush_fn_(block.key, data, block.tenant));
   stats_.flushes.Add();
   stats_.flushed_bytes.Add(data.size());
-  (void)storage_.FreeDramPage(it->second.dram_page);
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
+  Remove(slot);
   return Status::Ok();
 }
 
-Status WriteBuffer::Flush(const BlockKey& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return Status::Ok();
-  }
-  return FlushEntry(it);
+Status WriteBuffer::Flush(SlotId slot) {
+  return Contains(slot) ? FlushEntry(slot) : Status::Ok();
 }
 
 Status WriteBuffer::FlushOlderThan(SimTime now, Duration max_age) {
   const uint64_t flushes_before = stats_.flushes.value();
-  // lru_ is in insertion order: Put's overwrite path absorbs the write into
-  // the existing DRAM page and returns early — it neither refreshes
-  // dirty_since nor moves the entry to the back. The front is therefore the
-  // FIRST-dirtied entry, dirty_since is monotone along the list, and it is
-  // safe to stop at the first young entry. This is what bounds staleness: a
+  // The LRU is in insertion order: Put's overwrite path absorbs the write
+  // into the existing DRAM page and returns early — it neither refreshes
+  // dirty_since nor moves the slot to the back. The head is therefore the
+  // FIRST-dirtied block, dirty_since is monotone along the list, and it is
+  // safe to stop at the first young one. This is what bounds staleness: a
   // block overwritten every second still flushes one age window after its
   // first buffered write, rather than being deferred forever.
-  while (!lru_.empty()) {
-    auto it = entries_.find(lru_.front());
-    assert(it != entries_.end());
-    if (now - it->second.dirty_since < max_age) {
-      break;
-    }
-    SSMC_RETURN_IF_ERROR(FlushEntry(it));
+  while (lru_.head != kNoSlot &&
+         now - blocks_[lru_.head].dirty_since >= max_age) {
+    SSMC_RETURN_IF_ERROR(FlushEntry(lru_.head));
   }
   if (obs_ != nullptr && stats_.flushes.value() != flushes_before) {
     obs_->tracer().Span(obs_track_, "age-flush", now,
@@ -199,9 +202,9 @@ Status WriteBuffer::FlushAll() {
   const uint64_t flushes_before = stats_.flushes.value();
   const SimTime t0 = storage_.dram().clock().now();
   // LRU (first-dirtied) order, so the flash layout a sync leaves behind
-  // depends only on the write sequence, never on hash-table layout.
-  while (!lru_.empty()) {
-    SSMC_RETURN_IF_ERROR(FlushEntry(entries_.find(lru_.front())));
+  // depends only on the write sequence.
+  while (lru_.head != kNoSlot) {
+    SSMC_RETURN_IF_ERROR(FlushEntry(lru_.head));
   }
   if (obs_ != nullptr && stats_.flushes.value() != flushes_before) {
     obs_->tracer().Span(obs_track_, "sync-flush", t0,
@@ -212,18 +215,13 @@ Status WriteBuffer::FlushAll() {
 }
 
 uint64_t WriteBuffer::DropAllUnflushed() {
-  const uint64_t lost = entries_.size() * page_bytes();
+  const uint64_t lost = lru_.size * page_bytes();
   if (obs_ != nullptr && lost > 0) {
     obs_->tracer().Instant(obs_track_, "buffer-lost",
                            storage_.dram().clock().now(),
                            {"bytes_lost", lost});
   }
-  // LRU order: the allocator hands freed pages out again in reverse.
-  for (const BlockKey& key : lru_) {
-    (void)storage_.FreeDramPage(entries_.find(key)->second.dram_page);
-  }
-  entries_.clear();
-  lru_.clear();
+  RemoveAll();
   return lost;
 }
 

@@ -10,15 +10,25 @@
 // backed, buffered data is stable against ordinary power-off; only total
 // battery failure loses it (experiment E10).
 //
-// Eviction and flushing:
+// The buffer keeps no table of its own. A dirty block is a slot of the
+// residency manager's BlockStateTable (block_state.h) with where == kDirty,
+// linked on the buffer's intrusive LRU; the caller names blocks by slot
+// (acquired from the table with the block's key), and the slot carries the
+// DRAM page, the first-dirtied time and the billing tenant.
+//
+// Eviction and flushing, all in LRU (first-dirtied) order:
 //  * capacity eviction: when full, the least-recently-written dirty block is
 //    flushed to flash and dropped;
 //  * age flush: FlushOlderThan(age) writes back blocks dirty longer than a
 //    threshold (the classical 30-second sync policy), invoked periodically
 //    by the machine's flush daemon;
-//  * write avoidance: Drop(key) discards a dirty block whose file was
+//  * sync: FlushAll drains everything, oldest first, so the flash layout a
+//    sync leaves depends only on the write sequence;
+//  * write avoidance: Drop(slot) discards a dirty block whose file was
 //    deleted or truncated — that write never reaches flash, which is where
 //    the 40-50% traffic reduction comes from.
+// A slot that leaves the buffer holding no other state (no cached copy, no
+// heat) goes back to the table's pool.
 //
 // Flushed blocks reach the flash store as flush-class I/O requests
 // (IoPriority::kFlush — see src/sim/io_request.h): below foreground reads,
@@ -29,13 +39,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <span>
-#include <unordered_map>
 
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
-#include "src/storage/block_key.h"
+#include "src/storage/block_state.h"
 #include "src/storage/storage_manager.h"
 #include "src/support/status.h"
 
@@ -64,28 +72,32 @@ class WriteBuffer {
   WriteBuffer& operator=(const WriteBuffer&) = delete;
 
   uint64_t capacity_pages() const { return capacity_pages_; }
-  uint64_t dirty_pages() const { return entries_.size(); }
+  uint64_t dirty_pages() const { return lru_.size; }
+  // The dirty slots, first dirtied first (the residency audit walks it).
+  const SlotList& lru() const { return lru_; }
   uint64_t page_bytes() const { return storage_.page_bytes(); }
 
-  // Stores a whole dirty block. data.size() must equal page_bytes().
-  // Overwriting an already-buffered block is absorbed in DRAM (and re-bills
-  // the block to the overwriting tenant: the last writer owns the flush).
-  Status Put(const BlockKey& key, std::span<const uint8_t> data, SimTime now,
+  // Stores a whole dirty block in `slot` (acquired by the caller; it must
+  // not be clean-cached). data.size() must equal page_bytes(). Overwriting
+  // an already-buffered block is absorbed in DRAM (and re-bills the block
+  // to the overwriting tenant: the last writer owns the flush). On failure
+  // the slot is released if it holds nothing else.
+  Status Put(SlotId slot, std::span<const uint8_t> data, SimTime now,
              TenantId tenant = kDefaultTenant);
 
   // Reads a buffered block; NOT_FOUND if not buffered.
-  Status Get(const BlockKey& key, std::span<uint8_t> out);
+  Status Get(SlotId slot, std::span<uint8_t> out);
 
-  bool Contains(const BlockKey& key) const {
-    return entries_.count(key) != 0;
+  bool Contains(SlotId slot) const {
+    return slot != kNoSlot && blocks_[slot].where == Residency::kDirty;
   }
 
   // Discards a dirty block without flushing (file deleted / truncated).
   // Returns true if the block was buffered.
-  bool Drop(const BlockKey& key);
+  bool Drop(SlotId slot);
 
   // Flushes one specific block if buffered.
-  Status Flush(const BlockKey& key);
+  Status Flush(SlotId slot);
 
   // Flushes every block dirty since before (now - max_age).
   Status FlushOlderThan(SimTime now, Duration max_age);
@@ -94,7 +106,7 @@ class WriteBuffer {
   Status FlushAll();
 
   // Simulates sudden loss of the buffer (total battery failure): drops all
-  // entries and returns the number of dirty bytes that were lost.
+  // blocks and returns the number of dirty bytes that were lost.
   uint64_t DropAllUnflushed();
 
   struct Stats {
@@ -120,24 +132,23 @@ class WriteBuffer {
   void AttachObs(Obs* obs);
 
  private:
-  // The entry's bytes live in the storage manager's page-payload table,
-  // keyed by dram_page — the page allocation is the DRAM budget token, the
-  // payload extent is the content.
-  struct Entry {
-    uint64_t dram_page;
-    SimTime dirty_since;  // First dirtying; NOT refreshed by overwrites.
-    TenantId tenant;      // Last writer; the flush is billed to them.
-    std::list<BlockKey>::iterator lru_it;  // Position in lru_ (front = oldest).
-  };
-
-  // Flushes and removes one entry. The iterator must be valid.
-  Status FlushEntry(std::unordered_map<BlockKey, Entry, BlockKeyHash>::iterator it);
+  // Flushes one dirty slot and takes it off the LRU. The slot's bytes live
+  // in the storage manager's page-payload table, keyed by its DRAM page —
+  // the page allocation is the DRAM budget token, the payload extent is
+  // the content.
+  Status FlushEntry(SlotId slot);
+  // Takes a dirty slot off the LRU and frees its page (and the slot, when
+  // it holds nothing else).
+  void Remove(SlotId slot);
+  // Frees every dirty page, first dirtied first.
+  void RemoveAll();
 
   StorageManager& storage_;
   uint64_t capacity_pages_;
   FlushFn flush_fn_;
-  std::unordered_map<BlockKey, Entry, BlockKeyHash> entries_;
-  std::list<BlockKey> lru_;  // Front = least recently written.
+  ResidencyManager& residency_;
+  BlockStateTable& blocks_;
+  SlotList lru_;  // Head = first dirtied.
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;

@@ -214,19 +214,14 @@ Status AddressSpace::HandleFault(const Region& region, uint64_t va,
 
   if (location.kind == BlockLocation::Kind::kFlash && !for_write &&
       region.kind != RegionKind::kFileDemandCopy) {
-    // VM faults feed block heat too (migration policies only — FileId walks
-    // the namespace, and kWriteBufferOnly must stay byte-identical). A block
-    // hot enough to promote is copied into this space's DRAM instead of
-    // being mapped in place, so its accesses run at DRAM speed.
-    ResidencyManager& res = storage_.residency();
-    bool promote_to_dram = false;
-    if (res.enabled()) {
-      Result<uint64_t> file_id = region.fs->FileId(region.path);
-      promote_to_dram =
-          file_id.ok() &&
-          res.NoteVmFault(BlockKey{file_id.value(), block_index},
-                          storage_.flash_store().device().clock().now());
-    }
+    // VM faults feed block heat too (migration policies only — the fs
+    // walks the namespace to reach the block's state, and kWriteBufferOnly
+    // must stay byte-identical). A block hot enough to promote is copied
+    // into this space's DRAM instead of being mapped in place, so its
+    // accesses run at DRAM speed.
+    const bool promote_to_dram =
+        storage_.residency().enabled() &&
+        region.fs->NoteVmFault(region.path, block_index);
     if (!promote_to_dram) {
       // Map the flash block in place: no copy, no DRAM consumed. The PTE
       // holds the *logical* store block; accesses re-resolve the physical

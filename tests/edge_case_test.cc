@@ -9,6 +9,7 @@
 #include "src/sim/event_queue.h"
 #include "src/storage/write_buffer.h"
 #include "src/vm/loader.h"
+#include "tests/block_slots.h"
 
 namespace ssmc {
 namespace {
@@ -68,6 +69,7 @@ TEST(WriteBufferEdgeTest, FlushFailurePropagates) {
   FlashDevice flash(flash_spec, 128 * 1024, 1, clock);
   FlashStore store(flash, {});
   StorageManager manager(dram, store, 512);
+  BlockSlots slot(manager.residency());
 
   int failures_injected = 0;
   WriteBuffer buffer(manager, 4,
@@ -76,15 +78,15 @@ TEST(WriteBufferEdgeTest, FlushFailurePropagates) {
                        return NoSpaceError("injected");
                      });
   std::vector<uint8_t> page(512, 1);
-  ASSERT_TRUE(buffer.Put(BlockKey{1, 0}, page, 0).ok());
+  ASSERT_TRUE(buffer.Put(slot(BlockKey{1, 0}), page, 0).ok());
   Status flushed = buffer.FlushAll();
   EXPECT_EQ(flushed.code(), ErrorCode::kNoSpace);
   EXPECT_EQ(failures_injected, 1);
   // The block stays buffered (not lost) after a failed flush attempt...
-  EXPECT_TRUE(buffer.Contains(BlockKey{1, 0}));
+  EXPECT_TRUE(buffer.Contains(slot(BlockKey{1, 0})));
   // ...so its data remains readable.
   std::vector<uint8_t> out(512);
-  EXPECT_TRUE(buffer.Get(BlockKey{1, 0}, out).ok());
+  EXPECT_TRUE(buffer.Get(slot(BlockKey{1, 0}), out).ok());
 }
 
 // --- DRAM exhaustion through the stack --------------------------------------

@@ -19,6 +19,7 @@
 #include "src/support/rng.h"
 #include "src/trace/generator.h"
 #include "src/vm/address_space.h"
+#include "tests/block_slots.h"
 
 namespace ssmc {
 namespace {
@@ -84,6 +85,7 @@ class NvmTierTest : public ::testing::Test {
   FlashDevice flash_;
   FlashStore store_;
   StorageManager manager_;
+  BlockSlots slot{manager_.residency()};
 };
 
 TEST_F(NvmTierTest, FirstFlashReadAdmitsIntoNvmTier) {
@@ -92,10 +94,10 @@ TEST_F(NvmTierTest, FirstFlashReadAdmitsIntoNvmTier) {
 
   // With an NVM tier the bottom-tier admission threshold (1.0) applies:
   // the very first flash read admits the block — into NVM, not DRAM.
-  res().OnFlashRead(key, 9, clock_.now());
-  EXPECT_TRUE(res().NvmCached(key));
-  EXPECT_FALSE(res().CleanCached(key));
-  EXPECT_EQ(res().Resolve(key, 9), Residency::kNvm);
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  EXPECT_TRUE(res().NvmCached(slot(key)));
+  EXPECT_FALSE(res().CleanCached(slot(key)));
+  EXPECT_EQ(res().Resolve(slot(key), 9), Residency::kNvm);
   EXPECT_EQ(res().stats().nvm_promotions.value(), 1u);
   EXPECT_EQ(res().stats().nvm_promoted_bytes.value(), 512u);
   EXPECT_EQ(res().stats().promotions.value(), 0u);
@@ -105,7 +107,7 @@ TEST_F(NvmTierTest, FirstFlashReadAdmitsIntoNvmTier) {
 
   // The cached copy reads back byte-identical through the NVM device.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadNvm(key, 0, out).ok());
+  ASSERT_TRUE(res().ReadNvm(slot(key), 0, out).ok());
   EXPECT_EQ(out, Page(0x5C));
   EXPECT_EQ(res().stats().nvm_hits.value(), 1u);
   EXPECT_EQ(res().stats().nvm_hit_bytes.value(), 512u);
@@ -113,32 +115,32 @@ TEST_F(NvmTierTest, FirstFlashReadAdmitsIntoNvmTier) {
 
   // Partial reads honor offsets; out-of-bounds and misses are rejected.
   std::vector<uint8_t> tail(12);
-  ASSERT_TRUE(res().ReadNvm(key, 500, tail).ok());
+  ASSERT_TRUE(res().ReadNvm(slot(key), 500, tail).ok());
   EXPECT_EQ(tail, std::vector<uint8_t>(12, 0x5C));
   std::vector<uint8_t> over(13);
-  EXPECT_EQ(res().ReadNvm(key, 500, over).code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(res().ReadNvm(BlockKey{9, 9}, 0, out).code(),
+  EXPECT_EQ(res().ReadNvm(slot(key), 500, over).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(res().ReadNvm(slot(BlockKey{9, 9}), 0, out).code(),
             ErrorCode::kNotFound);
 }
 
 TEST_F(NvmTierTest, HotNvmBlockClimbsIntoDram) {
   const BlockKey key{4, 2};
   SeedFlashBlock(9, 0x5C);
-  res().OnFlashRead(key, 9, clock_.now());  // Heat 1.0: admitted to NVM.
-  ASSERT_TRUE(res().NvmCached(key));
+  res().OnFlashRead(slot(key), 9, clock_.now());  // Heat 1.0: admitted to NVM.
+  ASSERT_TRUE(res().NvmCached(slot(key)));
 
   // The next read's touch crosses the DRAM threshold (2.0): the block moves
   // one tier up and its NVM page returns to the pool.
-  res().OnNvmRead(key, clock_.now());
-  EXPECT_TRUE(res().CleanCached(key));
-  EXPECT_FALSE(res().NvmCached(key));
-  EXPECT_EQ(res().Resolve(key, 9), Residency::kClean);
+  res().OnNvmRead(slot(key), clock_.now());
+  EXPECT_TRUE(res().CleanCached(slot(key)));
+  EXPECT_FALSE(res().NvmCached(slot(key)));
+  EXPECT_EQ(res().Resolve(slot(key), 9), Residency::kClean);
   EXPECT_EQ(res().stats().nvm_to_dram_promotions.value(), 1u);
   EXPECT_EQ(res().stats().promotions.value(), 1u);
   EXPECT_EQ(manager_.free_nvm_pages(), manager_.total_nvm_pages());
 
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadClean(key, 0, out).ok());
+  ASSERT_TRUE(res().ReadClean(slot(key), 0, out).ok());
   EXPECT_EQ(out, Page(0x5C));
 }
 
@@ -147,19 +149,19 @@ TEST_F(NvmTierTest, InvalidationCoversEveryTier) {
   SeedFlashBlock(1, 0xBB);
   const BlockKey in_nvm{1, 0};
   const BlockKey in_dram{1, 1};
-  res().OnFlashRead(in_nvm, 0, clock_.now());
-  res().OnFlashRead(in_dram, 1, clock_.now());
-  res().OnNvmRead(in_dram, clock_.now());
-  ASSERT_TRUE(res().NvmCached(in_nvm));
-  ASSERT_TRUE(res().CleanCached(in_dram));
+  res().OnFlashRead(slot(in_nvm), 0, clock_.now());
+  res().OnFlashRead(slot(in_dram), 1, clock_.now());
+  res().OnNvmRead(slot(in_dram), clock_.now());
+  ASSERT_TRUE(res().NvmCached(slot(in_nvm)));
+  ASSERT_TRUE(res().CleanCached(slot(in_dram)));
 
-  res().InvalidateClean(in_nvm);
-  EXPECT_FALSE(res().NvmCached(in_nvm));
+  res().InvalidateClean(slot(in_nvm));
+  EXPECT_FALSE(res().NvmCached(slot(in_nvm)));
   EXPECT_EQ(res().stats().demotions_invalidated.value(), 1u);
   EXPECT_EQ(manager_.free_nvm_pages(), manager_.total_nvm_pages());
 
   res().InvalidateAllClean();
-  EXPECT_FALSE(res().CleanCached(in_dram));
+  EXPECT_FALSE(res().CleanCached(slot(in_dram)));
   EXPECT_EQ(res().clean_pages() + res().nvm_pages(), 0u);
 }
 
@@ -173,7 +175,7 @@ TEST_F(NvmTierTest, TiersSnapshotReportsCapacityAndOccupancy) {
   EXPECT_EQ(tiers[0].cached_pages + tiers[1].cached_pages, 0u);
 
   SeedFlashBlock(0, 0xAA);
-  res().OnFlashRead(BlockKey{1, 0}, 0, clock_.now());
+  res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
   tiers = res().Tiers();
   EXPECT_EQ(tiers[1].cached_pages, 1u);
 }
@@ -195,8 +197,8 @@ TEST_F(NvmTinyTierTest, DramTailDemotesIntoNvmAndNvmTailDrops) {
   }
   // Admit from flash into NVM, then climb to DRAM on the second touch.
   auto climb = [&](uint64_t b) {
-    res().OnFlashRead(BlockKey{1, b}, b, clock_.now());
-    res().OnNvmRead(BlockKey{1, b}, clock_.now());
+    res().OnFlashRead(slot(BlockKey{1, b}), b, clock_.now());
+    res().OnNvmRead(slot(BlockKey{1, b}), clock_.now());
   };
 
   climb(0);
@@ -208,29 +210,59 @@ TEST_F(NvmTinyTierTest, DramTailDemotesIntoNvmAndNvmTailDrops) {
   // one tier, into NVM — not out of the hierarchy.
   climb(2);  // DRAM = {1, 2}, NVM = {0}.
   EXPECT_EQ(res().stats().demotions_to_nvm.value(), 1u);
-  EXPECT_TRUE(res().NvmCached(BlockKey{1, 0}));
-  EXPECT_TRUE(res().CleanCached(BlockKey{1, 1}));
-  EXPECT_TRUE(res().CleanCached(BlockKey{1, 2}));
+  EXPECT_TRUE(res().NvmCached(slot(BlockKey{1, 0})));
+  EXPECT_TRUE(res().CleanCached(slot(BlockKey{1, 1})));
+  EXPECT_TRUE(res().CleanCached(slot(BlockKey{1, 2})));
 
   // The fourth climb cascades: DRAM tail (1) demotes into a full NVM tier,
   // whose own LRU tail (0) drops — flash stays authoritative for it.
   climb(3);  // DRAM = {2, 3}, NVM = {1}.
   EXPECT_EQ(res().stats().demotions_to_nvm.value(), 2u);
-  EXPECT_EQ(res().Resolve(BlockKey{1, 0}, 0), Residency::kFlash);
-  EXPECT_TRUE(res().NvmCached(BlockKey{1, 1}));
-  EXPECT_TRUE(res().CleanCached(BlockKey{1, 2}));
-  EXPECT_TRUE(res().CleanCached(BlockKey{1, 3}));
+  EXPECT_EQ(res().Resolve(slot(BlockKey{1, 0}), 0), Residency::kFlash);
+  EXPECT_TRUE(res().NvmCached(slot(BlockKey{1, 1})));
+  EXPECT_TRUE(res().CleanCached(slot(BlockKey{1, 2})));
+  EXPECT_TRUE(res().CleanCached(slot(BlockKey{1, 3})));
   EXPECT_LE(res().clean_pages(), 2u);
   EXPECT_LE(res().nvm_pages(), 2u);
 
   // Every survivor still reads back its own bytes from its current tier.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadNvm(BlockKey{1, 1}, 0, out).ok());
+  ASSERT_TRUE(res().ReadNvm(slot(BlockKey{1, 1}), 0, out).ok());
   EXPECT_EQ(out, Page(0xA1));
-  ASSERT_TRUE(res().ReadClean(BlockKey{1, 2}, 0, out).ok());
+  ASSERT_TRUE(res().ReadClean(slot(BlockKey{1, 2}), 0, out).ok());
   EXPECT_EQ(out, Page(0xA2));
-  ASSERT_TRUE(res().ReadClean(BlockKey{1, 3}, 0, out).ok());
+  ASSERT_TRUE(res().ReadClean(slot(BlockKey{1, 3}), 0, out).ok());
   EXPECT_EQ(out, Page(0xA3));
+}
+
+class NvmOnePageTierTest : public NvmTierTest {
+ protected:
+  static ResidencyOptions OnePageOptions() {
+    ResidencyOptions options = ReadPromoteOptions();
+    options.max_clean_fraction = 1.0 / 128.0;  // One DRAM cache page.
+    return options;
+  }
+  NvmOnePageTierTest() : NvmTierTest(OnePageOptions(), /*nvm_bytes=*/512) {}
+};
+
+TEST_F(NvmOnePageTierTest, ClimbThatEvictsItselfFromNvmStaysInFlash) {
+  SeedFlashBlock(0, 0xA0);
+  SeedFlashBlock(1, 0xA1);
+  const BlockKey a{1, 0};
+  const BlockKey b{1, 1};
+  res().OnFlashRead(slot(a), 0, clock_.now());
+  res().OnNvmRead(slot(a), clock_.now());  // DRAM = {a}, NVM empty.
+  ASSERT_TRUE(res().CleanCached(slot(a)));
+  res().OnFlashRead(slot(b), 1, clock_.now());  // NVM = {b}.
+  ASSERT_TRUE(res().NvmCached(slot(b)));
+  // b's climb needs the DRAM page: a demotes into the full NVM tier, whose
+  // tail is b itself. b drops to flash and the climb is abandoned.
+  res().OnNvmRead(slot(b), clock_.now());
+  EXPECT_EQ(res().Resolve(slot(b), 1), Residency::kFlash);
+  EXPECT_TRUE(res().NvmCached(slot(a)));
+  EXPECT_EQ(res().clean_pages(), 0u);
+  EXPECT_EQ(manager_.free_dram_pages(), manager_.total_dram_pages());
+  EXPECT_TRUE(res().CheckInvariants().ok());
 }
 
 class NvmDisabledPolicyTest : public NvmTierTest {
@@ -244,7 +276,7 @@ TEST_F(NvmDisabledPolicyTest, WriteBufferOnlyNeverFillsNvm) {
   ASSERT_TRUE(res().has_nvm_tier());
   SeedFlashBlock(0, 0xAA);
   for (int i = 0; i < 10; ++i) {
-    res().OnFlashRead(BlockKey{1, 0}, 0, clock_.now());
+    res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
   }
   EXPECT_EQ(res().nvm_pages(), 0u);
   EXPECT_EQ(res().stats().nvm_promotions.value(), 0u);

@@ -20,6 +20,7 @@
 #include "src/storage/write_buffer.h"
 #include "src/support/rng.h"
 #include "src/vm/address_space.h"
+#include "tests/block_slots.h"
 
 namespace ssmc {
 namespace {
@@ -74,6 +75,7 @@ class ResidencyTest : public ::testing::Test {
   FlashDevice flash_;
   FlashStore store_;
   StorageManager manager_;
+  BlockSlots slot{manager_.residency()};
 };
 
 TEST(ResidencyPolicyNames, RoundTripAndParse) {
@@ -104,45 +106,45 @@ TEST_F(ResidencyTest, ResolveCoversAllFourStates) {
   res().BindDirtyBackend(&buffer);
 
   const BlockKey dirty{1, 0};
-  ASSERT_TRUE(buffer.Put(dirty, Page(1), clock_.now()).ok());
-  EXPECT_EQ(res().Resolve(dirty, -1), Residency::kDirty);
+  ASSERT_TRUE(buffer.Put(slot(dirty), Page(1), clock_.now()).ok());
+  EXPECT_EQ(res().Resolve(slot(dirty), -1), Residency::kDirty);
   // Dirty wins even if the block also has a flash copy.
-  EXPECT_EQ(res().Resolve(dirty, 5), Residency::kDirty);
+  EXPECT_EQ(res().Resolve(slot(dirty), 5), Residency::kDirty);
 
-  EXPECT_EQ(res().Resolve(BlockKey{1, 1}, 7), Residency::kFlash);
-  EXPECT_EQ(res().Resolve(BlockKey{1, 2}, -1), Residency::kHole);
+  EXPECT_EQ(res().Resolve(slot(BlockKey{1, 1}), 7), Residency::kFlash);
+  EXPECT_EQ(res().Resolve(slot(BlockKey{1, 2}), -1), Residency::kHole);
 
   // Promote a flash block: it resolves kClean until invalidated.
   const BlockKey hot{2, 0};
   SeedFlashBlock(3, 0xAB);
-  res().OnFlashRead(hot, 3, clock_.now());
-  res().OnFlashRead(hot, 3, clock_.now());
-  ASSERT_TRUE(res().CleanCached(hot));
-  EXPECT_EQ(res().Resolve(hot, 3), Residency::kClean);
-  res().InvalidateClean(hot);
-  EXPECT_EQ(res().Resolve(hot, 3), Residency::kFlash);
+  res().OnFlashRead(slot(hot), 3, clock_.now());
+  res().OnFlashRead(slot(hot), 3, clock_.now());
+  ASSERT_TRUE(res().CleanCached(slot(hot)));
+  EXPECT_EQ(res().Resolve(slot(hot), 3), Residency::kClean);
+  res().InvalidateClean(slot(hot));
+  EXPECT_EQ(res().Resolve(slot(hot), 3), Residency::kFlash);
 
   res().BindDirtyBackend(nullptr);
 }
 
 TEST_F(ResidencyTest, HeatDecaysWithConfiguredHalfLife) {
   const BlockKey key{1, 0};
-  res().TouchRead(key, clock_.now());
-  EXPECT_DOUBLE_EQ(res().HeatOf(key, clock_.now()), 1.0);
+  res().TouchRead(slot(key), clock_.now());
+  EXPECT_DOUBLE_EQ(res().HeatOf(slot(key), clock_.now()), 1.0);
 
   // One half-life later the touch counts half; HeatOf must not mutate.
   const SimTime later = clock_.now() + 30 * kSecond;
-  EXPECT_DOUBLE_EQ(res().HeatOf(key, later), 0.5);
-  EXPECT_DOUBLE_EQ(res().HeatOf(key, later), 0.5);
-  EXPECT_DOUBLE_EQ(res().HeatOf(key, later + 30 * kSecond), 0.25);
+  EXPECT_DOUBLE_EQ(res().HeatOf(slot(key), later), 0.5);
+  EXPECT_DOUBLE_EQ(res().HeatOf(slot(key), later), 0.5);
+  EXPECT_DOUBLE_EQ(res().HeatOf(slot(key), later + 30 * kSecond), 0.25);
 
   // A second touch at t+half_life lands on the decayed value.
   clock_.Advance(30 * kSecond);
-  res().TouchRead(key, clock_.now());
-  EXPECT_DOUBLE_EQ(res().HeatOf(key, clock_.now()), 1.5);
+  res().TouchRead(slot(key), clock_.now());
+  EXPECT_DOUBLE_EQ(res().HeatOf(slot(key), clock_.now()), 1.5);
 
-  res().ForgetHeat(key);
-  EXPECT_DOUBLE_EQ(res().HeatOf(key, clock_.now()), 0.0);
+  res().ForgetHeat(slot(key));
+  EXPECT_DOUBLE_EQ(res().HeatOf(slot(key), clock_.now()), 0.0);
 }
 
 // Randomized property test for the sim-time heat decay. The manager keeps
@@ -162,6 +164,7 @@ TEST(ResidencyHeatProperty, DecayMatchesClosedFormReference) {
     options.heat_half_life = (1 + rng.NextBelow(100000)) * kMillisecond;
     StorageManager manager(dram, store, 512, options);
     ResidencyManager& res = manager.residency();
+    BlockSlots slot(res);
 
     constexpr uint64_t kBlocks = 8;
     std::vector<std::vector<SimTime>> touches(kBlocks);
@@ -183,27 +186,28 @@ TEST(ResidencyHeatProperty, DecayMatchesClosedFormReference) {
           break;
         case 1:  // Touch (read and write feed the same bookkeeping).
           if (rng.NextBelow(2) == 0) {
-            res.TouchRead(key, clock.now());
+            res.TouchRead(slot(key), clock.now());
           } else {
-            res.TouchWrite(key, clock.now());
+            res.TouchWrite(slot(key), clock.now());
           }
           touches[b].push_back(clock.now());
           break;
         case 2: {  // Same-timestamp touches: the decay-on-touch fast path
                    // must add exactly 1.0 with no decay factor applied.
-          const double before = res.HeatOf(key, clock.now());
-          res.TouchRead(key, clock.now());
-          const double mid = res.HeatOf(key, clock.now());
+          const double before = res.HeatOf(slot(key), clock.now());
+          res.TouchRead(slot(key), clock.now());
+          const double mid = res.HeatOf(slot(key), clock.now());
           EXPECT_DOUBLE_EQ(mid, before + 1.0);
-          res.TouchRead(key, clock.now());
-          EXPECT_DOUBLE_EQ(res.HeatOf(key, clock.now()), mid + 1.0);
+          res.TouchRead(slot(key), clock.now());
+          EXPECT_DOUBLE_EQ(res.HeatOf(slot(key), clock.now()), mid + 1.0);
           touches[b].push_back(clock.now());
           touches[b].push_back(clock.now());
           break;
         }
         default: {  // Observe: HeatOf is pure and matches the closed form.
           const double want = reference(b, clock.now());
-          EXPECT_NEAR(res.HeatOf(key, clock.now()), want, 1e-9 + 1e-9 * want)
+          EXPECT_NEAR(res.HeatOf(slot(key), clock.now()), want,
+                      1e-9 + 1e-9 * want)
               << "seed " << seed << " step " << step << " block " << b;
           break;
         }
@@ -217,31 +221,32 @@ TEST_F(ResidencyTest, SecondHotReadPromotesAndServesFromDram) {
   SeedFlashBlock(9, 0x5C);
 
   // First flash read: heat 1.0, below the 2.0 threshold — no promotion.
-  res().OnFlashRead(key, 9, clock_.now());
-  EXPECT_FALSE(res().CleanCached(key));
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  EXPECT_FALSE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().promotions.value(), 0u);
 
   // Second read with no decay crosses the threshold.
-  res().OnFlashRead(key, 9, clock_.now());
-  ASSERT_TRUE(res().CleanCached(key));
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  ASSERT_TRUE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().promotions.value(), 1u);
   EXPECT_EQ(res().stats().promoted_bytes.value(), 512u);
   EXPECT_EQ(res().clean_pages(), 1u);
 
   // The cached copy is byte-identical to flash and charges DRAM time only.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadClean(key, 0, out).ok());
+  ASSERT_TRUE(res().ReadClean(slot(key), 0, out).ok());
   EXPECT_EQ(out, Page(0x5C));
   EXPECT_EQ(res().stats().clean_hits.value(), 1u);
   EXPECT_EQ(res().stats().clean_hit_bytes.value(), 512u);
 
   // Partial reads honor offsets; out-of-bounds is rejected.
   std::vector<uint8_t> tail(12);
-  ASSERT_TRUE(res().ReadClean(key, 500, tail).ok());
+  ASSERT_TRUE(res().ReadClean(slot(key), 500, tail).ok());
   EXPECT_EQ(tail, std::vector<uint8_t>(12, 0x5C));
   std::vector<uint8_t> over(13);
-  EXPECT_EQ(res().ReadClean(key, 500, over).code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(res().ReadClean(BlockKey{9, 9}, 0, out).code(),
+  EXPECT_EQ(res().ReadClean(slot(key), 500, over).code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(res().ReadClean(slot(BlockKey{9, 9}), 0, out).code(),
             ErrorCode::kNotFound);
 }
 
@@ -251,10 +256,10 @@ TEST_F(ResidencyTest, ColdReadsNeverPromote) {
   // Touches spaced two half-lives apart decay to ~0.25 before the next one:
   // the decayed count never reaches 2.0, so the block stays flash-resident.
   for (int i = 0; i < 8; ++i) {
-    res().OnFlashRead(key, 9, clock_.now());
+    res().OnFlashRead(slot(key), 9, clock_.now());
     clock_.Advance(60 * kSecond);
   }
-  EXPECT_FALSE(res().CleanCached(key));
+  EXPECT_FALSE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().promotions.value(), 0u);
 }
 
@@ -262,17 +267,17 @@ TEST_F(ResidencyTest, InvalidationDropsEntryAndFreesDram) {
   const BlockKey key{4, 2};
   SeedFlashBlock(9, 0x5C);
   const uint64_t free_before = manager_.free_dram_pages();
-  res().OnFlashRead(key, 9, clock_.now());
-  res().OnFlashRead(key, 9, clock_.now());
-  ASSERT_TRUE(res().CleanCached(key));
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  ASSERT_TRUE(res().CleanCached(slot(key)));
   EXPECT_EQ(manager_.free_dram_pages(), free_before - 1);
 
-  res().InvalidateClean(key);
-  EXPECT_FALSE(res().CleanCached(key));
+  res().InvalidateClean(slot(key));
+  EXPECT_FALSE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().demotions_invalidated.value(), 1u);
   EXPECT_EQ(manager_.free_dram_pages(), free_before);
   // Invalidating a non-cached key is a no-op.
-  res().InvalidateClean(key);
+  res().InvalidateClean(slot(key));
   EXPECT_EQ(res().stats().demotions_invalidated.value(), 1u);
 }
 
@@ -292,8 +297,8 @@ TEST_F(ResidencyTinyCacheTest, CacheCapRecyclesLeastRecentlyUsed) {
     SeedFlashBlock(b, static_cast<uint8_t>(b));
   }
   auto promote = [&](uint64_t b) {
-    res().OnFlashRead(BlockKey{1, b}, b, clock_.now());
-    res().OnFlashRead(BlockKey{1, b}, b, clock_.now());
+    res().OnFlashRead(slot(BlockKey{1, b}), b, clock_.now());
+    res().OnFlashRead(slot(BlockKey{1, b}), b, clock_.now());
   };
   promote(0);
   promote(1);
@@ -301,20 +306,20 @@ TEST_F(ResidencyTinyCacheTest, CacheCapRecyclesLeastRecentlyUsed) {
 
   // Touch block 0 so block 1 becomes the LRU victim.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadClean(BlockKey{1, 0}, 0, out).ok());
+  ASSERT_TRUE(res().ReadClean(slot(BlockKey{1, 0}), 0, out).ok());
 
   promote(2);
   EXPECT_EQ(res().clean_pages(), 2u);
-  EXPECT_TRUE(res().CleanCached(BlockKey{1, 0}));
-  EXPECT_FALSE(res().CleanCached(BlockKey{1, 1}));
-  EXPECT_TRUE(res().CleanCached(BlockKey{1, 2}));
+  EXPECT_TRUE(res().CleanCached(slot(BlockKey{1, 0})));
+  EXPECT_FALSE(res().CleanCached(slot(BlockKey{1, 1})));
+  EXPECT_TRUE(res().CleanCached(slot(BlockKey{1, 2})));
   EXPECT_EQ(res().stats().demotions_pressure.value(), 1u);
 }
 
 TEST_F(ResidencyTest, DramPressureDemotesCleanPagesFirst) {
   SeedFlashBlock(0, 0xAA);
-  res().OnFlashRead(BlockKey{1, 0}, 0, clock_.now());
-  res().OnFlashRead(BlockKey{1, 0}, 0, clock_.now());
+  res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
+  res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
   ASSERT_EQ(res().clean_pages(), 1u);
 
   // Exhaust the raw allocator.
@@ -340,21 +345,21 @@ TEST_F(ResidencyTest, PromotionSkipsQuietlyWhenDramIsFull) {
   }
   // Hot enough to promote, but there is no DRAM and nothing of the cache's
   // own to recycle: the read stays flash-resident, no error surfaces.
-  res().OnFlashRead(BlockKey{1, 0}, 0, clock_.now());
-  res().OnFlashRead(BlockKey{1, 0}, 0, clock_.now());
-  EXPECT_FALSE(res().CleanCached(BlockKey{1, 0}));
+  res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
+  res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
+  EXPECT_FALSE(res().CleanCached(slot(BlockKey{1, 0})));
   EXPECT_EQ(res().stats().promotions.value(), 0u);
 }
 
 TEST_F(ResidencyTest, VmFaultPromotionTriggersOnHotBlocks) {
   const BlockKey key{6, 1};
-  EXPECT_FALSE(res().NoteVmFault(key, clock_.now()));  // heat 1.0
-  EXPECT_TRUE(res().NoteVmFault(key, clock_.now()));   // heat 2.0
+  EXPECT_FALSE(res().NoteVmFault(slot(key), clock_.now()));  // heat 1.0
+  EXPECT_TRUE(res().NoteVmFault(slot(key), clock_.now()));   // heat 2.0
   EXPECT_EQ(res().stats().vm_promote_faults.value(), 1u);
 }
 
 TEST_F(ResidencyTest, FlushStreamIsUserOutsideAggressive) {
-  EXPECT_EQ(res().FlushStream(BlockKey{1, 0}, clock_.now()),
+  EXPECT_EQ(res().FlushStream(slot(BlockKey{1, 0}), clock_.now()),
             WriteStream::kUser);
   EXPECT_EQ(res().stats().cold_stream_hints.value(), 0u);
 }
@@ -372,29 +377,30 @@ class ResidencyAggressiveTest : public ResidencyTest {
 TEST_F(ResidencyAggressiveTest, PromotesOnSecondRawTouchDespiteDecay) {
   const BlockKey key{4, 2};
   SeedFlashBlock(9, 0x5C);
-  res().OnFlashRead(key, 9, clock_.now());
+  res().OnFlashRead(slot(key), 9, clock_.now());
   // Five half-lives: decayed heat is ~0.03, far below the 2.0 threshold —
   // but the raw touch count reaches aggressive_touches, so promote anyway.
   clock_.Advance(150 * kSecond);
-  res().OnFlashRead(key, 9, clock_.now());
-  EXPECT_TRUE(res().CleanCached(key));
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  EXPECT_TRUE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().promotions.value(), 1u);
 }
 
 TEST_F(ResidencyAggressiveTest, ColdFlushesRouteToRelocationStream) {
   const BlockKey hot{1, 0};
   const BlockKey cold{1, 1};
-  res().TouchWrite(hot, clock_.now());
-  res().TouchWrite(hot, clock_.now());
-  res().TouchWrite(cold, clock_.now());
+  res().TouchWrite(slot(hot), clock_.now());
+  res().TouchWrite(slot(hot), clock_.now());
+  res().TouchWrite(slot(cold), clock_.now());
   clock_.Advance(60 * kSecond);  // cold decays to 0.25; hot keeps 0.5.
-  res().TouchWrite(hot, clock_.now());
+  res().TouchWrite(slot(hot), clock_.now());
 
-  EXPECT_EQ(res().FlushStream(hot, clock_.now()), WriteStream::kUser);
-  EXPECT_EQ(res().FlushStream(cold, clock_.now()), WriteStream::kRelocation);
+  EXPECT_EQ(res().FlushStream(slot(hot), clock_.now()), WriteStream::kUser);
+  EXPECT_EQ(res().FlushStream(slot(cold), clock_.now()),
+            WriteStream::kRelocation);
   EXPECT_EQ(res().stats().cold_stream_hints.value(), 1u);
   // A block never touched at all is cold by definition.
-  EXPECT_EQ(res().FlushStream(BlockKey{9, 9}, clock_.now()),
+  EXPECT_EQ(res().FlushStream(slot(BlockKey{9, 9}), clock_.now()),
             WriteStream::kRelocation);
 }
 
@@ -407,17 +413,17 @@ TEST_F(ResidencyDisabledTest, DefaultPolicyTracksAndMigratesNothing) {
   ASSERT_FALSE(res().enabled());
   const BlockKey key{1, 0};
   SeedFlashBlock(0, 0xAA);
-  res().TouchRead(key, clock_.now());
-  res().TouchWrite(key, clock_.now());
+  res().TouchRead(slot(key), clock_.now());
+  res().TouchWrite(slot(key), clock_.now());
   for (int i = 0; i < 10; ++i) {
-    res().OnFlashRead(key, 0, clock_.now());
-    EXPECT_FALSE(res().NoteVmFault(key, clock_.now()));
+    res().OnFlashRead(slot(key), 0, clock_.now());
+    EXPECT_FALSE(res().NoteVmFault(slot(key), clock_.now()));
   }
-  EXPECT_EQ(res().HeatOf(key, clock_.now()), 0.0);
-  EXPECT_FALSE(res().CleanCached(key));
+  EXPECT_EQ(res().HeatOf(slot(key), clock_.now()), 0.0);
+  EXPECT_FALSE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().touches.value(), 0u);
   EXPECT_EQ(res().stats().promotions.value(), 0u);
-  EXPECT_EQ(res().FlushStream(key, clock_.now()), WriteStream::kUser);
+  EXPECT_EQ(res().FlushStream(slot(key), clock_.now()), WriteStream::kUser);
 
   // The shared-budget allocator degenerates to the raw allocator.
   uint64_t allocated = 0;

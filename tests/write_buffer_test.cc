@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/support/rng.h"
+#include "tests/block_slots.h"
 
 namespace ssmc {
 namespace {
@@ -62,17 +63,18 @@ class WriteBufferTest : public ::testing::Test {
   FlashDevice flash_;
   FlashStore store_;
   StorageManager manager_;
+  BlockSlots slot{manager_.residency()};
   std::map<uint64_t, int> flushed_;
 };
 
 TEST_F(WriteBufferTest, PutThenGetRoundTrips) {
   auto buffer = MakeBuffer(16);
   const BlockKey key{1, 0};
-  ASSERT_TRUE(buffer->Put(key, Page(0xAA), clock_.now()).ok());
-  EXPECT_TRUE(buffer->Contains(key));
+  ASSERT_TRUE(buffer->Put(slot(key), Page(0xAA), clock_.now()).ok());
+  EXPECT_TRUE(buffer->Contains(slot(key)));
   EXPECT_EQ(buffer->dirty_pages(), 1u);
   auto out = Page(0);
-  ASSERT_TRUE(buffer->Get(key, out).ok());
+  ASSERT_TRUE(buffer->Get(slot(key), out).ok());
   EXPECT_EQ(out, Page(0xAA));
   EXPECT_TRUE(flushed_.empty());  // Nothing reached flash.
 }
@@ -80,61 +82,62 @@ TEST_F(WriteBufferTest, PutThenGetRoundTrips) {
 TEST_F(WriteBufferTest, GetMissingIsNotFound) {
   auto buffer = MakeBuffer(16);
   auto out = Page(0);
-  EXPECT_EQ(buffer->Get(BlockKey{1, 0}, out).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(buffer->Get(slot(BlockKey{1, 0}), out).code(),
+            ErrorCode::kNotFound);
 }
 
 TEST_F(WriteBufferTest, WrongSizeRejected) {
   auto buffer = MakeBuffer(16);
   std::vector<uint8_t> small(100);
-  EXPECT_EQ(buffer->Put(BlockKey{1, 0}, small, 0).code(),
+  EXPECT_EQ(buffer->Put(slot(BlockKey{1, 0}), small, 0).code(),
             ErrorCode::kInvalidArgument);
 }
 
 TEST_F(WriteBufferTest, OverwriteAbsorbedInDram) {
   auto buffer = MakeBuffer(16);
   const BlockKey key{1, 0};
-  ASSERT_TRUE(buffer->Put(key, Page(1), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(key, Page(2), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(key, Page(3), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(key), Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(key), Page(2), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(key), Page(3), clock_.now()).ok());
   EXPECT_EQ(buffer->stats().absorbed_overwrites.value(), 2u);
   EXPECT_EQ(buffer->dirty_pages(), 1u);
   EXPECT_TRUE(flushed_.empty());
   auto out = Page(0);
-  ASSERT_TRUE(buffer->Get(key, out).ok());
+  ASSERT_TRUE(buffer->Get(slot(key), out).ok());
   EXPECT_EQ(out, Page(3));
 }
 
 TEST_F(WriteBufferTest, CapacityEvictionFlushesOldest) {
   auto buffer = MakeBuffer(2);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 1}, Page(2), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 2}, Page(3), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 1}), Page(2), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 2}), Page(3), clock_.now()).ok());
   EXPECT_EQ(buffer->dirty_pages(), 2u);
   EXPECT_EQ(buffer->stats().capacity_evictions.value(), 1u);
   EXPECT_EQ(flushed_[0], 1);  // Oldest block flushed.
-  EXPECT_FALSE(buffer->Contains(BlockKey{1, 0}));
+  EXPECT_FALSE(buffer->Contains(slot(BlockKey{1, 0})));
 }
 
 TEST_F(WriteBufferTest, OverwriteKeepsFirstDirtyOrder) {
   // Ordering follows first dirtying (BSD 30-second-rule semantics), so an
   // overwrite does not postpone a block's flush indefinitely.
   auto buffer = MakeBuffer(2);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 1}, Page(2), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 1}), Page(2), clock_.now()).ok());
   // Touch block 0 again: it stays the oldest-dirtied and is evicted first.
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(3), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 2}, Page(4), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(3), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 2}), Page(4), clock_.now()).ok());
   EXPECT_EQ(flushed_[0], 1);
-  EXPECT_TRUE(buffer->Contains(BlockKey{1, 1}));
+  EXPECT_TRUE(buffer->Contains(slot(BlockKey{1, 1})));
 }
 
 TEST_F(WriteBufferTest, HotBlockStillAgesOut) {
   auto buffer = MakeBuffer(16);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
   // Keep overwriting for 40 s — hotter than the flush age.
   for (int i = 0; i < 40; ++i) {
     clock_.Advance(kSecond);
-    ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(2), clock_.now()).ok());
+    ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(2), clock_.now()).ok());
   }
   ASSERT_TRUE(buffer->FlushOlderThan(clock_.now(), 30 * kSecond).ok());
   // First dirtied 40 s ago: it must flush despite constant overwrites.
@@ -152,31 +155,31 @@ TEST_F(WriteBufferTest, OverwrittenHotBlockFlushesWithinExactlyOneAgeWindow) {
   auto buffer = MakeBuffer(16);
   const Duration kWindow = 30 * kSecond;
   const SimTime first_dirty = clock_.now();
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
   // A younger block queued behind it must not shadow the older hot one.
   clock_.Advance(kSecond);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 1}, Page(9), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 1}), Page(9), clock_.now()).ok());
 
   // Overwrite every second, running the periodic flush like a sync daemon.
   while (clock_.now() - first_dirty < kWindow) {
     ASSERT_TRUE(buffer->FlushOlderThan(clock_.now(), kWindow).ok());
     EXPECT_TRUE(flushed_.empty()) << "flushed before the age window elapsed";
     clock_.Advance(kSecond);
-    ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(2), clock_.now()).ok());
+    ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(2), clock_.now()).ok());
   }
 
   ASSERT_TRUE(buffer->FlushOlderThan(clock_.now(), kWindow).ok());
   EXPECT_EQ(flushed_[0], 1);                      // Hot block reached flash,
   EXPECT_EQ(buffer->stats().flushes.value(), 1u);  // and nothing else did:
-  EXPECT_TRUE(buffer->Contains(BlockKey{1, 1}));   // 29 s old, still young.
+  EXPECT_TRUE(buffer->Contains(slot(BlockKey{1, 1})));  // 29 s old, young.
 }
 
 TEST_F(WriteBufferTest, DropAvoidsFlashWrite) {
   auto buffer = MakeBuffer(16);
   const BlockKey key{7, 3};
-  ASSERT_TRUE(buffer->Put(key, Page(1), clock_.now()).ok());
-  EXPECT_TRUE(buffer->Drop(key));
-  EXPECT_FALSE(buffer->Drop(key));  // Already gone.
+  ASSERT_TRUE(buffer->Put(slot(key), Page(1), clock_.now()).ok());
+  EXPECT_TRUE(buffer->Drop(slot(key)));
+  EXPECT_FALSE(buffer->Drop(slot(key)));  // Already gone.
   ASSERT_TRUE(buffer->FlushAll().ok());
   EXPECT_TRUE(flushed_.empty());
   EXPECT_EQ(buffer->stats().dropped_writes.value(), 1u);
@@ -185,7 +188,7 @@ TEST_F(WriteBufferTest, DropAvoidsFlashWrite) {
 TEST_F(WriteBufferTest, FlushAllWritesEverything) {
   auto buffer = MakeBuffer(16);
   for (uint64_t b = 0; b < 5; ++b) {
-    ASSERT_TRUE(buffer->Put(BlockKey{1, b}, Page(1), clock_.now()).ok());
+    ASSERT_TRUE(buffer->Put(slot(BlockKey{1, b}), Page(1), clock_.now()).ok());
   }
   ASSERT_TRUE(buffer->FlushAll().ok());
   EXPECT_EQ(buffer->dirty_pages(), 0u);
@@ -215,7 +218,7 @@ TEST_F(WriteBufferTest, FlushAllFollowsLruOrder) {
     if (std::find(expected.begin(), expected.end(), id) == expected.end()) {
       expected.push_back(id);
     }
-    ASSERT_TRUE(buffer.Put(key, Page(1), clock_.now()).ok());
+    ASSERT_TRUE(buffer.Put(slot(key), Page(1), clock_.now()).ok());
   }
   ASSERT_TRUE(buffer.FlushAll().ok());
   EXPECT_EQ(order, expected);
@@ -223,19 +226,19 @@ TEST_F(WriteBufferTest, FlushAllFollowsLruOrder) {
 
 TEST_F(WriteBufferTest, FlushOlderThanHonorsAge) {
   auto buffer = MakeBuffer(16);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
   clock_.Advance(40 * kSecond);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 1}, Page(2), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 1}), Page(2), clock_.now()).ok());
   // Block 0 is 40 s old; block 1 fresh. 30 s threshold flushes only block 0.
   ASSERT_TRUE(buffer->FlushOlderThan(clock_.now(), 30 * kSecond).ok());
   EXPECT_EQ(flushed_.size(), 1u);
   EXPECT_EQ(flushed_[0], 1);
-  EXPECT_TRUE(buffer->Contains(BlockKey{1, 1}));
+  EXPECT_TRUE(buffer->Contains(slot(BlockKey{1, 1})));
 }
 
 TEST_F(WriteBufferTest, ZeroCapacityWritesThrough) {
   auto buffer = MakeBuffer(0);
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
   EXPECT_EQ(buffer->dirty_pages(), 0u);
   EXPECT_EQ(flushed_[0], 1);
   EXPECT_EQ(buffer->stats().flushes.value(), 1u);
@@ -244,7 +247,7 @@ TEST_F(WriteBufferTest, ZeroCapacityWritesThrough) {
 TEST_F(WriteBufferTest, DropAllReportsLostBytes) {
   auto buffer = MakeBuffer(16);
   for (uint64_t b = 0; b < 3; ++b) {
-    ASSERT_TRUE(buffer->Put(BlockKey{1, b}, Page(1), clock_.now()).ok());
+    ASSERT_TRUE(buffer->Put(slot(BlockKey{1, b}), Page(1), clock_.now()).ok());
   }
   EXPECT_EQ(buffer->DropAllUnflushed(), 3u * 512);
   EXPECT_EQ(buffer->dirty_pages(), 0u);
@@ -254,10 +257,10 @@ TEST_F(WriteBufferTest, DropAllReportsLostBytes) {
 TEST_F(WriteBufferTest, DramPagesReturnedOnDropAndFlush) {
   auto buffer = MakeBuffer(16);
   const uint64_t free_before = manager_.free_dram_pages();
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 0}, Page(1), clock_.now()).ok());
-  ASSERT_TRUE(buffer->Put(BlockKey{1, 1}, Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 1}), Page(1), clock_.now()).ok());
   EXPECT_EQ(manager_.free_dram_pages(), free_before - 2);
-  buffer->Drop(BlockKey{1, 0});
+  buffer->Drop(slot(BlockKey{1, 0}));
   ASSERT_TRUE(buffer->FlushAll().ok());
   EXPECT_EQ(manager_.free_dram_pages(), free_before);
 }
@@ -300,20 +303,21 @@ TEST_F(WriteBufferTest, RandomizedEvictionOrderIsStrictlyOldestFirst) {
         model.push_back(block);
       }
       // Overwrites must NOT move the entry: first-dirty order is preserved.
-      ASSERT_TRUE(buffer.Put(BlockKey{1, block}, Page(1), clock_.now()).ok());
+      ASSERT_TRUE(
+          buffer.Put(slot(BlockKey{1, block}), Page(1), clock_.now()).ok());
       ++model_puts;
     } else if (action < 9) {  // Drop (write avoidance).
       if (buffered) {
         model.erase(std::find(model.begin(), model.end(), block));
         ++model_drops;
       }
-      EXPECT_EQ(buffer.Drop(BlockKey{1, block}), buffered);
+      EXPECT_EQ(buffer.Drop(slot(BlockKey{1, block})), buffered);
     } else {  // Targeted flush of a specific block.
       if (buffered) {
         model.erase(std::find(model.begin(), model.end(), block));
         expected_evictions.push_back(block);
       }
-      ASSERT_TRUE(buffer.Flush(BlockKey{1, block}).ok());
+      ASSERT_TRUE(buffer.Flush(slot(BlockKey{1, block})).ok());
     }
     clock_.Advance(kMillisecond);
     ASSERT_EQ(buffer.dirty_pages(), model.size());
@@ -347,7 +351,8 @@ TEST_F(WriteBufferTest, WriteTrafficReductionUnderOverwrites) {
   int puts = 0;
   for (int round = 0; round < 100; ++round) {
     for (uint64_t b = 0; b < 8; ++b) {
-      ASSERT_TRUE(buffer->Put(BlockKey{1, b}, Page(1), clock_.now()).ok());
+      ASSERT_TRUE(
+          buffer->Put(slot(BlockKey{1, b}), Page(1), clock_.now()).ok());
       ++puts;
     }
   }
