@@ -10,6 +10,7 @@
 // 512 B random access latency, 64 KiB sequential bandwidth, and the catalog
 // cost/density/power figures, for all five 1993 products.
 
+#include <cstring>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -36,12 +37,10 @@ Row MeasureDram(const DramSpec& spec) {
   DramDevice dram(spec, 4 * kMiB, clock);
   Row row;
   row.name = spec.name;
-  std::vector<uint8_t> buf(512);
-  row.read_512 = dram.Read(0, buf).value();
-  row.write_512 = dram.Write(0, buf).value();
-  std::vector<uint8_t> big(64 * kKiB);
-  const Duration seq_r = dram.Read(0, big).value();
-  const Duration seq_w = dram.Write(0, big).value();
+  row.read_512 = dram.ChargeAccess(512, /*is_write=*/false);
+  row.write_512 = dram.ChargeAccess(512, /*is_write=*/true);
+  const Duration seq_r = dram.ChargeAccess(64 * kKiB, /*is_write=*/false);
+  const Duration seq_w = dram.ChargeAccess(64 * kKiB, /*is_write=*/true);
   row.seq_read_mib_s = 64.0 / 1024 / (static_cast<double>(seq_r) / kSecond);
   row.seq_write_mib_s = 64.0 / 1024 / (static_cast<double>(seq_w) / kSecond);
   row.dollars_per_mib = spec.dollars_per_mib;
@@ -60,9 +59,11 @@ Row MeasureFlash(const FlashSpec& spec, Obs* obs = nullptr) {
   std::vector<uint8_t> buf(512);
   row.read_512 = flash.Read(0, buf).value();
   // Program 512 B into an erased area (one sector's worth or sub-sector).
-  std::vector<uint8_t> data(512, 0x5A);
+  ExtentPool pool(512);
+  PayloadRef data = pool.Allocate();
+  std::memset(data.MutableData(), 0x5A, data.size());
   const uint64_t target = spec.erase_sector_bytes;  // Sector 1, erased.
-  row.write_512 = flash.Program(target, data).value();
+  row.write_512 = flash.ProgramExtent(target, data).value();
   // Sequential read bandwidth over 64 KiB in sector-sized chunks.
   Duration seq_r = 0;
   std::vector<uint8_t> chunk(4096);
@@ -73,10 +74,11 @@ Row MeasureFlash(const FlashSpec& spec, Obs* obs = nullptr) {
   // Sequential program bandwidth (pre-erased region).
   Duration seq_w = 0;
   uint64_t programmed = 0;
-  std::vector<uint8_t> wchunk(512, 0x11);
+  PayloadRef wchunk = pool.Allocate();
+  std::memset(wchunk.MutableData(), 0x11, wchunk.size());
   for (uint64_t off = 2 * spec.erase_sector_bytes; programmed < 64 * kKiB;
        off += 512, programmed += 512) {
-    seq_w += flash.Program(off, wchunk).value();
+    seq_w += flash.ProgramExtent(off, wchunk).value();
   }
   row.seq_write_mib_s = 64.0 / 1024 / (static_cast<double>(seq_w) / kSecond);
   row.dollars_per_mib = spec.dollars_per_mib;

@@ -3,7 +3,9 @@
 # rebuilds the release preset, runs every experiment bench (E1-E12, E14,
 # E16) plus the microbenchmarks, and refreshes the machine-readable result
 # files (BENCH_micro.json, BENCH_scaleout.json, BENCH_migration.json,
-# BENCH_qos.json, BENCH_nvm.json) at the repository root. CI's bench-smoke
+# BENCH_qos.json, BENCH_nvm.json) at the repository root. bench_e11_scaleout
+# runs with SSMC_JOBS=4 so BENCH_scaleout.json does not take the host's job
+# count. CI's bench-smoke
 # leg diffs every bench's console output against tests/golden/ and the
 # simulated BENCH_{migration,nvm,qos,recovery}.json files against the
 # committed copies byte for byte (scripts/golden_check.py), and reports
@@ -57,7 +59,9 @@ echo "=== bench_e8_banks --tail (scheduling ablation) ==="
 
 if [ "${run_micro}" -eq 1 ]; then
   echo "=== bench_e11_scaleout ==="
-  (cd "${bindir}" && ./bench_e11_scaleout) | tee "${outdir}/bench_e11_scaleout.txt"
+  # A fixed job count, as scripts/golden_check.py uses, so the K sweep and
+  # its host columns do not depend on the machine's CPU count.
+  (cd "${bindir}" && SSMC_JOBS=4 ./bench_e11_scaleout) | tee "${outdir}/bench_e11_scaleout.txt"
   cp "${bindir}/BENCH_scaleout.json" BENCH_scaleout.json
 
   echo "=== bench_micro ==="

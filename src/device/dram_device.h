@@ -2,24 +2,22 @@
 //
 // Primary storage in the paper's organization: uniform random-access reads
 // and writes, no erase constraint, effectively unlimited endurance. Contents
-// survive as long as a battery holds them up; on power loss the device drops
-// its contents (unless battery_backed, in which case loss happens only when
-// the Battery model declares total failure — see battery.h and the E10
-// reliability experiment).
+// survive as long as the battery holds them up; the Battery model decides
+// when it stops (see battery.h and the E10 reliability experiment).
+//
+// Like the NVM device this one carries no payload plane: the
+// StorageManager's refcounted page-payload table holds the bytes of every
+// DRAM page, so the device models timing, energy and stats only.
 
 #ifndef SSMC_SRC_DEVICE_DRAM_DEVICE_H_
 #define SSMC_SRC_DEVICE_DRAM_DEVICE_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <vector>
 
 #include "src/device/specs.h"
 #include "src/sim/clock.h"
 #include "src/sim/energy.h"
 #include "src/sim/stats.h"
-#include "src/support/status.h"
 #include "src/support/units.h"
 
 namespace ssmc {
@@ -32,20 +30,14 @@ class DramDevice {
   const DramSpec& spec() const { return spec_; }
   SimClock& clock() { return clock_; }
 
-  // Blocking read/write; advances the clock and returns the latency.
-  Result<Duration> Read(uint64_t addr, std::span<uint8_t> out);
-  Result<Duration> Write(uint64_t addr, std::span<const uint8_t> data);
-
-  // Charges the timing and energy of an access of `bytes` without moving
-  // data. Used to account metadata operations on memory-resident structures
-  // (directory lookups, page-table walks) that the simulator keeps in host
-  // containers rather than in the simulated byte array.
+  // Charges the timing and energy of a blocking access of `bytes`: advances
+  // the clock and returns the latency. The bytes themselves live in the
+  // storage manager's page-payload table (data pages) or in host containers
+  // (directory lookups, page-table walks).
   Duration ChargeAccess(uint64_t bytes, bool is_write);
 
-  // Models power failure. Battery-backed DRAM keeps its contents; volatile
-  // DRAM loses everything (zeroed) and records the loss.
-  void OnPowerLoss();
-  // Unconditional loss (battery totally failed / machine dropped).
+  // Battery totally failed / machine dropped: the contents are gone (the
+  // storage manager drops its page payloads alongside).
   void ForceContentLoss();
   bool contents_lost() const { return contents_lost_; }
 
@@ -71,17 +63,9 @@ class DramDevice {
   }
 
  private:
-  // Backing storage is materialized in fixed chunks on first write; a null
-  // chunk reads as zeros. Keeps construction (and content loss) O(touched)
-  // instead of O(capacity) — a 16 MiB array costs nothing until used.
-  static constexpr uint64_t kChunkBytes = 64 * 1024;
-
-  uint8_t* MaterializeChunk(uint64_t chunk);
-
   DramSpec spec_;
   uint64_t capacity_;
   SimClock& clock_;
-  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
   Stats stats_;
   EnergyMeter energy_;
   Duration total_active_ns_ = 0;

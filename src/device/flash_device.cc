@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "src/obs/obs.h"
@@ -27,7 +28,6 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
   assert(capacity_ % spec_.erase_sector_bytes == 0);
   assert((capacity_ / spec_.erase_sector_bytes) % banks == 0 &&
          "sectors must divide evenly into banks");
-  sector_data_.resize(capacity_ / spec_.erase_sector_bytes);
   sector_extents_.resize(capacity_ / spec_.erase_sector_bytes);
   sectors_per_bank_ = (capacity_ / spec_.erase_sector_bytes) /
                       static_cast<uint64_t>(banks);
@@ -170,47 +170,6 @@ int FlashDevice::BankOfAddress(uint64_t addr) const {
   return BankOfSector(SectorOfAddr(addr));
 }
 
-void FlashDevice::PrefetchPayload(uint64_t addr, uint64_t bytes) const {
-  if (bytes == 0 || addr + bytes > capacity_) {
-    return;
-  }
-  const uint64_t sector = SectorOfAddr(addr);
-  if (sector != SectorOfAddr(addr + bytes - 1)) {
-    return;  // Callers' transfers never span sectors; don't bother.
-  }
-  const uint64_t off = OffsetInSector(addr);
-  if (const uint8_t* base = sector_data_[sector].get()) {
-    const uint8_t* p = base + off;
-    for (uint64_t i = 0; i < bytes; i += 64) {
-      __builtin_prefetch(p + i, 0);
-    }
-  }
-  // Unmaterialized flat storage reads as 0xFF without touching memory; any
-  // extent payloads intersecting the range are worth pulling in though.
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  if (extents.empty()) {
-    return;
-  }
-  auto it = std::upper_bound(
-      extents.begin(), extents.end(), off,
-      [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
-  if (it != extents.begin()) {
-    --it;
-  }
-  for (; it != extents.end() && it->offset < off + bytes; ++it) {
-    const uint64_t lo = std::max<uint64_t>(off, it->offset);
-    const uint64_t hi =
-        std::min<uint64_t>(off + bytes, it->offset + it->ref.size());
-    if (lo >= hi) {
-      continue;
-    }
-    const uint8_t* p = it->ref.data() + (lo - it->offset);
-    for (uint64_t i = 0; i < hi - lo; i += 64) {
-      __builtin_prefetch(p + i, 0);
-    }
-  }
-}
-
 void FlashDevice::PrefetchExtentIndex(uint64_t sector) const {
   const std::vector<ExtentEntry>& extents = sector_extents_[sector];
   for (const ExtentEntry& e : extents) {
@@ -303,46 +262,53 @@ Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
   return d.wait + op_ns;
 }
 
+FlashDevice::ExtentIter FlashDevice::FirstCandidate(uint64_t sector,
+                                                   uint64_t off) const {
+  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
+  if (sectors_[sector].overlapping) {
+    return extents.begin();
+  }
+  auto it = std::upper_bound(
+      extents.begin(), extents.end(), off,
+      [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
+  // Disjoint extents: only the previous one may begin before `off` and
+  // reach into the range.
+  return it == extents.begin() ? it : std::prev(it);
+}
+
+const FlashDevice::ExtentEntry* FlashDevice::SoleCover(uint64_t sector,
+                                                       uint64_t off,
+                                                       uint64_t n) const {
+  if (sectors_[sector].overlapping) {
+    return nullptr;
+  }
+  const ExtentIter it = FirstCandidate(sector, off);
+  if (it == sector_extents_[sector].end() || it->offset > off ||
+      it->offset + it->ref.size() < off + n) {
+    return nullptr;
+  }
+  return &*it;
+}
+
 void FlashDevice::CopyOut(uint64_t sector, uint64_t off, uint64_t n,
                           uint8_t* dst) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  if (!extents.empty()) {
-    // Fast path: the range is exactly one programmed extent (the FTL's
-    // page-granular reads) — one memcpy, no background fill. Extent content
-    // wins over flat content trivially: erase-before-write keeps the two
-    // representations disjoint, so flat bytes under an extent are 0xFF.
-    auto it = std::lower_bound(
-        extents.begin(), extents.end(), off,
-        [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
-    if (it != extents.end() && it->offset == off && it->ref.size() == n) {
-      std::memcpy(dst, it->ref.data(), n);
-      return;
-    }
-    // General path: flat (or erased) background, then overlay every
-    // intersecting extent.
-    if (const uint8_t* src = sector_data_[sector].get()) {
-      std::memcpy(dst, src + off, n);
-    } else {
-      std::memset(dst, kErasedByte, n);
-    }
-    if (it != extents.begin()) {
-      --it;  // The previous extent may begin before `off` and reach into it.
-    }
-    for (; it != extents.end() && it->offset < off + n; ++it) {
-      const uint64_t lo = std::max<uint64_t>(off, it->offset);
-      const uint64_t hi =
-          std::min<uint64_t>(off + n, it->offset + it->ref.size());
-      if (lo < hi) {
-        std::memcpy(dst + (lo - off), it->ref.data() + (lo - it->offset),
-                    hi - lo);
-      }
-    }
+  // Fast path: one extent covers the range (the FTL's page-granular and
+  // partial-page reads) — one memcpy, no background fill.
+  if (const ExtentEntry* e = SoleCover(sector, off, n)) {
+    std::memcpy(dst, e->ref.data() + (off - e->offset), n);
     return;
   }
-  if (const uint8_t* src = sector_data_[sector].get()) {
-    std::memcpy(dst, src + off, n);
-  } else {
-    std::memset(dst, kErasedByte, n);
+  std::memset(dst, kErasedByte, n);
+  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
+  for (ExtentIter it = FirstCandidate(sector, off);
+       it != extents.end() && it->offset < off + n; ++it) {
+    const uint64_t lo = std::max<uint64_t>(off, it->offset);
+    const uint64_t hi =
+        std::min<uint64_t>(off + n, it->offset + it->ref.size());
+    const uint8_t* src = it->ref.data() + (lo - it->offset);
+    for (uint64_t i = lo; i < hi; ++i) {
+      dst[i - off] &= src[i - lo];
+    }
   }
 }
 
@@ -385,17 +351,14 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
   const uint64_t sector = SectorOfAddr(addr);
   const uint64_t off = OffsetInSector(addr);
   if (off + bytes <= sector_bytes()) {
-    const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-    auto it = std::lower_bound(
-        extents.begin(), extents.end(), off,
-        [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
-    if (it != extents.end() && it->offset == off && it->ref.size() == bytes) {
-      payload = it->ref;  // Zero-copy: share the stored extent.
+    const ExtentEntry* e = SoleCover(sector, off, bytes);
+    if (e != nullptr && e->offset == off && e->ref.size() == bytes) {
+      payload = e->ref;  // Zero-copy: share the stored extent.
     }
   }
   if (!payload) {
-    // No exact match (flat-programmed or fragmented range): assemble a copy,
-    // exactly what Read would have produced.
+    // Not exactly one stored extent: assemble a copy, exactly what Read
+    // would have produced.
     payload = pool.Allocate();
     uint8_t* dst = payload.MutableData();
     uint64_t pos = addr;
@@ -413,71 +376,6 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
   stats_.reads.Add();
   stats_.read_bytes.Add(bytes);
   return payload;
-}
-
-Result<Duration> FlashDevice::Program(uint64_t addr,
-                                      std::span<const uint8_t> data,
-                                      IoIssue issue) {
-  if (addr + data.size() > capacity_) {
-    return OutOfRangeError("flash program past end of device");
-  }
-  if (data.empty()) {
-    return Duration{0};
-  }
-  const uint64_t sector = SectorOfAddr(addr);
-  if (SectorOfAddr(addr + data.size() - 1) != sector) {
-    return InvalidArgumentError("flash program crosses a sector boundary");
-  }
-  Sector& meta = sectors_[sector];
-  if (meta.bad) {
-    return DataLossError("program to worn-out flash sector " +
-                         std::to_string(sector));
-  }
-  // Strict NOR semantics: target bytes must be erased. Bytes at or beyond
-  // the programmed watermark are erased by construction (so the FTL's
-  // append-order programs skip the scan); below it, RangeErased memcmps both
-  // payload representations against the all-0xFF template.
-  const uint64_t off = OffsetInSector(addr);
-  if (off < meta.programmed_end) {
-    uint64_t first_programmed = 0;
-    if (!RangeErased(sector, off, data.size(), &first_programmed)) {
-      return FailedPreconditionError(
-          "program to non-erased flash byte at address " +
-          std::to_string(first_programmed));
-    }
-  }
-
-  if (torn_program_armed_) {
-    if (torn_program_skip_ > 0) {
-      --torn_program_skip_;
-    } else {
-      torn_program_armed_ = false;
-      const uint64_t applied =
-          std::min<uint64_t>(torn_program_bytes_, data.size());
-      if (applied > 0) {
-        std::memcpy(MaterializeSector(sector) + off, data.data(), applied);
-        meta.programmed_end = std::max(meta.programmed_end,
-                                       static_cast<uint32_t>(off + applied));
-      }
-      stats_.torn_programs.Add();
-      return InternalError("injected torn program at flash address " +
-                           std::to_string(addr));
-    }
-  }
-
-  const Duration op_ns = spec_.program.LatencyFor(data.size());
-  const IoScheduler::Dispatch d = SubmitOp(
-      IoOp::kProgram, BankOfAddress(addr), addr, data.size(), op_ns, issue);
-  if (issue.blocking) {
-    clock_.AdvanceTo(d.complete);
-  }
-
-  std::memcpy(MaterializeSector(sector) + off, data.data(), data.size());
-  meta.programmed_end =
-      std::max(meta.programmed_end, static_cast<uint32_t>(off + data.size()));
-  stats_.programs.Add();
-  stats_.programmed_bytes.Add(data.size());
-  return d.wait + op_ns;
 }
 
 Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
@@ -513,12 +411,16 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
       --torn_program_skip_;
     } else {
       torn_program_armed_ = false;
-      // The surviving prefix lands in the flat representation: a torn extent
-      // is no longer the extent the writer handed over, so filing the ref
-      // would misrepresent the medium.
+      // The surviving prefix is filed as a copy of the payload whose tail
+      // reads erased: the writer's extent itself never reached the medium,
+      // and other holders keep its bytes (copy-on-write).
       const uint64_t applied = std::min<uint64_t>(torn_program_bytes_, size);
       if (applied > 0) {
-        std::memcpy(MaterializeSector(sector) + off, payload.data(), applied);
+        if (applied < size) {
+          std::memset(payload.MutableData() + applied, kErasedByte,
+                      size - applied);
+        }
+        FileExtent(sector, off, std::move(payload));
         meta.programmed_end = std::max(meta.programmed_end,
                                        static_cast<uint32_t>(off + applied));
       }
@@ -537,12 +439,7 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
 
   // File the ref instead of copying the bytes: the device is now one more
   // holder of the extent.
-  std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  auto it = std::lower_bound(
-      extents.begin(), extents.end(), off,
-      [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
-  extents.insert(it,
-                 ExtentEntry{static_cast<uint32_t>(off), std::move(payload)});
+  FileExtent(sector, off, std::move(payload));
   meta.programmed_end =
       std::max(meta.programmed_end, static_cast<uint32_t>(off + size));
   stats_.programs.Add();
@@ -550,32 +447,32 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
   return d.wait + op_ns;
 }
 
+void FlashDevice::FileExtent(uint64_t sector, uint64_t off,
+                             PayloadRef payload) {
+  std::vector<ExtentEntry>& extents = sector_extents_[sector];
+  auto it = std::lower_bound(
+      extents.begin(), extents.end(), off,
+      [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
+  // While the sector's extents are disjoint, only the neighbours can
+  // intersect the new one.
+  Sector& meta = sectors_[sector];
+  meta.overlapping =
+      meta.overlapping ||
+      (it != extents.end() && it->offset < off + payload.size()) ||
+      (it != extents.begin() &&
+       std::prev(it)->offset + std::prev(it)->ref.size() > off);
+  extents.insert(it,
+                 ExtentEntry{static_cast<uint32_t>(off), std::move(payload)});
+}
+
 bool FlashDevice::RangeErased(uint64_t sector, uint64_t off, uint64_t n,
                               uint64_t* first_programmed_addr) const {
-  const uint64_t base_addr = sector * sector_bytes();
+  // Every extent intersecting the range: one vectorized memcmp each, a
+  // per-byte scan only to name the offending address.
   uint64_t first = ~uint64_t{0};
-  // Flat representation: one vectorized memcmp, per-byte scan only to name
-  // the offending address (identical to the pre-extent check).
-  if (const uint8_t* cur = sector_data_[sector].get();
-      cur != nullptr &&
-      std::memcmp(cur + off, erased_template_.data(), n) != 0) {
-    uint64_t i = 0;
-    while (cur[off + i] == kErasedByte) {
-      ++i;
-    }
-    first = off + i;
-  }
-  // Extent representation: every entry intersecting the range. Disjointness
-  // means an extent's bytes are 0xFF in the flat buffer, so the minimum over
-  // both scans names the true first programmed byte.
   const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  auto it = std::upper_bound(
-      extents.begin(), extents.end(), off,
-      [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
-  if (it != extents.begin()) {
-    --it;
-  }
-  for (; it != extents.end() && it->offset < off + n; ++it) {
+  for (ExtentIter it = FirstCandidate(sector, off);
+       it != extents.end() && it->offset < off + n; ++it) {
     const uint64_t lo = std::max<uint64_t>(off, it->offset);
     const uint64_t hi = std::min<uint64_t>(off + n, it->offset + it->ref.size());
     if (lo >= hi || lo >= first) {
@@ -594,7 +491,7 @@ bool FlashDevice::RangeErased(uint64_t sector, uint64_t off, uint64_t n,
     return true;
   }
   if (first_programmed_addr != nullptr) {
-    *first_programmed_addr = base_addr + first;
+    *first_programmed_addr = sector * sector_bytes() + first;
   }
   return false;
 }
@@ -658,13 +555,10 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
 
   // Extent payloads are simply dropped (a refcount decrement per entry, no
   // byte traffic — other layers still aliasing an extent keep its bytes
-  // alive). An already-materialized flat buffer is kept and refilled (no
-  // allocator churn); a never-programmed sector stays null.
+  // alive).
   sector_extents_[sector].clear();
-  if (uint8_t* data_ptr = sector_data_[sector].get()) {
-    std::memset(data_ptr, kErasedByte, sector_bytes());
-  }
   s.programmed_end = 0;
+  s.overlapping = false;
   return d.wait + op_ns;
 }
 
@@ -675,18 +569,7 @@ bool FlashDevice::IsSectorErased(uint64_t sector) const {
       return false;
     }
   }
-  const uint8_t* data_ptr = sector_data_[sector].get();
-  return data_ptr == nullptr ||
-         std::memcmp(data_ptr, erased_template_.data(), sector_bytes()) == 0;
-}
-
-uint8_t* FlashDevice::MaterializeSector(uint64_t sector) {
-  std::unique_ptr<uint8_t[]>& slot = sector_data_[sector];
-  if (!slot) {
-    slot.reset(new uint8_t[sector_bytes()]);
-    std::memset(slot.get(), kErasedByte, sector_bytes());
-  }
-  return slot.get();
+  return true;
 }
 
 void FlashDevice::AccountIdleEnergy() {

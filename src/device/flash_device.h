@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -73,15 +72,9 @@ class FlashDevice {
   int BankOfAddress(uint64_t addr) const;
   int BankOfSector(uint64_t sector) const;
 
-  // Advisory: start pulling the payload cache lines of [addr, addr + bytes)
-  // toward the core ahead of a Read/Program. No effect on simulated state or
-  // timing; never materializes an untouched sector.
-  void PrefetchPayload(uint64_t addr, uint64_t bytes) const;
-
   // Advisory, for relocation pre-loops: pull `sector`'s extent directory and
   // each extent's refcount header toward the core. Zero-copy relocation
-  // touches exactly these lines — never the payload bytes — so this is the
-  // extent-plane counterpart of PrefetchPayload (which pulls the bytes).
+  // touches exactly these lines — never the payload bytes.
   void PrefetchExtentIndex(uint64_t sector) const;
   const FlashSpec& spec() const { return spec_; }
   SimClock& clock() { return clock_; }
@@ -101,27 +94,21 @@ class FlashDevice {
   Result<Duration> Read(uint64_t addr, std::span<uint8_t> out,
                         IoIssue issue = {});
 
-  // Program pre-erased bytes. The span must lie within one sector. Fails with
-  // FAILED_PRECONDITION if any target byte is not 0xFF.
-  Result<Duration> Program(uint64_t addr, std::span<const uint8_t> data,
-                           IoIssue issue = {});
-
-  // Zero-copy variants for the FTL data plane. Validation, simulated timing,
-  // energy, and stats are identical to Read/Program byte-for-byte; only the
-  // host-side payload representation differs.
-  //
-  // ProgramExtent files the refcounted payload against the sector instead of
-  // memcpying it into a flat buffer: the device becomes one more holder of
-  // the extent (a counter bump), so a cleaner relocation that re-programs an
-  // unchanged page moves zero payload bytes.
+  // Program pre-erased bytes with a refcounted payload. The range must lie
+  // within one sector. Fails with FAILED_PRECONDITION if any target byte is
+  // not 0xFF. The device files the payload against the sector instead of
+  // copying it: it becomes one more holder of the extent (a counter bump),
+  // so a cleaner relocation that re-programs an unchanged page moves zero
+  // payload bytes.
   Result<Duration> ProgramExtent(uint64_t addr, PayloadRef payload,
                                  IoIssue issue = {});
 
-  // ReadExtent returns a shared ref to the stored payload when the range
-  // exactly matches a previously programmed extent (the FTL's page reads —
-  // no bytes move); otherwise it assembles the range into a fresh extent
-  // from `pool` (whose payload_bytes() must equal `bytes`). Errors exactly
-  // like Read (bounds, bank crossing, DATA_LOSS, injected faults).
+  // Zero-copy read for the FTL data plane: returns a shared ref to the
+  // stored payload when the range is exactly one programmed extent (the
+  // FTL's page reads — no bytes move); otherwise it assembles the range into
+  // a fresh extent from `pool` (whose payload_bytes() must equal `bytes`).
+  // Timing, energy, stats and errors are exactly Read's (bounds, bank
+  // crossing, DATA_LOSS, injected faults).
   Result<PayloadRef> ReadExtent(uint64_t addr, uint64_t bytes,
                                 ExtentPool& pool, IoIssue issue = {});
 
@@ -190,7 +177,8 @@ class FlashDevice {
 
   // Test hook (crash injection): after `after_programs` further successful
   // programs, the next program is torn by a simulated power failure — only
-  // its first `bytes` bytes reach the medium, the op fails with INTERNAL,
+  // its first `bytes` bytes reach the medium (filed as a copy of the payload
+  // whose remaining bytes read erased), the op fails with INTERNAL,
   // and stats().torn_programs is bumped. Like InjectReadFaults the failure
   // fires before the request is scheduled (no timing or energy side
   // effects), and the hook is one-shot: it disarms after firing, so every
@@ -258,9 +246,14 @@ class FlashDevice {
     // End offset (exclusive) of the highest byte programmed since the last
     // erase. Bytes at or beyond it are guaranteed still erased, so
     // append-order programs (the FTL's only pattern) skip the erased-check
-    // memcmp; programs below it fall back to the full check.
+    // memcmp; programs below it fall back to the full check. A torn
+    // program's erased tail lies beyond it.
     uint32_t programmed_end = 0;
     bool bad = false;
+    // Some extents intersect (one was programmed over erased bytes of
+    // another), so reads AND every intersecting extent instead of taking
+    // the sole one that covers the range.
+    bool overlapping = false;
   };
 
   // Sector geometry is almost always a power of two; cache the shift so the
@@ -286,28 +279,38 @@ class FlashDevice {
   // Retire-hook body: spans + latency histograms for one finished request.
   void ObsRetire(int bank, const IoRequest& req);
 
-  // Returns the sector's payload buffer, materializing (and 0xFF-filling) it
-  // on first touch.
-  uint8_t* MaterializeSector(uint64_t sector);
-
   // One programmed extent within a sector: `ref`'s payload covers
-  // [offset, offset + ref.size()). Entries are kept sorted by offset and
-  // disjoint (erase-before-write semantics forbid overlap, enforced by the
-  // erased checks — the same rule that keeps extents disjoint from any
-  // flat-programmed bytes in the same sector).
+  // [offset, offset + ref.size()). Entries are kept sorted by offset. They
+  // are disjoint unless the sector is marked `overlapping`: the erased
+  // checks only guarantee that an earlier extent's bytes under a new one
+  // are 0xFF, so the medium is the AND of every extent (NOR programs only
+  // clear bits), whatever their order.
   struct ExtentEntry {
     uint32_t offset;
     PayloadRef ref;
   };
+  using ExtentIter = std::vector<ExtentEntry>::const_iterator;
 
-  // Assembles [off, off + n) of `sector` into `dst`: flat bytes (or 0xFF for
-  // unmaterialized) overlaid with every intersecting extent. Exact
-  // single-extent matches short-circuit to one memcpy.
+  // Files `payload` at `off` of `sector`, marking the sector overlapping if
+  // the new extent intersects an existing one.
+  void FileExtent(uint64_t sector, uint64_t off, PayloadRef payload);
+
+  // The first extent of `sector` that may intersect a range starting at
+  // `off`: the last one starting at or before it when extents are disjoint,
+  // the first one otherwise.
+  ExtentIter FirstCandidate(uint64_t sector, uint64_t off) const;
+
+  // The one extent that alone determines [off, off + n) of `sector` (it
+  // covers the range and nothing else intersects it), or null.
+  const ExtentEntry* SoleCover(uint64_t sector, uint64_t off,
+                               uint64_t n) const;
+
+  // Assembles [off, off + n) of `sector` into `dst`: one memcpy from the
+  // sole covering extent, else 0xFF ANDed with every intersecting extent.
   void CopyOut(uint64_t sector, uint64_t off, uint64_t n, uint8_t* dst) const;
 
-  // Erased check for [off, off + n) across both representations. On failure
-  // returns the absolute address of the first non-erased byte (for the
-  // error message); returns n (i.e. off + n relative) sentinel via bool.
+  // Erased check for [off, off + n) of `sector`. On failure stores the
+  // absolute address of the first non-erased byte (for the error message).
   bool RangeErased(uint64_t sector, uint64_t off, uint64_t n,
                    uint64_t* first_programmed_addr) const;
 
@@ -315,22 +318,15 @@ class FlashDevice {
   uint64_t capacity_;
   SimClock& clock_;
   Rng rng_;
-  // Per-sector payloads, materialized on first program. A null entry means
-  // the sector has never been programmed and reads as all-0xFF. Most of a
-  // card stays in that state for most workloads, so construction costs no
-  // capacity-sized fill (and no page faults re-touching tens of MiB).
   int sector_shift_ = -1;
   int bank_shift_ = -1;
   uint64_t sectors_per_bank_ = 0;
-  std::vector<std::unique_ptr<uint8_t[]>> sector_data_;
-  // Per-sector extent payloads (ProgramExtent). A sector may mix both
-  // representations — flat bytes from raw Program spans, extents from the
-  // FTL — with CopyOut/RangeErased merging the two views; pure-FTL sectors
-  // never materialize a flat buffer at all, so erases drop refs instead of
-  // memsetting.
+  // Per-sector programmed extents: the device's only payload plane. Bytes
+  // no extent covers read as erased (0xFF), so construction costs no
+  // capacity-sized fill and an erase drops refs instead of memsetting.
   std::vector<std::vector<ExtentEntry>> sector_extents_;
   // One sector's worth of 0xFF, compared wholesale (memcmp) by the erased
-  // checks in Program() and IsSectorErased().
+  // checks in ProgramExtent() and IsSectorErased().
   std::vector<uint8_t> erased_template_;
   std::vector<Sector> sectors_;
   IoScheduler sched_;  // One channel per bank.

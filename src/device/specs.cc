@@ -14,7 +14,6 @@ DramSpec NecDram1993() {
   spec.standby_mw_per_mib = 1.5;  // Low-power self-refresh mode.
   spec.dollars_per_mib = 30;      // ~10x the KittyHawk's $/MB (paper).
   spec.mib_per_cubic_inch = 15;   // Quoted in the paper.
-  spec.battery_backed = true;
   return spec;
 }
 

@@ -41,7 +41,6 @@ struct DramSpec {
   double standby_mw_per_mib = 0;  // Self-refresh / data-retention power.
   double dollars_per_mib = 0;     // 1993 street price.
   double mib_per_cubic_inch = 0;  // Packaged density.
-  bool battery_backed = true;     // Mobile systems back DRAM with batteries.
 };
 
 // Byte-addressable non-volatile memory (PCM class). Sits between DRAM and

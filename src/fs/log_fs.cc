@@ -8,13 +8,18 @@
 
 namespace ssmc {
 
+namespace {
+// Cleaning starts when the free-segment pool drops to this level.
+constexpr uint64_t kFreeSegmentLowWater = 2;
+}  // namespace
+
 LogFileSystem::LogFileSystem(DiskDevice& disk, LogFsOptions options)
     : disk_(disk), options_(options), root_(std::make_unique<Node>()) {
   assert(options_.block_bytes % disk_.sector_bytes() == 0);
   root_->is_dir = true;
   const uint64_t blocks = disk_.capacity_bytes() / options_.block_bytes;
   num_segments_ = blocks / options_.segment_blocks;
-  assert(num_segments_ > options_.free_segment_low_water + 2);
+  assert(num_segments_ > kFreeSegmentLowWater + 2);
   usage_.assign(num_segments_, 0);
   summary_.assign(num_segments_,
                   std::vector<SlotOwner>(options_.segment_blocks));
@@ -152,7 +157,7 @@ Status LogFileSystem::Rmdir(const std::string& path) {
 // --- The log ---------------------------------------------------------------
 
 Result<uint64_t> LogFileSystem::TakeFreeSegment() {
-  if (free_segments_.size() <= options_.free_segment_low_water &&
+  if (free_segments_.size() <= kFreeSegmentLowWater &&
       !cleaning_) {
     SSMC_RETURN_IF_ERROR(CleanOne().status());
   }
@@ -173,7 +178,7 @@ Result<bool> LogFileSystem::CleanOne() {
   const uint64_t seg_bytes = options_.segment_blocks * options_.block_bytes;
   bool made_progress = false;
 
-  while (free_segments_.size() <= options_.free_segment_low_water) {
+  while (free_segments_.size() <= kFreeSegmentLowWater) {
     if (free_segments_.empty()) {
       break;  // Nothing to stage compaction into.
     }

@@ -10,6 +10,12 @@
 
 namespace ssmc {
 
+namespace {
+// Cleaning starts when the free-sector count drops to this level and runs
+// until it exceeds it (or no sector with dead pages remains).
+constexpr uint64_t kFreeSectorLowWater = 2;
+}  // namespace
+
 int64_t PickCleaningVictim(const std::vector<SectorMeta>& sectors,
                            uint32_t pages_per_sector, CleanerPolicy policy,
                            SimTime now) {
@@ -130,7 +136,7 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   // requested overprovisioning fraction, whichever is larger.
   const uint64_t min_reserve =
       std::max(static_cast<uint64_t>(flash_.num_banks()) + 1,
-               options_.free_sector_low_water + 2);
+               kFreeSectorLowWater + 2);
   const uint64_t reserve = std::max(
       min_reserve, static_cast<uint64_t>(
                        std::ceil(options_.overprovision *
@@ -258,7 +264,7 @@ int64_t FlashStore::TakeFreeSector(int bank) {
 Result<uint64_t> FlashStore::AllocatePage(WriteStream stream,
                                           bool allow_clean) {
   // Proactive cleaning keeps the free pool above the low-water mark.
-  if (allow_clean && free_sectors() <= options_.free_sector_low_water) {
+  if (allow_clean && free_sectors() <= kFreeSectorLowWater) {
     SSMC_RETURN_IF_ERROR(Clean());
   }
 
@@ -642,7 +648,7 @@ Status FlashStore::Clean() {
       return evicted.status();
     }
   }
-  while (free_sectors() <= options_.free_sector_low_water) {
+  while (free_sectors() <= kFreeSectorLowWater) {
     Result<bool> cleaned = CleanOne();
     if (!cleaned.ok()) {
       status = cleaned.status();

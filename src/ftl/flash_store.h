@@ -49,9 +49,6 @@ struct FlashStoreOptions {
   uint64_t block_bytes = 512;
   CleanerPolicy cleaner = CleanerPolicy::kCostBenefit;
   WearPolicy wear = WearPolicy::kDynamic;
-  // Cleaning starts when the free-sector count drops to this level and runs
-  // until it exceeds it (or no sector with dead pages remains).
-  uint64_t free_sector_low_water = 2;
   // Fraction of sectors withheld from the logical capacity so cleaning
   // always has room to relocate into. At least 2 sectors are reserved.
   double overprovision = 0.10;

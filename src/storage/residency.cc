@@ -17,6 +17,8 @@ namespace {
 // kAggressive: flushes of blocks with decayed heat below this go out on the
 // relocation (cold) write stream.
 constexpr double kColdHintHeat = 0.5;
+// kAggressive: promote when the raw (undecayed) touch count reaches this.
+constexpr uint64_t kAggressiveTouches = 2;
 // Decayed heat a flash block needs to enter the NVM tier. 1.0 admits on
 // first touch, so the combined DRAM+NVM ladder approximates one big LRU —
 // what the Ju et al. analytical oracle (tier_model.h) models.
@@ -282,7 +284,7 @@ bool ResidencyManager::ShouldPromote(const BlockState& b) const {
     case ResidencyPolicy::kReadPromote:
       return b.decayed >= options_.promote_threshold;
     case ResidencyPolicy::kAggressive:
-      return b.raw >= options_.aggressive_touches ||
+      return b.raw >= kAggressiveTouches ||
              b.decayed >= options_.promote_threshold;
   }
   return false;
@@ -298,8 +300,7 @@ bool ResidencyManager::ShouldAdmitFromFlash(const BlockState& b) const {
     case ResidencyPolicy::kReadPromote:
       return b.decayed >= kNvmAdmitHeat;
     case ResidencyPolicy::kAggressive:
-      return b.raw >= options_.aggressive_touches ||
-             b.decayed >= kNvmAdmitHeat;
+      return b.raw >= kAggressiveTouches || b.decayed >= kNvmAdmitHeat;
   }
   return false;
 }

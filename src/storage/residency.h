@@ -88,8 +88,6 @@ struct ResidencyOptions {
   Duration heat_half_life = 30 * kSecond;
   // kReadPromote: promote when the decayed touch count reaches this.
   double promote_threshold = 2.0;
-  // kAggressive: promote when the raw (undecayed) touch count reaches this.
-  uint64_t aggressive_touches = 2;
   // Cap on the clean cache as a fraction of total DRAM pages. The cache
   // recycles its own LRU tail beyond this; it never squeezes dirty data or
   // VM frames to grow.

@@ -98,19 +98,18 @@ class StorageManager {
 
   // --- Page payloads ------------------------------------------------------
   // Every allocated DRAM page carries its contents as a refcounted payload
-  // extent instead of bytes in the DramDevice backing store. The accessors
-  // below charge exactly what a DramDevice::Read/Write of the same size
-  // would (ChargeAccess runs the identical clock/energy/stats arithmetic),
-  // so simulated timing is unchanged — but aliased pages (a flushed block
-  // that also sits programmed in flash, a promoted clean copy, an anonymous
-  // zero page) share one extent, and writes to shared extents copy-on-write.
+  // extent; this table is the only copy of DRAM bytes (the DramDevice holds
+  // none). The accessors below charge the access through
+  // DramDevice::ChargeAccess (clock, energy, stats). Aliased pages (a
+  // flushed block that also sits programmed in flash, a promoted clean
+  // copy, an anonymous zero page) share one extent, and writes to shared
+  // extents copy-on-write.
   // The pool is the flash store's: refs flow between DRAM pages and flash
   // sectors without ever copying payload bytes.
   ExtentPool& extent_pool() { return flash_store_.extent_pool(); }
 
   // Reads/writes within one page's payload. offset + size must stay inside
-  // the page; reads of never-written pages are zero fill (what the DRAM
-  // device returns for unmaterialized chunks).
+  // the page; reads of never-written pages are zero fill.
   Duration ReadPagePayload(uint64_t page, uint64_t offset,
                            std::span<uint8_t> out);
   Duration WritePagePayload(uint64_t page, uint64_t offset,
@@ -125,10 +124,9 @@ class StorageManager {
   // full-page DRAM read — the flush path's "read the buffer" step. A
   // never-written page materializes as the shared zero extent.
   PayloadRef ReadPagePayloadRef(uint64_t page);
-  // Battery failure: volatile contents are gone. Mirrors
-  // DramDevice::ForceContentLoss for the payload table — subsequent reads
-  // see zero fill, matching the device's dropped-chunk behavior. NVM page
-  // payloads are left intact: the tier is non-volatile.
+  // Battery failure: volatile contents are gone (the machine records the
+  // loss with DramDevice::ForceContentLoss) — subsequent reads see zero
+  // fill. NVM page payloads are left intact: the tier is non-volatile.
   void DropAllPagePayloads();
 
   // --- NVM page payloads --------------------------------------------------

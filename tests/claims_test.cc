@@ -29,9 +29,11 @@ TEST_F(ClaimsTest, E1_DeviceSpeedOrdering) {
   FlashDevice flash(IntelFlash1993(), 1 * kMiB, 1, clock);
   std::vector<uint8_t> buf(512);
   const Duration flash_read = flash.Read(0, buf).value();
-  std::vector<uint8_t> data(512, 1);
+  ExtentPool pool(512);
+  const std::vector<uint8_t> data(512, 1);
   const Duration flash_write =
-      flash.Program(flash.sector_bytes(), data).value();
+      flash.ProgramExtent(flash.sector_bytes(), pool.AllocateCopy(data.data()))
+          .value();
   const double wr_ratio = static_cast<double>(flash_write) /
                           static_cast<double>(flash_read);
   EXPECT_GE(wr_ratio, 50.0);

@@ -2,95 +2,44 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <vector>
-
 namespace ssmc {
 namespace {
 
-DramSpec TestSpec(bool battery_backed = true) {
+DramSpec TestSpec() {
   DramSpec spec;
   spec.name = "test dram";
   spec.read = {50, 10};
   spec.write = {60, 12};
   spec.active_mw_per_mib = 150;
   spec.standby_mw_per_mib = 1.5;
-  spec.battery_backed = battery_backed;
   return spec;
-}
-
-TEST(DramDeviceTest, WriteThenReadRoundTrips) {
-  SimClock clock;
-  DramDevice dram(TestSpec(), 64 * 1024, clock);
-  std::vector<uint8_t> data(128);
-  std::iota(data.begin(), data.end(), 1);
-  ASSERT_TRUE(dram.Write(4096, data).ok());
-  std::vector<uint8_t> out(128);
-  ASSERT_TRUE(dram.Read(4096, out).ok());
-  EXPECT_EQ(out, data);
 }
 
 TEST(DramDeviceTest, LatencyFollowsSpec) {
   SimClock clock;
   DramDevice dram(TestSpec(), 64 * 1024, clock);
-  std::vector<uint8_t> buf(100);
-  Result<Duration> r = dram.Read(0, buf);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 50 + 10 * 100);
-  Result<Duration> w = dram.Write(0, buf);
-  ASSERT_TRUE(w.ok());
-  EXPECT_EQ(w.value(), 60 + 12 * 100);
-  EXPECT_EQ(clock.now(), r.value() + w.value());
+  const Duration r = dram.ChargeAccess(100, /*is_write=*/false);
+  EXPECT_EQ(r, 50 + 10 * 100);
+  const Duration w = dram.ChargeAccess(100, /*is_write=*/true);
+  EXPECT_EQ(w, 60 + 12 * 100);
+  EXPECT_EQ(clock.now(), r + w);
+  EXPECT_EQ(dram.total_active_ns(), r + w);
 }
 
-TEST(DramDeviceTest, OutOfRangeRejected) {
+TEST(DramDeviceTest, ForceContentLossRecordsLoss) {
   SimClock clock;
   DramDevice dram(TestSpec(), 1024, clock);
-  std::vector<uint8_t> buf(64);
-  EXPECT_EQ(dram.Read(1024, buf).status().code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(dram.Write(1000, buf).status().code(), ErrorCode::kOutOfRange);
-}
-
-TEST(DramDeviceTest, BatteryBackedSurvivesPowerLoss) {
-  SimClock clock;
-  DramDevice dram(TestSpec(/*battery_backed=*/true), 1024, clock);
-  std::vector<uint8_t> data(16, 0x5A);
-  ASSERT_TRUE(dram.Write(0, data).ok());
-  dram.OnPowerLoss();
   EXPECT_FALSE(dram.contents_lost());
-  std::vector<uint8_t> out(16);
-  ASSERT_TRUE(dram.Read(0, out).ok());
-  EXPECT_EQ(out, data);
-}
-
-TEST(DramDeviceTest, VolatileDramLosesContentsOnPowerLoss) {
-  SimClock clock;
-  DramDevice dram(TestSpec(/*battery_backed=*/false), 1024, clock);
-  std::vector<uint8_t> data(16, 0x5A);
-  ASSERT_TRUE(dram.Write(0, data).ok());
-  dram.OnPowerLoss();
-  EXPECT_TRUE(dram.contents_lost());
-  std::vector<uint8_t> out(16, 0xEE);
-  ASSERT_TRUE(dram.Read(0, out).ok());
-  EXPECT_EQ(out, std::vector<uint8_t>(16, 0));
-  EXPECT_EQ(dram.stats().content_losses.value(), 1u);
-}
-
-TEST(DramDeviceTest, ForceContentLossAlwaysLoses) {
-  SimClock clock;
-  DramDevice dram(TestSpec(/*battery_backed=*/true), 1024, clock);
-  std::vector<uint8_t> data(16, 0x5A);
-  ASSERT_TRUE(dram.Write(0, data).ok());
   dram.ForceContentLoss();
   EXPECT_TRUE(dram.contents_lost());
+  EXPECT_EQ(dram.stats().content_losses.value(), 1u);
 }
 
 TEST(DramDeviceTest, StatsTrackBytes) {
   SimClock clock;
   DramDevice dram(TestSpec(), 1024, clock);
-  std::vector<uint8_t> buf(100);
-  ASSERT_TRUE(dram.Write(0, buf).ok());
-  ASSERT_TRUE(dram.Read(0, buf).ok());
+  dram.ChargeAccess(100, /*is_write=*/true);
+  dram.ChargeAccess(100, /*is_write=*/false);
   EXPECT_EQ(dram.stats().writes.value(), 1u);
   EXPECT_EQ(dram.stats().written_bytes.value(), 100u);
   EXPECT_EQ(dram.stats().reads.value(), 1u);

@@ -22,6 +22,15 @@ FlashSpec TestSpec() {
   return spec;
 }
 
+// Programs `data` as one extent from a pool sized to it. The extent may
+// outlive the pool (the device keeps it).
+Result<Duration> Program(FlashDevice& flash, uint64_t addr,
+                         const std::vector<uint8_t>& data,
+                         IoIssue issue = {}) {
+  ExtentPool pool(data.size(), /*extents_per_slab=*/1);
+  return flash.ProgramExtent(addr, pool.AllocateCopy(data.data()), issue);
+}
+
 class FlashDeviceTest : public ::testing::Test {
  protected:
   SimClock clock_;
@@ -54,7 +63,7 @@ TEST_F(FlashDeviceTest, ProgramThenReadRoundTrips) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(256);
   std::iota(data.begin(), data.end(), 0);
-  ASSERT_TRUE(flash.Program(512, data).ok());
+  ASSERT_TRUE(Program(flash, 512, data).ok());
   std::vector<uint8_t> out(256);
   ASSERT_TRUE(flash.Read(512, out).ok());
   EXPECT_EQ(out, data);
@@ -73,7 +82,7 @@ TEST_F(FlashDeviceTest, ReadAdvancesClockBySpecLatency) {
 TEST_F(FlashDeviceTest, ProgramIsSlowerThanRead) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(100, 0xAB);
-  Result<Duration> w = flash.Program(0, data);
+  Result<Duration> w = Program(flash, 0, data);
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(w.value(), 1000 + 1000 * 100);
 }
@@ -81,8 +90,8 @@ TEST_F(FlashDeviceTest, ProgramIsSlowerThanRead) {
 TEST_F(FlashDeviceTest, ProgramToNonErasedFails) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(16, 0x00);
-  ASSERT_TRUE(flash.Program(0, data).ok());
-  Result<Duration> again = flash.Program(0, data);
+  ASSERT_TRUE(Program(flash, 0, data).ok());
+  Result<Duration> again = Program(flash, 0, data);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), ErrorCode::kFailedPrecondition);
 }
@@ -90,18 +99,18 @@ TEST_F(FlashDeviceTest, ProgramToNonErasedFails) {
 TEST_F(FlashDeviceTest, EraseRestoresProgrammability) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(16, 0x77);
-  ASSERT_TRUE(flash.Program(0, data).ok());
+  ASSERT_TRUE(Program(flash, 0, data).ok());
   EXPECT_FALSE(flash.IsSectorErased(0));
   ASSERT_TRUE(flash.EraseSector(0).ok());
   EXPECT_TRUE(flash.IsSectorErased(0));
   EXPECT_EQ(flash.EraseCount(0), 1u);
-  EXPECT_TRUE(flash.Program(0, data).ok());
+  EXPECT_TRUE(Program(flash, 0, data).ok());
 }
 
 TEST_F(FlashDeviceTest, ProgramAcrossSectorBoundaryRejected) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(64, 1);
-  Result<Duration> r = flash.Program(1024 - 32, data);
+  Result<Duration> r = Program(flash, 1024 - 32, data);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
 }
@@ -120,7 +129,7 @@ TEST_F(FlashDeviceTest, OutOfRangeOpsRejected) {
   std::vector<uint8_t> buf(32);
   EXPECT_EQ(flash.Read(16 * 1024, buf).status().code(),
             ErrorCode::kOutOfRange);
-  EXPECT_EQ(flash.Program(16 * 1024 - 16, buf).status().code(),
+  EXPECT_EQ(Program(flash, 16 * 1024 - 16, buf).status().code(),
             ErrorCode::kOutOfRange);
   EXPECT_EQ(flash.EraseSector(99).status().code(), ErrorCode::kOutOfRange);
 }
@@ -129,7 +138,7 @@ TEST_F(FlashDeviceTest, NonBlockingProgramDoesNotAdvanceClock) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(16, 1);
   const SimTime before = clock_.now();
-  Result<Duration> r = flash.Program(0, data, kFlushIo);
+  Result<Duration> r = Program(flash, 0, data, kFlushIo);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(clock_.now(), before);
   EXPECT_GT(flash.BankBusyUntil(0), before);
@@ -201,7 +210,7 @@ TEST_F(FlashDeviceTest, WearSummaryTracksDistribution) {
 TEST_F(FlashDeviceTest, StatsCountOperations) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> buf(64, 1);
-  ASSERT_TRUE(flash.Program(0, buf).ok());
+  ASSERT_TRUE(Program(flash, 0, buf).ok());
   std::vector<uint8_t> out(64);
   ASSERT_TRUE(flash.Read(0, out).ok());
   ASSERT_TRUE(flash.EraseSector(1).ok());
@@ -226,41 +235,19 @@ TEST_F(FlashDeviceTest, IdleEnergyAccountedOnDemand) {
   EXPECT_GT(flash.energy().idle_nanojoules(), 0.0);
 }
 
-TEST_F(FlashDeviceTest, TornProgramAppliesPrefixAndFails) {
-  FlashDevice flash(spec_, 16 * 1024, 1, clock_);
-  std::vector<uint8_t> data(64);
-  std::iota(data.begin(), data.end(), 1);
-  flash.FailNextProgramAfterBytes(24);
-  const SimTime before = clock_.now();
-  Result<Duration> r = flash.Program(128, data);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kInternal);
-  // Injected before scheduling: no time passed, no program counted.
-  EXPECT_EQ(clock_.now(), before);
-  EXPECT_EQ(flash.stats().programs.value(), 0u);
-  EXPECT_EQ(flash.stats().torn_programs.value(), 1u);
-  // The first 24 bytes survived; the rest of the range is still erased.
-  std::vector<uint8_t> out(64);
-  ASSERT_TRUE(flash.Read(128, out).ok());
-  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 24, data.begin()));
-  for (size_t i = 24; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], 0xFF) << "byte " << i;
-  }
-}
-
 TEST_F(FlashDeviceTest, TornProgramSkipCountArmsLaterWrite) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(16, 0x5A);
   flash.FailNextProgramAfterBytes(0, /*after_programs=*/2);
-  ASSERT_TRUE(flash.Program(0, data).ok());
-  ASSERT_TRUE(flash.Program(64, data).ok());
-  Result<Duration> r = flash.Program(256, data);
+  ASSERT_TRUE(Program(flash, 0, data).ok());
+  ASSERT_TRUE(Program(flash, 64, data).ok());
+  Result<Duration> r = Program(flash, 256, data);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInternal);
   EXPECT_EQ(flash.stats().torn_programs.value(), 1u);
   // bytes=0: the torn write left nothing behind and the hook disarmed, so
   // the retry succeeds and round-trips.
-  ASSERT_TRUE(flash.Program(256, data).ok());
+  ASSERT_TRUE(Program(flash, 256, data).ok());
   std::vector<uint8_t> out(16);
   ASSERT_TRUE(flash.Read(256, out).ok());
   EXPECT_EQ(out, data);
@@ -274,10 +261,15 @@ TEST_F(FlashDeviceTest, TornProgramExtentAppliesPrefix) {
     payload.MutableData()[i] = static_cast<uint8_t>(i + 1);
   }
   flash.FailNextProgramAfterBytes(10);
+  const SimTime before = clock_.now();
   Result<Duration> r = flash.ProgramExtent(512, payload, kForegroundIo);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInternal);
+  // Injected before scheduling: no time passed, no program counted.
+  EXPECT_EQ(clock_.now(), before);
+  EXPECT_EQ(flash.stats().programs.value(), 0u);
   EXPECT_EQ(flash.stats().torn_programs.value(), 1u);
+  // The first 10 bytes survived; the rest of the range is still erased.
   std::vector<uint8_t> out(64);
   ASSERT_TRUE(flash.Read(512, out).ok());
   for (size_t i = 0; i < 10; ++i) {
@@ -286,12 +278,71 @@ TEST_F(FlashDeviceTest, TornProgramExtentAppliesPrefix) {
   for (size_t i = 10; i < 64; ++i) {
     EXPECT_EQ(out[i], 0xFF) << "byte " << i;
   }
+  // The writer's extent is untouched (the torn copy is the device's own).
+  for (size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(payload.data()[i], static_cast<uint8_t>(i + 1)) << "byte " << i;
+  }
+  // The erased tail is still programmable; the programmed prefix is not.
+  const std::vector<uint8_t> tail(32, 0x42);
+  EXPECT_TRUE(Program(flash, 512 + 32, tail).ok());
+  EXPECT_EQ(Program(flash, 512, std::vector<uint8_t>(8, 0)).status().code(),
+            ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(flash.Read(512, out).ok());
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(out[i], static_cast<uint8_t>(i + 1)) << "byte " << i;
+  }
+  for (size_t i = 10; i < 32; ++i) {
+    EXPECT_EQ(out[i], 0xFF) << "byte " << i;
+  }
+  for (size_t i = 32; i < 64; ++i) {
+    EXPECT_EQ(out[i], 0x42) << "byte " << i;
+  }
+}
+
+// A program may land on erased bytes of an earlier extent. The medium is
+// then the AND of both (NOR programs only clear bits), whatever the extents'
+// order by offset and however the read range lines up with them.
+TEST_F(FlashDeviceTest, OverlappingProgramsReadBack) {
+  for (const uint64_t erased_at : {uint64_t{0}, uint64_t{32}}) {
+    SCOPED_TRACE(erased_at);
+    FlashDevice flash(spec_, 16 * 1024, 1, clock_);
+    std::vector<uint8_t> data(64);
+    std::iota(data.begin(), data.end(), 1);
+    // An all-0xFF 64 B extent, then a data extent over its second or first
+    // half: [0, 64) then [32, 96), or [32, 96) then [0, 64).
+    const uint64_t data_at = 32 - erased_at;
+    ASSERT_TRUE(Program(flash, erased_at, std::vector<uint8_t>(64, 0xFF)).ok());
+    ASSERT_TRUE(Program(flash, data_at, data).ok());
+    std::vector<uint8_t> expect(96, 0xFF);
+    std::copy(data.begin(), data.end(), expect.begin() + data_at);
+
+    std::vector<uint8_t> out(96);
+    ASSERT_TRUE(flash.Read(0, out).ok());
+    EXPECT_EQ(out, expect);
+    // Ranges that are exactly one of the two extents.
+    for (const uint64_t at : {uint64_t{0}, uint64_t{32}}) {
+      std::vector<uint8_t> one(64);
+      ASSERT_TRUE(flash.Read(at, one).ok());
+      EXPECT_TRUE(std::equal(one.begin(), one.end(), expect.begin() + at))
+          << "Read at " << at;
+      ExtentPool pool(64);
+      Result<PayloadRef> ref = flash.ReadExtent(at, 64, pool);
+      ASSERT_TRUE(ref.ok());
+      EXPECT_TRUE(std::equal(ref.value().data(), ref.value().data() + 64,
+                             expect.begin() + at))
+          << "ReadExtent at " << at;
+    }
+    EXPECT_FALSE(flash.IsSectorErased(0));
+    ASSERT_TRUE(flash.EraseSector(0).ok());
+    ASSERT_TRUE(flash.Read(0, out).ok());
+    EXPECT_EQ(out, std::vector<uint8_t>(96, 0xFF));
+  }
 }
 
 TEST_F(FlashDeviceTest, InterruptedEraseConsumesWearKeepsContents) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(16, 0x77);
-  ASSERT_TRUE(flash.Program(0, data).ok());
+  ASSERT_TRUE(Program(flash, 0, data).ok());
   flash.InterruptNextErase();
   Result<Duration> r = flash.EraseSector(0);
   ASSERT_FALSE(r.ok());

@@ -111,7 +111,9 @@ TEST(IoSchedulerOracleTest, FlashDeviceFifoMatchesChargeLatencyModel) {
   SimTime oracle_now = 0;
   Rng rng(999);
 
-  std::vector<uint8_t> buf(64, 0xAB);
+  ExtentPool pool(64);
+  const std::vector<uint8_t> buf(64, 0xAB);
+  const PayloadRef payload = pool.AllocateCopy(buf.data());
   std::vector<uint8_t> out(64);
   for (int i = 0; i < 4000; ++i) {
     if (rng.NextBelow(4) == 0) {
@@ -145,7 +147,7 @@ TEST(IoSchedulerOracleTest, FlashDeviceFifoMatchesChargeLatencyModel) {
           oracle_now = e.complete;
         }
         op_ns = spec.program.LatencyFor(buf.size());
-        got = flash.Program(sector * 1024, buf, issue).value();
+        got = flash.ProgramExtent(sector * 1024, payload, issue).value();
         break;
       }
       default: {
@@ -665,6 +667,7 @@ TEST(IoSchedulerWfqTest, FlashDeviceSingleTenantMatchesFifoUnderReadFaults) {
   wfq.set_sched_policy(IoSchedPolicy::kWeightedFair);
 
   Rng rng(90210);
+  ExtentPool pool(64);
   std::vector<uint8_t> out_a(64);
   std::vector<uint8_t> out_b(64);
   for (int i = 0; i < 2000; ++i) {
@@ -707,9 +710,10 @@ TEST(IoSchedulerWfqTest, FlashDeviceSingleTenantMatchesFifoUnderReadFaults) {
         const auto ef = fifo.EraseSector(sector, issue);
         const auto ew = wfq.EraseSector(sector, issue);
         ASSERT_EQ(ef.value(), ew.value()) << "op " << i;
-        std::vector<uint8_t> buf(64, static_cast<uint8_t>(i));
-        const auto pf = fifo.Program(sector * 1024, buf, issue);
-        const auto pw = wfq.Program(sector * 1024, buf, issue);
+        const std::vector<uint8_t> buf(64, static_cast<uint8_t>(i));
+        const PayloadRef payload = pool.AllocateCopy(buf.data());
+        const auto pf = fifo.ProgramExtent(sector * 1024, payload, issue);
+        const auto pw = wfq.ProgramExtent(sector * 1024, payload, issue);
         ASSERT_EQ(pf.value(), pw.value()) << "op " << i;
         break;
       }
