@@ -8,7 +8,11 @@ directory, with --trace/--metrics capture on, then:
     it with tests/golden/<bench>.txt byte for byte;
   * compares the BENCH_{migration,nvm,qos,recovery}.json files the benches
     wrote into the scratch directory with the committed copies at the repo
-    root, byte for byte (those rows are simulated, hence deterministic).
+    root, byte for byte (those rows are simulated, hence deterministic);
+  * compares each bench's --metrics JSON with
+    tests/golden/<bench>.metrics.json byte for byte, and the SHA-256 of each
+    --trace JSON with its line in tests/golden/traces.sha256 (the traces
+    run to ~100 MB, so only their digests are committed).
 
 Everything the benches print is deterministic simulated output except:
 
@@ -26,14 +30,15 @@ Usage, from the repository root:
 
 --out keeps the raw console outputs, traces, metrics and BENCH_*.json files
 in that directory (default: a temporary directory, removed afterwards).
---update rewrites tests/golden/ from this run instead of comparing; use it
-only when a change is meant to move an experiment's output, and say so in
-the change description. Exit status is 1 if any output differs.
+--update rewrites tests/golden/ (console outputs, metrics files and trace
+digests) from this run instead of comparing; use it only when a change is
+meant to move an experiment's output, and say so in the change description. Exit status is 1 if any output differs.
 """
 
 import argparse
 import difflib
 import glob
+import hashlib
 import os
 import re
 import shutil
@@ -43,6 +48,7 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
+TRACE_DIGESTS = os.path.join(GOLDEN_DIR, "traces.sha256")
 EXACT_JSON = [
     "BENCH_migration.json",
     "BENCH_nvm.json",
@@ -150,6 +156,65 @@ def read(path):
         return f.read()
 
 
+def sha256_file(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def trace_digests(names, workdir):
+    """Returns {trace file name: SHA-256} for every trace the benches wrote."""
+    digests = {}
+    for name in sorted(names):
+        trace = f"{name}.trace.json"
+        path = os.path.join(workdir, trace)
+        if os.path.exists(path):
+            digests[trace] = sha256_file(path)
+    return digests
+
+
+def read_digests(path):
+    """Parses a sha256sum-style file: '<hex>  <file name>' per line."""
+    digests = {}
+    if os.path.exists(path):
+        for line in read(path).splitlines():
+            hexdigest, trace = line.split(None, 1)
+            digests[trace] = hexdigest
+    return digests
+
+
+def write_digests(path, digests):
+    with open(path, "w") as f:
+        for trace, hexdigest in sorted(digests.items()):
+            f.write(f"{hexdigest}  {trace}\n")
+
+
+def check_obs(names, workdir):
+    """Compares metrics files byte for byte and trace files by digest."""
+    failed = []
+    for name in sorted(names):
+        metrics = f"{name}.metrics.json"
+        golden = os.path.join(GOLDEN_DIR, metrics)
+        fresh = os.path.join(workdir, metrics)
+        if os.path.exists(golden) != os.path.exists(fresh):
+            print(f"{metrics}: present only in "
+                  f"{'tests/golden/' if os.path.exists(golden) else 'this run'}")
+            failed.append(metrics)
+        elif os.path.exists(golden) and diff(metrics, read(golden),
+                                             read(fresh)):
+            failed.append(metrics)
+    want = read_digests(TRACE_DIGESTS)
+    got = trace_digests(names, workdir)
+    for trace in sorted(want.keys() | got.keys()):
+        if want.get(trace) != got.get(trace):
+            print(f"{trace}: SHA-256 {got.get(trace, 'missing')} "
+                  f"(golden {want.get(trace, 'missing')})")
+            failed.append(trace)
+    return failed
+
+
 def check(outputs, workdir):
     failed = []
     goldens = {
@@ -174,7 +239,7 @@ def check(outputs, workdir):
         elif diff(json_name, read(os.path.join(REPO_ROOT, json_name)),
                   read(fresh)):
             failed.append(json_name)
-    return failed
+    return failed + check_obs(outputs.keys(), workdir)
 
 
 def main():
@@ -194,7 +259,13 @@ def main():
             for name, text in outputs.items():
                 with open(os.path.join(GOLDEN_DIR, f"{name}.txt"), "w") as f:
                     f.write(text)
-            print(f"Rewrote {len(outputs)} golden outputs in tests/golden/.")
+                metrics = f"{name}.metrics.json"
+                if os.path.exists(os.path.join(workdir, metrics)):
+                    shutil.copyfile(os.path.join(workdir, metrics),
+                                    os.path.join(GOLDEN_DIR, metrics))
+            write_digests(TRACE_DIGESTS, trace_digests(outputs.keys(), workdir))
+            print(f"Rewrote {len(outputs)} golden outputs, their metrics "
+                  "files and trace digests in tests/golden/.")
             return 0
         failed = check(outputs, workdir)
     finally:
@@ -204,8 +275,8 @@ def main():
         print(f"FAIL: {len(failed)} output(s) differ from the golden copies: "
               f"{', '.join(failed)}")
         return 1
-    print(f"OK: {len(outputs)} bench outputs and {len(EXACT_JSON)} JSON "
-          "files match byte for byte.")
+    print(f"OK: {len(outputs)} bench outputs, {len(EXACT_JSON)} JSON files "
+          "and every metrics file and trace digest match byte for byte.")
     return 0
 
 
