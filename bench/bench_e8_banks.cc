@@ -44,7 +44,7 @@ BankResult RunBanks(int banks, int hot_banks,
   spec.erase_ns = 50 * kMillisecond;  // Slow erases: the problem case.
   spec.endurance_cycles = 10000000;
   FlashDevice flash(spec, 4 * kMiB, banks, clock, /*seed=*/4);
-  flash.set_sched_policy(policy);
+  flash.scheduler().set_policy(policy);
   flash.AttachObs(obs);  // Per-bank + per-class tracks (--trace).
   FlashStoreOptions options;
   options.background_writes = true;  // Writer does not advance our clock.

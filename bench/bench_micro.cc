@@ -261,7 +261,7 @@ void BM_ReadTailUnderCleaning(benchmark::State& state) {
                                                    : IoSchedPolicy::kPriority;
   SimClock clock;
   FlashDevice flash(MicroFlashSpec(), 2 * kMiB, 1, clock);
-  flash.set_sched_policy(policy);
+  flash.scheduler().set_policy(policy);
   FlashStoreOptions options;
   options.background_writes = true;  // Cleaner work queues, never blocks us.
   FlashStore store(flash, options);

@@ -55,12 +55,13 @@ MobileComputer::MobileComputer(MachineConfig config)
                                          config_.flash_bytes,
                                          config_.flash_banks, clock_,
                                          config_.seed);
-  flash_->set_sched_policy(config_.io_sched);
+  IoScheduler& flash_sched = flash_->scheduler();
+  flash_sched.set_policy(config_.io_sched);
   for (const MachineConfig::TenantQos& qos : config_.tenant_qos) {
-    flash_->set_tenant_weight(qos.tenant, qos.weight);
+    flash_sched.set_tenant_weight(qos.tenant, qos.weight);
     if (qos.rate_bytes_per_s > 0) {
-      flash_->set_tenant_rate(qos.tenant, qos.rate_bytes_per_s,
-                              qos.burst_bytes);
+      flash_sched.set_tenant_rate(qos.tenant, qos.rate_bytes_per_s,
+                                  qos.burst_bytes);
     }
   }
   if (config_.nvm_bytes > 0) {
@@ -188,19 +189,9 @@ AddressSpace& MobileComputer::CreateAddressSpace() {
 }
 
 ReplayReport MobileComputer::RunTrace(const Trace& trace) {
-  // Snapshot per-class and per-tenant device attribution so the report
-  // covers exactly the replay window (machines are reused across traces).
-  struct Snap {
-    uint64_t requests, wait, service;
-  };
-  std::array<Snap, kNumIoPriorities> before;
-  for (int i = 0; i < kNumIoPriorities; ++i) {
-    const IoLaneStats& c = flash_->stats().by_class[i];
-    before[static_cast<size_t>(i)] = {c.requests.value(),
-                                      c.queue_wait_ns.value(),
-                                      c.service_ns.value()};
-  }
-  const TenantLaneTable before_tenants = flash_->stats().by_tenant;
+  // Snapshot the flash lanes so the report covers exactly the replay
+  // window (machines are reused across traces).
+  const IoLanes before = flash_->stats();
   const MemoryFileSystem::Stats& fstats = fs_->stats();
   const uint64_t dram_before = fstats.buffered_read_bytes.value() +
                                fstats.clean_cached_read_bytes.value();
@@ -217,14 +208,10 @@ ReplayReport MobileComputer::RunTrace(const Trace& trace) {
   report.tier_flash_read_bytes =
       fstats.flash_direct_read_bytes.value() - flash_before;
   for (int i = 0; i < kNumIoPriorities; ++i) {
-    const IoLaneStats& c = flash_->stats().by_class[i];
-    const Snap& b = before[static_cast<size_t>(i)];
-    IoLaneStats& out = report.io_by_class[static_cast<size_t>(i)];
-    out.requests.Add(c.requests.value() - b.requests);
-    out.queue_wait_ns.Add(c.queue_wait_ns.value() - b.wait);
-    out.service_ns.Add(c.service_ns.value() - b.service);
+    report.io_by_class[static_cast<size_t>(i)].AddDelta(
+        flash_->stats().by_class[i], before.by_class[i]);
   }
-  report.io_by_tenant.AddDelta(flash_->stats().by_tenant, before_tenants);
+  report.io_by_tenant.AddDelta(flash_->stats().by_tenant, before.by_tenant);
   return report;
 }
 

@@ -1,6 +1,6 @@
 #include "src/device/dram_device.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace ssmc {
 
@@ -11,7 +11,6 @@ Duration DramDevice::ChargeAccess(uint64_t bytes, bool is_write) {
   const MemoryTiming& t = is_write ? spec_.write : spec_.read;
   const Duration d = t.LatencyFor(bytes);
   clock_.Advance(d);
-  total_active_ns_ += d;
   energy_.AddActive(active_mw(), d);
   if (is_write) {
     stats_.writes.Add();
@@ -26,17 +25,6 @@ Duration DramDevice::ChargeAccess(uint64_t bytes, bool is_write) {
 void DramDevice::ForceContentLoss() {
   contents_lost_ = true;
   stats_.content_losses.Add();
-}
-
-void DramDevice::AccountIdleEnergy() {
-  const Duration now = clock_.now();
-  const Duration window = now - idle_accounted_until_;
-  if (window <= 0) {
-    return;
-  }
-  const Duration idle = std::max<Duration>(0, window - total_active_ns_);
-  energy_.AddIdle(standby_mw(), idle);
-  idle_accounted_until_ = now;
 }
 
 }  // namespace ssmc

@@ -50,8 +50,9 @@ class DramDevice {
   };
   const Stats& stats() const { return stats_; }
   const EnergyMeter& energy() const { return energy_; }
-  Duration total_active_ns() const { return total_active_ns_; }
-  void AccountIdleEnergy();
+  // Books retention power for the time since the last settle not spent
+  // serving accesses (EnergyMeter::SettleIdle).
+  void AccountIdleEnergy() { energy_.SettleIdle(clock_.now(), standby_mw()); }
 
   // An access activates one bank (~1 MiB of array): active draw is the
   // per-megabyte figure for one megabyte.
@@ -68,8 +69,6 @@ class DramDevice {
   SimClock& clock_;
   Stats stats_;
   EnergyMeter energy_;
-  Duration total_active_ns_ = 0;
-  Duration idle_accounted_until_ = 0;
   bool contents_lost_ = false;
 };
 

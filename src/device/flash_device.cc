@@ -8,8 +8,6 @@
 #include <iterator>
 #include <string>
 
-#include "src/obs/obs.h"
-
 namespace ssmc {
 
 namespace {
@@ -22,7 +20,8 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
       capacity_(capacity_bytes),
       clock_(clock),
       rng_(seed),
-      sched_(clock, banks) {
+      sched_(clock, banks, IoSchedPolicy::kFifo, &stats_),
+      bank_obs_("flash", sched_, stats_) {
   assert(banks >= 1);
   assert(spec_.erase_sector_bytes > 0);
   assert(capacity_ % spec_.erase_sector_bytes == 0);
@@ -39,131 +38,22 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
   }
   erased_template_.assign(spec_.erase_sector_bytes, kErasedByte);
   sectors_.resize(capacity_ / spec_.erase_sector_bytes);
-  // Queued reservations pushed later by a higher-priority (or fairer)
-  // request owe their lanes the extra wait; add it as the shift happens so
-  // by_class/by_tenant stay exact without draining the pipeline.
-  sched_.set_shift_observer([this](const IoRequest& req, Duration delta) {
-    stats_.by_class[static_cast<int>(req.priority)].queue_wait_ns.Add(
-        static_cast<uint64_t>(delta));
-    stats_.by_tenant.For(req.tenant).queue_wait_ns.Add(
-        static_cast<uint64_t>(delta));
-  });
-}
-
-FlashDevice::~FlashDevice() {
-  // The Obs routinely outlives the device (benches snapshot after the run):
-  // flush the final stats into the registry and drop the dangling collector.
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("flash");
-  }
 }
 
 void FlashDevice::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("flash");
-  }
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    sched_.set_retire_hook(nullptr);
-    return;
-  }
-  SpanTracer& tracer = obs_->tracer();
-  obs_bank_tracks_.clear();
-  for (int b = 0; b < num_banks(); ++b) {
-    obs_bank_tracks_.push_back(
-        tracer.RegisterTrack("flash bank " + std::to_string(b)));
-  }
-  MetricsRegistry& m = obs_->metrics();
-  for (int c = 0; c < kNumIoPriorities; ++c) {
-    const std::string cls = IoPriorityName(static_cast<IoPriority>(c));
-    obs_class_tracks_[c] = tracer.RegisterTrack("flash class " + cls);
-    obs_wait_hist_[c] = m.AddHistogram("flash/" + cls + "/wait_ns");
-    obs_service_hist_[c] = m.AddHistogram("flash/" + cls + "/service_ns");
-  }
-  obs_tenant_hist_.clear();
-  sched_.set_retire_hook(
-      [this](int bank, const IoRequest& req) { ObsRetire(bank, req); });
-
-  // Snapshot-time pull of the device's Stats — no per-operation cost.
-  Counter* reads = m.AddCounter("flash/reads");
-  Counter* read_bytes = m.AddCounter("flash/read_bytes");
-  Counter* programs = m.AddCounter("flash/programs");
-  Counter* programmed_bytes = m.AddCounter("flash/programmed_bytes");
-  Counter* erases = m.AddCounter("flash/erases");
-  Counter* read_stall = m.AddCounter("flash/read_stall_ns");
-  Gauge* bad = m.AddGauge("flash/bad_sectors");
-  Gauge* wear_max = m.AddGauge("flash/wear_max_erases");
-  m.AddCollector("flash", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(reads, stats_.reads);
-    mirror(read_bytes, stats_.read_bytes);
-    mirror(programs, stats_.programs);
-    mirror(programmed_bytes, stats_.programmed_bytes);
-    mirror(erases, stats_.erases);
-    mirror(read_stall, stats_.read_stall_ns);
-    bad->Set(static_cast<int64_t>(stats_.bad_sectors.value()));
-    const WearSummary w = SummarizeWear();
-    wear_max->Set(static_cast<int64_t>(w.max_erases));
-    // Per-tenant SLO lanes, registered on first sight of each tenant
-    // (AddCounter is idempotent per name, and handles live in a deque, so
-    // snapshot-time registration is safe).
-    for (const TenantLaneTable::Entry& e : stats_.by_tenant.entries()) {
-      const std::string base =
-          "flash/tenant" + std::to_string(e.tenant) + "/";
-      auto mirror_lane = [&](const char* key, const Counter& src) {
-        Counter* dst = obs_->metrics().AddCounter(base + key);
-        dst->Reset();
-        dst->Add(src.value());
-      };
-      mirror_lane("requests", e.value.requests);
-      mirror_lane("queue_wait_ns", e.value.queue_wait_ns);
-      mirror_lane("service_ns", e.value.service_ns);
-    }
-  });
-}
-
-void FlashDevice::ObsRetire(int bank, const IoRequest& req) {
-  const int cls = static_cast<int>(req.priority);
-  const Duration wait = std::max<Duration>(0, req.start_time - req.issue_time);
-  const Duration service =
-      std::max<Duration>(0, req.complete_time - req.start_time);
-  obs_wait_hist_[cls]->Record(static_cast<uint64_t>(wait));
-  obs_service_hist_[cls]->Record(static_cast<uint64_t>(service));
-  // Per-tenant wait/service histograms, one lane per tenant seen (linear
-  // scan: a machine serves a handful of tenant ids).
-  ObsTenantLane* tenant_lane = nullptr;
-  for (ObsTenantLane& lane : obs_tenant_hist_) {
-    if (lane.tenant == req.tenant) {
-      tenant_lane = &lane;
-      break;
-    }
-  }
-  if (tenant_lane == nullptr) {
-    const std::string base =
-        "flash/tenant" + std::to_string(req.tenant) + "/";
-    obs_tenant_hist_.push_back(
-        ObsTenantLane{req.tenant,
-                      obs_->metrics().AddHistogram(base + "wait_ns"),
-                      obs_->metrics().AddHistogram(base + "service_ns")});
-    tenant_lane = &obs_tenant_hist_.back();
-  }
-  tenant_lane->wait->Record(static_cast<uint64_t>(wait));
-  tenant_lane->service->Record(static_cast<uint64_t>(service));
-  SpanTracer& tracer = obs_->tracer();
-  // Bank track: the service window on the medium. Class track: the request's
-  // full latency including its queue wait — on a per-class track a long span
-  // with a short bank twin reads directly as queueing delay.
-  tracer.Span(obs_bank_tracks_[static_cast<size_t>(bank)], IoOpName(req.op),
-              req.start_time, service, {"bytes", req.bytes},
-              {"wait_ns", static_cast<uint64_t>(wait)},
-              {"prio", static_cast<uint64_t>(cls)});
-  tracer.Span(obs_class_tracks_[cls], IoOpName(req.op), req.issue_time,
-              wait + service, {"bytes", req.bytes},
-              {"bank", static_cast<uint64_t>(bank)},
-              {"tenant", static_cast<uint64_t>(req.tenant)});
+  bank_obs_.Attach(
+      obs,
+      {{"reads", &stats_.reads},
+       {"read_bytes", &stats_.read_bytes},
+       {"programs", &stats_.programs},
+       {"programmed_bytes", &stats_.programmed_bytes},
+       {"erases", &stats_.erases},
+       {"read_stall_ns", &stats_.read_stall_ns}},
+      {{"bad_sectors",
+        [this] { return static_cast<int64_t>(stats_.bad_sectors.value()); }},
+       {"wear_max_erases", [this] {
+          return static_cast<int64_t>(SummarizeWear().max_erases);
+        }}});
 }
 
 int FlashDevice::BankOfAddress(uint64_t addr) const {
@@ -193,21 +83,8 @@ IoScheduler::Dispatch FlashDevice::SubmitOp(IoOp op, int bank, uint64_t addr,
   req.blocking = issue.blocking;
   req.tenant = issue.tenant;
   const IoScheduler::Dispatch d = sched_.Submit(bank, std::move(req), op_ns);
-  total_active_ns_ += op_ns;
-  IoLaneStats& cls = stats_.by_class[static_cast<int>(issue.priority)];
-  cls.requests.Add();
-  cls.queue_wait_ns.Add(static_cast<uint64_t>(d.wait));
-  cls.service_ns.Add(static_cast<uint64_t>(d.service));
-  IoLaneStats& lane = stats_.by_tenant.For(issue.tenant);
-  lane.requests.Add();
-  lane.queue_wait_ns.Add(static_cast<uint64_t>(d.wait));
-  lane.service_ns.Add(static_cast<uint64_t>(d.service));
-  AddActiveEnergy(op_ns);
+  energy_.AddActive(active_mw(), op_ns);
   return d;
-}
-
-void FlashDevice::AddActiveEnergy(Duration busy_ns) {
-  energy_.AddActive(active_mw(), busy_ns);
 }
 
 Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
@@ -570,20 +447,6 @@ bool FlashDevice::IsSectorErased(uint64_t sector) const {
     }
   }
   return true;
-}
-
-void FlashDevice::AccountIdleEnergy() {
-  const Duration now = clock_.now();
-  const Duration window = now - idle_accounted_until_;
-  if (window <= 0) {
-    return;
-  }
-  // Approximation: active time within the window is whatever active time has
-  // not yet been offset against idle accounting. Active never exceeds
-  // wall-clock times bank count, and in practice is far below the window.
-  const Duration idle = std::max<Duration>(0, window - total_active_ns_);
-  energy_.AddIdle(standby_mw(), idle);
-  idle_accounted_until_ = now;
 }
 
 FlashDevice::WearSummary FlashDevice::SummarizeWear() const {

@@ -18,8 +18,11 @@
 // erase is being served in a bank, requests to that bank queue behind it;
 // requests to other banks proceed. Under the default FIFO policy dispatch
 // reproduces the historical per-bank busy-until charge-latency model
-// bit-for-bit; IoSchedPolicy::kPriority lets foreground reads jump queued
-// flush/cleaner work (see io_request.h).
+// bit-for-bit; the machine sets other policies and per-tenant QoS on
+// scheduler() directly (see io_scheduler.h). The scheduler also writes the
+// device's wait/service lanes (Stats derives from IoLanes), and BankObs
+// (bank_obs.h) reports the banks to an attached Obs — both shared with the
+// NVM device.
 //
 // Callers describe how they issue each operation with an IoIssue: the
 // scheduling class, and whether the caller's clock advances to completion
@@ -38,6 +41,7 @@
 #include <span>
 #include <vector>
 
+#include "src/device/bank_obs.h"
 #include "src/device/specs.h"
 #include "src/sim/clock.h"
 #include "src/sim/energy.h"
@@ -59,9 +63,6 @@ class FlashDevice {
   // capacity_bytes must be a multiple of spec.erase_sector_bytes * banks.
   FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
               SimClock& clock, uint64_t seed = 1);
-  // Flushes and removes this device's metrics collector from any attached
-  // Obs (which routinely outlives the device).
-  ~FlashDevice();
 
   // --- Geometry ---------------------------------------------------------
   uint64_t capacity_bytes() const { return capacity_; }
@@ -129,22 +130,9 @@ class FlashDevice {
     return sched_.ChannelBusyUntil(bank);
   }
 
-  // Request scheduling policy for all banks (default FIFO — byte-identical
-  // to the pre-pipeline simulator). Switch requires an idle device.
-  IoSchedPolicy sched_policy() const { return sched_.policy(); }
-  void set_sched_policy(IoSchedPolicy policy) { sched_.set_policy(policy); }
-  // The underlying per-bank scheduler (tests, pipeline introspection).
+  // The per-bank scheduler: its policy (default FIFO) and per-tenant QoS
+  // knobs.
   IoScheduler& scheduler() { return sched_; }
-
-  // Per-tenant QoS knobs, forwarded to the scheduler: a kWeightedFair share
-  // weight and a kTokenBucket byte-rate cap (see io_scheduler.h).
-  void set_tenant_weight(TenantId tenant, uint32_t weight) {
-    sched_.set_tenant_weight(tenant, weight);
-  }
-  void set_tenant_rate(TenantId tenant, uint64_t bytes_per_s,
-                       uint64_t burst_bytes) {
-    sched_.set_tenant_rate(tenant, bytes_per_s, burst_bytes);
-  }
 
   // Erase-count change notification. Called after every EraseSector attempt
   // that bumps a sector's wear (i.e. on success AND on a wear-out failure —
@@ -158,12 +146,9 @@ class FlashDevice {
     erase_observer_ = std::move(observer);
   }
 
-  // Observability (nullable; null detaches). Registers one trace track per
-  // bank and per priority class plus wait/service histograms and counter
-  // mirrors in `obs`, and hooks the scheduler's retire path so every request
-  // becomes a span with FINAL timestamps (queue-shifts under kPriority are
-  // settled by retirement). With no obs attached the hot paths are
-  // unchanged: the scheduler's retire hook stays empty.
+  // Observability (nullable; null detaches): BankObs's tracks, histograms
+  // and retire spans under the "flash" prefix, plus snapshot-time mirrors of
+  // the counters below and the wear gauges.
   void AttachObs(Obs* obs);
 
   // Test hook: the next `count` reads touching `sector` fail with INTERNAL
@@ -196,13 +181,11 @@ class FlashDevice {
   void InterruptNextErase() { erase_interrupt_armed_ = true; }
 
   // --- Accounting -------------------------------------------------------
-  // Keyed request attribution (io_stats.h): how much of each stream's
-  // latency was queueing behind other work vs time on the medium, by
-  // priority class (dense array) and by tenant (sparse table — only
-  // tenants that actually issued requests appear). Queue waits are kept
-  // exact under reordering policies via the scheduler's shift observer
-  // (pushed-back reservations add their extra wait as it happens).
-  struct Stats {
+  // The IoLanes base (by_class, by_tenant) is the scheduler's attribution
+  // of each stream's latency to queueing vs time on the medium; it stays
+  // exact under reordering policies because the scheduler adds each push of
+  // a queued reservation as it happens.
+  struct Stats : IoLanes {
     Counter reads;            // Read operations.
     Counter read_bytes;
     Counter programs;         // Program operations.
@@ -212,16 +195,12 @@ class FlashDevice {
     Counter bad_sectors;      // Sectors permanently failed.
     Counter torn_programs;    // Injected power-fail torn writes (tests).
     Counter interrupted_erases;  // Injected power-fail erases (tests).
-    IoLaneStats by_class[kNumIoPriorities];  // Indexed by IoPriority.
-    TenantLaneTable by_tenant;               // Keyed by issuing tenant.
   };
   const Stats& stats() const { return stats_; }
   const EnergyMeter& energy() const { return energy_; }
-  // Active (busy) nanoseconds across all banks; idle time is wall minus this.
-  Duration total_active_ns() const { return total_active_ns_; }
-  // Adds idle energy for the interval [0, clock.now()) not covered by active
-  // time; call once when finalizing a run.
-  void AccountIdleEnergy();
+  // Books standby energy for the time since the last settle not covered by
+  // bank activity (EnergyMeter::SettleIdle).
+  void AccountIdleEnergy() { energy_.SettleIdle(clock_.now(), standby_mw()); }
 
   struct WearSummary {
     uint64_t min_erases = 0;
@@ -268,16 +247,11 @@ class FlashDevice {
   }
 
   // Builds and submits the request for an operation of duration `op_ns` on
-  // `bank`, records attribution, and advances the clock for blocking issues.
-  // Returns the dispatch (wait + service = the latency the caller observed).
+  // `bank` and books its active energy. Returns the dispatch (wait +
+  // service = the latency the caller observed).
   IoScheduler::Dispatch SubmitOp(IoOp op, int bank, uint64_t addr,
                                  uint64_t bytes, Duration op_ns,
                                  IoIssue issue);
-
-  void AddActiveEnergy(Duration busy_ns);
-
-  // Retire-hook body: spans + latency histograms for one finished request.
-  void ObsRetire(int bank, const IoRequest& req);
 
   // One programmed extent within a sector: `ref`'s payload covers
   // [offset, offset + ref.size()). Entries are kept sorted by offset. They
@@ -329,7 +303,7 @@ class FlashDevice {
   // checks in ProgramExtent() and IsSectorErased().
   std::vector<uint8_t> erased_template_;
   std::vector<Sector> sectors_;
-  IoScheduler sched_;  // One channel per bank.
+  IoScheduler sched_;  // One channel per bank; writes stats_'s lanes.
   Stats stats_;
   EnergyMeter energy_;
   EraseObserver erase_observer_;
@@ -339,21 +313,7 @@ class FlashDevice {
   uint64_t torn_program_bytes_ = 0;
   uint64_t torn_program_skip_ = 0;
   bool erase_interrupt_armed_ = false;
-  Duration total_active_ns_ = 0;
-  Duration idle_accounted_until_ = 0;
-
-  Obs* obs_ = nullptr;
-  std::vector<int> obs_bank_tracks_;
-  int obs_class_tracks_[kNumIoPriorities] = {};
-  Histogram* obs_wait_hist_[kNumIoPriorities] = {};
-  Histogram* obs_service_hist_[kNumIoPriorities] = {};
-  // Per-tenant wait/service histogram lanes, grown as tenants appear.
-  struct ObsTenantLane {
-    TenantId tenant = kDefaultTenant;
-    Histogram* wait = nullptr;
-    Histogram* service = nullptr;
-  };
-  std::vector<ObsTenantLane> obs_tenant_hist_;
+  BankObs bank_obs_;  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

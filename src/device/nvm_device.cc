@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
-
-#include "src/obs/obs.h"
+#include <utility>
 
 namespace ssmc {
 
@@ -13,119 +11,26 @@ NvmDevice::NvmDevice(NvmSpec spec, uint64_t capacity_bytes, int banks,
     : spec_(std::move(spec)),
       capacity_(capacity_bytes),
       clock_(clock),
-      sched_(clock, banks) {
+      sched_(clock, banks, IoSchedPolicy::kFifo, &stats_),
+      bank_obs_("nvm", sched_, stats_) {
   assert(banks >= 1);
   assert(capacity_ % static_cast<uint64_t>(banks) == 0 &&
          "capacity must divide evenly into banks");
   bytes_per_bank_ = capacity_ / static_cast<uint64_t>(banks);
   bank_writes_.assign(static_cast<size_t>(banks), 0);
   bank_write_bytes_.assign(static_cast<size_t>(banks), 0);
-  // Same exactness contract as the flash card: reservations pushed later by
-  // a reordering policy owe their lanes the extra wait as the shift happens.
-  sched_.set_shift_observer([this](const IoRequest& req, Duration delta) {
-    stats_.by_class[static_cast<int>(req.priority)].queue_wait_ns.Add(
-        static_cast<uint64_t>(delta));
-    stats_.by_tenant.For(req.tenant).queue_wait_ns.Add(
-        static_cast<uint64_t>(delta));
-  });
-}
-
-NvmDevice::~NvmDevice() {
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("nvm");
-  }
 }
 
 void NvmDevice::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("nvm");
-  }
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    sched_.set_retire_hook(nullptr);
-    return;
-  }
-  SpanTracer& tracer = obs_->tracer();
-  obs_bank_tracks_.clear();
-  for (int b = 0; b < num_banks(); ++b) {
-    obs_bank_tracks_.push_back(
-        tracer.RegisterTrack("nvm bank " + std::to_string(b)));
-  }
-  MetricsRegistry& m = obs_->metrics();
-  for (int c = 0; c < kNumIoPriorities; ++c) {
-    const std::string cls = IoPriorityName(static_cast<IoPriority>(c));
-    obs_class_tracks_[c] = tracer.RegisterTrack("nvm class " + cls);
-    obs_wait_hist_[c] = m.AddHistogram("nvm/" + cls + "/wait_ns");
-    obs_service_hist_[c] = m.AddHistogram("nvm/" + cls + "/service_ns");
-  }
-  obs_tenant_hist_.clear();
-  sched_.set_retire_hook(
-      [this](int bank, const IoRequest& req) { ObsRetire(bank, req); });
-
-  Counter* reads = m.AddCounter("nvm/reads");
-  Counter* read_bytes = m.AddCounter("nvm/read_bytes");
-  Counter* writes = m.AddCounter("nvm/writes");
-  Counter* written_bytes = m.AddCounter("nvm/written_bytes");
-  Counter* read_stall = m.AddCounter("nvm/read_stall_ns");
-  Gauge* wear_max = m.AddGauge("nvm/wear_max_bank_writes");
-  m.AddCollector("nvm", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(reads, stats_.reads);
-    mirror(read_bytes, stats_.read_bytes);
-    mirror(writes, stats_.writes);
-    mirror(written_bytes, stats_.written_bytes);
-    mirror(read_stall, stats_.read_stall_ns);
-    wear_max->Set(static_cast<int64_t>(SummarizeWear().max_writes));
-    for (const TenantLaneTable::Entry& e : stats_.by_tenant.entries()) {
-      const std::string base = "nvm/tenant" + std::to_string(e.tenant) + "/";
-      auto mirror_lane = [&](const char* key, const Counter& src) {
-        Counter* dst = obs_->metrics().AddCounter(base + key);
-        dst->Reset();
-        dst->Add(src.value());
-      };
-      mirror_lane("requests", e.value.requests);
-      mirror_lane("queue_wait_ns", e.value.queue_wait_ns);
-      mirror_lane("service_ns", e.value.service_ns);
-    }
-  });
-}
-
-void NvmDevice::ObsRetire(int bank, const IoRequest& req) {
-  const int cls = static_cast<int>(req.priority);
-  const Duration wait = std::max<Duration>(0, req.start_time - req.issue_time);
-  const Duration service =
-      std::max<Duration>(0, req.complete_time - req.start_time);
-  obs_wait_hist_[cls]->Record(static_cast<uint64_t>(wait));
-  obs_service_hist_[cls]->Record(static_cast<uint64_t>(service));
-  ObsTenantLane* tenant_lane = nullptr;
-  for (ObsTenantLane& lane : obs_tenant_hist_) {
-    if (lane.tenant == req.tenant) {
-      tenant_lane = &lane;
-      break;
-    }
-  }
-  if (tenant_lane == nullptr) {
-    const std::string base = "nvm/tenant" + std::to_string(req.tenant) + "/";
-    obs_tenant_hist_.push_back(
-        ObsTenantLane{req.tenant,
-                      obs_->metrics().AddHistogram(base + "wait_ns"),
-                      obs_->metrics().AddHistogram(base + "service_ns")});
-    tenant_lane = &obs_tenant_hist_.back();
-  }
-  tenant_lane->wait->Record(static_cast<uint64_t>(wait));
-  tenant_lane->service->Record(static_cast<uint64_t>(service));
-  SpanTracer& tracer = obs_->tracer();
-  tracer.Span(obs_bank_tracks_[static_cast<size_t>(bank)], IoOpName(req.op),
-              req.start_time, service, {"bytes", req.bytes},
-              {"wait_ns", static_cast<uint64_t>(wait)},
-              {"prio", static_cast<uint64_t>(cls)});
-  tracer.Span(obs_class_tracks_[cls], IoOpName(req.op), req.issue_time,
-              wait + service, {"bytes", req.bytes},
-              {"bank", static_cast<uint64_t>(bank)},
-              {"tenant", static_cast<uint64_t>(req.tenant)});
+  bank_obs_.Attach(obs,
+                   {{"reads", &stats_.reads},
+                    {"read_bytes", &stats_.read_bytes},
+                    {"writes", &stats_.writes},
+                    {"written_bytes", &stats_.written_bytes},
+                    {"read_stall_ns", &stats_.read_stall_ns}},
+                   {{"wear_max_bank_writes", [this] {
+                      return static_cast<int64_t>(SummarizeWear().max_writes);
+                    }}});
 }
 
 IoScheduler::Dispatch NvmDevice::SubmitOp(IoOp op, int bank, uint64_t addr,
@@ -139,15 +44,6 @@ IoScheduler::Dispatch NvmDevice::SubmitOp(IoOp op, int bank, uint64_t addr,
   req.blocking = issue.blocking;
   req.tenant = issue.tenant;
   const IoScheduler::Dispatch d = sched_.Submit(bank, std::move(req), op_ns);
-  total_active_ns_ += op_ns;
-  IoLaneStats& cls = stats_.by_class[static_cast<int>(issue.priority)];
-  cls.requests.Add();
-  cls.queue_wait_ns.Add(static_cast<uint64_t>(d.wait));
-  cls.service_ns.Add(static_cast<uint64_t>(d.service));
-  IoLaneStats& lane = stats_.by_tenant.For(issue.tenant);
-  lane.requests.Add();
-  lane.queue_wait_ns.Add(static_cast<uint64_t>(d.wait));
-  lane.service_ns.Add(static_cast<uint64_t>(d.service));
   energy_.AddActive(active_mw(), op_ns);
   return d;
 }
@@ -199,17 +95,6 @@ Result<Duration> NvmDevice::Write(uint64_t addr, uint64_t bytes,
   bank_writes_[static_cast<size_t>(bank)] += 1;
   bank_write_bytes_[static_cast<size_t>(bank)] += bytes;
   return d.wait + op_ns;
-}
-
-void NvmDevice::AccountIdleEnergy() {
-  const Duration now = clock_.now();
-  const Duration window = now - idle_accounted_until_;
-  if (window <= 0) {
-    return;
-  }
-  const Duration idle = std::max<Duration>(0, window - total_active_ns_);
-  energy_.AddIdle(standby_mw(), idle);
-  idle_accounted_until_ = now;
 }
 
 NvmDevice::WearSummary NvmDevice::SummarizeWear() const {

@@ -6,7 +6,11 @@
 // survive power loss at zero retention power. Capacity is split into equal
 // contiguous banks, each an independent channel of the device's IoScheduler,
 // exactly like the flash card: a write being served in a bank queues later
-// requests to that bank while other banks proceed.
+// requests to that bank while other banks proceed. The flash card's
+// accounting path is shared too: the scheduler writes the wait/service
+// lanes (Stats derives from IoLanes), BankObs (bank_obs.h) reports the
+// banks under the "nvm" prefix, and idle energy settles in the EnergyMeter.
+// The machine runs NVM under the default FIFO policy with no QoS.
 //
 // Unlike the flash device this one carries no payload plane of its own — the
 // StorageManager's refcounted page-payload tables hold the bytes for every
@@ -19,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/device/bank_obs.h"
 #include "src/device/specs.h"
 #include "src/sim/clock.h"
 #include "src/sim/energy.h"
@@ -37,9 +42,6 @@ class NvmDevice {
  public:
   // capacity_bytes must divide evenly into `banks`.
   NvmDevice(NvmSpec spec, uint64_t capacity_bytes, int banks, SimClock& clock);
-  // Flushes and removes this device's metrics collector from any attached
-  // Obs (which routinely outlives the device).
-  ~NvmDevice();
 
   NvmDevice(const NvmDevice&) = delete;
   NvmDevice& operator=(const NvmDevice&) = delete;
@@ -63,40 +65,27 @@ class NvmDevice {
   Result<Duration> Read(uint64_t addr, uint64_t bytes, IoIssue issue = {});
   Result<Duration> Write(uint64_t addr, uint64_t bytes, IoIssue issue = {});
 
-  SimTime BankBusyUntil(int bank) const {
-    return sched_.ChannelBusyUntil(bank);
-  }
-  IoSchedPolicy sched_policy() const { return sched_.policy(); }
-  void set_sched_policy(IoSchedPolicy policy) { sched_.set_policy(policy); }
+  // The per-bank scheduler (tests, pipeline introspection).
   IoScheduler& scheduler() { return sched_; }
-  void set_tenant_weight(TenantId tenant, uint32_t weight) {
-    sched_.set_tenant_weight(tenant, weight);
-  }
-  void set_tenant_rate(TenantId tenant, uint64_t bytes_per_s,
-                       uint64_t burst_bytes) {
-    sched_.set_tenant_rate(tenant, bytes_per_s, burst_bytes);
-  }
 
-  // Observability (nullable; null detaches): per-bank trace tracks, per
-  // priority class wait/service histograms, per-tenant histogram lanes, and
-  // snapshot-time counter mirrors — the flash device's layout under the
-  // "nvm" prefix.
+  // Observability (nullable; null detaches): BankObs's tracks, histograms
+  // and retire spans under the "nvm" prefix, plus snapshot-time mirrors of
+  // the counters below and the bank-wear gauge.
   void AttachObs(Obs* obs);
 
   // --- Accounting -------------------------------------------------------
-  struct Stats {
+  struct Stats : IoLanes {
     Counter reads;
     Counter read_bytes;
     Counter writes;
     Counter written_bytes;
     Counter read_stall_ns;  // Time blocking reads spent waiting on banks.
-    IoLaneStats by_class[kNumIoPriorities];  // Indexed by IoPriority.
-    TenantLaneTable by_tenant;               // Keyed by issuing tenant.
   };
   const Stats& stats() const { return stats_; }
   const EnergyMeter& energy() const { return energy_; }
-  Duration total_active_ns() const { return total_active_ns_; }
-  void AccountIdleEnergy();
+  // Books standby energy for the time since the last settle not covered by
+  // bank activity (EnergyMeter::SettleIdle).
+  void AccountIdleEnergy() { energy_.SettleIdle(clock_.now(), standby_mw()); }
 
   // Per-bank write wear: PCM endurance is per-line, so the interesting
   // signal is how evenly write traffic spreads across banks.
@@ -107,7 +96,6 @@ class NvmDevice {
     uint64_t total_write_bytes = 0;
   };
   WearSummary SummarizeWear() const;
-  uint64_t BankWriteCount(int bank) const { return bank_writes_[bank]; }
 
   // An access activates one chip (~1 MiB of array); standby draw scales
   // with capacity (interface only — the array retains at zero power).
@@ -120,31 +108,17 @@ class NvmDevice {
   IoScheduler::Dispatch SubmitOp(IoOp op, int bank, uint64_t addr,
                                  uint64_t bytes, Duration op_ns,
                                  IoIssue issue);
-  void ObsRetire(int bank, const IoRequest& req);
 
   NvmSpec spec_;
   uint64_t capacity_;
   uint64_t bytes_per_bank_;
   SimClock& clock_;
-  IoScheduler sched_;  // One channel per bank.
+  IoScheduler sched_;  // One channel per bank; writes stats_'s lanes.
   Stats stats_;
   std::vector<uint64_t> bank_writes_;       // Write ops per bank.
   std::vector<uint64_t> bank_write_bytes_;  // Write bytes per bank.
   EnergyMeter energy_;
-  Duration total_active_ns_ = 0;
-  Duration idle_accounted_until_ = 0;
-
-  Obs* obs_ = nullptr;
-  std::vector<int> obs_bank_tracks_;
-  int obs_class_tracks_[kNumIoPriorities] = {};
-  Histogram* obs_wait_hist_[kNumIoPriorities] = {};
-  Histogram* obs_service_hist_[kNumIoPriorities] = {};
-  struct ObsTenantLane {
-    TenantId tenant = kDefaultTenant;
-    Histogram* wait = nullptr;
-    Histogram* service = nullptr;
-  };
-  std::vector<ObsTenantLane> obs_tenant_hist_;
+  BankObs bank_obs_;  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

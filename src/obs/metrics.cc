@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ssmc {
 
@@ -98,40 +99,32 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   }
 }
 
-Counter* MetricsRegistry::AddCounter(const std::string& name) {
+template <typename T>
+T* MetricsRegistry::Register(const std::string& name, Kind kind,
+                             std::deque<T>& store) {
   auto it = names_.find(name);
-  if (it != names_.end() && it->second.kind == Kind::kCounter) {
-    return &counters_[it->second.index];
+  assert((it == names_.end() || it->second.kind == kind) &&
+         "metric name already registered under another type");
+  if (it != names_.end() && it->second.kind == kind) {
+    return &store[it->second.index];
   }
-  counters_.emplace_back();
+  store.emplace_back();
   if (it == names_.end()) {
-    names_.emplace(name, Entry{Kind::kCounter, counters_.size() - 1});
+    names_.emplace(name, Entry{kind, store.size() - 1});
   }
-  return &counters_.back();
+  return &store.back();
+}
+
+Counter* MetricsRegistry::AddCounter(const std::string& name) {
+  return Register(name, Kind::kCounter, counters_);
 }
 
 Gauge* MetricsRegistry::AddGauge(const std::string& name) {
-  auto it = names_.find(name);
-  if (it != names_.end() && it->second.kind == Kind::kGauge) {
-    return &gauges_[it->second.index];
-  }
-  gauges_.emplace_back();
-  if (it == names_.end()) {
-    names_.emplace(name, Entry{Kind::kGauge, gauges_.size() - 1});
-  }
-  return &gauges_.back();
+  return Register(name, Kind::kGauge, gauges_);
 }
 
 Histogram* MetricsRegistry::AddHistogram(const std::string& name) {
-  auto it = names_.find(name);
-  if (it != names_.end() && it->second.kind == Kind::kHistogram) {
-    return &histograms_[it->second.index];
-  }
-  histograms_.emplace_back();
-  if (it == names_.end()) {
-    names_.emplace(name, Entry{Kind::kHistogram, histograms_.size() - 1});
-  }
-  return &histograms_.back();
+  return Register(name, Kind::kHistogram, histograms_);
 }
 
 void MetricsRegistry::AddCollector(const std::string& key,

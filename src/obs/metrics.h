@@ -115,9 +115,9 @@ class MetricsRegistry {
  public:
   // Registration returns a handle that stays valid for the registry's
   // lifetime (std::deque storage: no reallocation moves). Registering a name
-  // twice returns the same handle; a name registered under a different type
-  // returns a fresh unnamed handle rather than aliasing (callers should not
-  // do this).
+  // twice returns the same handle. Registering a name under a second type
+  // is a bug: it asserts, and where asserts are compiled out it returns a
+  // fresh unnamed handle rather than aliasing.
   Counter* AddCounter(const std::string& name);
   Gauge* AddGauge(const std::string& name);
   Histogram* AddHistogram(const std::string& name);
@@ -150,6 +150,10 @@ class MetricsRegistry {
     Kind kind;
     size_t index;  // Into the deque for its kind.
   };
+
+  // The handle named `name` in `store`, registered on first use.
+  template <typename T>
+  T* Register(const std::string& name, Kind kind, std::deque<T>& store);
 
   std::map<std::string, Entry> names_;
   std::deque<Counter> counters_;

@@ -74,8 +74,12 @@ void IoScheduler::TimeRing::push(SimTime t) {
   ++tail_;
 }
 
-IoScheduler::IoScheduler(SimClock& clock, int channels, IoSchedPolicy policy)
-    : clock_(clock), policy_(policy), arena_(sizeof(Reservation)) {
+IoScheduler::IoScheduler(SimClock& clock, int channels, IoSchedPolicy policy,
+                         IoLanes* lanes)
+    : clock_(clock),
+      policy_(policy),
+      arena_(sizeof(Reservation)),
+      lanes_(lanes) {
   assert(channels >= 1);
   channels_.resize(static_cast<size_t>(channels));
 }
@@ -201,9 +205,24 @@ void IoScheduler::Reflow(Reservation* from) {
     assert(delta > 0 && "reservations only ever shift later");
     r->req.start_time = new_start;
     r->req.complete_time = new_start + r->service;
-    if (shift_observer_) {
-      shift_observer_(r->req, delta);
+    if (lanes_ != nullptr) {
+      const uint64_t pushed = static_cast<uint64_t>(delta);
+      lanes_->by_class[static_cast<int>(r->req.priority)].queue_wait_ns.Add(
+          pushed);
+      lanes_->by_tenant.For(r->req.tenant).queue_wait_ns.Add(pushed);
     }
+  }
+}
+
+void IoScheduler::Attribute(const IoRequest& req, const Dispatch& dispatch) {
+  if (lanes_ == nullptr) {
+    return;
+  }
+  for (IoLaneStats* lane : {&lanes_->by_class[static_cast<int>(req.priority)],
+                            &lanes_->by_tenant.For(req.tenant)}) {
+    lane->requests.Add();
+    lane->queue_wait_ns.Add(static_cast<uint64_t>(dispatch.wait));
+    lane->service_ns.Add(static_cast<uint64_t>(dispatch.service));
   }
 }
 
@@ -231,6 +250,7 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
     dispatch.service = service;
     channel.busy_until = dispatch.complete;
     channel.light.push(dispatch.complete);
+    Attribute(req, dispatch);
     return dispatch;
   }
 
@@ -321,6 +341,7 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
     channel.tail = node;
   }
   channel.queued += 1;
+  Attribute(node->req, dispatch);
   Reflow(node);
   channel.busy_until =
       std::max(channel.busy_until, channel.tail->req.complete_time);

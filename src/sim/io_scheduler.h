@@ -17,8 +17,7 @@
 //    The op already on the medium is never preempted. Blocking requests'
 //    dispatch is always final (the caller advances the clock past their
 //    completion); queued background reservations may shift later, and the
-//    shift is reported to the wait observer so attribution counters track
-//    true waits.
+//    shift is added to the lanes as it happens (see Attribution).
 //  * kWeightedFair: start-time fair queuing (SFQ, Goyal et al.) over
 //    tenants. Each request gets a virtual start tag
 //        vstart = max(channel.V, tenant.vfinish)
@@ -47,6 +46,14 @@
 // fixed-chunk RequestArena — steady-state submission touches the heap for
 // neither kind.
 //
+// Attribution: a scheduler built with an IoLanes (io_stats.h) is the one
+// writer of those lanes. Each dispatch adds one request, its wait and its
+// service to its class lane and its tenant lane; each push of a queued
+// reservation adds the delta to the same two lanes' queue wait. After the
+// pipeline drains, every lane therefore holds exactly the sum of its
+// retired requests' final (start - issue) and (complete - start), and the
+// class and tenant views agree (io_scheduler_test's conservation property).
+//
 // Determinism: ties (same channel, same priority) dispatch in submission
 // order, mirroring EventQueue's same-timestamp guarantee. The scheduler
 // never advances the clock itself.
@@ -60,6 +67,7 @@
 
 #include "src/sim/clock.h"
 #include "src/sim/io_request.h"
+#include "src/sim/io_stats.h"
 #include "src/support/arena.h"
 #include "src/support/units.h"
 
@@ -80,13 +88,11 @@ class IoScheduler {
   // request, at submission, with the request's dispatch start time.
   using ServiceFn = std::function<Duration(SimTime start)>;
 
-  // Called when a queued reservation is pushed `delta` ns later by a
-  // higher-priority submission (kPriority only; delta > 0). Lets the device
-  // keep per-class wait counters exact without draining the pipeline.
-  using ShiftObserver = std::function<void(const IoRequest&, Duration delta)>;
-
+  // `lanes` (nullable) receives the wait/service attribution of every
+  // request placed here; it must outlive the scheduler.
   IoScheduler(SimClock& clock, int channels,
-              IoSchedPolicy policy = IoSchedPolicy::kFifo);
+              IoSchedPolicy policy = IoSchedPolicy::kFifo,
+              IoLanes* lanes = nullptr);
   ~IoScheduler();
 
   IoScheduler(const IoScheduler&) = delete;
@@ -96,10 +102,6 @@ class IoScheduler {
   // Policy changes require an idle pipeline (no pending reservations);
   // switching mid-flight would reinterpret already-placed reservations.
   void set_policy(IoSchedPolicy policy);
-
-  void set_shift_observer(ShiftObserver observer) {
-    shift_observer_ = std::move(observer);
-  }
 
   // kWeightedFair: the tenant's relative share of channel time while
   // backlogged. Defaults to 1; 0 is clamped to 1. Applies to tags assigned
@@ -211,9 +213,13 @@ class IoScheduler {
   // Pops front reservations with complete_time <= now, feeding the retire
   // hook.
   void Retire(int channel_index, Channel& channel);
-  // Recomputes start/complete for the reservations after `from`, notifying
-  // shifts.
+  // Recomputes start/complete for the reservations after `from`, adding
+  // each shift to the lanes.
   void Reflow(Reservation* from);
+
+  // Adds a placed request to its class and tenant lanes (no-op without
+  // lanes).
+  void Attribute(const IoRequest& req, const Dispatch& dispatch);
 
   Dispatch Place(int channel, IoRequest req, Duration service_now,
                  const ServiceFn* service_fn);
@@ -228,7 +234,7 @@ class IoScheduler {
   IoSchedPolicy policy_;
   RequestArena arena_;
   std::vector<Channel> channels_;
-  ShiftObserver shift_observer_;
+  IoLanes* lanes_;
   RetireHook retire_hook_;
   uint64_t next_seq_ = 0;
   std::vector<uint32_t> weights_;     // Indexed by tenant; 0 slots mean 1.

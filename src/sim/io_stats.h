@@ -1,18 +1,22 @@
 // Keyed I/O attribution — the one struct counting "who waited how long for
 // how much service" at every layer that attributes I/O time.
 //
-// FlashDevice::Stats and ReplayReport used to hand-roll parallel per-class
-// arrays (requests / queue_wait_ns / service_ns each); per-tenant accounting
-// would have been a third copy. IoLaneStats is that triple, once; a lane is
+// IoLaneStats is the (requests, queue_wait_ns, service_ns) triple; a lane is
 // any attribution key — a priority class (dense array of kNumIoPriorities)
 // or a tenant (sparse TenantTable, since a machine typically sees a handful
-// of tenant ids out of a 16-bit space). The same table shape carries the
-// storage layers' per-tenant op/byte counters (TenantIoStats) and the
-// replayer's per-tenant latency recorders (TenantLatency).
+// of tenant ids out of a 16-bit space). IoLanes is one of each, the layout a
+// banked device's IoScheduler fills in: the scheduler is the only module
+// that sees every dispatch and every later push of a queued reservation, so
+// it alone writes the lanes (FlashDevice::Stats and NvmDevice::Stats derive
+// from IoLanes and hand it to their scheduler). The same table shape
+// carries the replayer's windowed copy (ReplayReport), the storage layers'
+// per-tenant op/byte counters (TenantIoStats) and the replayer's per-tenant
+// latency recorders (TenantLatency).
 
 #ifndef SSMC_SRC_SIM_IO_STATS_H_
 #define SSMC_SRC_SIM_IO_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -79,6 +83,14 @@ struct IoLaneStats {
     queue_wait_ns.Merge(other.queue_wait_ns);
     service_ns.Merge(other.service_ns);
   }
+
+  // Adds (after - before): one lane's activity over a window.
+  void AddDelta(const IoLaneStats& after, const IoLaneStats& before) {
+    requests.Add(after.requests.value() - before.requests.value());
+    queue_wait_ns.Add(after.queue_wait_ns.value() -
+                      before.queue_wait_ns.value());
+    service_ns.Add(after.service_ns.value() - before.service_ns.value());
+  }
 };
 
 // Per-tenant time attribution, plus the delta extraction a machine uses to
@@ -89,15 +101,17 @@ class TenantLaneTable : public TenantTable<IoLaneStats> {
   void AddDelta(const TenantLaneTable& after, const TenantLaneTable& before) {
     for (const Entry& e : after.entries()) {
       const IoLaneStats* base = before.Find(e.tenant);
-      IoLaneStats& lane = For(e.tenant);
-      lane.requests.Add(e.value.requests.value() -
-                        (base ? base->requests.value() : 0));
-      lane.queue_wait_ns.Add(e.value.queue_wait_ns.value() -
-                             (base ? base->queue_wait_ns.value() : 0));
-      lane.service_ns.Add(e.value.service_ns.value() -
-                          (base ? base->service_ns.value() : 0));
+      For(e.tenant).AddDelta(e.value, base != nullptr ? *base : IoLaneStats{});
     }
   }
+};
+
+// Wait/service attribution for one banked device, by priority class and by
+// issuing tenant. Every request lands in exactly one class lane and one
+// tenant lane, so the two views sum to the same totals.
+struct IoLanes {
+  IoLaneStats by_class[kNumIoPriorities];  // Indexed by IoPriority.
+  TenantLaneTable by_tenant;               // Keyed by issuing tenant.
 };
 
 // Op/byte attribution for one tenant at a storage layer (file system, write

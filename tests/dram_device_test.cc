@@ -23,7 +23,7 @@ TEST(DramDeviceTest, LatencyFollowsSpec) {
   const Duration w = dram.ChargeAccess(100, /*is_write=*/true);
   EXPECT_EQ(w, 60 + 12 * 100);
   EXPECT_EQ(clock.now(), r + w);
-  EXPECT_EQ(dram.total_active_ns(), r + w);
+  EXPECT_EQ(dram.energy().active_ns(), r + w);
 }
 
 TEST(DramDeviceTest, ForceContentLossRecordsLoss) {
@@ -60,6 +60,21 @@ TEST(DramDeviceTest, IdleEnergyAccrues) {
   dram.AccountIdleEnergy();
   // 1.5 mW for 1 s = 1.5 mJ = 1.5e6 nJ.
   EXPECT_NEAR(dram.energy().idle_nanojoules(), 1.5e6, 1e4);
+}
+
+// A second settle books retention power for its whole idle window; the
+// first window's access time is not subtracted again.
+TEST(DramDeviceTest, IdleEnergySettlesEachWindowOnce) {
+  SimClock clock;
+  DramDevice dram(TestSpec(), 1 * kMiB, clock);
+  const Duration busy = dram.ChargeAccess(1000000, /*is_write=*/true);
+  ASSERT_EQ(busy, 60 + 12 * 1000000);
+  dram.AccountIdleEnergy();
+  EXPECT_EQ(dram.energy().idle_nanojoules(), 0.0);
+  clock.Advance(kSecond);
+  dram.AccountIdleEnergy();
+  // 1.5 mW for 1 s = 1.5e6 nJ.
+  EXPECT_NEAR(dram.energy().idle_nanojoules(), 1.5e6, 1e-3);
 }
 
 }  // namespace

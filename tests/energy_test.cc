@@ -28,6 +28,22 @@ TEST(EnergyMeterTest, IdleSeparatedFromActive) {
   EXPECT_NEAR(m.total_nanojoules(), 1.1e6, 1);
 }
 
+TEST(EnergyMeterTest, SettleIdleSubtractsOnlyTheWindowsActiveTime) {
+  EnergyMeter m;
+  m.AddActive(100.0, 300);
+  m.SettleIdle(1000, 1.0);  // Window [0, 1000): 700 ns idle.
+  EXPECT_NEAR(m.idle_nanojoules(), 0.7, 1e-12);
+  m.SettleIdle(1000, 1.0);  // Empty window: nothing.
+  EXPECT_NEAR(m.idle_nanojoules(), 0.7, 1e-12);
+  m.AddActive(100.0, 200);
+  m.SettleIdle(2000, 1.0);  // Window [1000, 2000): 800 ns idle.
+  EXPECT_NEAR(m.idle_nanojoules(), 1.5, 1e-12);
+  m.AddActive(100.0, 5000);  // Background work reserved past the window.
+  m.SettleIdle(3000, 1.0);   // Idle never goes negative.
+  EXPECT_NEAR(m.idle_nanojoules(), 1.5, 1e-12);
+  EXPECT_EQ(m.active_ns(), 5500);
+}
+
 TEST(EnergyMeterTest, ResetClears) {
   EnergyMeter m;
   m.AddActive(5, 100);

@@ -235,6 +235,21 @@ TEST_F(FlashDeviceTest, IdleEnergyAccountedOnDemand) {
   EXPECT_GT(flash.energy().idle_nanojoules(), 0.0);
 }
 
+// Each settle books standby power for the idle part of its own window only:
+// active time already offset against an earlier window is not subtracted
+// again.
+TEST_F(FlashDeviceTest, IdleEnergySettlesEachWindowOnce) {
+  spec_.erase_ns = 1600 * kMillisecond;
+  FlashDevice flash(spec_, 1 * kMiB, 1, clock_);
+  ASSERT_TRUE(flash.EraseSector(0).ok());  // Blocking: 1.6 s active.
+  flash.AccountIdleEnergy();
+  EXPECT_EQ(flash.energy().idle_nanojoules(), 0.0);
+  clock_.Advance(kSecond);
+  flash.AccountIdleEnergy();
+  // 0.05 mW/MiB x 1 MiB for 1 s = 50 000 nJ.
+  EXPECT_NEAR(flash.energy().idle_nanojoules(), 50000.0, 1e-6);
+}
+
 TEST_F(FlashDeviceTest, TornProgramSkipCountArmsLaterWrite) {
   FlashDevice flash(spec_, 16 * 1024, 1, clock_);
   std::vector<uint8_t> data(16, 0x5A);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/device/flash_device.h"
@@ -291,35 +292,41 @@ TEST(IoSchedulerTest, PriorityFlushOutranksCleanerButNotForeground) {
   EXPECT_EQ(fg.start, 1000);  // Ahead of the queued flush, too.
 }
 
-TEST(IoSchedulerTest, ShiftObserverReportsPushback) {
+TEST(IoSchedulerTest, ShiftPushbackLandsInLanes) {
   SimClock clock;
-  IoScheduler sched(clock, 1, IoSchedPolicy::kPriority);
-  Duration shifted = 0;
-  IoPriority shifted_class = IoPriority::kForeground;
-  sched.set_shift_observer([&](const IoRequest& r, Duration delta) {
-    shifted += delta;
-    shifted_class = r.priority;
-  });
+  IoLanes lanes;
+  IoScheduler sched(clock, 1, IoSchedPolicy::kPriority, &lanes);
+  const IoLaneStats& cleaner =
+      lanes.by_class[static_cast<int>(IoPriority::kCleaner)];
   sched.Submit(0, MakeReq(IoOp::kErase, IoPriority::kCleaner, false), 1000);
   sched.Submit(0, MakeReq(IoOp::kErase, IoPriority::kCleaner, false), 1000);
+  // At dispatch the second erase queues behind the first.
+  EXPECT_EQ(cleaner.queue_wait_ns.value(), 1000u);
   clock.Advance(1);
   sched.Submit(0, MakeReq(IoOp::kRead, IoPriority::kForeground, true), 300);
-  EXPECT_EQ(shifted, 300);
-  EXPECT_EQ(shifted_class, IoPriority::kCleaner);
+  // The read pushed the queued erase 300 ns later: the cleaner lane, and no
+  // other class, owes it the extra wait.
+  EXPECT_EQ(cleaner.queue_wait_ns.value(), 1000u + 300u);
+  EXPECT_EQ(lanes.by_class[static_cast<int>(IoPriority::kForeground)]
+                .queue_wait_ns.value(),
+            999u);  // Waits out the in-flight erase only.
+  EXPECT_EQ(lanes.by_class[static_cast<int>(IoPriority::kFlush)]
+                .queue_wait_ns.value(),
+            0u);
+  EXPECT_EQ(lanes.by_tenant.Find(kDefaultTenant)->queue_wait_ns.value(),
+            1000u + 300u + 999u);
 }
 
-// Final queue waits reported via the retire hook must equal the dispatch-time
-// wait plus every observed shift — the attribution invariant FlashDevice's
-// per-class counters rely on.
+// Final queue waits reported via the retire hook must equal the lanes'
+// queue wait: the dispatch-time waits plus every shift the scheduler added
+// as it happened.
 TEST(IoSchedulerTest, ShiftsReconcileWithFinalTimestamps) {
   SimClock clock;
-  IoScheduler sched(clock, 2, IoSchedPolicy::kPriority);
+  IoLanes lanes;
+  IoScheduler sched(clock, 2, IoSchedPolicy::kPriority, &lanes);
   Rng rng(777);
   Duration dispatch_waits = 0;
-  Duration observed_shifts = 0;
   Duration final_waits = 0;
-  sched.set_shift_observer(
-      [&](const IoRequest&, Duration delta) { observed_shifts += delta; });
   sched.set_retire_hook(
       [&](int, const IoRequest& r) { final_waits += r.queue_wait(); });
 
@@ -342,7 +349,147 @@ TEST(IoSchedulerTest, ShiftsReconcileWithFinalTimestamps) {
   clock.Advance(1000000);
   sched.Poll();  // Drain everything.
   EXPECT_EQ(sched.pending(), 0u);
-  EXPECT_EQ(final_waits, dispatch_waits + observed_shifts);
+  uint64_t lane_waits = 0;
+  for (const IoLaneStats& lane : lanes.by_class) {
+    lane_waits += lane.queue_wait_ns.value();
+  }
+  EXPECT_EQ(static_cast<uint64_t>(final_waits), lane_waits);
+  EXPECT_GT(final_waits, dispatch_waits);  // Some reservations were pushed.
+}
+
+// Lane conservation: under every policy, after the pipeline drains, each
+// class lane and each tenant lane holds exactly the requests, final queue
+// waits (start - issue) and services (complete - start) of the requests it
+// retired, and the class and tenant views sum to the same totals.
+TEST(IoSchedulerLaneTest, LanesConserveRetiredWaitAndService) {
+  constexpr int kChannels = 3;
+  constexpr int kTenants = 4;
+  for (IoSchedPolicy policy :
+       {IoSchedPolicy::kFifo, IoSchedPolicy::kPriority,
+        IoSchedPolicy::kWeightedFair, IoSchedPolicy::kTokenBucket}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(IoSchedPolicyName(policy)) + " seed " +
+                   std::to_string(seed));
+      SimClock clock;
+      IoLanes lanes;
+      IoScheduler sched(clock, kChannels, policy, &lanes);
+      for (TenantId t = 1; t < kTenants; ++t) {
+        sched.set_tenant_weight(t, t * 2);
+        sched.set_tenant_rate(t, 4000000 * t, 8192);
+      }
+      // Expected lanes, built from the retired requests' final timestamps.
+      IoLanes retired;
+      sched.set_retire_hook([&](int, const IoRequest& r) {
+        for (IoLaneStats* lane :
+             {&retired.by_class[static_cast<int>(r.priority)],
+              &retired.by_tenant.For(r.tenant)}) {
+          lane->requests.Add();
+          lane->queue_wait_ns.Add(static_cast<uint64_t>(r.queue_wait()));
+          lane->service_ns.Add(
+              static_cast<uint64_t>(r.complete_time - r.start_time));
+        }
+      });
+      Rng rng(seed);
+      for (int i = 0; i < 4000; ++i) {
+        if (rng.NextBelow(3) == 0) {
+          clock.Advance(static_cast<Duration>(rng.NextBelow(3000)));
+        }
+        const IoPriority priority =
+            static_cast<IoPriority>(rng.NextBelow(kNumIoPriorities));
+        const bool blocking = rng.NextBelow(3) == 0;
+        IoRequest req = MakeReq(IoOp::kProgram, priority, blocking);
+        req.tenant = static_cast<TenantId>(rng.NextBelow(kTenants));
+        req.bytes = 1 + rng.NextBelow(4096);
+        const auto d = sched.Submit(
+            static_cast<int>(rng.NextBelow(kChannels)), req,
+            static_cast<Duration>(1 + rng.NextBelow(2000)));
+        if (blocking) {
+          clock.AdvanceTo(d.complete);
+        }
+      }
+      clock.Advance(100 * kSecond);
+      sched.Poll();
+      ASSERT_EQ(sched.pending(), 0u);
+
+      IoLaneStats class_total;
+      for (int c = 0; c < kNumIoPriorities; ++c) {
+        const IoLaneStats& got = lanes.by_class[c];
+        const IoLaneStats& want = retired.by_class[c];
+        EXPECT_EQ(got.requests.value(), want.requests.value()) << "class " << c;
+        EXPECT_EQ(got.queue_wait_ns.value(), want.queue_wait_ns.value())
+            << "class " << c;
+        EXPECT_EQ(got.service_ns.value(), want.service_ns.value())
+            << "class " << c;
+        EXPECT_GT(got.requests.value(), 0u) << "class " << c;
+        class_total.Merge(got);
+      }
+      IoLaneStats tenant_total;
+      ASSERT_EQ(lanes.by_tenant.entries().size(),
+                static_cast<size_t>(kTenants));
+      for (const TenantLaneTable::Entry& e : lanes.by_tenant.entries()) {
+        const IoLaneStats* want = retired.by_tenant.Find(e.tenant);
+        ASSERT_NE(want, nullptr) << "tenant " << e.tenant;
+        EXPECT_EQ(e.value.requests.value(), want->requests.value())
+            << "tenant " << e.tenant;
+        EXPECT_EQ(e.value.queue_wait_ns.value(), want->queue_wait_ns.value())
+            << "tenant " << e.tenant;
+        EXPECT_EQ(e.value.service_ns.value(), want->service_ns.value())
+            << "tenant " << e.tenant;
+        tenant_total.Merge(e.value);
+      }
+      EXPECT_EQ(class_total.requests.value(), 4000u);
+      EXPECT_EQ(tenant_total.requests.value(), class_total.requests.value());
+      EXPECT_EQ(tenant_total.queue_wait_ns.value(),
+                class_total.queue_wait_ns.value());
+      EXPECT_EQ(tenant_total.service_ns.value(),
+                class_total.service_ns.value());
+      EXPECT_GT(class_total.queue_wait_ns.value(), 0u);
+    }
+  }
+}
+
+// Without a retire hook, FIFO requests take the light path (never
+// materialized); their dispatch is final, so the lanes must equal the sum of
+// the returned dispatches.
+TEST(IoSchedulerLaneTest, FifoLightPathFillsLanes) {
+  SimClock clock;
+  IoLanes lanes;
+  IoScheduler sched(clock, 2, IoSchedPolicy::kFifo, &lanes);
+  Rng rng(5);
+  uint64_t waits = 0;
+  uint64_t services = 0;
+  for (int i = 0; i < 2000; ++i) {
+    if (rng.NextBelow(3) == 0) {
+      clock.Advance(static_cast<Duration>(rng.NextBelow(1000)));
+    }
+    const bool blocking = rng.NextBelow(2) == 0;
+    IoRequest req = MakeReq(
+        IoOp::kRead, static_cast<IoPriority>(rng.NextBelow(kNumIoPriorities)),
+        blocking);
+    req.tenant = static_cast<TenantId>(rng.NextBelow(3));
+    const auto d = sched.Submit(static_cast<int>(rng.NextBelow(2)), req,
+                                static_cast<Duration>(1 + rng.NextBelow(800)));
+    waits += static_cast<uint64_t>(d.wait);
+    services += static_cast<uint64_t>(d.service);
+    if (blocking) {
+      clock.AdvanceTo(d.complete);
+    }
+  }
+  EXPECT_EQ(sched.arena().live(), 0u);  // Nothing was materialized.
+  IoLaneStats class_total;
+  for (const IoLaneStats& lane : lanes.by_class) {
+    class_total.Merge(lane);
+  }
+  IoLaneStats tenant_total;
+  for (const TenantLaneTable::Entry& e : lanes.by_tenant.entries()) {
+    tenant_total.Merge(e.value);
+  }
+  for (const IoLaneStats* total : {&class_total, &tenant_total}) {
+    EXPECT_EQ(total->requests.value(), 2000u);
+    EXPECT_EQ(total->queue_wait_ns.value(), waits);
+    EXPECT_EQ(total->service_ns.value(), services);
+  }
+  EXPECT_GT(waits, 0u);
 }
 
 // --- Device-level priority behavior ---------------------------------------
@@ -359,7 +506,7 @@ TEST(IoSchedulerTest, FlashDevicePriorityModeCutsReadTailBehindCleaning) {
   auto read_latency_with = [&](IoSchedPolicy policy) {
     SimClock clock;
     FlashDevice flash(spec, 16 * 1024, 1, clock);
-    flash.set_sched_policy(policy);
+    flash.scheduler().set_policy(policy);
     // A burst of background cleaner erases piles up on the bank.
     for (uint64_t s = 0; s < 4; ++s) {
       EXPECT_TRUE(flash.EraseSector(s, kCleanerIo).ok());
@@ -664,7 +811,7 @@ TEST(IoSchedulerWfqTest, FlashDeviceSingleTenantMatchesFifoUnderReadFaults) {
   SimClock wfq_clock;
   FlashDevice fifo(spec, 16 * 1024, kBanks, fifo_clock);
   FlashDevice wfq(spec, 16 * 1024, kBanks, wfq_clock);
-  wfq.set_sched_policy(IoSchedPolicy::kWeightedFair);
+  wfq.scheduler().set_policy(IoSchedPolicy::kWeightedFair);
 
   Rng rng(90210);
   ExtentPool pool(64);

@@ -172,7 +172,7 @@ TEST(MachineTest, PrioritySchedulingConfigIsAppliedToFlash) {
   MachineConfig config = NotebookConfig();
   config.io_sched = IoSchedPolicy::kPriority;
   MobileComputer machine(config);
-  EXPECT_EQ(machine.flash().sched_policy(), IoSchedPolicy::kPriority);
+  EXPECT_EQ(machine.flash().scheduler().policy(), IoSchedPolicy::kPriority);
   // And the machine still runs a trace correctly under the alternate policy.
   WorkloadOptions options = OfficeWorkload();
   options.duration = 10 * kSecond;
@@ -188,7 +188,7 @@ TEST(MachineTest, RunTraceAttributesIoAndLatencyByTenant) {
   config.io_sched = IoSchedPolicy::kWeightedFair;
   config.tenant_qos = {{1, 9, 0, 0}, {2, 1, 0, 0}};
   MobileComputer machine(config);
-  EXPECT_EQ(machine.flash().sched_policy(), IoSchedPolicy::kWeightedFair);
+  EXPECT_EQ(machine.flash().scheduler().policy(), IoSchedPolicy::kWeightedFair);
 
   // Alternate the issuing tenant record-by-record: both tenants touch the
   // same files, so attribution follows the issuer, not the data.

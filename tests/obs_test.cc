@@ -6,10 +6,13 @@
 // well-formedness.
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/device/flash_device.h"
+#include "src/device/nvm_device.h"
 #include "src/obs/metrics.h"
 #include "src/obs/metrics_export.h"
 #include "src/obs/obs.h"
@@ -21,6 +24,50 @@ namespace ssmc {
 namespace {
 
 // --- MetricsRegistry handles --------------------------------------------
+
+// "<dev>/tenant<T>/service_ns" is the tenant's retire-time histogram. A
+// snapshot taken while the tenant's first request is still queued must not
+// claim the name for a counter, or the histogram is lost for the rest of
+// the run.
+void ExpectTenantServiceHistogram(Obs& obs, const std::string& name,
+                                  Duration service) {
+  const MetricsSnapshot snap = obs.metrics().Snapshot();
+  auto it = snap.values().find(name);
+  ASSERT_NE(it, snap.values().end()) << name;
+  EXPECT_EQ(it->second.kind, MetricValue::Kind::kHistogram) << name;
+  EXPECT_EQ(it->second.histogram.count, 1u) << name;
+  EXPECT_EQ(it->second.histogram.sum, static_cast<uint64_t>(service)) << name;
+}
+
+TEST(BankObsTest, TenantServiceHistogramSurvivesSnapshotBeforeFirstRetire) {
+  FlashSpec flash_spec;
+  flash_spec.name = "obs flash";
+  flash_spec.read = {100, 10};
+  flash_spec.program = {1000, 1000};
+  flash_spec.erase_sector_bytes = 1024;
+  flash_spec.erase_ns = 1 * kMillisecond;
+  NvmSpec nvm_spec;
+  nvm_spec.name = "obs nvm";
+  nvm_spec.read = {100, 1};
+  nvm_spec.write = {500, 2};
+
+  SimClock clock;
+  Obs obs;
+  FlashDevice flash(flash_spec, 16 * 1024, 1, clock);
+  NvmDevice nvm(nvm_spec, 16 * 1024, 1, clock);
+  flash.AttachObs(&obs);
+  nvm.AttachObs(&obs);
+  ASSERT_TRUE(flash.EraseSector(0, kCleanerIo).ok());  // Queued, not retired.
+  ASSERT_TRUE(nvm.Write(0, 64, kFlushIo).ok());
+  obs.metrics().Snapshot();
+  clock.Advance(flash_spec.erase_ns);
+  flash.scheduler().Poll();  // Retires both requests.
+  nvm.scheduler().Poll();
+  ExpectTenantServiceHistogram(obs, "flash/tenant0/service_ns",
+                               flash_spec.erase_ns);
+  ExpectTenantServiceHistogram(obs, "nvm/tenant0/service_ns",
+                               nvm_spec.write.LatencyFor(64));
+}
 
 TEST(MetricsRegistryTest, HandlesAreStableAndDeduplicated) {
   MetricsRegistry registry;
