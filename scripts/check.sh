@@ -10,6 +10,10 @@
 #   scripts/check.sh release    # just the optimized build
 #   scripts/check.sh asan       # just the sanitizer build
 #   scripts/check.sh tsan       # just the ThreadSanitizer leg
+#
+# One more leg is a measurement, not a gate, and is not in the default list:
+#
+#   scripts/check.sh coverage   # gcov build + tests, per-file src/ coverage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,5 +27,9 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "$(nproc)"
   echo "=== ${preset}: test ==="
   ctest --preset "${preset}"
+  if [ "${preset}" = coverage ]; then
+    echo "=== coverage: src/ line coverage ==="
+    python3 scripts/coverage_report.py build-coverage
+  fi
 done
 echo "All checks passed."

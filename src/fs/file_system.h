@@ -1,8 +1,9 @@
 // Abstract file-system interface.
 //
-// Both file systems in this repository — the paper's MemoryFileSystem and
-// the conventional DiskFileSystem baseline — implement this interface so the
-// trace replayer and the E3/E6 benches can drive them interchangeably. The
+// The three file systems in this repository — the paper's MemoryFileSystem,
+// the conventional DiskFileSystem baseline and the log-structured
+// LogFileSystem — implement this interface so the trace replayer and the
+// E3/E6 benches can drive them interchangeably. The
 // API is path-based (no descriptors): every call is one simulated operation
 // whose cost is whatever the implementation's devices charge to the clock.
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/fs/path.h"
-
 namespace ssmc {
 
 namespace {
@@ -14,9 +12,8 @@ constexpr uint64_t kFreeSegmentLowWater = 2;
 }  // namespace
 
 LogFileSystem::LogFileSystem(DiskDevice& disk, LogFsOptions options)
-    : disk_(disk), options_(options), root_(std::make_unique<Node>()) {
+    : disk_(disk), options_(options) {
   assert(options_.block_bytes % disk_.sector_bytes() == 0);
-  root_->is_dir = true;
   const uint64_t blocks = disk_.capacity_bytes() / options_.block_bytes;
   num_segments_ = blocks / options_.segment_blocks;
   assert(num_segments_ > kFreeSegmentLowWater + 2);
@@ -34,61 +31,12 @@ LogFileSystem::~LogFileSystem() = default;
 
 // --- Namespace (memory-resident, mirroring Sprite LFS's cached metadata) ---
 
-LogFileSystem::Node* LogFileSystem::Lookup(std::string_view path) {
-  if (!IsValidPath(path)) {
-    return nullptr;
-  }
-  Node* node = root_.get();
-  for (const std::string_view component : PathComponents(path)) {
-    if (!node->is_dir) {
-      return nullptr;
-    }
-    auto it = node->children.find(component);
-    if (it == node->children.end()) {
-      return nullptr;
-    }
-    node = it->second.get();
-  }
-  return node;
-}
-
-LogFileSystem::Node* LogFileSystem::LookupParent(std::string_view path) {
-  if (!IsValidPath(path) || path == "/") {
-    return nullptr;
-  }
-  Node* parent = Lookup(ParentPathView(path));
-  return parent != nullptr && parent->is_dir ? parent : nullptr;
-}
-
 Status LogFileSystem::Create(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
-  }
-  const std::string base = BaseName(path);
-  if (parent->children.find(base) != parent->children.end()) {
-    return AlreadyExistsError(path);
-  }
-  auto node = std::make_unique<Node>();
-  node->inode.id = next_inode_id_++;
-  inode_index_[node->inode.id] = &node->inode;
-  parent->children.emplace(base, std::move(node));
-  return Status::Ok();
+  return tree_.Insert(path, /*is_dir=*/false).status();
 }
 
 Status LogFileSystem::Mkdir(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
-  }
-  const std::string base = BaseName(path);
-  if (parent->children.find(base) != parent->children.end()) {
-    return AlreadyExistsError(path);
-  }
-  auto node = std::make_unique<Node>();
-  node->is_dir = true;
-  parent->children.emplace(base, std::move(node));
-  return Status::Ok();
+  return tree_.Insert(path, /*is_dir=*/true).status();
 }
 
 void LogFileSystem::KillBlock(int64_t disk_block) {
@@ -118,40 +66,17 @@ void LogFileSystem::ReleaseFile(Inode& inode) {
 }
 
 Status LogFileSystem::Unlink(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
+  Result<std::unique_ptr<Tree::Node>> node =
+      tree_.Remove(path, /*is_dir=*/false);
+  if (!node.ok()) {
+    return node.status();
   }
-  auto it = parent->children.find(BaseNameView(path));
-  if (it == parent->children.end()) {
-    return NotFoundError(path);
-  }
-  if (it->second->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  ReleaseFile(it->second->inode);
-  inode_index_.erase(it->second->inode.id);
-  parent->children.erase(it);
+  ReleaseFile(node.value()->inode);
   return Status::Ok();
 }
 
 Status LogFileSystem::Rmdir(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
-  }
-  auto it = parent->children.find(BaseNameView(path));
-  if (it == parent->children.end()) {
-    return NotFoundError(path);
-  }
-  if (!it->second->is_dir) {
-    return FailedPreconditionError(path + " is not a directory");
-  }
-  if (!it->second->children.empty()) {
-    return FailedPreconditionError(path + " is not empty");
-  }
-  parent->children.erase(it);
-  return Status::Ok();
+  return tree_.Remove(path, /*is_dir=*/true).status();
 }
 
 // --- The log ---------------------------------------------------------------
@@ -223,11 +148,11 @@ Result<bool> LogFileSystem::CleanOne() {
       for (uint64_t slot = 0;
            slot < options_.segment_blocks && out.size() < seg_bytes; ++slot) {
         const SlotOwner owner = summary_[static_cast<uint64_t>(victim)][slot];
-        auto it = inode_index_.find(owner.ino);
-        if (it == inode_index_.end()) {
+        Inode* found = tree_.FindInode(owner.ino);
+        if (found == nullptr) {
           continue;
         }
-        Inode& inode = *it->second;
+        Inode& inode = *found;
         const int64_t addr = static_cast<int64_t>(
             static_cast<uint64_t>(victim) * options_.segment_blocks + slot);
         if (owner.block_index >= inode.blocks.size() ||
@@ -308,14 +233,14 @@ Status LogFileSystem::FlushDirtyBuffer() {
     stats_.blocks_written.Add(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
       const auto [ino, block_index] = keys[i];
-      auto it = inode_index_.find(ino);
-      if (it == inode_index_.end()) {
+      Inode* found = tree_.FindInode(ino);
+      if (found == nullptr) {
         // The file vanished while its block sat in the buffer; the slot in
         // the just-written segment is simply dead.
         dirty_.erase(keys[i]);
         continue;
       }
-      Inode& inode = *it->second;
+      Inode& inode = *found;
       if (inode.blocks.size() <= block_index) {
         inode.blocks.resize(block_index + 1, kHole);
       }
@@ -345,14 +270,11 @@ Status LogFileSystem::PutDirty(Inode& inode, uint64_t block_index,
 
 Result<uint64_t> LogFileSystem::Read(const std::string& path, uint64_t offset,
                                      std::span<uint8_t> out) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
+  Result<Inode*> file = tree_.FindFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  if (node->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  Inode& inode = node->inode;
+  Inode& inode = *file.value();
   if (offset >= inode.size) {
     return uint64_t{0};
   }
@@ -389,14 +311,11 @@ Result<uint64_t> LogFileSystem::Read(const std::string& path, uint64_t offset,
 Result<uint64_t> LogFileSystem::Write(const std::string& path,
                                       uint64_t offset,
                                       std::span<const uint8_t> data) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
+  Result<Inode*> file = tree_.FindFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  if (node->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  Inode& inode = node->inode;
+  Inode& inode = *file.value();
   const uint64_t bs = options_.block_bytes;
   uint64_t done = 0;
   while (done < data.size()) {
@@ -431,14 +350,11 @@ Result<uint64_t> LogFileSystem::Write(const std::string& path,
 }
 
 Status LogFileSystem::Truncate(const std::string& path, uint64_t size) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
+  Result<Inode*> file = tree_.FindFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  if (node->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  Inode& inode = node->inode;
+  Inode& inode = *file.value();
   const uint64_t bs = options_.block_bytes;
   if (size < inode.size) {
     const uint64_t first_dead = (size + bs - 1) / bs;
@@ -479,55 +395,15 @@ Status LogFileSystem::Truncate(const std::string& path, uint64_t size) {
 }
 
 Result<FileInfo> LogFileSystem::Stat(const std::string& path) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
-  }
-  FileInfo info;
-  info.is_directory = node->is_dir;
-  info.size = node->is_dir ? 0 : node->inode.size;
-  return info;
+  return tree_.Stat(path);
 }
 
 Status LogFileSystem::Rename(const std::string& from, const std::string& to) {
-  if (IsSameOrUnder(to, from)) {
-    return InvalidArgumentError("cannot move " + from + " into itself");
-  }
-  Node* from_parent = LookupParent(from);
-  if (from_parent == nullptr) {
-    return NotFoundError(from);
-  }
-  auto it = from_parent->children.find(BaseNameView(from));
-  if (it == from_parent->children.end()) {
-    return NotFoundError(from);
-  }
-  Node* to_parent = LookupParent(to);
-  if (to_parent == nullptr) {
-    return NotFoundError("no parent directory for " + to);
-  }
-  const std::string to_base = BaseName(to);
-  if (to_parent->children.find(to_base) != to_parent->children.end()) {
-    return AlreadyExistsError(to);
-  }
-  to_parent->children.emplace(to_base, std::move(it->second));
-  from_parent->children.erase(it);
-  return Status::Ok();
+  return tree_.Move(from, to);
 }
 
 Result<std::vector<std::string>> LogFileSystem::List(const std::string& path) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
-  }
-  if (!node->is_dir) {
-    return FailedPreconditionError(path + " is not a directory");
-  }
-  std::vector<std::string> names;
-  names.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) {
-    names.push_back(name);
-  }
-  return names;
+  return tree_.List(path);
 }
 
 Status LogFileSystem::Sync() { return FlushDirtyBuffer(); }

@@ -12,7 +12,9 @@
 // Structure (simplified from Sprite LFS, as its authors did for analysis):
 //  * all metadata (directory tree, inodes, the inode map, segment usage
 //    table) is cached in memory, as Sprite LFS aggressively did; data is
-//    what pays disk I/O;
+//    what pays disk I/O. The directory tree and inode map are the
+//    NamespaceTree (namespace_tree.h) MemoryFileSystem also uses, with no
+//    per-component charge;
 //  * dirty blocks accumulate in a one-segment RAM buffer; when it fills,
 //    the whole segment is written with a single sequential transfer;
 //  * the segment usage table tracks live blocks per segment; fully-dead
@@ -26,14 +28,12 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/device/disk_device.h"
 #include "src/fs/file_system.h"
+#include "src/fs/namespace_tree.h"
 #include "src/sim/stats.h"
 #include "src/support/status.h"
 
@@ -89,12 +89,7 @@ class LogFileSystem : public FileSystem {
     std::vector<int64_t> blocks;
   };
 
-  struct Node {
-    bool is_dir = false;
-    // std::less<> enables lookups by string_view without a key copy.
-    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
-    Inode inode;
-  };
+  using Tree = NamespaceTree<Inode>;
 
   // One log slot: which file block occupies it (for liveness checks).
   struct SlotOwner {
@@ -103,9 +98,6 @@ class LogFileSystem : public FileSystem {
   };
 
   using DirtyKey = std::pair<uint64_t, uint64_t>;  // (ino, block index)
-
-  Node* Lookup(std::string_view path);
-  Node* LookupParent(std::string_view path);
 
   uint64_t SegmentOfBlock(uint64_t disk_block) const {
     return disk_block / options_.segment_blocks;
@@ -136,10 +128,7 @@ class LogFileSystem : public FileSystem {
 
   DiskDevice& disk_;
   LogFsOptions options_;
-  std::unique_ptr<Node> root_;
-  // Inode id -> inode; only probed by id, never iterated.
-  std::unordered_map<uint64_t, Inode*> inode_index_;
-  uint64_t next_inode_id_ = 1;
+  Tree tree_;
 
   uint64_t num_segments_;
   std::vector<uint32_t> usage_;                 // Live blocks per segment.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/fs/path.h"
 #include "src/journal/journal.h"
 #include "src/obs/obs.h"
 
@@ -20,9 +19,7 @@ MemoryFileSystem::MemoryFileSystem(StorageManager& storage,
                      TenantId tenant) {
                 return FlushBlock(key, data, tenant);
               }),
-      root_(std::make_unique<Node>()),
       scratch_(storage.page_bytes()) {
-  root_->is_dir = true;
   // The write buffer is the dirty side of the residency map; the manager
   // resolves kDirty through it.
   storage_.residency().BindDirtyBackend(&buffer_);
@@ -64,84 +61,51 @@ void MemoryFileSystem::MaybeCompact() {
   (void)CheckpointMetadata();
 }
 
-MemoryFileSystem::Node* MemoryFileSystem::Lookup(std::string_view path) {
-  if (!IsValidPath(path)) {
-    return nullptr;
+Status MemoryFileSystem::JournalPathOp(JournalRecordType type,
+                                       const std::string& path,
+                                       const std::string& path2) {
+  if (!journaled()) {
+    return Status::Ok();
   }
-  Node* node = root_.get();
-  for (const std::string_view component : PathComponents(path)) {
-    if (!node->is_dir) {
-      return nullptr;
-    }
-    storage_.ChargeMetadataRead(kDirEntryBytes);
-    auto it = node->children.find(component);
-    if (it == node->children.end()) {
-      return nullptr;
-    }
-    node = it->second.get();
-  }
-  return node;
-}
-
-MemoryFileSystem::Node* MemoryFileSystem::LookupParent(std::string_view path) {
-  if (!IsValidPath(path) || path == "/") {
-    return nullptr;
-  }
-  Node* parent = Lookup(ParentPathView(path));
-  if (parent == nullptr || !parent->is_dir) {
-    return nullptr;
-  }
-  return parent;
+  JournalRecord rec;
+  rec.type = type;
+  rec.path = path;
+  rec.path2 = path2;
+  return JournalAppend(std::move(rec));
 }
 
 Status MemoryFileSystem::Create(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
+  Result<Tree::Node*> node =
+      tree_.Insert(path, /*is_dir=*/false, ChargeDirEntry(), [&] {
+        if (!journaled()) {
+          return Status::Ok();
+        }
+        JournalRecord rec;
+        rec.type = JournalRecordType::kCreate;
+        rec.file_id = tree_.next_id();
+        rec.tenant = tenant_;
+        rec.path = path;
+        return JournalAppend(std::move(rec));
+      });
+  if (!node.ok()) {
+    return node.status();
   }
-  const std::string base = BaseName(path);
-  if (parent->children.find(base) != parent->children.end()) {
-    return AlreadyExistsError(path);
-  }
-  if (journaled()) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kCreate;
-    rec.file_id = next_inode_id_;
-    rec.tenant = tenant_;
-    rec.path = path;
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
-  }
-  auto node = std::make_unique<Node>();
-  node->is_dir = false;
-  node->inode.id = next_inode_id_++;
-  node->inode.last_writer = tenant_;
-  inode_index_[node->inode.id] = &node->inode;
+  node.value()->inode.last_writer = tenant_;
   storage_.ChargeMetadataWrite(kDirEntryBytes + kInodeBytes);
-  parent->children.emplace(base, std::move(node));
   stats_.creates.Add();
   MaybeCompact();
   return Status::Ok();
 }
 
 Status MemoryFileSystem::Mkdir(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
+  Result<Tree::Node*> node =
+      tree_.Insert(path, /*is_dir=*/true, ChargeDirEntry(), [&] {
+        return JournalPathOp(JournalRecordType::kMkdir, path);
+      });
+  if (!node.ok()) {
+    return node.status();
   }
-  const std::string base = BaseName(path);
-  if (parent->children.find(base) != parent->children.end()) {
-    return AlreadyExistsError(path);
-  }
-  if (journaled()) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kMkdir;
-    rec.path = path;
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
-  }
-  auto node = std::make_unique<Node>();
-  node->is_dir = true;
   storage_.ChargeMetadataWrite(kDirEntryBytes);
-  parent->children.emplace(base, std::move(node));
   MaybeCompact();
   return Status::Ok();
 }
@@ -177,60 +141,34 @@ void MemoryFileSystem::ReleaseBlock(Inode& inode, uint64_t block_index) {
 }
 
 Status MemoryFileSystem::Unlink(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
+  Result<std::unique_ptr<Tree::Node>> node =
+      tree_.Remove(path, /*is_dir=*/false, ChargeDirEntry(), [&] {
+        return JournalPathOp(JournalRecordType::kUnlink, path);
+      });
+  if (!node.ok()) {
+    return node.status();
   }
-  auto it = parent->children.find(BaseNameView(path));
-  if (it == parent->children.end()) {
-    return NotFoundError(path);
-  }
-  if (it->second->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  if (journaled()) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kUnlink;
-    rec.path = path;
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
-  }
-  Inode& inode = it->second->inode;
+  Inode& inode = node.value()->inode;
   // The block map covers every block with state, including buffered
   // blocks past the last flushed one.
   for (uint64_t b = 0; b < inode.blocks.size(); ++b) {
     ReleaseBlock(inode, b);
   }
-  inode_index_.erase(inode.id);
   storage_.ChargeMetadataWrite(kDirEntryBytes + kInodeBytes);
-  parent->children.erase(it);
   stats_.unlinks.Add();
   MaybeCompact();
   return Status::Ok();
 }
 
 Status MemoryFileSystem::Rmdir(const std::string& path) {
-  Node* parent = LookupParent(path);
-  if (parent == nullptr) {
-    return NotFoundError("no parent directory for " + path);
-  }
-  auto it = parent->children.find(BaseNameView(path));
-  if (it == parent->children.end()) {
-    return NotFoundError(path);
-  }
-  if (!it->second->is_dir) {
-    return FailedPreconditionError(path + " is not a directory");
-  }
-  if (!it->second->children.empty()) {
-    return FailedPreconditionError(path + " is not empty");
-  }
-  if (journaled()) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kRmdir;
-    rec.path = path;
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
+  Result<std::unique_ptr<Tree::Node>> node =
+      tree_.Remove(path, /*is_dir=*/true, ChargeDirEntry(), [&] {
+        return JournalPathOp(JournalRecordType::kRmdir, path);
+      });
+  if (!node.ok()) {
+    return node.status();
   }
   storage_.ChargeMetadataWrite(kDirEntryBytes);
-  parent->children.erase(it);
   MaybeCompact();
   return Status::Ok();
 }
@@ -295,14 +233,11 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
                                         std::span<uint8_t> out) {
   const SimTime obs_t0 =
       obs_ != nullptr ? storage_.flash_store().device().clock().now() : 0;
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
+  Result<Inode*> file = tree_.FindFile(path, ChargeDirEntry());
+  if (!file.ok()) {
+    return file.status();
   }
-  if (node->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  Inode& inode = node->inode;
+  Inode& inode = *file.value();
   if (offset >= inode.size) {
     return uint64_t{0};
   }
@@ -496,14 +431,11 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
                                          std::span<const uint8_t> data) {
   const SimTime obs_t0 =
       obs_ != nullptr ? storage_.flash_store().device().clock().now() : 0;
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
+  Result<Inode*> file = tree_.FindFile(path, ChargeDirEntry());
+  if (!file.ok()) {
+    return file.status();
   }
-  if (node->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  Inode& inode = node->inode;
+  Inode& inode = *file.value();
   const uint64_t bs = block_bytes();
   if (inode.last_writer != tenant_) {
     // The eventual flush of these blocks is billed to this tenant; the
@@ -563,14 +495,11 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
 }
 
 Status MemoryFileSystem::Truncate(const std::string& path, uint64_t size) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
+  Result<Inode*> file = tree_.FindFile(path, ChargeDirEntry());
+  if (!file.ok()) {
+    return file.status();
   }
-  if (node->is_dir) {
-    return FailedPreconditionError(path + " is a directory");
-  }
-  Inode& inode = node->inode;
+  Inode& inode = *file.value();
   if (journaled()) {
     JournalRecord rec;
     rec.type = JournalRecordType::kSetSize;
@@ -588,67 +517,22 @@ Status MemoryFileSystem::Truncate(const std::string& path, uint64_t size) {
 }
 
 Result<FileInfo> MemoryFileSystem::Stat(const std::string& path) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
-  }
-  FileInfo info;
-  info.is_directory = node->is_dir;
-  info.size = node->is_dir ? 0 : node->inode.size;
-  return info;
+  return tree_.Stat(path, ChargeDirEntry());
 }
 
 Status MemoryFileSystem::Rename(const std::string& from,
                                 const std::string& to) {
-  if (IsSameOrUnder(to, from)) {
-    return InvalidArgumentError("cannot move " + from + " into itself");
-  }
-  Node* from_parent = LookupParent(from);
-  if (from_parent == nullptr) {
-    return NotFoundError(from);
-  }
-  auto it = from_parent->children.find(BaseNameView(from));
-  if (it == from_parent->children.end()) {
-    return NotFoundError(from);
-  }
-  Node* to_parent = LookupParent(to);
-  if (to_parent == nullptr) {
-    return NotFoundError("no parent directory for " + to);
-  }
-  const std::string to_base = BaseName(to);
-  if (to_parent->children.find(to_base) != to_parent->children.end()) {
-    return AlreadyExistsError(to);
-  }
-  if (journaled()) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kRename;
-    rec.path = from;
-    rec.path2 = to;
-    SSMC_RETURN_IF_ERROR(JournalAppend(std::move(rec)));
-  }
+  SSMC_RETURN_IF_ERROR(tree_.Move(from, to, ChargeDirEntry(), [&] {
+    return JournalPathOp(JournalRecordType::kRename, from, to);
+  }));
   storage_.ChargeMetadataWrite(2 * kDirEntryBytes);
-  to_parent->children.emplace(to_base, std::move(it->second));
-  from_parent->children.erase(it);
   MaybeCompact();
   return Status::Ok();
 }
 
 Result<std::vector<std::string>> MemoryFileSystem::List(
     const std::string& path) {
-  Node* node = Lookup(path);
-  if (node == nullptr) {
-    return NotFoundError(path);
-  }
-  if (!node->is_dir) {
-    return FailedPreconditionError(path + " is not a directory");
-  }
-  std::vector<std::string> names;
-  names.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) {
-    storage_.ChargeMetadataRead(kDirEntryBytes);
-    names.push_back(name);
-  }
-  return names;
+  return tree_.List(path, ChargeDirEntry());
 }
 
 Status MemoryFileSystem::Sync() {
@@ -665,13 +549,13 @@ Status MemoryFileSystem::TickFlush(SimTime now) {
 
 Status MemoryFileSystem::FlushBlock(const BlockKey& key,
                                     const PayloadRef& data, TenantId tenant) {
-  auto it = inode_index_.find(key.file_id);
-  if (it == inode_index_.end()) {
+  Inode* found = tree_.FindInode(key.file_id);
+  if (found == nullptr) {
     // The file vanished with a dirty block still queued; nothing to persist.
     return InternalError("flush for unlinked inode " +
                          std::to_string(key.file_id));
   }
-  Inode& inode = *it->second;
+  Inode& inode = *found;
   const uint64_t b = key.block_index;
   if (inode.blocks.size() <= b) {
     inode.blocks.resize(b + 1);
@@ -721,7 +605,7 @@ Status MemoryFileSystem::FlushBlock(const BlockKey& key,
 }
 
 Result<uint64_t> MemoryFileSystem::FileId(const std::string& path) {
-  Node* node = Lookup(path);
+  Tree::Node* node = tree_.Find(path, ChargeDirEntry());
   if (node == nullptr || node->is_dir) {
     return NotFoundError(path);
   }
@@ -754,42 +638,18 @@ class BlobReader {
  public:
   explicit BlobReader(std::span<const uint8_t> data) : data_(data) {}
 
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) {
+  // Reads a sizeof(T)-byte little-endian unsigned integer.
+  template <typename T>
+  bool Read(T* v) {
+    if (pos_ + sizeof(T) > data_.size()) {
       return false;
     }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+    uint64_t x = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      x |= uint64_t{data_[pos_ + i]} << (8 * i);
     }
-    pos_ += 8;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool ReadU16(uint16_t* v) {
-    if (pos_ + 2 > data_.size()) {
-      return false;
-    }
-    *v = static_cast<uint16_t>(data_[pos_] |
-                               (static_cast<uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) {
-      return false;
-    }
-    *v = data_[pos_++];
+    *v = static_cast<T>(x);
+    pos_ += sizeof(T);
     return true;
   }
   bool ReadString(size_t n, std::string* out) {
@@ -816,44 +676,6 @@ class BlobReader {
 // ~0 encodes the -1 hole). Parent indices make deserialization straight
 // array indexing: no per-record path splitting or tree walks.
 
-uint32_t MemoryFileSystem::SerializeDenseChildren(
-    const Node& dir, uint32_t dir_index, uint32_t next_index, uint64_t* count,
-    std::vector<uint8_t>& out) const {
-  for (const auto& [name, child] : dir.children) {
-    const uint32_t my_index = next_index++;
-    AppendU32(out, dir_index);
-    out.push_back(child->is_dir ? 1 : 0);
-    AppendU16(out, static_cast<uint16_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
-    if (!child->is_dir) {
-      AppendU64(out, child->inode.id);
-      AppendU64(out, child->inode.size);
-      AppendU16(out, child->inode.last_writer);
-      AppendU64(out, child->inode.mapped);
-      for (uint64_t b = 0; b < child->inode.mapped; ++b) {
-        AppendU64(out, static_cast<uint64_t>(child->inode.flash(b)));
-      }
-    }
-    ++*count;
-    if (child->is_dir) {
-      next_index =
-          SerializeDenseChildren(*child, my_index, next_index, count, out);
-    }
-  }
-  return next_index;
-}
-
-void MemoryFileSystem::SerializeDense(std::vector<uint8_t>& out) const {
-  AppendU64(out, next_inode_id_);
-  const size_t count_at = out.size();
-  AppendU64(out, 0);  // Node count, patched below.
-  uint64_t count = 0;
-  (void)SerializeDenseChildren(*root_, 0, 1, &count, out);
-  for (int i = 0; i < 8; ++i) {
-    out[count_at + i] = static_cast<uint8_t>(count >> (8 * i));
-  }
-}
-
 Status MemoryFileSystem::CheckpointMetadata() {
   if (options_.journal == nullptr) {
     return FailedPreconditionError(
@@ -861,7 +683,31 @@ Status MemoryFileSystem::CheckpointMetadata() {
   }
   const SimTime t0 = storage_.flash_store().device().clock().now();
   std::vector<uint8_t> dense;
-  SerializeDense(dense);
+  AppendU64(dense, tree_.next_id());
+  const size_t count_at = dense.size();
+  AppendU64(dense, 0);  // Node count, patched below.
+  uint64_t count = 0;
+  tree_.Walk([&](const Tree::Node& node, std::string_view name,
+                 uint32_t parent) {
+    AppendU32(dense, parent);
+    dense.push_back(node.is_dir ? 1 : 0);
+    AppendU16(dense, static_cast<uint16_t>(name.size()));
+    dense.insert(dense.end(), name.begin(), name.end());
+    if (!node.is_dir) {
+      const Inode& inode = node.inode;
+      AppendU64(dense, inode.id);
+      AppendU64(dense, inode.size);
+      AppendU16(dense, inode.last_writer);
+      AppendU64(dense, inode.mapped);
+      for (uint64_t b = 0; b < inode.mapped; ++b) {
+        AppendU64(dense, static_cast<uint64_t>(inode.flash(b)));
+      }
+    }
+    ++count;
+  });
+  for (int i = 0; i < 8; ++i) {
+    dense[count_at + i] = static_cast<uint8_t>(count >> (8 * i));
+  }
   SSMC_RETURN_IF_ERROR(options_.journal->WriteCheckpoint(dense));
   if (obs_ != nullptr) {
     const SimTime t1 = storage_.flash_store().device().clock().now();
@@ -881,59 +727,33 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
       // Reuse the public path (it never touches the allocator), then pin
       // the journaled inode id over the locally assigned one.
       SSMC_RETURN_IF_ERROR(Create(record.path));
-      Node* node = Lookup(record.path);
+      Tree::Node* node = tree_.Find(record.path, ChargeDirEntry());
       assert(node != nullptr && !node->is_dir);
-      inode_index_.erase(node->inode.id);
-      node->inode.id = record.file_id;
+      tree_.Renumber(node->inode, record.file_id);
       node->inode.last_writer = record.tenant;
-      inode_index_[record.file_id] = &node->inode;
-      next_inode_id_ = std::max(next_inode_id_, record.file_id + 1);
       return Status::Ok();
     }
     case JournalRecordType::kUnlink: {
-      // Direct removal: the original Unlink already freed the file's flash
-      // blocks pre-crash, and some of those ids may since belong to the
-      // journal itself — replay must not touch the allocator.
-      Node* parent = LookupParent(record.path);
-      if (parent == nullptr) {
-        return InternalError("journal replay: no parent for unlink " +
-                             record.path);
-      }
-      auto it = parent->children.find(BaseNameView(record.path));
-      if (it == parent->children.end() || it->second->is_dir) {
-        return InternalError("journal replay: bad unlink target " +
-                             record.path);
-      }
-      inode_index_.erase(it->second->inode.id);
+      // Only the namespace changes: the original Unlink already freed the
+      // file's flash blocks pre-crash, and some of those ids may since
+      // belong to the journal itself — replay must not touch the allocator.
+      SSMC_RETURN_IF_ERROR(
+          tree_.Remove(record.path, /*is_dir=*/false, ChargeDirEntry())
+              .status());
       storage_.ChargeMetadataWrite(kDirEntryBytes + kInodeBytes);
-      parent->children.erase(it);
       return Status::Ok();
     }
-    case JournalRecordType::kRmdir: {
-      Node* parent = LookupParent(record.path);
-      if (parent == nullptr) {
-        return InternalError("journal replay: no parent for rmdir " +
-                             record.path);
-      }
-      auto it = parent->children.find(BaseNameView(record.path));
-      if (it == parent->children.end() || !it->second->is_dir ||
-          !it->second->children.empty()) {
-        return InternalError("journal replay: bad rmdir target " +
-                             record.path);
-      }
-      storage_.ChargeMetadataWrite(kDirEntryBytes);
-      parent->children.erase(it);
-      return Status::Ok();
-    }
+    case JournalRecordType::kRmdir:
+      return Rmdir(record.path);
     case JournalRecordType::kRename:
       return Rename(record.path, record.path2);
     case JournalRecordType::kSetSize: {
-      auto it = inode_index_.find(record.file_id);
-      if (it == inode_index_.end()) {
+      Inode* found = tree_.FindInode(record.file_id);
+      if (found == nullptr) {
         return InternalError("journal replay: setsize for unknown inode " +
                              std::to_string(record.file_id));
       }
-      Inode& inode = *it->second;
+      Inode& inode = *found;
       const uint64_t bs = block_bytes();
       // The original truncate (or failed write) freed the blocks past the
       // new size; here only the map shrinks (see kUnlink for why the
@@ -948,12 +768,12 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
       return Status::Ok();
     }
     case JournalRecordType::kExtent: {
-      auto it = inode_index_.find(record.file_id);
-      if (it == inode_index_.end()) {
+      Inode* found = tree_.FindInode(record.file_id);
+      if (found == nullptr) {
         return InternalError("journal replay: extent for unknown inode " +
                              std::to_string(record.file_id));
       }
-      Inode& inode = *it->second;
+      Inode& inode = *found;
       const uint64_t index = record.size;
       if (inode.blocks.size() <= index) {
         inode.blocks.resize(index + 1);
@@ -966,12 +786,12 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
       return Status::Ok();
     }
     case JournalRecordType::kTenantStamp: {
-      auto it = inode_index_.find(record.file_id);
-      if (it == inode_index_.end()) {
+      Inode* inode = tree_.FindInode(record.file_id);
+      if (inode == nullptr) {
         return InternalError("journal replay: stamp for unknown inode " +
                              std::to_string(record.file_id));
       }
-      it->second->last_writer = record.tenant;
+      inode->last_writer = record.tenant;
       return Status::Ok();
     }
     case JournalRecordType::kCheckpoint:
@@ -1000,38 +820,36 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
     BlobReader reader(mount.value().checkpoint);
     uint64_t next_id = 0;
     uint64_t node_count = 0;
-    if (!reader.ReadU64(&next_id) || !reader.ReadU64(&node_count)) {
+    if (!reader.Read(&next_id) || !reader.Read(&node_count)) {
       return DataLossError("journal checkpoint header is truncated");
     }
-    std::vector<Node*> nodes;
+    std::vector<Tree::Node*> nodes;
     nodes.reserve(node_count + 1);
-    nodes.push_back(fs->root_.get());
+    nodes.push_back(&fs->tree_.root());
     for (uint64_t n = 0; n < node_count; ++n) {
       uint32_t parent_index = 0;
       uint8_t is_dir = 0;
       uint16_t name_len = 0;
       std::string name;
-      if (!reader.ReadU32(&parent_index) || !reader.ReadU8(&is_dir) ||
-          !reader.ReadU16(&name_len) || !reader.ReadString(name_len, &name) ||
+      if (!reader.Read(&parent_index) || !reader.Read(&is_dir) ||
+          !reader.Read(&name_len) || !reader.ReadString(name_len, &name) ||
           parent_index >= nodes.size() || !nodes[parent_index]->is_dir) {
         return DataLossError("journal checkpoint record is malformed");
       }
-      auto node = std::make_unique<Node>();
-      node->is_dir = is_dir != 0;
-      if (!node->is_dir) {
+      Inode inode;
+      if (is_dir == 0) {
         uint64_t nblocks = 0;
         uint16_t last_writer = 0;
-        if (!reader.ReadU64(&node->inode.id) ||
-            !reader.ReadU64(&node->inode.size) ||
-            !reader.ReadU16(&last_writer) || !reader.ReadU64(&nblocks)) {
+        if (!reader.Read(&inode.id) || !reader.Read(&inode.size) ||
+            !reader.Read(&last_writer) || !reader.Read(&nblocks)) {
           return DataLossError("journal checkpoint record is malformed");
         }
-        node->inode.last_writer = last_writer;
-        node->inode.blocks.resize(nblocks);
-        node->inode.mapped = nblocks;
-        for (BlockEntry& entry : node->inode.blocks) {
+        inode.last_writer = last_writer;
+        inode.blocks.resize(nblocks);
+        inode.mapped = nblocks;
+        for (BlockEntry& entry : inode.blocks) {
           uint64_t raw = 0;
-          if (!reader.ReadU64(&raw)) {
+          if (!reader.Read(&raw)) {
             return DataLossError("journal checkpoint record is malformed");
           }
           // ~0 (the serialized -1) and any other out-of-range number is a
@@ -1040,13 +858,15 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
             entry.flash = static_cast<uint32_t>(raw);
           }
         }
-        fs->inode_index_[node->inode.id] = &node->inode;
       }
-      Node* raw_node = node.get();
-      nodes[parent_index]->children.emplace(std::move(name), std::move(node));
-      nodes.push_back(raw_node);
+      Tree::Node* node = fs->tree_.Insert(*nodes[parent_index], name,
+                                          is_dir != 0, std::move(inode));
+      if (node == nullptr) {
+        return DataLossError("journal checkpoint names " + name + " twice");
+      }
+      nodes.push_back(node);
     }
-    fs->next_inode_id_ = next_id;
+    fs->tree_.set_next_id(next_id);
     // The dense image installs as ONE streaming DRAM write of the snapshot
     // bytes — avoiding a per-node random-access charge (a per-path
     // re-creation) is exactly what the dense format is for.
@@ -1067,22 +887,13 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
   // it becomes a hole rather than resurrect someone else's data. If two
   // inodes name one block, the one the walk reaches first — the smaller
   // path, comparing component by component — keeps it.
-  std::vector<Node*> stack = {fs->root_.get()};
-  while (!stack.empty()) {
-    Node* n = stack.back();
-    stack.pop_back();
-    for (auto it = n->children.rbegin(); it != n->children.rend(); ++it) {
-      stack.push_back(it->second.get());
-    }
-    if (n == fs->root_.get()) {
-      continue;
-    }
-    if (n->is_dir) {
+  fs->tree_.Walk([&](Tree::Node& node, std::string_view, uint32_t) {
+    if (node.is_dir) {
       result.directories_recovered += 1;
-      continue;
+      return;
     }
     result.files_recovered += 1;
-    for (BlockEntry& entry : n->inode.blocks) {
+    for (BlockEntry& entry : node.inode.blocks) {
       if (entry.flash == BlockEntry::kNoFlash) {
         continue;
       }
@@ -1093,7 +904,7 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
         result.bytes_recovered += bs;
       }
     }
-  }
+  });
 
   if (report != nullptr) {
     result.checkpoint_age =
@@ -1105,7 +916,7 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
 
 Result<std::vector<BlockLocation>> MemoryFileSystem::BlockLocations(
     const std::string& path) {
-  Node* node = Lookup(path);
+  Tree::Node* node = tree_.Find(path, ChargeDirEntry());
   if (node == nullptr || node->is_dir) {
     return NotFoundError(path);
   }
@@ -1131,7 +942,7 @@ Result<std::vector<BlockLocation>> MemoryFileSystem::BlockLocations(
 
 bool MemoryFileSystem::NoteVmFault(const std::string& path,
                                    uint64_t block_index) {
-  Node* node = Lookup(path);
+  Tree::Node* node = tree_.Find(path, ChargeDirEntry());
   if (node == nullptr || node->is_dir) {
     return false;
   }

@@ -1,8 +1,10 @@
 // MemoryFileSystem — the paper's file system (Section 3.1).
 //
 // Everything the paper calls for:
-//  * metadata is entirely memory-resident: the namespace is a tree in
-//    battery-backed DRAM, looked up at DRAM speed (no metadata I/O);
+//  * metadata is entirely memory-resident: the namespace is a
+//    NamespaceTree (namespace_tree.h) in battery-backed DRAM, looked up at
+//    DRAM speed (no metadata I/O); its per-component hook charges one DRAM
+//    directory-entry read per component;
 //  * no block clustering — flash has no seeks, so placement is whatever the
 //    flash store's log gives us;
 //  * no indirect blocks — a file's block map is one flat extent vector;
@@ -24,14 +26,12 @@
 #define SSMC_SRC_FS_MEMORY_FS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fs/file_system.h"
+#include "src/fs/namespace_tree.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/storage_manager.h"
@@ -42,6 +42,7 @@ namespace ssmc {
 
 class MetadataJournal;
 struct JournalRecord;
+enum class JournalRecordType : uint8_t;
 
 struct MemoryFsOptions {
   // Write buffer capacity in pages (pages are storage.page_bytes() each).
@@ -219,12 +220,7 @@ class MemoryFileSystem : public FileSystem {
     }
   };
 
-  struct Node {
-    bool is_dir = false;
-    // std::less<> enables lookups by string_view without a key copy.
-    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;  // Dirs only.
-    Inode inode;                                            // Files only.
-  };
+  using Tree = NamespaceTree<Inode>;
 
   // Per-component metadata costs (bytes charged to DRAM per operation).
   static constexpr uint64_t kDirEntryBytes = 48;
@@ -232,14 +228,6 @@ class MemoryFileSystem : public FileSystem {
   // Flash logical block the file system keeps out of the allocator (see
   // the constructor).
   static constexpr uint64_t kReservedBlock = 0;
-
-  // Dense snapshot for the journal's checkpoint chain: parent-index +
-  // basename per node instead of one full path per record, preorder, so
-  // deserialization is straight array indexing with no path walks.
-  void SerializeDense(std::vector<uint8_t>& out) const;
-  uint32_t SerializeDenseChildren(const Node& dir, uint32_t dir_index,
-                                  uint32_t next_index, uint64_t* count,
-                                  std::vector<uint8_t>& out) const;
 
   // True when mutations must be logged: a journal is attached and this is
   // not a replay. Call sites check it before building a record, so an
@@ -249,6 +237,11 @@ class MemoryFileSystem : public FileSystem {
   // not have applied the mutation yet: a failed append fails the operation
   // with the namespace unchanged.
   Status JournalAppend(JournalRecord record);
+  // The commit step of a path-named mutation (the tree runs it after its
+  // checks): appends a `type` record for `path` (and rename target `path2`)
+  // when journaled.
+  Status JournalPathOp(JournalRecordType type, const std::string& path,
+                       const std::string& path2 = {});
   // Compacts the journal (through CheckpointMetadata) once its log passes
   // the configured bound. Advisory: failures are swallowed, the log just
   // stays long until the next opportunity.
@@ -257,11 +250,11 @@ class MemoryFileSystem : public FileSystem {
   // the block allocator (extents are reserved in one pass after replay).
   Status ReplayRecord(const JournalRecord& record);
 
-  // Walks the tree, charging DRAM reads per component. Returns null if any
-  // component is missing or a non-directory is traversed.
-  Node* Lookup(std::string_view path);
-  // Returns the parent node of `path` (charging lookups) or null.
-  Node* LookupParent(std::string_view path);
+  // The tree's per-component hook: every directory entry a walk looks up
+  // or List returns is one DRAM metadata read.
+  auto ChargeDirEntry() {
+    return [this] { storage_.ChargeMetadataRead(kDirEntryBytes); };
+  }
 
   // The write buffer's flush destination. `tenant` is whoever last dirtied
   // the block (recorded by the buffer), not whoever triggered the drain.
@@ -304,15 +297,11 @@ class MemoryFileSystem : public FileSystem {
   StorageManager& storage_;
   MemoryFsOptions options_;
   WriteBuffer buffer_;
-  std::unique_ptr<Node> root_;
+  Tree tree_;
   // One block of staging for Read's dirty blocks and StageBlockWrite's
   // copy-on-write. Neither nests: nothing under buffer_.Put (eviction ->
   // FlushBlock -> flash) calls back into the file system.
   std::vector<uint8_t> scratch_;
-  // Inode id -> inode (for flush callbacks); owned by the node tree. Only
-  // probed by id, never iterated.
-  std::unordered_map<uint64_t, Inode*> inode_index_;
-  uint64_t next_inode_id_ = 1;
   // True while RecoverFromJournal replays records: suppresses journal
   // emission from the mutation paths replay reuses.
   bool replaying_ = false;

@@ -27,42 +27,6 @@ bool IsValidPath(std::string_view path) {
   return true;
 }
 
-std::vector<std::string> SplitPath(std::string_view path) {
-  std::vector<std::string> components;
-  if (path == "/") {
-    return components;
-  }
-  size_t start = 1;
-  while (start < path.size()) {
-    size_t end = path.find('/', start);
-    if (end == std::string_view::npos) {
-      end = path.size();
-    }
-    components.emplace_back(path.substr(start, end - start));
-    start = end + 1;
-  }
-  return components;
-}
-
-std::string ParentPath(std::string_view path) {
-  if (path == "/") {
-    return "/";
-  }
-  const size_t slash = path.rfind('/');
-  if (slash == 0) {
-    return "/";
-  }
-  return std::string(path.substr(0, slash));
-}
-
-std::string BaseName(std::string_view path) {
-  if (path == "/") {
-    return "";
-  }
-  const size_t slash = path.rfind('/');
-  return std::string(path.substr(slash + 1));
-}
-
 std::string_view ParentPathView(std::string_view path) {
   if (path == "/") {
     return path;
@@ -84,13 +48,6 @@ std::string_view BaseNameView(std::string_view path) {
 bool IsSameOrUnder(std::string_view path, std::string_view dir) {
   return path.starts_with(dir) &&
          (path.size() == dir.size() || path[dir.size()] == '/');
-}
-
-std::string JoinPath(std::string_view dir, std::string_view name) {
-  if (dir == "/") {
-    return "/" + std::string(name);
-  }
-  return std::string(dir) + "/" + std::string(name);
 }
 
 }  // namespace ssmc

@@ -1,15 +1,12 @@
-// Path handling shared by both file systems. Paths are absolute,
+// Path handling shared by the file systems. Paths are absolute,
 // '/'-separated, with no "." / ".." resolution (the simulator's workloads
 // only generate canonical paths; anything else is rejected as invalid).
 
 #ifndef SSMC_SRC_FS_PATH_H_
 #define SSMC_SRC_FS_PATH_H_
 
-#include <string>
+#include <cstddef>
 #include <string_view>
-#include <vector>
-
-#include "src/support/status.h"
 
 namespace ssmc {
 
@@ -17,27 +14,14 @@ namespace ssmc {
 // components, no trailing slash (except the root itself).
 bool IsValidPath(std::string_view path);
 
-// Splits "/a/b/c" into {"a","b","c"}; root splits into {}.
-// Pre: IsValidPath(path).
-std::vector<std::string> SplitPath(std::string_view path);
-
-// Parent of "/a/b/c" is "/a/b"; parent of "/a" is "/"; parent of "/" is "/".
-std::string ParentPath(std::string_view path);
-
-// Final component; basename of "/" is "".
-std::string BaseName(std::string_view path);
-
-// Joins a directory and a name ("/a" + "b" -> "/a/b"; "/" + "b" -> "/b").
-std::string JoinPath(std::string_view dir, std::string_view name);
-
 // True when `path` is `dir` itself or lies under `dir + "/"` (a rename of
 // `dir` to such a path would make a directory its own ancestor).
 bool IsSameOrUnder(std::string_view path, std::string_view dir);
 
-// Zero-allocation variants for per-operation lookups: views into `path`,
-// valid as long as the argument's backing storage. Same preconditions as
-// the owning versions above.
+// Views into `path`, valid as long as its backing storage.
+// Parent of "/a/b/c" is "/a/b"; parent of "/a" is "/"; parent of "/" is "/".
 std::string_view ParentPathView(std::string_view path);
+// Final component; basename of "/" is "".
 std::string_view BaseNameView(std::string_view path);
 
 // Zero-allocation split: a forward range over the components of a canonical

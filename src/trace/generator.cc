@@ -78,7 +78,7 @@ Trace WorkloadGenerator::Generate() {
   // O(log n) while the live set churns. Its table is shared across
   // generators, so a short trace does not pay for building it.
   const ZipfSampler& zipf = ZipfSampler::Shared(4096, options_.hot_skew);
-  const BoundedPareto file_size(options_.file_size_alpha,
+  const BoundedPareto file_size(kFileSizeAlpha,
                                 static_cast<double>(options_.min_file_bytes),
                                 static_cast<double>(options_.max_file_bytes));
 

@@ -24,6 +24,10 @@
 
 namespace ssmc {
 
+// File sizes are bounded Pareto between WorkloadOptions::min_file_bytes and
+// max_file_bytes; this shape parameter gives the observed small-file skew.
+inline constexpr double kFileSizeAlpha = 1.1;
+
 struct WorkloadOptions {
   uint64_t seed = 42;
   Duration duration = 10 * kMinute;
@@ -34,9 +38,7 @@ struct WorkloadOptions {
   int num_directories = 8;
   int initial_files = 64;
 
-  // File sizes: bounded Pareto (alpha ~1.1 gives the observed small-file
-  // skew) between min and max.
-  double file_size_alpha = 1.1;
+  // File size bounds (bounded Pareto, kFileSizeAlpha).
   uint64_t min_file_bytes = 256;
   uint64_t max_file_bytes = 256 * 1024;
 

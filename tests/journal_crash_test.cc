@@ -5,7 +5,9 @@
 // namespace. The sweep tears the power at every program boundary of a
 // deterministic workload (golden run counts the boundaries, then one fresh
 // machine per boundary crashes there), across several seeds and journal
-// configurations, for >5000 boundaries in total.
+// configurations, for >5000 boundaries in total. The workload creates,
+// writes (two tenants taking turns), makes and removes directories, unlinks,
+// renames and truncates, so every journal record type is replayed.
 
 #include <gtest/gtest.h>
 
@@ -67,6 +69,7 @@ int RunWorkload(MobileComputer& machine, uint64_t seed, int max_ops,
                 Model* model, bool assert_ok) {
   uint64_t rng = seed * 0x9E3779B97F4A7C15ull + 1;
   int created = 0;
+  int writes = 0;
   int ops = 0;
   for (; ops < max_ops; ++ops) {
     MemoryFileSystem& fs = machine.fs();
@@ -94,19 +97,41 @@ int RunWorkload(MobileComputer& machine, uint64_t seed, int max_ops,
       std::advance(it, pick % model->files.size());
       const uint64_t len = 512 * (1 + (pick >> 8) % 4);
       std::vector<uint8_t> data(len, it->second.fill);
+      // Two tenants take turns writing, so files change last writer
+      // (journaled as a tenant stamp).
+      fs.set_current_tenant(writes++ % 2 == 0 ? 1 : 2);
       Result<uint64_t> n = fs.Write(it->first, it->second.size, data);
       if (assert_ok) {
         EXPECT_TRUE(n.ok()) << it->first;
       }
       if (n.ok()) it->second.size += n.value();
     } else if (roll < 65) {
-      const std::string path = "/d" + std::to_string(created);
-      ++created;
-      Status s = fs.Mkdir(path);
-      if (assert_ok) {
-        EXPECT_TRUE(s.ok()) << path;
+      // Remove an empty directory, or make a new one when none is empty
+      // (or the roll says so).
+      std::vector<std::string> empty;
+      for (const std::string& dir : model->dirs) {
+        const std::string prefix = dir + "/";
+        auto next = model->files.lower_bound(prefix);
+        if (next == model->files.end() || !next->first.starts_with(prefix)) {
+          empty.push_back(dir);
+        }
       }
-      if (s.ok()) model->dirs.insert(path);
+      if (roll < 60 || empty.empty()) {
+        const std::string path = "/d" + std::to_string(created);
+        ++created;
+        Status s = fs.Mkdir(path);
+        if (assert_ok) {
+          EXPECT_TRUE(s.ok()) << path;
+        }
+        if (s.ok()) model->dirs.insert(path);
+      } else {
+        const std::string& path = empty[pick % empty.size()];
+        Status s = fs.Rmdir(path);
+        if (assert_ok) {
+          EXPECT_TRUE(s.ok()) << path;
+        }
+        if (s.ok()) model->dirs.erase(path);
+      }
     } else if (roll < 73) {
       auto it = model->files.begin();
       std::advance(it, pick % model->files.size());

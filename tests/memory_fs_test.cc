@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "src/journal/journal.h"
@@ -336,6 +337,80 @@ TEST_F(MemoryFsTest, MetadataOpsCostDramTimeOnly) {
   EXPECT_EQ(flash_->stats().reads.value(), 0u);
 }
 
+// Pins the DRAM metadata charge of every namespace op. Each path component
+// a walk looks up reads one 48-byte directory entry; List reads one more per
+// entry it returns; a mutation writes its directory entry (plus the 64-byte
+// inode for a file, or just the inode for Write and Truncate). Data ops
+// add whole-page write-buffer accesses. A failing op charges only the walk
+// it did before failing.
+TEST_F(MemoryFsTest, NamespaceOpsChargeExactDramAccesses) {
+  ASSERT_TRUE(fs_->Mkdir("/a").ok());
+  ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
+  ASSERT_TRUE(fs_->Create("/a/b/f").ok());
+  ASSERT_TRUE(fs_->Mkdir("/a/b/full").ok());
+  ASSERT_TRUE(fs_->Create("/a/b/full/g").ok());
+  std::vector<uint8_t> buf(100);
+  struct Row {
+    const char* op;
+    std::function<Status()> run;
+    ErrorCode code;
+    uint64_t reads, read_bytes, writes, written_bytes;
+  };
+  const Row rows[] = {
+      {"create", [&] { return fs_->Create("/a/b/n"); }, ErrorCode::kOk,
+       2, 96, 1, 112},
+      {"create duplicate", [&] { return fs_->Create("/a/b/f"); },
+       ErrorCode::kAlreadyExists, 2, 96, 0, 0},
+      {"create missing parent", [&] { return fs_->Create("/a/x/n"); },
+       ErrorCode::kNotFound, 2, 96, 0, 0},
+      {"mkdir", [&] { return fs_->Mkdir("/a/b/d"); }, ErrorCode::kOk,
+       2, 96, 1, 48},
+      {"mkdir missing parent", [&] { return fs_->Mkdir("/x/d"); },
+       ErrorCode::kNotFound, 1, 48, 0, 0},
+      {"stat", [&] { return fs_->Stat("/a/b/f").status(); }, ErrorCode::kOk,
+       3, 144, 0, 0},
+      {"stat missing", [&] { return fs_->Stat("/a/x").status(); },
+       ErrorCode::kNotFound, 2, 96, 0, 0},
+      {"list", [&] { return fs_->List("/a/b").status(); }, ErrorCode::kOk,
+       6, 288, 0, 0},  // Two components + d, f, full, n.
+      {"list a file", [&] { return fs_->List("/a/b/f").status(); },
+       ErrorCode::kFailedPrecondition, 3, 144, 0, 0},
+      {"read a directory", [&] { return fs_->Read("/a/b", 0, buf).status(); },
+       ErrorCode::kFailedPrecondition, 2, 96, 0, 0},
+      {"write", [&] { return fs_->Write("/a/b/f", 0, Pattern(100)).status(); },
+       ErrorCode::kOk, 3, 144, 2, 576},
+      {"read", [&] { return fs_->Read("/a/b/f", 0, buf).status(); },
+       ErrorCode::kOk, 4, 656, 0, 0},
+      {"truncate", [&] { return fs_->Truncate("/a/b/f", 10); },
+       ErrorCode::kOk, 4, 656, 2, 576},
+      {"rename", [&] { return fs_->Rename("/a/b/f", "/a/g"); },
+       ErrorCode::kOk, 3, 144, 1, 96},
+      {"rename into own subtree", [&] { return fs_->Rename("/a", "/a/b/x"); },
+       ErrorCode::kInvalidArgument, 0, 0, 0, 0},
+      {"unlink", [&] { return fs_->Unlink("/a/g"); }, ErrorCode::kOk,
+       1, 48, 1, 112},
+      {"unlink missing", [&] { return fs_->Unlink("/a/g"); },
+       ErrorCode::kNotFound, 1, 48, 0, 0},
+      {"rmdir", [&] { return fs_->Rmdir("/a/b/d"); }, ErrorCode::kOk,
+       2, 96, 1, 48},
+      {"rmdir non-empty", [&] { return fs_->Rmdir("/a/b/full"); },
+       ErrorCode::kFailedPrecondition, 2, 96, 0, 0},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.op);
+    const DramDevice::Stats& s = dram_->stats();
+    const uint64_t reads = s.reads.value();
+    const uint64_t read_bytes = s.read_bytes.value();
+    const uint64_t writes = s.writes.value();
+    const uint64_t written_bytes = s.written_bytes.value();
+    EXPECT_EQ(row.run().code(), row.code);
+    EXPECT_EQ(s.reads.value() - reads, row.reads);
+    EXPECT_EQ(s.read_bytes.value() - read_bytes, row.read_bytes);
+    EXPECT_EQ(s.writes.value() - writes, row.writes);
+    EXPECT_EQ(s.written_bytes.value() - written_bytes, row.written_bytes);
+  }
+}
+
 // --- Metadata checkpointing & crash recovery -----------------------------
 
 class MemoryFsCheckpointTest : public MemoryFsTest {
@@ -504,6 +579,35 @@ TEST_F(MemoryFsCheckpointTest, LargeNamespaceSurvivesRoundTrip) {
   std::vector<uint8_t> out(700);
   ASSERT_TRUE(recovered.value()->Read("/d2/f33", 0, out).ok());
   EXPECT_EQ(out, Pattern(700, 33));
+}
+
+// A checkpoint that names one entry twice is corrupt. The remount reports
+// data loss rather than keep the second "/d" (which the map would drop) as
+// the parent of "/d/x".
+TEST_F(MemoryFsCheckpointTest, DuplicateCheckpointEntryIsDataLoss) {
+  std::vector<uint8_t> blob;
+  auto put = [&](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      blob.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(1, 8);  // Next inode id.
+  put(3, 8);  // Node count.
+  // {parent index, is_dir, name}: "d" under the root twice, then "x" under
+  // node 2, the duplicate.
+  for (const uint32_t parent : {0u, 0u, 2u}) {
+    const char name = parent == 2 ? 'x' : 'd';
+    put(parent, 4);
+    put(1, 1);
+    put(1, 2);
+    blob.push_back(static_cast<uint8_t>(name));
+  }
+  ASSERT_TRUE(journal_->WriteCheckpoint(blob).ok());
+
+  RecoveryReport report;
+  auto recovered = CrashAndRecover(&report);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
 }
 
 TEST_F(MemoryFsTest, DeepHierarchyWorks) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace ssmc {
 namespace {
 
@@ -22,28 +26,32 @@ TEST(PathTest, InvalidPaths) {
   EXPECT_FALSE(IsValidPath("/a/../b"));
 }
 
-TEST(PathTest, SplitPath) {
-  EXPECT_TRUE(SplitPath("/").empty());
-  EXPECT_EQ(SplitPath("/a"), (std::vector<std::string>{"a"}));
-  EXPECT_EQ(SplitPath("/a/b/c"), (std::vector<std::string>{"a", "b", "c"}));
+// Collects the components PathComponents yields.
+std::vector<std::string> Components(std::string_view path) {
+  std::vector<std::string> out;
+  for (const std::string_view c : PathComponents(path)) {
+    out.emplace_back(c);
+  }
+  return out;
 }
 
-TEST(PathTest, ParentPath) {
-  EXPECT_EQ(ParentPath("/"), "/");
-  EXPECT_EQ(ParentPath("/a"), "/");
-  EXPECT_EQ(ParentPath("/a/b"), "/a");
-  EXPECT_EQ(ParentPath("/a/b/c"), "/a/b");
+TEST(PathTest, PathComponents) {
+  EXPECT_TRUE(Components("/").empty());
+  EXPECT_EQ(Components("/a"), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(Components("/a/b/c"), (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(PathTest, BaseName) {
-  EXPECT_EQ(BaseName("/"), "");
-  EXPECT_EQ(BaseName("/a"), "a");
-  EXPECT_EQ(BaseName("/a/b/c.txt"), "c.txt");
+TEST(PathTest, ParentPathView) {
+  EXPECT_EQ(ParentPathView("/"), "/");
+  EXPECT_EQ(ParentPathView("/a"), "/");
+  EXPECT_EQ(ParentPathView("/a/b"), "/a");
+  EXPECT_EQ(ParentPathView("/a/b/c"), "/a/b");
 }
 
-TEST(PathTest, JoinPath) {
-  EXPECT_EQ(JoinPath("/", "a"), "/a");
-  EXPECT_EQ(JoinPath("/a", "b"), "/a/b");
+TEST(PathTest, BaseNameView) {
+  EXPECT_EQ(BaseNameView("/"), "");
+  EXPECT_EQ(BaseNameView("/a"), "a");
+  EXPECT_EQ(BaseNameView("/a/b/c.txt"), "c.txt");
 }
 
 TEST(PathTest, IsSameOrUnder) {
@@ -53,14 +61,6 @@ TEST(PathTest, IsSameOrUnder) {
   EXPECT_FALSE(IsSameOrUnder("/ab", "/a"));
   EXPECT_FALSE(IsSameOrUnder("/a", "/a/b"));
   EXPECT_FALSE(IsSameOrUnder("/b/a", "/a"));
-}
-
-TEST(PathTest, JoinThenSplitRoundTrips) {
-  const std::string joined = JoinPath(JoinPath("/", "x"), "y");
-  EXPECT_EQ(joined, "/x/y");
-  EXPECT_TRUE(IsValidPath(joined));
-  EXPECT_EQ(ParentPath(joined), "/x");
-  EXPECT_EQ(BaseName(joined), "y");
 }
 
 }  // namespace

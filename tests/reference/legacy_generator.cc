@@ -37,7 +37,7 @@ Trace LegacyWorkloadGenerator::Generate() {
 
   auto sample_file_size = [&]() -> uint64_t {
     const double size = rng_.NextBoundedPareto(
-        options_.file_size_alpha, static_cast<double>(options_.min_file_bytes),
+        kFileSizeAlpha, static_cast<double>(options_.min_file_bytes),
         static_cast<double>(options_.max_file_bytes));
     return static_cast<uint64_t>(size);
   };
