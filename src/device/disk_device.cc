@@ -157,13 +157,12 @@ Result<Duration> DiskDevice::DoIo(uint64_t sector, uint64_t bytes,
     return seek + rot + xfer;
   };
 
-  IoRequest req;
-  req.op = is_write ? IoOp::kDiskWrite : IoOp::kDiskRead;
-  req.addr = sector;
-  req.bytes = bytes;
-  req.priority = issue.priority;
-  req.blocking = issue.blocking;
-  const IoScheduler::Dispatch d = sched_.Submit(0, std::move(req), service);
+  const IoRequest req{.op = is_write ? IoOp::kDiskWrite : IoOp::kDiskRead,
+                      .addr = sector,
+                      .bytes = bytes,
+                      .priority = issue.priority,
+                      .blocking = issue.blocking};
+  const IoScheduler::Dispatch d = sched_.Submit(0, req, service);
   head_cylinder_ = target_cyl;
 
   if (seek > 0) {

@@ -36,14 +36,13 @@ void NvmDevice::AttachObs(Obs* obs) {
 IoScheduler::Dispatch NvmDevice::SubmitOp(IoOp op, int bank, uint64_t addr,
                                           uint64_t bytes, Duration op_ns,
                                           IoIssue issue) {
-  IoRequest req;
-  req.op = op;
-  req.addr = addr;
-  req.bytes = bytes;
-  req.priority = issue.priority;
-  req.blocking = issue.blocking;
-  req.tenant = issue.tenant;
-  const IoScheduler::Dispatch d = sched_.Submit(bank, std::move(req), op_ns);
+  const IoRequest req{.op = op,
+                      .addr = addr,
+                      .bytes = bytes,
+                      .priority = issue.priority,
+                      .blocking = issue.blocking,
+                      .tenant = issue.tenant};
+  const IoScheduler::Dispatch d = sched_.Submit(bank, req, op_ns);
   energy_.AddActive(active_mw(), op_ns);
   return d;
 }

@@ -449,6 +449,15 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
     }
     inode.last_writer = tenant_;
   }
+  if (!data.empty()) {
+    // AcquireSlot grows the block map one block at a time; make room for
+    // the whole write at once, geometrically, so appends stay amortized.
+    const uint64_t need = (offset + data.size() - 1) / bs + 1;
+    if (need > inode.blocks.capacity()) {
+      inode.blocks.reserve(
+          std::max<uint64_t>(need, 2 * inode.blocks.capacity()));
+    }
+  }
 
   uint64_t done = 0;
   while (done < data.size()) {
@@ -660,6 +669,7 @@ class BlobReader {
     pos_ += n;
     return true;
   }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::span<const uint8_t> data_;
@@ -724,6 +734,10 @@ Status MemoryFileSystem::ReplayRecord(const JournalRecord& record) {
     case JournalRecordType::kMkdir:
       return Mkdir(record.path);
     case JournalRecordType::kCreate: {
+      if (tree_.FindInode(record.file_id) != nullptr) {
+        return DataLossError("journal replay: create reuses live inode " +
+                             std::to_string(record.file_id));
+      }
       // Reuse the public path (it never touches the allocator), then pin
       // the journaled inode id over the locally assigned one.
       SSMC_RETURN_IF_ERROR(Create(record.path));
@@ -823,6 +837,14 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
     if (!reader.Read(&next_id) || !reader.Read(&node_count)) {
       return DataLossError("journal checkpoint header is truncated");
     }
+    // Every count is bounded by the bytes left to hold its records before
+    // anything is sized from it: a node record takes at least a parent
+    // index, a kind and a name length, a block entry 8 bytes.
+    constexpr size_t kMinNodeRecordBytes = 4 + 1 + 2;
+    if (node_count > reader.remaining() / kMinNodeRecordBytes) {
+      return DataLossError(
+          "journal checkpoint counts more nodes than it holds");
+    }
     std::vector<Tree::Node*> nodes;
     nodes.reserve(node_count + 1);
     nodes.push_back(&fs->tree_.root());
@@ -843,6 +865,21 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
         if (!reader.Read(&inode.id) || !reader.Read(&inode.size) ||
             !reader.Read(&last_writer) || !reader.Read(&nblocks)) {
           return DataLossError("journal checkpoint record is malformed");
+        }
+        if (nblocks > reader.remaining() / sizeof(uint64_t)) {
+          return DataLossError("journal checkpoint counts more blocks than "
+                               "it holds");
+        }
+        // Two files sharing an id would share their blocks' keys, and an
+        // id at or past next_id would be handed out again.
+        if (fs->tree_.FindInode(inode.id) != nullptr) {
+          return DataLossError("journal checkpoint gives inode " +
+                               std::to_string(inode.id) + " to two files");
+        }
+        if (inode.id >= next_id) {
+          return DataLossError("journal checkpoint inode " +
+                               std::to_string(inode.id) +
+                               " is not below its next inode id");
         }
         inode.last_writer = last_writer;
         inode.blocks.resize(nblocks);

@@ -226,18 +226,18 @@ void IoScheduler::Attribute(const IoRequest& req, const Dispatch& dispatch) {
   }
 }
 
-IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
+IoScheduler::Dispatch IoScheduler::Place(int channel_index,
+                                         const IoRequest& req,
                                          Duration service_now,
                                          const ServiceFn* service_fn) {
   assert(channel_index >= 0 && channel_index < num_channels());
   Channel& channel = channels_[static_cast<size_t>(channel_index)];
   const SimTime now = clock_.now();
-  req.issue_time = now;
   Retire(channel_index, channel);
 
   // Fast path: under FIFO with no retire hook, the request's dispatch is
   // final at submission and nothing ever needs to revisit it — record only
-  // its completion time.
+  // its completion time, and attribute the lanes from the caller's request.
   if (policy_ == IoSchedPolicy::kFifo && retire_hook_ == nullptr) {
     const SimTime start = std::max(now, channel.busy_until);
     const Duration service =
@@ -311,8 +311,6 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
   const Duration service =
       service_fn != nullptr ? (*service_fn)(start) : service_now;
   assert(service >= 0);
-  req.start_time = start;
-  req.complete_time = start + service;
 
   if (policy_ == IoSchedPolicy::kWeightedFair) {
     const uint64_t vfinish =
@@ -324,12 +322,17 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
 
   Dispatch dispatch;
   dispatch.start = start;
-  dispatch.complete = req.complete_time;
+  dispatch.complete = start + service;
   dispatch.wait = start - now;
   dispatch.service = service;
 
+  // The one copy of the request: the reservation's, stamped with the
+  // timestamps the retire hook will see.
   Reservation* node =
-      arena_.New<Reservation>(std::move(req), service, next_seq_++, nullptr);
+      arena_.New<Reservation>(req, service, next_seq_++, nullptr);
+  node->req.issue_time = now;
+  node->req.start_time = start;
+  node->req.complete_time = dispatch.complete;
   node->vstart = vstart;
   node->next = prev == nullptr ? channel.head : prev->next;
   if (prev == nullptr) {
@@ -348,14 +351,14 @@ IoScheduler::Dispatch IoScheduler::Place(int channel_index, IoRequest req,
   return dispatch;
 }
 
-IoScheduler::Dispatch IoScheduler::Submit(int channel, IoRequest req,
+IoScheduler::Dispatch IoScheduler::Submit(int channel, const IoRequest& req,
                                           Duration service_ns) {
-  return Place(channel, std::move(req), service_ns, nullptr);
+  return Place(channel, req, service_ns, nullptr);
 }
 
-IoScheduler::Dispatch IoScheduler::Submit(int channel, IoRequest req,
+IoScheduler::Dispatch IoScheduler::Submit(int channel, const IoRequest& req,
                                           const ServiceFn& service) {
-  return Place(channel, std::move(req), 0, &service);
+  return Place(channel, req, 0, &service);
 }
 
 void IoScheduler::Poll() {

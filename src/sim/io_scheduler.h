@@ -35,14 +35,17 @@
 //    gated request leaves its channel idle rather than letting later work
 //    overtake it.
 //
-// Request-path allocation: with no retire hook attached, a FIFO request is
+// Request path: requests go by reference, and the scheduler never writes
+// the caller's IoRequest. With no retire hook attached, a FIFO request is
 // fully described by its completion time — under FIFO it can never be
 // reordered and nobody needs its IoRequest back — so it is never
 // materialized as a reservation at all; the channel just advances its
 // busy-until and records the completion time in a small ring (keeping
-// pending() exact). Only requests that must be revisited (a tracing hook
-// to feed, or placement under a non-FIFO policy) become Reservation objects,
-// and those live on an intrusive per-channel list allocated from a
+// pending() exact), and the lanes are attributed from the caller's request.
+// Only requests that must be revisited (a tracing hook to feed, or
+// placement under a non-FIFO policy) become Reservation objects: the one
+// copy of the request, stamped with its issue, start and complete times.
+// Reservations live on an intrusive per-channel list allocated from a
 // fixed-chunk RequestArena — steady-state submission touches the heap for
 // neither kind.
 //
@@ -126,13 +129,14 @@ class IoScheduler {
   // Reserves channel time for `req` (service `service_ns`) and returns its
   // dispatch. Retires every reservation on the channel whose completion time
   // has passed (feeding the retire hook) as a side effect.
-  Dispatch Submit(int channel, IoRequest req, Duration service_ns);
+  Dispatch Submit(int channel, const IoRequest& req, Duration service_ns);
 
   // As above with the service time computed at dispatch. The service
   // function sees the final start time under kFifo; under kPriority it sees
   // the start as of submission (later shifts do not re-evaluate it) — the
   // disk, the only position-dependent device, schedules FIFO.
-  Dispatch Submit(int channel, IoRequest req, const ServiceFn& service);
+  Dispatch Submit(int channel, const IoRequest& req,
+                  const ServiceFn& service);
 
   // Retires completed reservations on every channel (feeds the retire
   // hook).
@@ -221,7 +225,7 @@ class IoScheduler {
   // lanes).
   void Attribute(const IoRequest& req, const Dispatch& dispatch);
 
-  Dispatch Place(int channel, IoRequest req, Duration service_now,
+  Dispatch Place(int channel, const IoRequest& req, Duration service_now,
                  const ServiceFn* service_fn);
 
   // Charges `bytes` against the tenant's bucket and returns the earliest

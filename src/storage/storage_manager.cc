@@ -256,6 +256,11 @@ PayloadRef StorageManager::ReadPagePayloadRef(uint64_t page) {
   return ref;
 }
 
+void StorageManager::DropPagePayload(uint64_t page) {
+  assert(page < page_payloads_.size());
+  page_payloads_[page].Reset();
+}
+
 void StorageManager::DropAllPagePayloads() {
   for (PayloadRef& ref : page_payloads_) {
     ref.Reset();

@@ -124,6 +124,10 @@ class StorageManager {
   // full-page DRAM read — the flush path's "read the buffer" step. A
   // never-written page materializes as the shared zero extent.
   PayloadRef ReadPagePayloadRef(uint64_t page);
+  // Forgets the page's contents, free of charge, leaving it allocated: the
+  // next write fills a fresh extent rather than copy-on-write the old one
+  // (a page handed from a flushed block to the next).
+  void DropPagePayload(uint64_t page);
   // Battery failure: volatile contents are gone (the machine records the
   // loss with DramDevice::ForceContentLoss) — subsequent reads see zero
   // fill. NVM page payloads are left intact: the tier is non-volatile.

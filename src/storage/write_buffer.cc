@@ -93,33 +93,38 @@ Status WriteBuffer::Put(SlotId slot, std::span<const uint8_t> data,
     return Status::Ok();
   }
 
-  // Make room if needed by flushing the oldest dirty block.
-  while (lru_.size >= capacity_pages_) {
+  uint32_t page = 0;
+  if (lru_.size >= capacity_pages_) {
+    // Full: flush the oldest dirty block and hand its DRAM page straight to
+    // this one. Freeing it and allocating again would return the very same
+    // page (the pool is LIFO), so the pair is skipped.
     stats_.capacity_evictions.Add();
     if (obs_ != nullptr) {
       obs_->tracer().Instant(obs_track_, "capacity-evict",
                              storage_.dram().clock().now());
     }
-    const Status flushed = FlushEntry(lru_.head);
+    const Status flushed = FlushEntry(lru_.head, &page);
     if (!flushed.ok()) {
       residency_.ReleaseIfIdle(slot);
       return flushed;
     }
+  } else {
+    // Dirty data is the buffer's reason to exist: allocate through the
+    // residency manager so the clean cache (and, under migration policies,
+    // other consumers' reclaimable pages) yields before a Put fails. Under
+    // kWriteBufferOnly this is exactly the raw allocator.
+    Result<uint64_t> fresh =
+        residency_.AllocateDramPage(/*requester=*/nullptr);
+    if (!fresh.ok()) {
+      residency_.ReleaseIfIdle(slot);
+      return fresh.status();
+    }
+    page = static_cast<uint32_t>(fresh.value());
   }
-
-  // Dirty data is the buffer's reason to exist: allocate through the
-  // residency manager so the clean cache (and, under migration policies,
-  // other consumers' reclaimable pages) yields before a Put fails. Under
-  // kWriteBufferOnly this is exactly the raw allocator.
-  Result<uint64_t> page = residency_.AllocateDramPage(/*requester=*/nullptr);
-  if (!page.ok()) {
-    residency_.ReleaseIfIdle(slot);
-    return page.status();
-  }
-  storage_.WritePagePayload(page.value(), 0, data);
+  storage_.WritePagePayload(page, 0, data);
   BlockState& block = blocks_[slot];
   block.where = Residency::kDirty;
-  block.page = static_cast<uint32_t>(page.value());
+  block.page = page;
   block.dirty_since = now;
   block.tenant = tenant;
   blocks_.PushBack(lru_, slot);
@@ -138,10 +143,13 @@ Status WriteBuffer::Get(SlotId slot, std::span<uint8_t> out) {
 }
 
 void WriteBuffer::Remove(SlotId slot) {
-  BlockState& block = blocks_[slot];
-  (void)storage_.FreeDramPage(block.page);
+  (void)storage_.FreeDramPage(blocks_[slot].page);
+  Detach(slot);
+}
+
+void WriteBuffer::Detach(SlotId slot) {
   blocks_.Unlink(lru_, slot);
-  block.where = Residency::kHole;
+  blocks_[slot].where = Residency::kHole;
   residency_.ReleaseIfIdle(slot);
 }
 
@@ -161,15 +169,27 @@ bool WriteBuffer::Drop(SlotId slot) {
   return true;
 }
 
-Status WriteBuffer::FlushEntry(SlotId slot) {
+Status WriteBuffer::FlushEntry(SlotId slot, uint32_t* kept_page) {
   // Reading the buffered page costs DRAM time as before, but hands the
   // flush destination the page's own extent: no staging copy.
   const BlockState block = blocks_[slot];
   PayloadRef data = storage_.ReadPagePayloadRef(block.page);
+  // Handing a kept page to the next block stands in for a free and an
+  // allocation only because a flush itself allocates and frees no DRAM page.
+  [[maybe_unused]] const uint64_t free_pages = storage_.free_dram_pages();
   SSMC_RETURN_IF_ERROR(flush_fn_(block.key, data, block.tenant));
+  assert(storage_.free_dram_pages() == free_pages);
   stats_.flushes.Add();
   stats_.flushed_bytes.Add(data.size());
-  Remove(slot);
+  if (kept_page == nullptr) {
+    Remove(slot);
+    return Status::Ok();
+  }
+  // Flash now shares the extent: drop the page's ref, so the next write
+  // fills the page afresh instead of cloning it.
+  storage_.DropPagePayload(block.page);
+  Detach(slot);
+  *kept_page = block.page;
   return Status::Ok();
 }
 

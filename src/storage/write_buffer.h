@@ -18,7 +18,9 @@
 //
 // Eviction and flushing, all in LRU (first-dirtied) order:
 //  * capacity eviction: when full, the least-recently-written dirty block is
-//    flushed to flash and dropped;
+//    flushed to flash and dropped, and its DRAM page goes straight to the
+//    incoming block (no free-then-allocate round trip through the pool; a
+//    failed flush leaves the victim dirty on its page);
 //  * age flush: FlushOlderThan(age) writes back blocks dirty longer than a
 //    threshold (the classical 30-second sync policy), invoked periodically
 //    by the machine's flush daemon;
@@ -135,11 +137,14 @@ class WriteBuffer {
   // Flushes one dirty slot and takes it off the LRU. The slot's bytes live
   // in the storage manager's page-payload table, keyed by its DRAM page —
   // the page allocation is the DRAM budget token, the payload extent is
-  // the content.
-  Status FlushEntry(SlotId slot);
+  // the content. The page is freed, or, given `kept_page`, emptied and
+  // stored there for the caller to fill (capacity eviction).
+  Status FlushEntry(SlotId slot, uint32_t* kept_page = nullptr);
   // Takes a dirty slot off the LRU and frees its page (and the slot, when
   // it holds nothing else).
   void Remove(SlotId slot);
+  // Remove without freeing the page.
+  void Detach(SlotId slot);
   // Frees every dirty page, first dirtied first.
   void RemoveAll();
 

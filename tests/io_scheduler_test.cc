@@ -492,6 +492,85 @@ TEST(IoSchedulerLaneTest, FifoLightPathFillsLanes) {
   EXPECT_GT(waits, 0u);
 }
 
+// The scheduler reads the caller's request and never writes it. Whatever
+// timestamps the caller left in it, a materialized reservation is stamped
+// with the clock at Submit and its returned dispatch, which is what the
+// retire hook sees (no later submission outranks these, so none shifts).
+TEST(IoSchedulerTest, ReservationsStampSubmitTimeAndDispatch) {
+  for (const IoSchedPolicy policy :
+       {IoSchedPolicy::kFifo, IoSchedPolicy::kPriority}) {
+    SCOPED_TRACE(IoSchedPolicyName(policy));
+    SimClock clock;
+    IoScheduler sched(clock, 1, policy);
+    struct Submitted {
+      SimTime at;
+      IoScheduler::Dispatch dispatch;
+    };
+    std::vector<Submitted> submitted;
+    std::vector<IoRequest> retired;
+    sched.set_retire_hook(
+        [&](int, const IoRequest& r) { retired.push_back(r); });
+    // Queued behind each other, then an idle gap: waits both zero and not.
+    const SimTime gaps[] = {0, 100, 0, 5000};
+    for (uint64_t i = 0; i < 4; ++i) {
+      clock.Advance(gaps[i]);
+      IoRequest req = MakeReq(IoOp::kProgram, IoPriority::kFlush, false);
+      req.addr = i;
+      req.issue_time = req.start_time = req.complete_time = 777;
+      const IoRequest before = req;
+      submitted.push_back({clock.now(), sched.Submit(0, req, 300)});
+      EXPECT_EQ(req.issue_time, before.issue_time);
+      EXPECT_EQ(req.start_time, before.start_time);
+      EXPECT_EQ(req.complete_time, before.complete_time);
+    }
+    clock.Advance(10 * kMillisecond);
+    sched.Poll();
+    ASSERT_EQ(retired.size(), submitted.size());
+    for (const IoRequest& r : retired) {
+      const Submitted& s = submitted[r.addr];
+      EXPECT_EQ(r.issue_time, s.at) << "request " << r.addr;
+      EXPECT_EQ(r.start_time, s.dispatch.start) << "request " << r.addr;
+      EXPECT_EQ(r.complete_time, s.dispatch.complete) << "request " << r.addr;
+      EXPECT_EQ(r.queue_wait(), s.dispatch.wait) << "request " << r.addr;
+    }
+    EXPECT_GT(submitted[1].dispatch.wait, 0);
+    EXPECT_EQ(submitted[3].dispatch.wait, 0);
+  }
+}
+
+// On the light path (FIFO, no retire hook) nothing is materialized: the
+// lanes are attributed straight from the caller's request, which stays as
+// the caller built it.
+TEST(IoSchedulerLaneTest, LightPathLeavesRequestAsBuilt) {
+  SimClock clock;
+  IoLanes lanes;
+  IoScheduler sched(clock, 1, IoSchedPolicy::kFifo, &lanes);
+  sched.Submit(0, MakeReq(IoOp::kErase, IoPriority::kCleaner, false), 900);
+  clock.Advance(100);
+  IoRequest req = MakeReq(IoOp::kRead, IoPriority::kForeground, true);
+  req.addr = 42;
+  req.bytes = 512;
+  req.tenant = 3;
+  const IoScheduler::Dispatch d = sched.Submit(0, req, 50);
+  EXPECT_EQ(sched.arena().live(), 0u);
+  EXPECT_EQ(d.wait, 800);
+  EXPECT_EQ(d.service, 50);
+  EXPECT_EQ(req.op, IoOp::kRead);
+  EXPECT_EQ(req.addr, 42u);
+  EXPECT_EQ(req.bytes, 512u);
+  EXPECT_EQ(req.tenant, 3);
+  EXPECT_EQ(req.issue_time, 0);
+  EXPECT_EQ(req.start_time, 0);
+  EXPECT_EQ(req.complete_time, 0);
+  for (const IoLaneStats* lane :
+       {&lanes.by_class[static_cast<int>(IoPriority::kForeground)],
+        &lanes.by_tenant.For(3)}) {
+    EXPECT_EQ(lane->requests.value(), 1u);
+    EXPECT_EQ(lane->queue_wait_ns.value(), 800u);
+    EXPECT_EQ(lane->service_ns.value(), 50u);
+  }
+}
+
 // --- Device-level priority behavior ---------------------------------------
 
 TEST(IoSchedulerTest, FlashDevicePriorityModeCutsReadTailBehindCleaning) {

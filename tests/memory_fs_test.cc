@@ -610,6 +610,97 @@ TEST_F(MemoryFsCheckpointTest, DuplicateCheckpointEntryIsDataLoss) {
   EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
 }
 
+// Little-endian encoders for hand-built checkpoint blobs (the layout is in
+// memory_fs.cc, above CheckpointMetadata).
+void PutLe(std::vector<uint8_t>& blob, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    blob.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+// A file record under the root, with `nblocks` counted but no block entries.
+void PutRootFile(std::vector<uint8_t>& blob, char name, uint64_t id,
+                 uint64_t nblocks) {
+  PutLe(blob, 0, 4);  // Parent: the root.
+  PutLe(blob, 0, 1);  // A file.
+  PutLe(blob, 1, 2);
+  blob.push_back(static_cast<uint8_t>(name));
+  PutLe(blob, id, 8);
+  PutLe(blob, 0, 8);  // Size.
+  PutLe(blob, 0, 2);  // Last writer.
+  PutLe(blob, nblocks, 8);
+}
+
+// Counts in a checkpoint are bounded by the bytes that follow them: a
+// corrupt count is data loss, not an allocation sized from it.
+TEST_F(MemoryFsCheckpointTest, NodeCountPastCheckpointBytesIsDataLoss) {
+  std::vector<uint8_t> blob;
+  PutLe(blob, 1, 8);              // Next inode id.
+  PutLe(blob, uint64_t{1} << 40, 8);  // Node count; no records follow.
+  ASSERT_TRUE(journal_->WriteCheckpoint(blob).ok());
+
+  auto recovered = CrashAndRecover(nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST_F(MemoryFsCheckpointTest, BlockCountPastCheckpointBytesIsDataLoss) {
+  std::vector<uint8_t> blob;
+  PutLe(blob, 2, 8);  // Next inode id.
+  PutLe(blob, 1, 8);  // Node count.
+  PutRootFile(blob, 'f', 1, uint64_t{1} << 40);
+  PutLe(blob, 7, 8);  // The only block entry present.
+  ASSERT_TRUE(journal_->WriteCheckpoint(blob).ok());
+
+  auto recovered = CrashAndRecover(nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
+// Two files with one inode id would share their blocks' keys; neither the
+// checkpoint nor the log may install a second file under a live id.
+TEST_F(MemoryFsCheckpointTest, SharedInodeIdInCheckpointIsDataLoss) {
+  std::vector<uint8_t> blob;
+  PutLe(blob, 2, 8);  // Next inode id.
+  PutLe(blob, 2, 8);  // Node count.
+  PutRootFile(blob, 'a', 1, 0);
+  PutRootFile(blob, 'b', 1, 0);
+  ASSERT_TRUE(journal_->WriteCheckpoint(blob).ok());
+
+  auto recovered = CrashAndRecover(nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
+// An id the checkpoint's next inode id would hand out again is corrupt too:
+// the first file created after the remount would share it.
+TEST_F(MemoryFsCheckpointTest, InodeIdPastNextIdIsDataLoss) {
+  std::vector<uint8_t> blob;
+  PutLe(blob, 1, 8);  // Next inode id.
+  PutLe(blob, 1, 8);  // Node count.
+  PutRootFile(blob, 'a', 1, 0);
+  ASSERT_TRUE(journal_->WriteCheckpoint(blob).ok());
+
+  auto recovered = CrashAndRecover(nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST_F(MemoryFsCheckpointTest, ReplayedCreateOfLiveInodeIdIsDataLoss) {
+  ASSERT_TRUE(fs_->Create("/a").ok());
+  Result<uint64_t> id = fs_->FileId("/a");
+  ASSERT_TRUE(id.ok());
+  JournalRecord rec;
+  rec.type = JournalRecordType::kCreate;
+  rec.file_id = id.value();
+  rec.path = "/b";
+  ASSERT_TRUE(journal_->Append(std::move(rec)).ok());
+
+  auto recovered = CrashAndRecover(nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
 TEST_F(MemoryFsTest, DeepHierarchyWorks) {
   std::string path;
   for (int i = 0; i < 10; ++i) {

@@ -118,6 +118,43 @@ TEST_F(WriteBufferTest, CapacityEvictionFlushesOldest) {
   EXPECT_FALSE(buffer->Contains(slot(BlockKey{1, 0})));
 }
 
+// A capacity eviction frees no DRAM page and allocates none: the victim's
+// page goes straight to the incoming block, while the victim's own bytes
+// reach flash. A failed flush changes nothing but the incoming slot, which
+// is released.
+TEST_F(WriteBufferTest, CapacityEvictionHandsVictimPageToIncomingBlock) {
+  auto buffer = MakeBuffer(2);
+  const BlockStateTable& blocks = manager_.residency().blocks();
+  const SlotId oldest = slot(BlockKey{1, 0});
+  const SlotId younger = slot(BlockKey{1, 1});
+  ASSERT_TRUE(buffer->Put(oldest, Page(1), clock_.now()).ok());
+  ASSERT_TRUE(buffer->Put(younger, Page(2), clock_.now()).ok());
+  const uint32_t oldest_page = blocks[oldest].page;
+  const uint64_t free_pages = manager_.free_dram_pages();
+
+  const SlotId incoming = slot(BlockKey{1, 2});
+  ASSERT_TRUE(buffer->Put(incoming, Page(3), clock_.now()).ok());
+  EXPECT_EQ(manager_.free_dram_pages(), free_pages);
+  EXPECT_EQ(blocks[incoming].page, oldest_page);
+  auto out = Page(0);
+  ASSERT_TRUE(buffer->Get(incoming, out).ok());
+  EXPECT_EQ(out, Page(3));
+  ASSERT_TRUE(store_.Read(0, out).ok());
+  EXPECT_EQ(out, Page(1)) << "the evicted block lost its bytes";
+
+  const uint32_t younger_page = blocks[younger].page;
+  const SlotId refused = slot(BlockKey{1, 3});
+  flash_.FailNextProgramAfterBytes(0);
+  EXPECT_FALSE(buffer->Put(refused, Page(4), clock_.now()).ok());
+  EXPECT_TRUE(buffer->Contains(younger));
+  EXPECT_EQ(blocks[younger].page, younger_page);
+  ASSERT_TRUE(buffer->Get(younger, out).ok());
+  EXPECT_EQ(out, Page(2));
+  EXPECT_FALSE(blocks.live(refused));
+  EXPECT_EQ(buffer->dirty_pages(), 2u);
+  EXPECT_EQ(manager_.free_dram_pages(), free_pages);
+}
+
 TEST_F(WriteBufferTest, OverwriteKeepsFirstDirtyOrder) {
   // Ordering follows first dirtying (BSD 30-second-rule semantics), so an
   // overwrite does not postpone a block's flush indefinitely.
