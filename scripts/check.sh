@@ -11,9 +11,13 @@
 #   scripts/check.sh asan       # just the sanitizer build
 #   scripts/check.sh tsan       # just the ThreadSanitizer leg
 #
-# One more leg is a measurement, not a gate, and is not in the default list:
+# Two more legs are not in the default list. The first is a measurement,
+# not a gate; the second is the byte-identical bench check CI's bench-smoke
+# job runs (every experiment bench's output, BENCH_*.json, --metrics JSON
+# and trace digest against tests/golden/; ~8 min on 4 vCPUs):
 #
 #   scripts/check.sh coverage   # gcov build + tests, per-file src/ coverage
+#   scripts/check.sh golden     # release build, then scripts/golden_check.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +25,14 @@ presets=("$@")
 if [ $# -eq 0 ]; then presets=(release asan tsan); fi
 
 for preset in "${presets[@]}"; do
+  if [ "${preset}" = golden ]; then
+    echo "=== golden: release build ==="
+    cmake --preset release
+    cmake --build --preset release -j "$(nproc)"
+    echo "=== golden: bench outputs vs tests/golden ==="
+    python3 scripts/golden_check.py build-release/bench
+    continue
+  fi
   echo "=== ${preset}: configure ==="
   cmake --preset "${preset}"
   echo "=== ${preset}: build ==="

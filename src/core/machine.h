@@ -90,9 +90,10 @@ struct MachineConfig {
   uint64_t seed = 1;
   // Observability bundle (metrics registry + span tracer), not owned. Null
   // (the default) keeps every hook disabled — the hot paths see only a null
-  // check. The machine attaches all of its layers (flash device, flash
-  // store, storage manager, file system, write buffer, trace replays) and
-  // re-attaches after crash recovery rebuilds the fs/storage stack.
+  // check. The machine attaches every layer (flash and NVM devices, flash
+  // store, storage and residency managers, journal, file system, write
+  // buffer, trace replays) and re-attaches the storage manager, journal and
+  // file system after crash recovery rebuilds them.
   Obs* obs = nullptr;
 };
 

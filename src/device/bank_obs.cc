@@ -8,19 +8,22 @@
 namespace ssmc {
 
 BankObs::BankObs(std::string prefix, IoScheduler& sched, const IoLanes& lanes)
-    : prefix_(std::move(prefix)), sched_(sched), lanes_(lanes) {}
+    : prefix_(std::move(prefix)), sched_(sched), lanes_(lanes),
+      mirror_(prefix_) {}
 
-BankObs::~BankObs() {
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector(prefix_);
-  }
-}
-
-void BankObs::Attach(Obs* obs, std::vector<CounterMirror> counters,
-                     std::vector<GaugeMirror> gauges) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector(prefix_);
-  }
+void BankObs::Attach(Obs* obs, std::vector<StatsMirror::CounterField> counters,
+                     std::vector<StatsMirror::GaugeField> gauges) {
+  // A tenant's service time is its retire-time histogram, so only its
+  // request count and queue wait are mirrored.
+  mirror_.Attach(obs, std::move(counters), std::move(gauges),
+                 [this](MetricsRegistry& m) {
+                   for (const auto& e : lanes_.by_tenant.entries()) {
+                     const std::string base = TenantPrefix(prefix_, e.tenant);
+                     MirrorCounter(m, base + "requests", e.value.requests);
+                     MirrorCounter(m, base + "queue_wait_ns",
+                                   e.value.queue_wait_ns);
+                   }
+                 });
   obs_ = obs;
   if (obs_ == nullptr) {
     sched_.set_retire_hook(nullptr);
@@ -42,42 +45,6 @@ void BankObs::Attach(Obs* obs, std::vector<CounterMirror> counters,
   tenant_hist_.clear();
   sched_.set_retire_hook(
       [this](int bank, const IoRequest& req) { Retire(bank, req); });
-
-  // Snapshot-time pull — no per-operation cost. Tenant counters are
-  // registered on first sight of each tenant (AddCounter is idempotent per
-  // name, and handles live in a deque, so snapshot-time registration is
-  // safe). A tenant's service time is its retire-time histogram, so it has
-  // no counter twin.
-  std::vector<std::pair<Counter*, const Counter*>> counter_mirrors;
-  for (const CounterMirror& c : counters) {
-    counter_mirrors.emplace_back(m.AddCounter(prefix_ + "/" + c.name), c.src);
-  }
-  std::vector<std::pair<Gauge*, std::function<int64_t()>>> gauge_mirrors;
-  for (GaugeMirror& g : gauges) {
-    gauge_mirrors.emplace_back(m.AddGauge(prefix_ + "/" + g.name),
-                               std::move(g.read));
-  }
-  m.AddCollector(prefix_, [this, counter_mirrors = std::move(counter_mirrors),
-                           gauge_mirrors = std::move(gauge_mirrors)] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    for (const auto& [dst, src] : counter_mirrors) {
-      mirror(dst, *src);
-    }
-    for (const auto& [dst, read] : gauge_mirrors) {
-      dst->Set(read());
-    }
-    for (const TenantLaneTable::Entry& e : lanes_.by_tenant.entries()) {
-      const std::string base =
-          prefix_ + "/tenant" + std::to_string(e.tenant) + "/";
-      MetricsRegistry& registry = obs_->metrics();
-      mirror(registry.AddCounter(base + "requests"), e.value.requests);
-      mirror(registry.AddCounter(base + "queue_wait_ns"),
-             e.value.queue_wait_ns);
-    }
-  });
 }
 
 BankObs::TenantHistograms& BankObs::ForTenant(TenantId tenant) {
@@ -87,7 +54,7 @@ BankObs::TenantHistograms& BankObs::ForTenant(TenantId tenant) {
       return lane;
     }
   }
-  const std::string base = prefix_ + "/tenant" + std::to_string(tenant) + "/";
+  const std::string base = TenantPrefix(prefix_, tenant);
   MetricsRegistry& m = obs_->metrics();
   return tenant_hist_.emplace_back(TenantHistograms{
       tenant, m.AddHistogram(base + "wait_ns"),

@@ -7,19 +7,21 @@
 // timestamps, feeds those histograms and its tenant's
 // ("<prefix>/tenant<T>/wait_ns", ".../service_ns"), and becomes a bank-track
 // span (its service) and a class-track span (its full latency, so a long
-// span over a short bank twin reads as queueing). At snapshot time the
-// device's counters and gauges, and the tenant request and queue-wait lanes,
-// are mirrored into the registry. Detached, the retire hook stays empty, so
-// FIFO requests keep the scheduler's light path (no reservation object).
+// span over a short bank twin reads as queueing). The device's counters and
+// gauges, and each tenant's request and queue-wait lanes, go through a
+// StatsMirror keyed by the prefix (src/obs/stats_mirror.h): copied at
+// snapshot time, flushed into the Obs when the device detaches or is
+// destroyed. Detached, the retire hook stays empty, so FIFO requests keep
+// the scheduler's light path (no reservation object).
 
 #ifndef SSMC_SRC_DEVICE_BANK_OBS_H_
 #define SSMC_SRC_DEVICE_BANK_OBS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/obs/stats_mirror.h"
 #include "src/sim/io_request.h"
 #include "src/sim/io_scheduler.h"
 #include "src/sim/io_stats.h"
@@ -31,28 +33,15 @@ class Obs;
 
 class BankObs {
  public:
-  // A device statistic mirrored as "<prefix>/<name>" at every snapshot.
-  struct CounterMirror {
-    const char* name;
-    const Counter* src;
-  };
-  struct GaugeMirror {
-    const char* name;
-    std::function<int64_t()> read;
-  };
-
   BankObs(std::string prefix, IoScheduler& sched, const IoLanes& lanes);
-  // Flushes the mirrors into the attached Obs, which routinely outlives the
-  // device, and removes the collector. The mirrors read the device, so a
-  // device declares its BankObs after every member they touch.
-  ~BankObs();
 
   BankObs(const BankObs&) = delete;
   BankObs& operator=(const BankObs&) = delete;
 
-  // Attaches to `obs` (null detaches).
-  void Attach(Obs* obs, std::vector<CounterMirror> counters,
-              std::vector<GaugeMirror> gauges);
+  // Attaches to `obs` (null detaches), mirroring the device's `counters`
+  // and `gauges` as "<prefix>/<name>".
+  void Attach(Obs* obs, std::vector<StatsMirror::CounterField> counters,
+              std::vector<StatsMirror::GaugeField> gauges);
 
  private:
   struct TenantHistograms {
@@ -74,6 +63,9 @@ class BankObs {
   Histogram* wait_hist_[kNumIoPriorities] = {};
   Histogram* service_hist_[kNumIoPriorities] = {};
   std::vector<TenantHistograms> tenant_hist_;
+  // Last: its destructor runs the collector, which reads `lanes_`, so a
+  // device declares its BankObs after its stats.
+  StatsMirror mirror_;
 };
 
 }  // namespace ssmc

@@ -13,25 +13,20 @@ DiskDevice::DiskDevice(DiskSpec spec, SimClock& clock)
   contents_.assign(capacity_bytes(), 0);
 }
 
-DiskDevice::~DiskDevice() {
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("disk");
-  }
-}
-
 void DiskDevice::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("disk");
-  }
   obs_ = obs;
+  mirror_.Attach(obs, {{"reads", &stats_.reads}, {"writes", &stats_.writes},
+                       {"seeks", &stats_.seeks}, {"seek_ns", &stats_.seek_ns},
+                       {"rotation_ns", &stats_.rotation_ns},
+                       {"spin_ups", &stats_.spin_ups},
+                       {"queue_wait_ns", &stats_.queue_wait_ns}});
   if (obs_ == nullptr) {
     sched_.set_retire_hook(nullptr);
     return;
   }
   obs_arm_track_ = obs_->tracer().RegisterTrack("disk arm");
-  MetricsRegistry& m = obs_->metrics();
-  obs_wait_hist_ = m.AddHistogram("disk/wait_ns");
-  obs_service_hist_ = m.AddHistogram("disk/service_ns");
+  obs_wait_hist_ = obs_->metrics().AddHistogram("disk/wait_ns");
+  obs_service_hist_ = obs_->metrics().AddHistogram("disk/service_ns");
   sched_.set_retire_hook([this](int, const IoRequest& req) {
     const Duration wait =
         std::max<Duration>(0, req.start_time - req.issue_time);
@@ -42,27 +37,6 @@ void DiskDevice::AttachObs(Obs* obs) {
     obs_->tracer().Span(obs_arm_track_, IoOpName(req.op), req.start_time,
                         service, {"bytes", req.bytes},
                         {"wait_ns", static_cast<uint64_t>(wait)});
-  });
-
-  Counter* reads = m.AddCounter("disk/reads");
-  Counter* writes = m.AddCounter("disk/writes");
-  Counter* seeks = m.AddCounter("disk/seeks");
-  Counter* seek_ns = m.AddCounter("disk/seek_ns");
-  Counter* rotation_ns = m.AddCounter("disk/rotation_ns");
-  Counter* spin_ups = m.AddCounter("disk/spin_ups");
-  Counter* queue_wait = m.AddCounter("disk/queue_wait_ns");
-  m.AddCollector("disk", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(reads, stats_.reads);
-    mirror(writes, stats_.writes);
-    mirror(seeks, stats_.seeks);
-    mirror(seek_ns, stats_.seek_ns);
-    mirror(rotation_ns, stats_.rotation_ns);
-    mirror(spin_ups, stats_.spin_ups);
-    mirror(queue_wait, stats_.queue_wait_ns);
   });
 }
 

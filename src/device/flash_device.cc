@@ -43,17 +43,12 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
 void FlashDevice::AttachObs(Obs* obs) {
   bank_obs_.Attach(
       obs,
-      {{"reads", &stats_.reads},
-       {"read_bytes", &stats_.read_bytes},
+      {{"reads", &stats_.reads}, {"read_bytes", &stats_.read_bytes},
        {"programs", &stats_.programs},
        {"programmed_bytes", &stats_.programmed_bytes},
-       {"erases", &stats_.erases},
-       {"read_stall_ns", &stats_.read_stall_ns}},
-      {{"bad_sectors",
-        [this] { return static_cast<int64_t>(stats_.bad_sectors.value()); }},
-       {"wear_max_erases", [this] {
-          return static_cast<int64_t>(SummarizeWear().max_erases);
-        }}});
+       {"erases", &stats_.erases}, {"read_stall_ns", &stats_.read_stall_ns}},
+      {{"bad_sectors", [this] { return stats_.bad_sectors.value(); }},
+       {"wear_max_erases", [this] { return SummarizeWear().max_erases; }}});
 }
 
 int FlashDevice::BankOfAddress(uint64_t addr) const {

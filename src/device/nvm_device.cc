@@ -22,15 +22,12 @@ NvmDevice::NvmDevice(NvmSpec spec, uint64_t capacity_bytes, int banks,
 }
 
 void NvmDevice::AttachObs(Obs* obs) {
-  bank_obs_.Attach(obs,
-                   {{"reads", &stats_.reads},
-                    {"read_bytes", &stats_.read_bytes},
-                    {"writes", &stats_.writes},
-                    {"written_bytes", &stats_.written_bytes},
-                    {"read_stall_ns", &stats_.read_stall_ns}},
-                   {{"wear_max_bank_writes", [this] {
-                      return static_cast<int64_t>(SummarizeWear().max_writes);
-                    }}});
+  bank_obs_.Attach(
+      obs,
+      {{"reads", &stats_.reads}, {"read_bytes", &stats_.read_bytes},
+       {"writes", &stats_.writes}, {"written_bytes", &stats_.written_bytes},
+       {"read_stall_ns", &stats_.read_stall_ns}},
+      {{"wear_max_bank_writes", [this] { return SummarizeWear().max_writes; }}});
 }
 
 IoScheduler::Dispatch NvmDevice::SubmitOp(IoOp op, int bank, uint64_t addr,

@@ -43,9 +43,6 @@ MemoryFileSystem::~MemoryFileSystem() {
   // Clean-cache keys and heat die with the namespace; unbind the buffer
   // before it is destroyed.
   storage_.residency().DetachFilesystem();
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("fs");
-  }
 }
 
 Status MemoryFileSystem::JournalAppend(JournalRecord record) {
@@ -174,58 +171,32 @@ Status MemoryFileSystem::Rmdir(const std::string& path) {
 }
 
 void MemoryFileSystem::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("fs");
-  }
   obs_ = obs;
   buffer_.AttachObs(obs);
-  if (obs_ == nullptr) {
-    return;
+  mirror_.Attach(
+      obs,
+      {{"creates", &stats_.creates}, {"unlinks", &stats_.unlinks},
+       {"reads", &stats_.reads}, {"read_bytes", &stats_.read_bytes},
+       {"writes", &stats_.writes}, {"written_bytes", &stats_.written_bytes},
+       {"flash_direct_read_bytes", &stats_.flash_direct_read_bytes},
+       {"buffered_read_bytes", &stats_.buffered_read_bytes},
+       {"clean_cached_read_bytes", &stats_.clean_cached_read_bytes},
+       {"nvm_cached_read_bytes", &stats_.nvm_cached_read_bytes},
+       {"cow_block_copies", &stats_.cow_block_copies}},
+      {},
+      // Per-tenant fs-boundary traffic, registered as tenants appear.
+      [this](MetricsRegistry& m) {
+        for (const auto& e : stats_.by_tenant.entries()) {
+          const std::string base = TenantPrefix("fs", e.tenant);
+          MirrorCounter(m, base + "reads", e.value.reads);
+          MirrorCounter(m, base + "read_bytes", e.value.read_bytes);
+          MirrorCounter(m, base + "writes", e.value.writes);
+          MirrorCounter(m, base + "written_bytes", e.value.written_bytes);
+        }
+      });
+  if (obs_ != nullptr) {
+    obs_track_ = obs_->tracer().RegisterTrack("memory-fs");
   }
-  obs_track_ = obs_->tracer().RegisterTrack("memory-fs");
-  MetricsRegistry& m = obs_->metrics();
-  Counter* creates = m.AddCounter("fs/creates");
-  Counter* unlinks = m.AddCounter("fs/unlinks");
-  Counter* reads = m.AddCounter("fs/reads");
-  Counter* read_bytes = m.AddCounter("fs/read_bytes");
-  Counter* writes = m.AddCounter("fs/writes");
-  Counter* written_bytes = m.AddCounter("fs/written_bytes");
-  Counter* flash_direct = m.AddCounter("fs/flash_direct_read_bytes");
-  Counter* buffered = m.AddCounter("fs/buffered_read_bytes");
-  Counter* clean_cached = m.AddCounter("fs/clean_cached_read_bytes");
-  Counter* nvm_cached = m.AddCounter("fs/nvm_cached_read_bytes");
-  Counter* cow_copies = m.AddCounter("fs/cow_block_copies");
-  m.AddCollector("fs", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(creates, stats_.creates);
-    mirror(unlinks, stats_.unlinks);
-    mirror(reads, stats_.reads);
-    mirror(read_bytes, stats_.read_bytes);
-    mirror(writes, stats_.writes);
-    mirror(written_bytes, stats_.written_bytes);
-    mirror(flash_direct, stats_.flash_direct_read_bytes);
-    mirror(buffered, stats_.buffered_read_bytes);
-    mirror(clean_cached, stats_.clean_cached_read_bytes);
-    mirror(nvm_cached, stats_.nvm_cached_read_bytes);
-    mirror(cow_copies, stats_.cow_block_copies);
-    // Per-tenant fs-boundary traffic, registered lazily as tenants appear
-    // (AddCounter is idempotent per name).
-    for (const auto& e : stats_.by_tenant.entries()) {
-      const std::string base = "fs/tenant" + std::to_string(e.tenant) + "/";
-      auto mirror_lane = [&](const char* key, const Counter& src) {
-        Counter* dst = obs_->metrics().AddCounter(base + key);
-        dst->Reset();
-        dst->Add(src.value());
-      };
-      mirror_lane("reads", e.value.reads);
-      mirror_lane("read_bytes", e.value.read_bytes);
-      mirror_lane("writes", e.value.writes);
-      mirror_lane("written_bytes", e.value.written_bytes);
-    }
-  });
 }
 
 Result<uint64_t> MemoryFileSystem::Read(const std::string& path,

@@ -32,6 +32,7 @@
 
 #include "src/fs/file_system.h"
 #include "src/fs/namespace_tree.h"
+#include "src/obs/stats_mirror.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/storage_manager.h"
@@ -309,6 +310,7 @@ class MemoryFileSystem : public FileSystem {
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;
+  StatsMirror mirror_{"fs"};  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

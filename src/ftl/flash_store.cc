@@ -194,9 +194,6 @@ FlashStore::~FlashStore() {
   if (observer_registered_) {
     flash_.set_erase_observer(nullptr);
   }
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("ftl");
-  }
 }
 
 std::vector<SectorMeta> FlashStore::SnapshotSectors() const {
@@ -565,56 +562,31 @@ void FlashStore::MarkPageDead(uint64_t page) {
 }
 
 void FlashStore::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("ftl");
-  }
   obs_ = obs;
-  if (obs_ == nullptr) {
-    return;
+  mirror_.Attach(
+      obs,
+      {{"user_writes", &stats_.user_writes},
+       {"user_reads", &stats_.user_reads}, {"gc_runs", &stats_.gc_runs},
+       {"gc_relocations", &stats_.gc_relocations}, {"erases", &stats_.erases},
+       {"wear_migrations", &stats_.wear_migrations}, {"trims", &stats_.trims}},
+      {{"free_sectors", [this] { return free_sector_count_; }},
+       {"write_amp_milli",
+        [this] { return static_cast<int64_t>(WriteAmplification() * 1e3); }}},
+      // Per-tenant write-amplification share, registered as tenants appear.
+      [this](MetricsRegistry& m) {
+        for (const auto& e : stats_.by_tenant.entries()) {
+          const std::string base = TenantPrefix("ftl", e.tenant);
+          MirrorCounter(m, base + "writes", e.value.writes);
+          MirrorCounter(m, base + "reads", e.value.reads);
+          MirrorCounter(m, base + "relocations", e.value.relocations);
+          m.AddGauge(base + "write_amp_milli")
+              ->Set(static_cast<int64_t>(TenantWriteAmplification(e.tenant) *
+                                         1000.0));
+        }
+      });
+  if (obs_ != nullptr) {
+    obs_cleaner_track_ = obs_->tracer().RegisterTrack("flash cleaner");
   }
-  obs_cleaner_track_ = obs_->tracer().RegisterTrack("flash cleaner");
-  MetricsRegistry& m = obs_->metrics();
-  Counter* user_writes = m.AddCounter("ftl/user_writes");
-  Counter* user_reads = m.AddCounter("ftl/user_reads");
-  Counter* gc_runs = m.AddCounter("ftl/gc_runs");
-  Counter* gc_relocations = m.AddCounter("ftl/gc_relocations");
-  Counter* erases = m.AddCounter("ftl/erases");
-  Counter* wear_migrations = m.AddCounter("ftl/wear_migrations");
-  Counter* trims = m.AddCounter("ftl/trims");
-  Gauge* free_sectors_g = m.AddGauge("ftl/free_sectors");
-  Gauge* wa_milli = m.AddGauge("ftl/write_amp_milli");
-  m.AddCollector("ftl", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(user_writes, stats_.user_writes);
-    mirror(user_reads, stats_.user_reads);
-    mirror(gc_runs, stats_.gc_runs);
-    mirror(gc_relocations, stats_.gc_relocations);
-    mirror(erases, stats_.erases);
-    mirror(wear_migrations, stats_.wear_migrations);
-    mirror(trims, stats_.trims);
-    free_sectors_g->Set(static_cast<int64_t>(free_sector_count_));
-    wa_milli->Set(static_cast<int64_t>(WriteAmplification() * 1000.0));
-    // Per-tenant write-amplification share, registered lazily as tenants
-    // appear (AddGauge/AddCounter are idempotent per name).
-    for (const auto& e : stats_.by_tenant.entries()) {
-      const std::string base = "ftl/tenant" + std::to_string(e.tenant) + "/";
-      auto mirror_lane = [&](const char* key, const Counter& src) {
-        Counter* dst = obs_->metrics().AddCounter(base + key);
-        dst->Reset();
-        dst->Add(src.value());
-      };
-      mirror_lane("writes", e.value.writes);
-      mirror_lane("reads", e.value.reads);
-      mirror_lane("relocations", e.value.relocations);
-      obs_->metrics()
-          .AddGauge(base + "write_amp_milli")
-          ->Set(static_cast<int64_t>(TenantWriteAmplification(e.tenant) *
-                                     1000.0));
-    }
-  });
 }
 
 SimTime FlashStore::BanksBusyUntil() const {

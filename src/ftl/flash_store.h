@@ -36,6 +36,7 @@
 
 #include "src/device/flash_device.h"
 #include "src/ftl/victim_index.h"
+#include "src/obs/stats_mirror.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/support/status.h"
@@ -432,6 +433,7 @@ class FlashStore {
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_cleaner_track_ = 0;
+  StatsMirror mirror_{"ftl"};  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

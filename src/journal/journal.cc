@@ -4,19 +4,11 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/obs/obs.h"
-
 namespace ssmc {
 
 MetadataJournal::MetadataJournal(StorageManager& storage,
                                  MetadataJournalOptions options)
     : storage_(storage), options_(options) {}
-
-MetadataJournal::~MetadataJournal() {
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("journal");
-  }
-}
 
 Status MetadataJournal::WriteBlock(uint64_t block,
                                    std::span<const uint8_t> image,
@@ -367,38 +359,16 @@ Result<MetadataJournal::MountState> MetadataJournal::Recover() {
 }
 
 void MetadataJournal::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("journal");
-  }
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    return;
-  }
-  MetricsRegistry& m = obs_->metrics();
-  Counter* records = m.AddCounter("journal/records");
-  Counter* appended = m.AddCounter("journal/appended_bytes");
-  Counter* block_writes = m.AddCounter("journal/log_block_writes");
-  Counter* sb_writes = m.AddCounter("journal/superblock_writes");
-  Counter* checkpoints = m.AddCounter("journal/checkpoints");
-  Counter* ckpt_bytes = m.AddCounter("journal/checkpoint_bytes");
-  Counter* compacted = m.AddCounter("journal/compacted_blocks");
-  Gauge* log_blocks = m.AddGauge("journal/log_blocks");
-  Gauge* lsn = m.AddGauge("journal/next_lsn");
-  m.AddCollector("journal", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(records, stats_.records);
-    mirror(appended, stats_.appended_bytes);
-    mirror(block_writes, stats_.log_block_writes);
-    mirror(sb_writes, stats_.superblock_writes);
-    mirror(checkpoints, stats_.checkpoints);
-    mirror(ckpt_bytes, stats_.checkpoint_bytes);
-    mirror(compacted, stats_.compacted_blocks);
-    log_blocks->Set(static_cast<int64_t>(log_block_ids_.size()));
-    lsn->Set(static_cast<int64_t>(next_lsn_));
-  });
+  mirror_.Attach(
+      obs,
+      {{"records", &stats_.records}, {"appended_bytes", &stats_.appended_bytes},
+       {"log_block_writes", &stats_.log_block_writes},
+       {"superblock_writes", &stats_.superblock_writes},
+       {"checkpoints", &stats_.checkpoints},
+       {"checkpoint_bytes", &stats_.checkpoint_bytes},
+       {"compacted_blocks", &stats_.compacted_blocks}},
+      {{"log_blocks", [this] { return log_block_ids_.size(); }},
+       {"next_lsn", [this] { return next_lsn_; }}});
 }
 
 }  // namespace ssmc

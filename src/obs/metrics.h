@@ -123,19 +123,20 @@ class MetricsRegistry {
   Histogram* AddHistogram(const std::string& name);
 
   // Snapshot-time pull: the collector runs at the start of every Snapshot()
-  // call, typically copying a component's existing Stats struct into gauges
-  // registered here. Zero hot-path cost — nothing runs per event. Keyed:
+  // call, copying a component's existing Stats struct into counters and
+  // gauges registered here; layers install theirs through StatsMirror
+  // (stats_mirror.h). Zero hot-path cost — nothing runs per event. Keyed:
   // re-registering under the same key REPLACES the previous collector, so a
   // component rebuilt after crash recovery re-attaches without leaving a
   // dangling `this` behind. Collectors run in key order.
   void AddCollector(const std::string& key, std::function<void()> collector);
 
   // Runs the collector under `key` one last time (so its final values persist
-  // in the registered handles), then removes it. Components call this from
-  // their destructors and on re-attach: the Obs routinely outlives the
-  // machine it instrumented (benches snapshot after the run), and a removed
-  // collector is the only thing standing between Snapshot() and a dangling
-  // `this`. No-op for an unknown key.
+  // in the registered handles), then removes it. StatsMirror calls this
+  // when its owner is destroyed, detaches or re-attaches: the Obs routinely
+  // outlives the machine it instrumented (benches snapshot after the run),
+  // and a removed collector is the only thing standing between Snapshot()
+  // and a dangling `this`. No-op for an unknown key.
   void FlushAndRemoveCollector(const std::string& key);
 
   // Runs the collectors, then copies every metric out under its name, each

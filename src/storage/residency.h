@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "src/ftl/flash_store.h"
+#include "src/obs/stats_mirror.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/block_state.h"
@@ -106,7 +107,7 @@ class ResidencyManager {
   };
 
   ResidencyManager(StorageManager& storage, ResidencyOptions options);
-  // Frees the clean cache's DRAM pages and detaches any Obs collector.
+  // Frees the clean cache's DRAM pages (the stats mirror flushes after).
   ~ResidencyManager();
 
   ResidencyManager(const ResidencyManager&) = delete;
@@ -365,6 +366,7 @@ class ResidencyManager {
   int obs_track_ = 0;
   Histogram* promote_heat_ = nullptr;  // Owned by the Obs registry.
   Histogram* flush_heat_ = nullptr;
+  StatsMirror mirror_{"residency"};  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-
-#include "src/obs/obs.h"
+#include <utility>
 
 namespace ssmc {
 
@@ -24,42 +23,19 @@ StorageManager::StorageManager(DramDevice& dram, FlashStore& flash_store,
   residency_ = std::make_unique<ResidencyManager>(*this, residency);
 }
 
-StorageManager::~StorageManager() {
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("storage");
-  }
-}
-
 void StorageManager::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("storage");
-  }
-  obs_ = obs;
   residency_->AttachObs(obs);
-  if (obs == nullptr) {
-    return;
-  }
-  MetricsRegistry& m = obs->metrics();
-  Gauge* free_dram = m.AddGauge("storage/free_dram_pages");
-  Gauge* total_dram = m.AddGauge("storage/total_dram_pages");
-  Gauge* free_flash = m.AddGauge("storage/free_flash_blocks");
-  Gauge* total_flash = m.AddGauge("storage/total_flash_blocks");
-  Gauge* free_nvm = nullptr;
-  Gauge* total_nvm = nullptr;
+  std::vector<StatsMirror::GaugeField> gauges = {
+      {"free_dram_pages", [this] { return free_dram_pages(); }},
+      {"total_dram_pages", [this] { return total_dram_pages(); }},
+      {"free_flash_blocks", [this] { return free_flash_blocks(); }},
+      {"total_flash_blocks", [this] { return total_flash_blocks(); }}};
   if (nvm_ != nullptr) {
-    free_nvm = m.AddGauge("storage/free_nvm_pages");
-    total_nvm = m.AddGauge("storage/total_nvm_pages");
+    gauges.insert(gauges.end(),
+                  {{"free_nvm_pages", [this] { return free_nvm_pages(); }},
+                   {"total_nvm_pages", [this] { return total_nvm_pages(); }}});
   }
-  m.AddCollector("storage", [=, this] {
-    free_dram->Set(static_cast<int64_t>(free_dram_pages()));
-    total_dram->Set(static_cast<int64_t>(total_dram_pages()));
-    free_flash->Set(static_cast<int64_t>(free_flash_blocks()));
-    total_flash->Set(static_cast<int64_t>(total_flash_blocks()));
-    if (free_nvm != nullptr) {
-      free_nvm->Set(static_cast<int64_t>(free_nvm_pages()));
-      total_nvm->Set(static_cast<int64_t>(total_nvm_pages()));
-    }
-  });
+  mirror_.Attach(obs, {}, std::move(gauges));
 }
 
 uint64_t StorageManager::IndexPool::Take() {

@@ -25,6 +25,7 @@
 #include "src/device/dram_device.h"
 #include "src/device/nvm_device.h"
 #include "src/ftl/flash_store.h"
+#include "src/obs/stats_mirror.h"
 #include "src/storage/residency.h"
 #include "src/support/extent.h"
 #include "src/support/status.h"
@@ -44,9 +45,6 @@ class StorageManager {
   StorageManager(DramDevice& dram, FlashStore& flash_store,
                  uint64_t page_bytes, ResidencyOptions residency = {},
                  NvmDevice* nvm = nullptr);
-  // Flushes and removes the free-pool collector from any attached Obs
-  // (which routinely outlives the manager).
-  ~StorageManager();
 
   uint64_t page_bytes() const { return page_bytes_; }
   DramDevice& dram() { return dram_; }
@@ -203,10 +201,10 @@ class StorageManager {
   std::vector<PayloadRef> page_payloads_;      // DRAM pages.
   std::vector<PayloadRef> nvm_page_payloads_;  // NVM pages.
   PayloadRef zero_extent_;                 // Lazily built, shared by aliasing.
-  Obs* obs_ = nullptr;
-  // Declared last: its destructor returns the clean cache's DRAM pages to
-  // the allocator above, which must still be alive.
+  // Declared after the allocators: its destructor returns the clean cache's
+  // DRAM pages to them, so they must still be alive.
   std::unique_ptr<ResidencyManager> residency_;
+  StatsMirror mirror_{"storage"};  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

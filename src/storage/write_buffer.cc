@@ -19,41 +19,21 @@ WriteBuffer::WriteBuffer(StorageManager& storage, uint64_t capacity_pages,
 WriteBuffer::~WriteBuffer() {
   // Return DRAM pages; contents are owned by the file system's lifetime.
   RemoveAll();
-  if (obs_ != nullptr) {
-    obs_->metrics().FlushAndRemoveCollector("wbuf");
-  }
 }
 
 void WriteBuffer::AttachObs(Obs* obs) {
-  if (obs_ != nullptr && obs_ != obs) {
-    obs_->metrics().FlushAndRemoveCollector("wbuf");
-  }
   obs_ = obs;
-  if (obs_ == nullptr) {
-    return;
+  mirror_.Attach(obs,
+                 {{"puts", &stats_.puts},
+                  {"absorbed_overwrites", &stats_.absorbed_overwrites},
+                  {"flushes", &stats_.flushes},
+                  {"flushed_bytes", &stats_.flushed_bytes},
+                  {"capacity_evictions", &stats_.capacity_evictions},
+                  {"dropped_writes", &stats_.dropped_writes}},
+                 {{"dirty_pages", [this] { return lru_.size; }}});
+  if (obs_ != nullptr) {
+    obs_track_ = obs_->tracer().RegisterTrack("write buffer");
   }
-  obs_track_ = obs_->tracer().RegisterTrack("write buffer");
-  MetricsRegistry& m = obs_->metrics();
-  Counter* puts = m.AddCounter("wbuf/puts");
-  Counter* absorbed = m.AddCounter("wbuf/absorbed_overwrites");
-  Counter* flushes = m.AddCounter("wbuf/flushes");
-  Counter* flushed_bytes = m.AddCounter("wbuf/flushed_bytes");
-  Counter* evictions = m.AddCounter("wbuf/capacity_evictions");
-  Counter* dropped = m.AddCounter("wbuf/dropped_writes");
-  Gauge* dirty = m.AddGauge("wbuf/dirty_pages");
-  m.AddCollector("wbuf", [=, this] {
-    auto mirror = [](Counter* dst, const Counter& src) {
-      dst->Reset();
-      dst->Add(src.value());
-    };
-    mirror(puts, stats_.puts);
-    mirror(absorbed, stats_.absorbed_overwrites);
-    mirror(flushes, stats_.flushes);
-    mirror(flushed_bytes, stats_.flushed_bytes);
-    mirror(evictions, stats_.capacity_evictions);
-    mirror(dropped, stats_.dropped_writes);
-    dirty->Set(static_cast<int64_t>(lru_.size));
-  });
 }
 
 Status WriteBuffer::Put(SlotId slot, std::span<const uint8_t> data,

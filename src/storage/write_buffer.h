@@ -43,6 +43,7 @@
 #include <functional>
 #include <span>
 
+#include "src/obs/stats_mirror.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/storage/block_state.h"
@@ -157,6 +158,7 @@ class WriteBuffer {
   Stats stats_;
   Obs* obs_ = nullptr;
   int obs_track_ = 0;
+  StatsMirror mirror_{"wbuf"};  // Last: its destructor runs the collector.
 };
 
 }  // namespace ssmc

@@ -1,5 +1,6 @@
 // Unit and property tests for the observability subsystem (src/obs/):
-// metric handle registration, snapshot Merge algebra (associativity,
+// metric handle registration, the stats mirror's collector lifetime
+// (re-attach, detach, owner destruction), snapshot Merge algebra (associativity,
 // commutativity, empty identity — the contract that makes per-cell
 // registries combine deterministically under any --jobs sharding), the
 // span tracer's ring-buffer drop accounting, and the JSON exporters'
@@ -17,6 +18,7 @@
 #include "src/obs/metrics_export.h"
 #include "src/obs/obs.h"
 #include "src/obs/span_tracer.h"
+#include "src/obs/stats_mirror.h"
 #include "src/obs/trace_export.h"
 #include "src/support/rng.h"
 
@@ -115,6 +117,95 @@ TEST(MetricsRegistryTest, SnapshotRunsCollectorsInKeyOrder) {
   registry.AddCollector("a", [g] { g->Set(26); });
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.values().at("order").gauge, 1);  // "z" ran last.
+}
+
+// --- StatsMirror ----------------------------------------------------------
+
+// A minimal layer: a counter, a gauge and a lazily named tenant counter,
+// with the mirror declared last as every layer declares it. `runs` counts
+// collector runs and outlives the layer, so a test can see whether a
+// collector is still installed after its owner is gone.
+struct MirroredLayer {
+  explicit MirroredLayer(int* runs) : runs(runs) {}
+
+  int* runs;
+  Counter hits;
+  int64_t level = 0;
+  StatsMirror mirror{"layer"};
+
+  void Attach(Obs* obs) {
+    mirror.Attach(obs, {{"hits", &hits}}, {{"level", [this] { return level; }}},
+                  [this](MetricsRegistry& m) {
+                    ++*runs;
+                    MirrorCounter(m, "layer/tenant1/hits", hits);
+                  });
+  }
+};
+
+void ExpectMirrored(Obs& obs, uint64_t hits, int64_t level) {
+  const MetricsSnapshot snap = obs.metrics().Snapshot();
+  EXPECT_EQ(snap.values().at("layer/hits"), MetricValue::MakeCounter(hits));
+  EXPECT_EQ(snap.values().at("layer/level"), MetricValue::MakeGauge(level));
+  EXPECT_EQ(snap.values().at("layer/tenant1/hits"),
+            MetricValue::MakeCounter(hits));
+}
+
+TEST(StatsMirrorTest, ReattachFlushesTheOldObsAndMirrorsIntoTheNew) {
+  Obs a;
+  Obs b;
+  int runs = 0;
+  MirroredLayer layer(&runs);
+  layer.Attach(&a);
+  layer.hits.Add(3);
+  layer.level = 7;
+  layer.Attach(&b);
+  EXPECT_EQ(runs, 1);  // The flush into `a`.
+  layer.hits.Add(2);
+  layer.level = 9;
+  ExpectMirrored(a, 3, 7);  // Final values at the re-attach...
+  layer.hits.Add(1);
+  ExpectMirrored(a, 3, 7);  // ...which no longer move.
+  ExpectMirrored(b, 6, 9);  // The new Obs is live.
+}
+
+TEST(StatsMirrorTest, DetachFlushes) {
+  Obs obs;
+  int runs = 0;
+  MirroredLayer layer(&runs);
+  layer.Attach(&obs);
+  layer.hits.Add(4);
+  layer.level = -1;
+  layer.Attach(nullptr);
+  EXPECT_EQ(runs, 1);
+  layer.hits.Add(1);
+  ExpectMirrored(obs, 4, -1);
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(StatsMirrorTest, DestroyingTheOwnerFlushes) {
+  Obs obs;
+  int runs = 0;
+  {
+    MirroredLayer layer(&runs);
+    layer.Attach(&obs);
+    layer.hits.Add(6);
+    layer.level = -2;
+  }
+  EXPECT_EQ(runs, 1);  // Flushed once, then removed:
+  ExpectMirrored(obs, 6, -2);
+  EXPECT_EQ(runs, 1);  // the snapshot ran no collector.
+}
+
+TEST(StatsMirrorTest, ReattachToTheSameObsKeepsOneCollector) {
+  Obs obs;
+  int runs = 0;
+  MirroredLayer layer(&runs);
+  layer.Attach(&obs);
+  layer.Attach(&obs);
+  EXPECT_EQ(runs, 0);  // Same Obs: nothing to flush.
+  layer.hits.Add(5);
+  ExpectMirrored(obs, 5, 0);
+  EXPECT_EQ(runs, 1);
 }
 
 // --- Merge algebra -------------------------------------------------------
