@@ -79,6 +79,13 @@ inline std::string FlagValue(int argc, char** argv, const char* prefix) {
   return "";
 }
 
+// Where a bench writes its JSON artifact: the --json=<path> argument, else
+// `default_name` in the working directory.
+inline std::string JsonPath(int argc, char** argv, const char* default_name) {
+  const std::string path = FlagValue(argc, argv, "--json=");
+  return path.empty() ? default_name : path;
+}
+
 // Per-bench observability capture: parses --trace=<path> (Chrome
 // trace-event / Perfetto JSON) and --metrics=<path> (merged metrics
 // snapshot JSON) and owns one Obs bundle per experiment cell. With neither

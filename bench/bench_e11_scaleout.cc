@@ -19,7 +19,8 @@
 // Throughput is reported against both denominators — sim ops per *simulated*
 // second (fleet finishes with its slowest user) and sim ops per *host*
 // second (harness replay rate); the old single "sim ops/s" number conflated
-// the two. Results also land in BENCH_scaleout.json for machine consumption.
+// the two. Results also land in BENCH_scaleout.json (or --json=<path>) for
+// machine consumption.
 
 #include <chrono>
 #include <fstream>
@@ -297,7 +298,8 @@ int main(int argc, char** argv) {
                                                    serial.report.aggregate)));
     rows.push_back(std::move(row));
   }
-  (void)WriteMetricsJsonArrayFile("BENCH_scaleout.json", rows);
+  (void)WriteMetricsJsonArrayFile(JsonPath(argc, argv, "BENCH_scaleout.json"),
+                                  rows);
   capture.Finish();
   return all_identical ? 0 : 1;
 }

@@ -19,7 +19,8 @@
 //
 // The 3 policies x 3 DRAM sizes matrix is 9 independent machines; all run
 // concurrently through the parallel runner and print in submission order,
-// byte-identical to --jobs=1. Results also land in BENCH_migration.json.
+// byte-identical to --jobs=1. Results also land in BENCH_migration.json
+// (or --json=<path>).
 
 #include <functional>
 #include <iostream>
@@ -205,7 +206,8 @@ int main(int argc, char** argv) {
                "flushes to the relocation\nstream. With tiny DRAM the cache "
                "cap shrinks and the benefit fades — migration only\npays "
                "when there is headroom to hold the hot set.\n";
-  (void)WriteMetricsJsonArrayFile("BENCH_migration.json", rows);
+  (void)WriteMetricsJsonArrayFile(JsonPath(argc, argv, "BENCH_migration.json"),
+                                  rows);
   capture.Finish();
   return 0;
 }

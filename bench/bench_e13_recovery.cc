@@ -15,8 +15,8 @@
 // checkpoint install + log-tail replay) on the simulated clock. Every
 // file, the tail burst included, must come back. Flash write overhead of
 // journaling (journal-tenant programmed bytes vs all other write traffic)
-// is reported per cell. Results land in BENCH_recovery.json, which CI
-// diffs byte for byte against the committed copy
+// is reported per cell. Results land in BENCH_recovery.json (or
+// --json=<path>), which CI diffs byte for byte against the committed copy
 // (scripts/golden_check.py). EXPERIMENTS.md keeps the historical
 // comparison against the retired serial block-0 checkpoint rebuild.
 
@@ -194,7 +194,8 @@ int main(int argc, char** argv) {
                  "recover every file.\n";
     return 1;
   }
-  (void)WriteMetricsJsonArrayFile("BENCH_recovery.json", rows);
+  (void)WriteMetricsJsonArrayFile(JsonPath(argc, argv, "BENCH_recovery.json"),
+                                  rows);
   capture.Finish();
   return 0;
 }

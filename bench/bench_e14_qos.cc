@@ -21,7 +21,8 @@
 //              latency shield — expect throughput to move, not the tail.
 // Victim read p50/p99 come from the replay's per-tenant latency lanes
 // (ReplayReport::by_tenant); per-tenant queue-wait from the device's
-// io_by_tenant attribution. Results also land in BENCH_qos.json.
+// io_by_tenant attribution. Results also land in BENCH_qos.json (or
+// --json=<path>).
 
 #include <algorithm>
 #include <functional>
@@ -242,7 +243,8 @@ int main(int argc, char** argv) {
                "aggressor's admission rate: its queue-wait balloons and "
                "aggregate throughput\ndips, the price of a hard rate cap "
                "that wfq does not charge.\n";
-  (void)WriteMetricsJsonArrayFile("BENCH_qos.json", rows);
+  (void)WriteMetricsJsonArrayFile(JsonPath(argc, argv, "BENCH_qos.json"),
+                                  rows);
   capture.Finish();
   return 0;
 }

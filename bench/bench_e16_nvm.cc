@@ -257,8 +257,8 @@ int main(int argc, char** argv) {
   // --nvm=<kib> restricts the sweep to one NVM size and --nvm-policy=<os|hw>
   // to one managed family (quick A/B runs; the no-NVM baseline always runs —
   // it is the denominator of the "cut" column). A restricted run does not
-  // refresh BENCH_nvm.json: CI diffs it byte for byte against the committed
-  // copy, so a partial file must never overwrite it.
+  // write BENCH_nvm.json (or --json=<path>): CI diffs it byte for byte
+  // against the committed copy, so a partial file must never overwrite it.
   std::vector<uint64_t> sweep_kib(std::begin(kNvmSweepKib),
                                   std::end(kNvmSweepKib));
   uint64_t hw_kib = 1024;
@@ -380,7 +380,10 @@ int main(int argc, char** argv) {
                "DRAM. Hardware epoch-counter migration catches only\nthe "
                "hottest head (no eviction, coarse epochs): same NVM, far "
                "less of the Zipf tail covered.\n";
-  if (full_sweep) (void)WriteMetricsJsonArrayFile("BENCH_nvm.json", rows);
+  if (full_sweep) {
+    (void)WriteMetricsJsonArrayFile(JsonPath(argc, argv, "BENCH_nvm.json"),
+                                    rows);
+  }
   capture.Finish();
   return oracle_ok ? 0 : 1;
 }

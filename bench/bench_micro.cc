@@ -566,17 +566,22 @@ void BM_SimCoreReplay(benchmark::State& state) {
 BENCHMARK(BM_SimCoreReplay)->Unit(benchmark::kMillisecond);
 
 void BM_MachineConstruct(benchmark::State& state) {
-  // Builds and destroys one notebook machine (16 MiB DRAM, 32 MiB flash):
-  // the per-user setup a fleet run (RunScaleout) pays before replaying
-  // anything. Allocator free lists and FTL maps fill in as they are used,
-  // so this should not grow with the configured capacities.
-  const MachineConfig config = NotebookConfig();
+  // Builds and destroys one notebook machine (16 MiB DRAM) with
+  // range(0) MiB of flash: the per-user setup a fleet run (RunScaleout)
+  // pays before replaying anything, at the notebook's 32 MiB and at 16x
+  // that. Allocator free lists, FTL maps and per-sector state fill in as
+  // they are used, so the two rows should cost about the same.
+  MachineConfig config = NotebookConfig();
+  config.flash_bytes = static_cast<uint64_t>(state.range(0)) * kMiB;
   for (auto _ : state) {
     MobileComputer machine(config);
     benchmark::DoNotOptimize(&machine);
   }
 }
-BENCHMARK(BM_MachineConstruct)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MachineConstruct)
+    ->Arg(32)
+    ->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SingleLevelStoreLoad(benchmark::State& state) {
   MobileComputer machine(NotebookConfig());

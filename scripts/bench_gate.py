@@ -13,8 +13,10 @@ Which rows are reported is decided by the fresh file's basename:
 BENCH_micro.json — the hot paths a change is most likely to slow:
 
   * BM_SimCoreReplay            — whole-machine replay (sim_ops_per_s);
-  * BM_MachineConstruct         — building and destroying one notebook
-                                  machine, a fleet user's setup (ns_per_op);
+  * BM_MachineConstruct/{32,512} — building and destroying one notebook
+                                  machine with 32 or 512 MiB of flash, a
+                                  fleet user's setup; the two rows should
+                                  stay close (ns_per_op);
   * BM_TraceGenerationUser      — generating one fleet user's two-second
                                   trace (ns_per_op);
   * BM_TraceReplay              — replaying a one-minute office trace on a
@@ -47,7 +49,8 @@ import sys
 REPORTS = {
     "BENCH_micro.json": [
         ("BM_SimCoreReplay", "sim_ops_per_s", True),
-        ("BM_MachineConstruct", "ns_per_op", False),
+        ("BM_MachineConstruct/32", "ns_per_op", False),
+        ("BM_MachineConstruct/512", "ns_per_op", False),
         ("BM_TraceGenerationUser", "ns_per_op", False),
         ("BM_TraceReplay", "ns_per_op", False),
         ("BM_LargeStoreRandOverwrite/65536", "ns_per_op", False),

@@ -2,7 +2,8 @@
 """Diffs every experiment bench's console output against tests/golden/.
 
 Runs each bench_e* binary in BENCH_BINDIR once, from a scratch working
-directory, with --trace/--metrics capture on, then:
+directory, with --trace/--metrics capture on and each JSON artifact pointed
+into that directory (--json), then:
 
   * masks the few host-dependent parts of the output (below) and compares
     it with tests/golden/<bench>.txt byte for byte;
@@ -55,6 +56,15 @@ EXACT_JSON = [
     "BENCH_qos.json",
     "BENCH_recovery.json",
 ]
+# Benches that write a JSON artifact, and its file name: each is told where
+# to write it (--json=<path> in the scratch directory).
+JSON_ARTIFACTS = {
+    "bench_e11_scaleout": "BENCH_scaleout.json",
+    "bench_e12_migration": "BENCH_migration.json",
+    "bench_e13_recovery": "BENCH_recovery.json",
+    "bench_e14_qos": "BENCH_qos.json",
+    "bench_e16_nvm": "BENCH_nvm.json",
+}
 
 # bench_e11_scaleout table columns that measure the host, not the model.
 E11_HOST_COLUMNS = {
@@ -116,12 +126,16 @@ def run_benches(bindir, workdir):
     for bench in sorted(glob.glob(os.path.join(bindir, "bench_e*"))):
         name = os.path.basename(bench)
         print(f"=== {name}", flush=True)
+        args = [
+            os.path.abspath(bench),
+            f"--trace={name}.trace.json",
+            f"--metrics={name}.metrics.json",
+        ]
+        if name in JSON_ARTIFACTS:
+            args.append(
+                f"--json={os.path.join(workdir, JSON_ARTIFACTS[name])}")
         result = subprocess.run(
-            [
-                os.path.abspath(bench),
-                f"--trace={name}.trace.json",
-                f"--metrics={name}.metrics.json",
-            ],
+            args,
             cwd=workdir,
             env=env,
             stdout=subprocess.PIPE,

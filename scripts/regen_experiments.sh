@@ -37,18 +37,32 @@ bindir="build-release/bench"
 outdir="experiments_out"
 mkdir -p "${outdir}"
 
+# The JSON artifact a bench writes (passed as --json=<path>), if any.
+json_artifact() {
+  case "$1" in
+    bench_e11_scaleout) echo "BENCH_scaleout.json" ;;
+    bench_e12_migration) echo "BENCH_migration.json" ;;
+    bench_e13_recovery) echo "BENCH_recovery.json" ;;
+    bench_e14_qos) echo "BENCH_qos.json" ;;
+    bench_e16_nvm) echo "BENCH_nvm.json" ;;
+  esac
+}
+
 for bench in "${bindir}"/bench_e[0-9]*; do
   name="$(basename "${bench}")"
   case "${name}" in
-    bench_e11_scaleout) continue ;;  # runs below with its JSON artifact
+    bench_e11_scaleout) continue ;;  # runs below, with the micro suite
   esac
+  args=()
+  artifact="$(json_artifact "${name}")"
+  if [ -n "${artifact}" ]; then args+=("--json=${artifact}"); fi
   echo "=== ${name} ==="
-  "${bench}" | tee "${outdir}/${name}.txt"
+  "${bench}" "${args[@]}" | tee "${outdir}/${name}.txt"
 done
 # bench_e12_migration, bench_e13_recovery, bench_e14_qos, and bench_e16_nvm
-# (in the loop above, run from the repo root) also refresh
-# BENCH_migration.json / BENCH_recovery.json / BENCH_qos.json /
-# BENCH_nvm.json in place; fail loudly if they did not.
+# (in the loop above) refresh BENCH_migration.json / BENCH_recovery.json /
+# BENCH_qos.json / BENCH_nvm.json at the repo root; fail loudly if they did
+# not.
 test -s BENCH_migration.json
 test -s BENCH_recovery.json
 test -s BENCH_qos.json
@@ -61,8 +75,9 @@ if [ "${run_micro}" -eq 1 ]; then
   echo "=== bench_e11_scaleout ==="
   # A fixed job count, as scripts/golden_check.py uses, so the K sweep and
   # its host columns do not depend on the machine's CPU count.
-  (cd "${bindir}" && SSMC_JOBS=4 ./bench_e11_scaleout) | tee "${outdir}/bench_e11_scaleout.txt"
-  cp "${bindir}/BENCH_scaleout.json" BENCH_scaleout.json
+  SSMC_JOBS=4 "${bindir}/bench_e11_scaleout" \
+    "--json=$(json_artifact bench_e11_scaleout)" |
+    tee "${outdir}/bench_e11_scaleout.txt"
 
   echo "=== bench_micro ==="
   (cd "${bindir}" && ./bench_micro) | tee "${outdir}/bench_micro.txt"

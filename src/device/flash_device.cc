@@ -20,6 +20,7 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
       capacity_(capacity_bytes),
       clock_(clock),
       rng_(seed),
+      sectors_(capacity_bytes / spec_.erase_sector_bytes),
       sched_(clock, banks, IoSchedPolicy::kFifo, &stats_),
       bank_obs_("flash", sched_, stats_) {
   assert(banks >= 1);
@@ -27,7 +28,6 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
   assert(capacity_ % spec_.erase_sector_bytes == 0);
   assert((capacity_ / spec_.erase_sector_bytes) % banks == 0 &&
          "sectors must divide evenly into banks");
-  sector_extents_.resize(capacity_ / spec_.erase_sector_bytes);
   sectors_per_bank_ = (capacity_ / spec_.erase_sector_bytes) /
                       static_cast<uint64_t>(banks);
   if (std::has_single_bit(spec_.erase_sector_bytes)) {
@@ -37,7 +37,6 @@ FlashDevice::FlashDevice(FlashSpec spec, uint64_t capacity_bytes, int banks,
     bank_shift_ = std::countr_zero(sectors_per_bank_);
   }
   erased_template_.assign(spec_.erase_sector_bytes, kErasedByte);
-  sectors_.resize(capacity_ / spec_.erase_sector_bytes);
 }
 
 void FlashDevice::AttachObs(Obs* obs) {
@@ -56,9 +55,10 @@ int FlashDevice::BankOfAddress(uint64_t addr) const {
 }
 
 void FlashDevice::PrefetchExtentIndex(uint64_t sector) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  for (const ExtentEntry& e : extents) {
-    e.ref.Prefetch();
+  if (const Sector* s = sectors_.Find(sector)) {
+    for (const ExtentEntry& e : s->extents) {
+      e.ref.Prefetch();
+    }
   }
 }
 
@@ -95,18 +95,8 @@ Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
   if (BankOfAddress(addr + out.size() - 1) != bank) {
     return InvalidArgumentError("flash read crosses a bank boundary");
   }
-  for (uint64_t s = SectorOfAddr(addr);
-       s <= SectorOfAddr(addr + out.size() - 1); ++s) {
-    if (sectors_[s].bad) {
-      return DataLossError("read from worn-out flash sector " +
-                           std::to_string(s));
-    }
-    if (fault_reads_remaining_ > 0 && s == fault_sector_) {
-      fault_reads_remaining_ -= 1;
-      return InternalError("injected read fault in flash sector " +
-                           std::to_string(s));
-    }
-  }
+  SSMC_RETURN_IF_ERROR(
+      CheckReadable(SectorOfAddr(addr), SectorOfAddr(addr + out.size() - 1)));
 
   const Duration op_ns = spec_.read.LatencyFor(out.size());
   const IoScheduler::Dispatch d =
@@ -123,7 +113,7 @@ Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
     const uint64_t s = SectorOfAddr(pos);
     const uint64_t off = OffsetInSector(pos);
     const uint64_t n = std::min(remaining, sector_bytes() - off);
-    CopyOut(s, off, n, dst);
+    CopyOut(sectors_.Find(s), off, n, dst);
     dst += n;
     pos += n;
     remaining -= n;
@@ -133,46 +123,63 @@ Result<Duration> FlashDevice::Read(uint64_t addr, std::span<uint8_t> out,
   return d.wait + op_ns;
 }
 
-FlashDevice::ExtentIter FlashDevice::FirstCandidate(uint64_t sector,
-                                                   uint64_t off) const {
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  if (sectors_[sector].overlapping) {
-    return extents.begin();
+Status FlashDevice::CheckReadable(uint64_t first, uint64_t last) {
+  for (uint64_t s = first; s <= last; ++s) {
+    if (IsSectorBad(s)) {
+      return DataLossError("read from worn-out flash sector " +
+                           std::to_string(s));
+    }
+    if (fault_reads_remaining_ > 0 && s == fault_sector_) {
+      fault_reads_remaining_ -= 1;
+      return InternalError("injected read fault in flash sector " +
+                           std::to_string(s));
+    }
+  }
+  return Status::Ok();
+}
+
+FlashDevice::ExtentIter FlashDevice::FirstCandidate(const Sector& s,
+                                                   uint64_t off) {
+  if (s.overlapping) {
+    return s.extents.begin();
   }
   auto it = std::upper_bound(
-      extents.begin(), extents.end(), off,
+      s.extents.begin(), s.extents.end(), off,
       [](uint64_t o, const ExtentEntry& e) { return o < e.offset; });
   // Disjoint extents: only the previous one may begin before `off` and
   // reach into the range.
-  return it == extents.begin() ? it : std::prev(it);
+  return it == s.extents.begin() ? it : std::prev(it);
 }
 
-const FlashDevice::ExtentEntry* FlashDevice::SoleCover(uint64_t sector,
+const FlashDevice::ExtentEntry* FlashDevice::SoleCover(const Sector& s,
                                                        uint64_t off,
-                                                       uint64_t n) const {
-  if (sectors_[sector].overlapping) {
+                                                       uint64_t n) {
+  if (s.overlapping) {
     return nullptr;
   }
-  const ExtentIter it = FirstCandidate(sector, off);
-  if (it == sector_extents_[sector].end() || it->offset > off ||
+  const ExtentIter it = FirstCandidate(s, off);
+  if (it == s.extents.end() || it->offset > off ||
       it->offset + it->ref.size() < off + n) {
     return nullptr;
   }
   return &*it;
 }
 
-void FlashDevice::CopyOut(uint64_t sector, uint64_t off, uint64_t n,
-                          uint8_t* dst) const {
+void FlashDevice::CopyOut(const Sector* s, uint64_t off, uint64_t n,
+                          uint8_t* dst) {
   // Fast path: one extent covers the range (the FTL's page-granular and
   // partial-page reads) — one memcpy, no background fill.
-  if (const ExtentEntry* e = SoleCover(sector, off, n)) {
+  const ExtentEntry* e = s != nullptr ? SoleCover(*s, off, n) : nullptr;
+  if (e != nullptr) {
     std::memcpy(dst, e->ref.data() + (off - e->offset), n);
     return;
   }
   std::memset(dst, kErasedByte, n);
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  for (ExtentIter it = FirstCandidate(sector, off);
-       it != extents.end() && it->offset < off + n; ++it) {
+  if (s == nullptr) {
+    return;
+  }
+  for (ExtentIter it = FirstCandidate(*s, off);
+       it != s->extents.end() && it->offset < off + n; ++it) {
     const uint64_t lo = std::max<uint64_t>(off, it->offset);
     const uint64_t hi =
         std::min<uint64_t>(off + n, it->offset + it->ref.size());
@@ -197,18 +204,8 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
   if (BankOfAddress(addr + bytes - 1) != bank) {
     return InvalidArgumentError("flash read crosses a bank boundary");
   }
-  for (uint64_t s = SectorOfAddr(addr); s <= SectorOfAddr(addr + bytes - 1);
-       ++s) {
-    if (sectors_[s].bad) {
-      return DataLossError("read from worn-out flash sector " +
-                           std::to_string(s));
-    }
-    if (fault_reads_remaining_ > 0 && s == fault_sector_) {
-      fault_reads_remaining_ -= 1;
-      return InternalError("injected read fault in flash sector " +
-                           std::to_string(s));
-    }
-  }
+  SSMC_RETURN_IF_ERROR(
+      CheckReadable(SectorOfAddr(addr), SectorOfAddr(addr + bytes - 1)));
 
   const Duration op_ns = spec_.read.LatencyFor(bytes);
   const IoScheduler::Dispatch d =
@@ -221,8 +218,9 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
   PayloadRef payload;
   const uint64_t sector = SectorOfAddr(addr);
   const uint64_t off = OffsetInSector(addr);
-  if (off + bytes <= sector_bytes()) {
-    const ExtentEntry* e = SoleCover(sector, off, bytes);
+  const Sector* meta = sectors_.Find(sector);
+  if (meta != nullptr && off + bytes <= sector_bytes()) {
+    const ExtentEntry* e = SoleCover(*meta, off, bytes);
     if (e != nullptr && e->offset == off && e->ref.size() == bytes) {
       payload = e->ref;  // Zero-copy: share the stored extent.
     }
@@ -238,7 +236,7 @@ Result<PayloadRef> FlashDevice::ReadExtent(uint64_t addr, uint64_t bytes,
       const uint64_t s = SectorOfAddr(pos);
       const uint64_t o = OffsetInSector(pos);
       const uint64_t n = std::min(remaining, sector_bytes() - o);
-      CopyOut(s, o, n, dst);
+      CopyOut(sectors_.Find(s), o, n, dst);
       dst += n;
       pos += n;
       remaining -= n;
@@ -262,7 +260,7 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
   if (SectorOfAddr(addr + size - 1) != sector) {
     return InvalidArgumentError("flash program crosses a sector boundary");
   }
-  Sector& meta = sectors_[sector];
+  Sector& meta = sectors_.Touch(sector);
   if (meta.bad) {
     return DataLossError("program to worn-out flash sector " +
                          std::to_string(sector));
@@ -270,7 +268,7 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
   const uint64_t off = OffsetInSector(addr);
   if (off < meta.programmed_end) {
     uint64_t first_programmed = 0;
-    if (!RangeErased(sector, off, size, &first_programmed)) {
+    if (!RangeErased(sector, meta, off, size, &first_programmed)) {
       return FailedPreconditionError(
           "program to non-erased flash byte at address " +
           std::to_string(first_programmed));
@@ -291,7 +289,7 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
           std::memset(payload.MutableData() + applied, kErasedByte,
                       size - applied);
         }
-        FileExtent(sector, off, std::move(payload));
+        FileExtent(meta, off, std::move(payload));
         meta.programmed_end = std::max(meta.programmed_end,
                                        static_cast<uint32_t>(off + applied));
       }
@@ -310,7 +308,7 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
 
   // File the ref instead of copying the bytes: the device is now one more
   // holder of the extent.
-  FileExtent(sector, off, std::move(payload));
+  FileExtent(meta, off, std::move(payload));
   meta.programmed_end =
       std::max(meta.programmed_end, static_cast<uint32_t>(off + size));
   stats_.programs.Add();
@@ -318,17 +316,15 @@ Result<Duration> FlashDevice::ProgramExtent(uint64_t addr, PayloadRef payload,
   return d.wait + op_ns;
 }
 
-void FlashDevice::FileExtent(uint64_t sector, uint64_t off,
-                             PayloadRef payload) {
-  std::vector<ExtentEntry>& extents = sector_extents_[sector];
+void FlashDevice::FileExtent(Sector& s, uint64_t off, PayloadRef payload) {
+  std::vector<ExtentEntry>& extents = s.extents;
   auto it = std::lower_bound(
       extents.begin(), extents.end(), off,
       [](const ExtentEntry& e, uint64_t o) { return e.offset < o; });
   // While the sector's extents are disjoint, only the neighbours can
   // intersect the new one.
-  Sector& meta = sectors_[sector];
-  meta.overlapping =
-      meta.overlapping ||
+  s.overlapping =
+      s.overlapping ||
       (it != extents.end() && it->offset < off + payload.size()) ||
       (it != extents.begin() &&
        std::prev(it)->offset + std::prev(it)->ref.size() > off);
@@ -336,14 +332,14 @@ void FlashDevice::FileExtent(uint64_t sector, uint64_t off,
                  ExtentEntry{static_cast<uint32_t>(off), std::move(payload)});
 }
 
-bool FlashDevice::RangeErased(uint64_t sector, uint64_t off, uint64_t n,
+bool FlashDevice::RangeErased(uint64_t sector, const Sector& s, uint64_t off,
+                              uint64_t n,
                               uint64_t* first_programmed_addr) const {
   // Every extent intersecting the range: one vectorized memcmp each, a
   // per-byte scan only to name the offending address.
   uint64_t first = ~uint64_t{0};
-  const std::vector<ExtentEntry>& extents = sector_extents_[sector];
-  for (ExtentIter it = FirstCandidate(sector, off);
-       it != extents.end() && it->offset < off + n; ++it) {
+  for (ExtentIter it = FirstCandidate(s, off);
+       it != s.extents.end() && it->offset < off + n; ++it) {
     const uint64_t lo = std::max<uint64_t>(off, it->offset);
     const uint64_t hi = std::min<uint64_t>(off + n, it->offset + it->ref.size());
     if (lo >= hi || lo >= first) {
@@ -371,7 +367,7 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
   if (sector >= num_sectors()) {
     return OutOfRangeError("erase of nonexistent flash sector");
   }
-  Sector& s = sectors_[sector];
+  Sector& s = sectors_.Touch(sector);
   if (s.bad) {
     return DataLossError("erase of worn-out flash sector " +
                          std::to_string(sector));
@@ -427,14 +423,18 @@ Result<Duration> FlashDevice::EraseSector(uint64_t sector, IoIssue issue) {
   // Extent payloads are simply dropped (a refcount decrement per entry, no
   // byte traffic — other layers still aliasing an extent keep its bytes
   // alive).
-  sector_extents_[sector].clear();
+  s.extents.clear();
   s.programmed_end = 0;
   s.overlapping = false;
   return d.wait + op_ns;
 }
 
 bool FlashDevice::IsSectorErased(uint64_t sector) const {
-  for (const ExtentEntry& e : sector_extents_[sector]) {
+  const Sector* s = sectors_.Find(sector);
+  if (s == nullptr) {
+    return true;
+  }
+  for (const ExtentEntry& e : s->extents) {
     if (std::memcmp(e.ref.data(), erased_template_.data(), e.ref.size()) !=
         0) {
       return false;
@@ -444,27 +444,31 @@ bool FlashDevice::IsSectorErased(uint64_t sector) const {
 }
 
 FlashDevice::WearSummary FlashDevice::SummarizeWear() const {
+  // Every sector in index order, untouched ones at erase count 0, so the
+  // floating-point sums are the same whichever sectors were touched.
   WearSummary w;
-  if (sectors_.empty()) {
+  const uint64_t n = num_sectors();
+  if (n == 0) {
     return w;
   }
-  w.min_erases = sectors_[0].erase_count;
+  w.min_erases = EraseCount(0);
   double sum = 0;
-  for (const Sector& s : sectors_) {
-    w.min_erases = std::min(w.min_erases, s.erase_count);
-    w.max_erases = std::max(w.max_erases, s.erase_count);
-    sum += static_cast<double>(s.erase_count);
-    if (s.bad) {
+  for (uint64_t s = 0; s < n; ++s) {
+    const uint64_t count = EraseCount(s);
+    w.min_erases = std::min(w.min_erases, count);
+    w.max_erases = std::max(w.max_erases, count);
+    sum += static_cast<double>(count);
+    if (IsSectorBad(s)) {
       ++w.bad_sectors;
     }
   }
-  w.mean_erases = sum / static_cast<double>(sectors_.size());
+  w.mean_erases = sum / static_cast<double>(n);
   double var = 0;
-  for (const Sector& s : sectors_) {
-    const double d = static_cast<double>(s.erase_count) - w.mean_erases;
+  for (uint64_t s = 0; s < n; ++s) {
+    const double d = static_cast<double>(EraseCount(s)) - w.mean_erases;
     var += d * d;
   }
-  w.stddev_erases = std::sqrt(var / static_cast<double>(sectors_.size()));
+  w.stddev_erases = std::sqrt(var / static_cast<double>(n));
   return w;
 }
 

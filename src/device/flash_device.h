@@ -50,6 +50,7 @@
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
 #include "src/support/extent.h"
+#include "src/support/first_touch_table.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
 #include "src/support/units.h"
@@ -117,11 +118,22 @@ class FlashDevice {
   // sector once past the endurance limit.
   Result<Duration> EraseSector(uint64_t sector, IoIssue issue = {});
 
+  // Per-sector queries. A sector never programmed or erased answers as a
+  // fresh one: erased, not bad, no wear.
   // True if the sector is entirely 0xFF (cheap check used by allocators).
   bool IsSectorErased(uint64_t sector) const;
-  bool IsSectorBad(uint64_t sector) const { return sectors_[sector].bad; }
+  bool IsSectorBad(uint64_t sector) const {
+    const Sector* s = sectors_.Find(sector);
+    return s != nullptr && s->bad;
+  }
   uint64_t EraseCount(uint64_t sector) const {
-    return sectors_[sector].erase_count;
+    const Sector* s = sectors_.Find(sector);
+    return s != nullptr ? s->erase_count : 0;
+  }
+  // The first sector at or after `sector` that was ever programmed or
+  // erased, or num_sectors(): every sector before it answers as fresh.
+  uint64_t NextTouchedSector(uint64_t sector) const {
+    return sectors_.NextTouched(sector);
   }
 
   // Simulated time at which the given bank becomes free (completion of its
@@ -220,6 +232,20 @@ class FlashDevice {
   }
 
  private:
+  // One programmed extent within a sector: `ref`'s payload covers
+  // [offset, offset + ref.size()). A sector's entries are kept sorted by
+  // offset. They are disjoint unless the sector is marked `overlapping`: the
+  // erased checks only guarantee that an earlier extent's bytes under a new
+  // one are 0xFF, so the medium is the AND of every extent (NOR programs
+  // only clear bits), whatever their order.
+  struct ExtentEntry {
+    uint32_t offset;
+    PayloadRef ref;
+  };
+  using ExtentIter = std::vector<ExtentEntry>::const_iterator;
+
+  // Everything the device keeps per erase sector, built the first time the
+  // sector is programmed or erased.
   struct Sector {
     uint64_t erase_count = 0;
     // End offset (exclusive) of the highest byte programmed since the last
@@ -233,6 +259,10 @@ class FlashDevice {
     // another), so reads AND every intersecting extent instead of taking
     // the sole one that covers the range.
     bool overlapping = false;
+    // Programmed extents: the device's only payload plane. Bytes no extent
+    // covers read as erased (0xFF), so an erase drops refs instead of
+    // memsetting.
+    std::vector<ExtentEntry> extents;
   };
 
   // Sector geometry is almost always a power of two; cache the shift so the
@@ -253,40 +283,35 @@ class FlashDevice {
                                  uint64_t bytes, Duration op_ns,
                                  IoIssue issue);
 
-  // One programmed extent within a sector: `ref`'s payload covers
-  // [offset, offset + ref.size()). Entries are kept sorted by offset. They
-  // are disjoint unless the sector is marked `overlapping`: the erased
-  // checks only guarantee that an earlier extent's bytes under a new one
-  // are 0xFF, so the medium is the AND of every extent (NOR programs only
-  // clear bits), whatever their order.
-  struct ExtentEntry {
-    uint32_t offset;
-    PayloadRef ref;
-  };
-  using ExtentIter = std::vector<ExtentEntry>::const_iterator;
+  // Files `payload` at `off` of sector `s`, marking it overlapping if the
+  // new extent intersects an existing one.
+  static void FileExtent(Sector& s, uint64_t off, PayloadRef payload);
 
-  // Files `payload` at `off` of `sector`, marking the sector overlapping if
-  // the new extent intersects an existing one.
-  void FileExtent(uint64_t sector, uint64_t off, PayloadRef payload);
+  // The first extent of `s` that may intersect a range starting at `off`:
+  // the last one starting at or before it when extents are disjoint, the
+  // first one otherwise.
+  static ExtentIter FirstCandidate(const Sector& s, uint64_t off);
 
-  // The first extent of `sector` that may intersect a range starting at
-  // `off`: the last one starting at or before it when extents are disjoint,
-  // the first one otherwise.
-  ExtentIter FirstCandidate(uint64_t sector, uint64_t off) const;
+  // The one extent that alone determines [off, off + n) of `s` (it covers
+  // the range and nothing else intersects it), or null.
+  static const ExtentEntry* SoleCover(const Sector& s, uint64_t off,
+                                      uint64_t n);
 
-  // The one extent that alone determines [off, off + n) of `sector` (it
-  // covers the range and nothing else intersects it), or null.
-  const ExtentEntry* SoleCover(uint64_t sector, uint64_t off,
-                               uint64_t n) const;
+  // Assembles [off, off + n) of sector `s` (null: never touched, all
+  // erased) into `dst`: one memcpy from the sole covering extent, else 0xFF
+  // ANDed with every intersecting extent.
+  static void CopyOut(const Sector* s, uint64_t off, uint64_t n,
+                      uint8_t* dst);
 
-  // Assembles [off, off + n) of `sector` into `dst`: one memcpy from the
-  // sole covering extent, else 0xFF ANDed with every intersecting extent.
-  void CopyOut(uint64_t sector, uint64_t off, uint64_t n, uint8_t* dst) const;
+  // Erased check for [off, off + n) of `s`, sector number `sector`. On
+  // failure stores the absolute address of the first non-erased byte (for
+  // the error message).
+  bool RangeErased(uint64_t sector, const Sector& s, uint64_t off,
+                   uint64_t n, uint64_t* first_programmed_addr) const;
 
-  // Erased check for [off, off + n) of `sector`. On failure stores the
-  // absolute address of the first non-erased byte (for the error message).
-  bool RangeErased(uint64_t sector, uint64_t off, uint64_t n,
-                   uint64_t* first_programmed_addr) const;
+  // Rejects a read of sectors [first, last] if one is worn out or has an
+  // injected fault pending.
+  Status CheckReadable(uint64_t first, uint64_t last);
 
   FlashSpec spec_;
   uint64_t capacity_;
@@ -295,14 +320,12 @@ class FlashDevice {
   int sector_shift_ = -1;
   int bank_shift_ = -1;
   uint64_t sectors_per_bank_ = 0;
-  // Per-sector programmed extents: the device's only payload plane. Bytes
-  // no extent covers read as erased (0xFF), so construction costs no
-  // capacity-sized fill and an erase drops refs instead of memsetting.
-  std::vector<std::vector<ExtentEntry>> sector_extents_;
   // One sector's worth of 0xFF, compared wholesale (memcmp) by the erased
   // checks in ProgramExtent() and IsSectorErased().
   std::vector<uint8_t> erased_template_;
-  std::vector<Sector> sectors_;
+  // Built on first touch: construction costs no capacity-sized fill, and
+  // teardown visits only the sectors a run programmed or erased.
+  FirstTouchTable<Sector> sectors_;
   IoScheduler sched_;  // One channel per bank; writes stats_'s lanes.
   Stats stats_;
   EnergyMeter energy_;

@@ -14,6 +14,18 @@ namespace {
 // Cleaning starts when the free-sector count drops to this level and runs
 // until it exceeds it (or no sector with dead pages remains).
 constexpr uint64_t kFreeSectorLowWater = 2;
+
+// Sectors in the hot-bank range: 0 unless segregation is on
+// (hot_bank_count inside (0, num_banks)).
+uint64_t HotSectorCount(const FlashDevice& flash,
+                        const FlashStoreOptions& options) {
+  if (options.hot_bank_count > 0 &&
+      options.hot_bank_count < flash.num_banks()) {
+    return static_cast<uint64_t>(options.hot_bank_count) *
+           flash.sectors_per_bank();
+  }
+  return 0;
+}
 }  // namespace
 
 int64_t PickCleaningVictim(const std::vector<SectorMeta>& sectors,
@@ -115,11 +127,13 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
       options_(options),
       pps_(static_cast<uint32_t>(flash.sector_bytes() / options.block_bytes)),
       extent_pool_(options.block_bytes),
+      hot_(flash.num_sectors()),
+      hot_sector_count_(HotSectorCount(flash, options)),
       victim_index_(options.cleaner,
                     static_cast<uint32_t>(flash.sector_bytes() /
                                           options.block_bytes),
                     flash.num_sectors()),
-      cold_index_(flash.num_sectors()) {
+      cold_index_(hot_sector_count_) {
   assert(options_.block_bytes > 0);
   assert(flash_.sector_bytes() % options_.block_bytes == 0 &&
          "block size must divide the erase sector size");
@@ -147,33 +161,43 @@ FlashStore::FlashStore(FlashDevice& flash, FlashStoreOptions options)
   page_owner_ = std::make_unique_for_overwrite<uint64_t[]>(num_sectors * pps);
   page_tenant_ = std::make_unique_for_overwrite<TenantId[]>(num_sectors * pps);
   assert(pps <= UINT16_MAX && "SectorHot packs page counts into 16 bits");
-  hot_.resize(num_sectors);
-  for (SectorHot& h : hot_) {
-    h.flags = kFreeFlag;
-  }
-  next_free_page_.assign(num_sectors, 0);
   free_pool_.assign(static_cast<size_t>(flash_.num_banks()),
                     FreeSectorPool(options_.wear != WearPolicy::kNone));
   // Every sector starts free, added in ascending order at its current erase
   // count: one run per stretch of equal counts (one per bank on a new card).
+  // Only sectors the device ever touched can have a count other than 0, so
+  // the walk visits those and takes each stretch between them as one run.
   const uint64_t per_bank = flash_.sectors_per_bank();
+  uint64_t next_touched = flash_.NextTouchedSector(0);
   for (size_t bank = 0; bank < free_pool_.size(); ++bank) {
+    FreeSectorPool& pool = free_pool_[bank];
     const uint64_t end = (bank + 1) * per_bank;
-    for (uint64_t first = bank * per_bank, s = first + 1; s <= end; ++s) {
-      if (s == end || flash_.EraseCount(s) != flash_.EraseCount(first)) {
-        free_pool_[bank].AddRun(first, s - first, flash_.EraseCount(first));
+    uint64_t first = bank * per_bank;  // The open run: [first, s), at count.
+    uint64_t count = 0;
+    const auto extend = [&](uint64_t s, uint64_t erases) {
+      if (erases != count) {
+        pool.AddRun(first, s - first, count);
         first = s;
+        count = erases;
       }
+    };
+    for (uint64_t s = first; s < end;) {
+      if (next_touched < s) {
+        next_touched = flash_.NextTouchedSector(s);
+      }
+      const uint64_t touched = std::min(next_touched, end);
+      if (touched > s) {
+        extend(s, 0);  // [s, touched) was never touched: count 0.
+      }
+      if (touched < end) {
+        extend(touched, flash_.EraseCount(touched));
+      }
+      s = touched + 1;
     }
+    pool.AddRun(first, end - first, count);
   }
   free_sector_count_ = num_sectors;
   active_.assign(static_cast<size_t>(flash_.num_banks()), -1);
-
-  if (options_.hot_bank_count > 0 &&
-      options_.hot_bank_count < flash_.num_banks()) {
-    hot_sector_count_ = static_cast<uint64_t>(options_.hot_bank_count) *
-                        flash_.sectors_per_bank();
-  }
 
   if (options_.wear == WearPolicy::kStatic) {
     wear_index_ = std::make_unique<WearIndex>(num_sectors);
@@ -219,7 +243,7 @@ void FlashStore::SettleIndexes() {
   constexpr size_t kAhead = 8;
   const size_t n = pending_.size();
   const auto prefetch = [this](uint64_t sector) {
-    __builtin_prefetch(&hot_[sector], 1);
+    __builtin_prefetch(hot_.slot(sector), 1);
     victim_index_.Prefetch(sector);
   };
   for (size_t i = 0; i < std::min(n, kAhead); ++i) {
@@ -251,7 +275,8 @@ int64_t FlashStore::TakeFreeSector(int bank) {
   if (sector < 0) {
     return -1;
   }
-  hot_[static_cast<size_t>(sector)].flags &= ~kFreeFlag;
+  hot_.Touch(static_cast<uint64_t>(sector)).flags &= ~kFreeFlag;
+  victim_index_.Open(static_cast<uint64_t>(sector));
   free_sector_count_ -= 1;
   std::fill_n(&page_owner_[static_cast<uint64_t>(sector) * pps_], pps_,
               kUnmapped);
@@ -289,7 +314,8 @@ Result<uint64_t> FlashStore::AllocatePage(WriteStream stream,
       rot = rot + 1 == len ? 0 : rot + 1;
       int64_t active = active_[static_cast<size_t>(bank)];
       if (active >= 0 &&
-          next_free_page_[static_cast<size_t>(active)] >= pages_per_sector()) {
+          hot_[static_cast<size_t>(active)].next_free_page >=
+              pages_per_sector()) {
         hot_[static_cast<size_t>(active)].flags &= ~kActiveFlag;
         active_[static_cast<size_t>(bank)] = -1;
         // The filled sector just became eligible for cleaning (if it holds
@@ -305,10 +331,10 @@ Result<uint64_t> FlashStore::AllocatePage(WriteStream stream,
         hot_[static_cast<size_t>(active)].flags |= kActiveFlag;
         active_[static_cast<size_t>(bank)] = active;
       }
+      SectorHot& h = hot_[static_cast<size_t>(active)];
       const uint64_t page =
-          static_cast<uint64_t>(active) * pages_per_sector() +
-          next_free_page_[static_cast<size_t>(active)];
-      next_free_page_[static_cast<size_t>(active)] += 1;
+          static_cast<uint64_t>(active) * pages_per_sector() + h.next_free_page;
+      h.next_free_page += 1;
       return static_cast<int64_t>(page);
     }
     return -1;
@@ -377,7 +403,7 @@ Result<Duration> FlashStore::WriteInternalRef(uint64_t block, PayloadRef data,
   // happens after the program.
   if (const uint64_t prior = MappedPage(block); prior != kUnmapped) {
     __builtin_prefetch(&page_owner_[prior], 1);
-    __builtin_prefetch(&hot_[SectorOfPage(prior)], 1);
+    __builtin_prefetch(hot_.slot(SectorOfPage(prior)), 1);
   }
 
   Result<uint64_t> page = AllocatePage(stream, allow_clean);
@@ -770,8 +796,7 @@ Status FlashStore::EraseAndFree(uint64_t sector) {
   stats_.erases.Add();
   const uint8_t pending = h.flags & kPendingFlag;  // Still in pending_.
   h = SectorHot{};
-  h.flags = kFreeFlag | pending;
-  next_free_page_[sector] = 0;
+  h.flags |= pending;
   UpdateSectorIndexes(sector);
   free_pool_[static_cast<size_t>(flash_.BankOfSector(sector))].Add(
       sector, flash_.EraseCount(sector));
@@ -920,7 +945,8 @@ Status FlashStore::CheckIndexConsistency() {
 
   // The maps: only opened (non-free) sectors have initialized page columns.
   uint64_t owned_pages = 0;
-  for (uint64_t s = 0; s < hot_.size(); ++s) {
+  for (uint64_t s = hot_.NextTouched(0); s < hot_.size();
+       s = hot_.NextTouched(s + 1)) {
     if ((hot_[s].flags & kFreeFlag) != 0) {
       continue;
     }

@@ -39,6 +39,7 @@
 #include "src/obs/stats_mirror.h"
 #include "src/sim/io_stats.h"
 #include "src/sim/stats.h"
+#include "src/support/first_touch_table.h"
 #include "src/support/status.h"
 #include "src/support/units.h"
 
@@ -237,19 +238,25 @@ class FlashStore {
   double TenantWriteAmplification(TenantId tenant) const;
 
   uint64_t free_sectors() const { return free_sector_count_; }
-  // Assembled from the SoA columns; a snapshot, not a reference into state.
+  // A snapshot, not a reference into state. A sector the store never opened
+  // is free and empty, like every sector of a new store.
   SectorMeta sector_meta(uint64_t s) const {
-    const SectorHot& h = hot_[s];
+    const SectorHot* found = hot_.Find(s);
+    const SectorHot h = found != nullptr ? *found : SectorHot{};
     SectorMeta m;
     m.valid_pages = h.valid_pages;
     m.dead_pages = h.dead_pages;
-    m.next_free_page = next_free_page_[s];
+    m.next_free_page = h.next_free_page;
     m.last_write_time = h.last_write_time;
     m.active = (h.flags & kActiveFlag) != 0;
     m.free = (h.flags & kFreeFlag) != 0;
     m.bad = (h.flags & kBadFlag) != 0;
     return m;
   }
+
+  // sector_meta of every sector, for the linear-scan references
+  // (CheckIndexConsistency) and tests — O(sectors).
+  std::vector<SectorMeta> SnapshotSectors() const;
 
   // Observability (nullable; null detaches): a "flash cleaner" trace track
   // with one span per cleaner pass / cold eviction / wear-level migration
@@ -288,7 +295,8 @@ class FlashStore {
   }
 
   // Takes a sector from `bank`'s free pool per the wear policy; returns -1
-  // if the pool is empty.
+  // if the pool is empty. A sector's first take is its first touch: it
+  // builds the sector's metadata and victim-index node.
   int64_t TakeFreeSector(int bank);
 
   // Finds a page to append to in a bank serving `stream` (falling back to
@@ -379,22 +387,18 @@ class FlashStore {
   static constexpr uint8_t kBadFlag = 4;     // Worn out.
   static constexpr uint8_t kPendingFlag = 8;  // Listed in pending_.
 
-  // Hot column of the per-sector metadata: everything victim selection,
-  // index syncs, and the linear-scan references read, packed into 16 bytes
-  // so a random sector access touches one cache line and a full-device scan
-  // walks a dense array (64 Ki sectors fit in 1 MiB). The write pointer lives
-  // in its own column below — only the page allocator reads it.
+  // The per-sector metadata: everything victim selection, index syncs, the
+  // page allocator and the linear-scan references read, packed into 16
+  // bytes so a random sector access touches one cache line. Default-built
+  // means free and empty: the state of every sector of a new store.
   struct SectorHot {
     SimTime last_write_time = 0;
     uint16_t valid_pages = 0;
     uint16_t dead_pages = 0;
-    uint8_t flags = 0;
+    uint16_t next_free_page = 0;  // Write pointer within the sector.
+    uint8_t flags = kFreeFlag;
   };
   static_assert(sizeof(SectorHot) == 16);
-
-  // AoS snapshot of every sector for the linear-scan references
-  // (CheckIndexConsistency only — O(sectors)).
-  std::vector<SectorMeta> SnapshotSectors() const;
 
   // Page-sized payload extents for the whole data plane (user writes,
   // cleaner relocation, upper-layer caches). Replaces the cleaner's
@@ -410,17 +414,18 @@ class FlashStore {
   std::vector<uint64_t> map_;  // logical block -> physical page.
   std::unique_ptr<uint64_t[]> page_owner_;   // physical page -> logical block.
   std::unique_ptr<TenantId[]> page_tenant_;  // physical page -> billing tenant.
-  std::vector<SectorHot> hot_;          // SoA: hot per-sector metadata.
-  std::vector<uint32_t> next_free_page_;  // SoA: per-sector write pointer.
+  // Per-sector metadata of every sector the store has opened; any other
+  // sector is free and empty (TakeFreeSector is the first touch).
+  FirstTouchTable<SectorHot> hot_;
   std::vector<FreeSectorPool> free_pool_;  // Per-bank free sectors.
   uint64_t free_sector_count_ = 0;         // == sum of free_pool_ sizes.
-  VictimIndex victim_index_;
-  ColdSectorIndex cold_index_;
-  std::unique_ptr<WearIndex> wear_index_;  // Only under WearPolicy::kStatic.
-  bool observer_registered_ = false;       // Erase observer needs unhooking.
   // First hot_sector_count_ sectors form the hot-bank range; 0 = segregation
   // off (hot_bank_count outside (0, num_banks)).
-  uint64_t hot_sector_count_ = 0;
+  uint64_t hot_sector_count_;
+  VictimIndex victim_index_;
+  ColdSectorIndex cold_index_;  // Spans the hot-bank range only.
+  std::unique_ptr<WearIndex> wear_index_;  // Only under WearPolicy::kStatic.
+  bool observer_registered_ = false;       // Erase observer needs unhooking.
   // Sectors whose index membership awaits SettleIndexes(), each once (its
   // kPendingFlag is set while listed).
   std::vector<uint64_t> pending_;

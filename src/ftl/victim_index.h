@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/first_touch_table.h"
 #include "src/support/units.h"
 
 namespace ssmc {
@@ -142,21 +143,30 @@ class VictimIndex {
   VictimIndex(CleanerPolicy policy, uint32_t pages_per_sector,
               uint64_t num_sectors);
 
-  // Brings `sector`'s membership in line with its current metadata.
-  // `candidate` must be (!active && !free && !bad && dead_pages > 0).
+  // Builds `sector`'s node if it has none (a sector's node is built once,
+  // so its epoch survives reuse). Required before the first Sync of the
+  // sector; the store calls it whenever it opens one.
+  void Open(uint64_t sector) { nodes_.Touch(sector); }
+
+  // Brings an opened `sector`'s membership in line with its current
+  // metadata. `candidate` must be (!active && !free && !bad &&
+  // dead_pages > 0).
   void Sync(uint64_t sector, uint32_t valid_pages, uint32_t dead_pages,
             SimTime last_write_time, bool candidate);
 
   // The sector the linear scan would pick at `now`, or -1 if no candidate.
   int64_t Pick(SimTime now) const;
 
-  bool Contains(uint64_t sector) const { return nodes_[sector].present; }
+  bool Contains(uint64_t sector) const {
+    const Node* node = nodes_.Find(sector);
+    return node != nullptr && node->present;
+  }
   uint64_t size() const { return size_; }
 
   // Advisory: begin pulling `sector`'s shadow node into cache ahead of a
   // Sync call (the node array is too large to stay resident).
   void Prefetch(uint64_t sector) const {
-    __builtin_prefetch(&nodes_[sector], 1);
+    __builtin_prefetch(nodes_.slot(sector), 1);
   }
 
  private:
@@ -215,7 +225,7 @@ class VictimIndex {
 
   CleanerPolicy policy_;
   uint32_t pages_per_sector_;
-  std::vector<Node> nodes_;
+  FirstTouchTable<Node> nodes_;  // Built by Open().
   std::vector<IndexHeap> by_dead_;        // kGreedy: [dead] -> sectors.
   std::vector<AgeHeap> by_valid_age_;     // kCostBenefit: [valid].
   std::vector<IndexHeap> by_valid_index_; // kCostBenefit: [valid].
@@ -224,13 +234,15 @@ class VictimIndex {
 
 // Age-ordered index of fully-valid sectors in the hot bank range, feeding
 // EvictColdSectorFromHotRange: the oldest (by last write; ties to the lowest
-// sector index) eligible sector is the front of one ordered set.
+// sector index) eligible sector is the front of one ordered set. Sized to
+// the hot range (sectors [0, num_sectors)), which is empty unless bank
+// segregation is on.
 class ColdSectorIndex {
  public:
   explicit ColdSectorIndex(uint64_t num_sectors) : nodes_(num_sectors) {}
 
-  // `eligible` must be (in hot range && !active && !free && !bad &&
-  // dead_pages == 0 && valid_pages > 0).
+  // `sector` must lie in the hot range; `eligible` must be (!active &&
+  // !free && !bad && dead_pages == 0 && valid_pages > 0).
   void Sync(uint64_t sector, SimTime last_write_time, bool eligible);
 
   // Oldest eligible sector whose last write is at least `min_age` before
@@ -238,7 +250,9 @@ class ColdSectorIndex {
   // too young every candidate is.)
   int64_t PickOlderThan(SimTime now, Duration min_age) const;
 
-  bool Contains(uint64_t sector) const { return nodes_[sector].present; }
+  bool Contains(uint64_t sector) const {
+    return sector < nodes_.size() && nodes_[sector].present;
+  }
   uint64_t size() const { return by_age_.size(); }
 
  private:

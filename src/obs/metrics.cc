@@ -141,6 +141,17 @@ void MetricsRegistry::FlushAndRemoveCollector(const std::string& key) {
   collectors_.erase(it);
 }
 
+void MetricsRegistry::ResetCountersAndGaugesUnder(const std::string& prefix) {
+  for (auto it = names_.lower_bound(prefix);
+       it != names_.end() && it->first.starts_with(prefix); ++it) {
+    if (it->second.kind == Kind::kCounter) {
+      counters_[it->second.index].Reset();
+    } else if (it->second.kind == Kind::kGauge) {
+      gauges_[it->second.index].Set(0);
+    }
+  }
+}
+
 MetricsSnapshot MetricsRegistry::Snapshot(const std::string& prefix) {
   for (const auto& [key, collector] : collectors_) {
     collector();

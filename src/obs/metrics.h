@@ -139,6 +139,12 @@ class MetricsRegistry {
   // and a dangling `this`. No-op for an unknown key.
   void FlushAndRemoveCollector(const std::string& key);
 
+  // Zeroes every counter and gauge whose name starts with `prefix`
+  // (histograms keep their samples). StatsMirror calls this when a new
+  // layer instance takes over a key, so keys the previous instance
+  // registered lazily report the new instance too.
+  void ResetCountersAndGaugesUnder(const std::string& prefix);
+
   // Runs the collectors, then copies every metric out under its name, each
   // key prefixed with `prefix` (cell tagging: "cell3/flash/reads").
   MetricsSnapshot Snapshot(const std::string& prefix = "");

@@ -11,8 +11,15 @@ void StatsMirror::Attach(Obs* obs, std::vector<CounterField> counters,
   MetricsRegistry* registry = obs != nullptr ? &obs->metrics() : nullptr;
   if (registry != registry_) {
     Detach();
+    registry_ = registry;
+    if (registry_ != nullptr) {
+      // This instance takes over the key: every counter and gauge under it,
+      // the lazily named per-tenant ones included, reports this instance
+      // from now on (0 for a tenant it has not seen), not a predecessor's
+      // final values.
+      registry_->ResetCountersAndGaugesUnder(key_ + "/");
+    }
   }
-  registry_ = registry;
   if (registry_ == nullptr) {
     return;
   }

@@ -9,10 +9,13 @@
 // The Obs routinely outlives the layer (benches snapshot after the run), so
 // the collector is flushed (run once more, leaving the final values in the
 // handles) and removed on re-attach to another Obs, on detach (null), and
-// when the owner is destroyed. Re-attaching to the same Obs replaces it, so
-// a layer rebuilt by crash recovery takes over its names. Declare the mirror
-// as its owner's LAST member: it is destroyed first, after the owner's
-// destructor body, while every field it reads is alive.
+// when the owner is destroyed. Re-attaching to the same Obs replaces it. A
+// mirror attaching to an Obs takes over every counter and gauge under
+// "<key>/": a layer rebuilt by crash recovery reports only its own values
+// there, also under the per-tenant keys its predecessor registered (0 for
+// a tenant it has not seen), so one snapshot never mixes two lifetimes.
+// Declare the mirror as its owner's LAST member: it is destroyed first,
+// after the owner's destructor body, while every field it reads is alive.
 
 #ifndef SSMC_SRC_OBS_STATS_MIRROR_H_
 #define SSMC_SRC_OBS_STATS_MIRROR_H_

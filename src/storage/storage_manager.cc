@@ -46,31 +46,39 @@ uint64_t StorageManager::IndexPool::Take() {
     i = recycled_.back();
     recycled_.pop_back();
   } else {
-    while (used_[cursor_]) {
+    while (used(cursor_)) {
       ++cursor_;  // Claimed ahead of the cursor.
     }
     i = cursor_++;
   }
-  used_[i] = true;
+  MarkUsed(i);
   return i;
 }
 
+void StorageManager::IndexPool::MarkUsed(uint64_t i) {
+  assert(i < capacity_);
+  if (i >= used_.size()) {
+    used_.resize(i + 1);  // Grows geometrically.
+  }
+  used_[i] = true;
+}
+
 void StorageManager::IndexPool::Put(uint64_t i) {
-  assert(used_[i]);
+  assert(used(i));
   used_[i] = false;
   recycled_.push_back(i);
   free_ += 1;
 }
 
 void StorageManager::IndexPool::Claim(uint64_t i) {
-  assert(!used_[i]);
+  assert(!used(i));
   // A recycled index leaves the stack in place, keeping the rest in order;
   // any other unused index is still ahead of the cursor, which skips it.
   if (auto it = std::find(recycled_.begin(), recycled_.end(), i);
       it != recycled_.end()) {
     recycled_.erase(it);
   }
-  used_[i] = true;
+  MarkUsed(i);
   free_ -= 1;
 }
 

@@ -161,16 +161,17 @@ class StorageManager {
   // top: recycled indices first, most recently freed first, then the lowest
   // index never handed out. Only the recycled part is materialized; the
   // never-used part is an ascending cursor that skips indices claimed out of
-  // order (Claim). So building a pool costs its used-bitmap, not a push per
-  // index, and Claim scans only the recycled stack. The cursor only moves
-  // while the recycled stack is empty, when every index handed out before
-  // is in use, so skipping in-use indices skips exactly those.
+  // order (Claim). The used-bitmap grows to the highest index handed out or
+  // claimed, so building a pool costs nothing per index, and Claim scans
+  // only the recycled stack. The cursor only moves while the recycled stack
+  // is empty, when every index handed out before is in use, so skipping
+  // in-use indices skips exactly those.
   class IndexPool {
    public:
     explicit IndexPool(uint64_t capacity)
-        : used_(capacity, false), free_(capacity) {}
+        : capacity_(capacity), free_(capacity) {}
 
-    uint64_t capacity() const { return used_.size(); }
+    uint64_t capacity() const { return capacity_; }
     uint64_t free() const { return free_; }
     bool used(uint64_t i) const { return i < used_.size() && used_[i]; }
     // Every index Take() has handed out is below this.
@@ -183,7 +184,11 @@ class StorageManager {
     void Claim(uint64_t i);
 
    private:
-    std::vector<bool> used_;
+    // Marks `i` used, growing the bitmap to cover it.
+    void MarkUsed(uint64_t i);
+
+    uint64_t capacity_;
+    std::vector<bool> used_;  // Indices past its end are unused.
     std::vector<uint64_t> recycled_;  // LIFO; back() is the next Take().
     uint64_t cursor_ = 0;             // Lowest index never handed out.
     uint64_t free_;

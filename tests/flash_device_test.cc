@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -381,6 +382,136 @@ TEST_F(FlashDeviceTest, EmptyReadAndProgramAreFree) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 0);
   EXPECT_EQ(clock_.now(), 0);
+}
+
+// Sector state is built the first time a sector is programmed or erased; a
+// sector never touched must answer every query exactly as a fresh one does.
+void ExpectFreshSector(FlashDevice& flash, uint64_t s) {
+  EXPECT_EQ(flash.EraseCount(s), 0u) << s;
+  EXPECT_FALSE(flash.IsSectorBad(s)) << s;
+  EXPECT_TRUE(flash.IsSectorErased(s)) << s;
+}
+
+// The wear summary over every sector, computed from the per-sector queries
+// with the device's own arithmetic (index order).
+FlashDevice::WearSummary ReferenceWear(const FlashDevice& flash) {
+  FlashDevice::WearSummary w;
+  const uint64_t n = flash.num_sectors();
+  w.min_erases = flash.EraseCount(0);
+  double sum = 0;
+  for (uint64_t s = 0; s < n; ++s) {
+    w.min_erases = std::min(w.min_erases, flash.EraseCount(s));
+    w.max_erases = std::max(w.max_erases, flash.EraseCount(s));
+    sum += static_cast<double>(flash.EraseCount(s));
+    w.bad_sectors += flash.IsSectorBad(s) ? 1 : 0;
+  }
+  w.mean_erases = sum / static_cast<double>(n);
+  double var = 0;
+  for (uint64_t s = 0; s < n; ++s) {
+    const double d = static_cast<double>(flash.EraseCount(s)) - w.mean_erases;
+    var += d * d;
+  }
+  w.stddev_erases = std::sqrt(var / static_cast<double>(n));
+  return w;
+}
+
+void ExpectWear(const FlashDevice::WearSummary& got,
+                const FlashDevice::WearSummary& want) {
+  EXPECT_EQ(got.min_erases, want.min_erases);
+  EXPECT_EQ(got.max_erases, want.max_erases);
+  EXPECT_EQ(got.mean_erases, want.mean_erases);  // Bit-identical.
+  EXPECT_EQ(got.stddev_erases, want.stddev_erases);
+  EXPECT_EQ(got.bad_sectors, want.bad_sectors);
+}
+
+TEST_F(FlashDeviceTest, UntouchedSectorsAnswerAsFresh) {
+  // 64 sectors of 1 KiB in 4 banks.
+  FlashDevice flash(spec_, 64 * 1024, 4, clock_);
+  for (uint64_t s = 0; s < flash.num_sectors(); ++s) {
+    ExpectFreshSector(flash, s);
+  }
+  EXPECT_EQ(flash.NextTouchedSector(0), flash.num_sectors());
+  const FlashDevice::WearSummary fresh = flash.SummarizeWear();
+  EXPECT_EQ(fresh.min_erases, 0u);
+  EXPECT_EQ(fresh.max_erases, 0u);
+  EXPECT_EQ(fresh.mean_erases, 0.0);
+  EXPECT_EQ(fresh.stddev_erases, 0.0);
+  EXPECT_EQ(fresh.bad_sectors, 0u);
+
+  // A read spanning four untouched sectors: all erased, timed and counted
+  // like any read.
+  std::vector<uint8_t> out(3000, 0);
+  Result<Duration> r = flash.Read(1000, out);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), spec_.read.LatencyFor(3000));
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](uint8_t b) { return b == 0xFF; }));
+  ExtentPool pool(512);
+  Result<PayloadRef> ref = flash.ReadExtent(20 * 1024 + 256, 512, pool);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_TRUE(std::all_of(ref.value().data(), ref.value().data() + 512,
+                          [](uint8_t b) { return b == 0xFF; }));
+  EXPECT_EQ(flash.stats().reads.value(), 2u);
+  // Reads touch no sector state.
+  EXPECT_EQ(flash.NextTouchedSector(0), flash.num_sectors());
+}
+
+TEST_F(FlashDeviceTest, PartlyUsedDeviceAnswersAsFreshOutsideTouchedSectors) {
+  spec_.endurance_cycles = 3;
+  FlashDevice flash(spec_, 64 * 1024, 4, clock_, /*seed=*/9);
+  const std::vector<uint8_t> data(100, 0x3C);
+  ASSERT_TRUE(Program(flash, 5 * 1024 + 900, data).ok());  // Sector 5.
+  ASSERT_TRUE(flash.EraseSector(9).ok());
+  ASSERT_TRUE(flash.EraseSector(9).ok());
+  while (!flash.IsSectorBad(20)) {
+    (void)flash.EraseSector(20);  // Wears out within 2x endurance.
+  }
+  ASSERT_TRUE(flash.EraseSector(63).ok());
+
+  const std::vector<uint64_t> touched = {5, 9, 20, 63};
+  for (uint64_t s = 0; s < flash.num_sectors(); ++s) {
+    if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
+      ExpectFreshSector(flash, s);
+    }
+  }
+  EXPECT_EQ(flash.EraseCount(5), 0u);
+  EXPECT_FALSE(flash.IsSectorErased(5));
+  EXPECT_EQ(flash.EraseCount(9), 2u);
+  EXPECT_TRUE(flash.IsSectorErased(9));
+  EXPECT_TRUE(flash.IsSectorBad(20));
+  EXPECT_EQ(flash.EraseCount(63), 1u);
+  // NextTouchedSector visits exactly the touched sectors, in order.
+  std::vector<uint64_t> walked;
+  for (uint64_t s = flash.NextTouchedSector(0); s < flash.num_sectors();
+       s = flash.NextTouchedSector(s + 1)) {
+    walked.push_back(s);
+  }
+  EXPECT_EQ(walked, touched);
+  ExpectWear(flash.SummarizeWear(), ReferenceWear(flash));
+  EXPECT_EQ(flash.SummarizeWear().bad_sectors, 1u);
+  EXPECT_EQ(flash.SummarizeWear().min_erases, 0u);
+
+  // A read from the programmed tail of sector 5 into untouched sector 6
+  // (same bank): the programmed bytes, then erased ones.
+  std::vector<uint8_t> out(300, 0);
+  ASSERT_TRUE(flash.Read(5 * 1024 + 900, out).ok());
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < data.size() ? 0x3C : 0xFF) << i;
+  }
+  ExtentPool pool(256);
+  Result<PayloadRef> ref = flash.ReadExtent(6 * 1024, 256, pool);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_TRUE(std::all_of(ref.value().data(), ref.value().data() + 256,
+                          [](uint8_t b) { return b == 0xFF; }));
+  // Untouched sectors program, erase and fail like fresh ones.
+  ASSERT_TRUE(Program(flash, 7 * 1024, data).ok());
+  EXPECT_EQ(Program(flash, 7 * 1024, data).status().code(),
+            ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(flash.EraseSector(8).ok());
+  EXPECT_EQ(flash.EraseCount(8), 1u);
+  std::vector<uint8_t> bad(8);
+  EXPECT_EQ(flash.Read(20 * 1024, bad).status().code(), ErrorCode::kDataLoss);
+  ExpectWear(flash.SummarizeWear(), ReferenceWear(flash));
 }
 
 }  // namespace

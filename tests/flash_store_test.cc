@@ -684,6 +684,123 @@ INSTANTIATE_TEST_SUITE_P(WearPolicies, UsedCardTest,
                                            WearPolicy::kDynamic,
                                            WearPolicy::kStatic));
 
+// Per-sector state is built when the store first opens a sector. A fresh
+// store reports every sector free and empty, and the audit holds when a
+// workload opens only a few sectors of a large card.
+TEST_F(FlashStoreTest, FreshStoreReportsEverySectorFree) {
+  Recreate(512 * 1024, 4, {});  // 256 sectors.
+  const std::vector<SectorMeta> sectors = store_->SnapshotSectors();
+  ASSERT_EQ(sectors.size(), flash_->num_sectors());
+  for (uint64_t s = 0; s < sectors.size(); ++s) {
+    const SectorMeta& m = sectors[s];
+    EXPECT_TRUE(m.free) << s;
+    EXPECT_FALSE(m.active || m.bad) << s;
+    EXPECT_EQ(m.next_free_page, 0u) << s;
+    EXPECT_EQ(m.valid_pages + m.dead_pages, 0u) << s;
+    EXPECT_EQ(m.last_write_time, 0) << s;
+  }
+  EXPECT_EQ(store_->free_sectors(), flash_->num_sectors());
+  EXPECT_TRUE(store_->CheckIndexConsistency().ok());
+}
+
+class FewSectorsTest : public ::testing::TestWithParam<WearPolicy> {
+ protected:
+  FewSectorsTest() {
+    // 256 sectors of 4 pages in 4 banks.
+    flash_ = std::make_unique<FlashDevice>(SmallFlashSpec(), 512 * 1024, 4,
+                                           clock_, /*seed=*/3);
+    options_.wear = GetParam();
+    options_.static_wear_check_interval = 2;
+    options_.static_wear_delta = 1;
+  }
+
+  // Random overwrites of the first `span` blocks, auditing after each.
+  void Churn(FlashStore& store, uint64_t seed, int writes, uint64_t span) {
+    Rng rng(seed);
+    for (int i = 0; i < writes; ++i) {
+      const uint64_t block = rng.NextBelow(span);
+      ASSERT_TRUE(store.Write(block, Block(static_cast<uint8_t>(i))).ok());
+      clock_.Advance(static_cast<Duration>(rng.NextBelow(kMillisecond)));
+      const Status audit = store.CheckIndexConsistency();
+      ASSERT_TRUE(audit.ok()) << "write " << i << ": " << audit.ToString();
+    }
+  }
+
+  SimClock clock_;
+  FlashStoreOptions options_;
+  std::unique_ptr<FlashDevice> flash_;
+};
+
+TEST_P(FewSectorsTest, AuditHoldsWhenAWorkloadOpensFewSectors) {
+  FlashStore store(*flash_, options_);
+  Churn(store, /*seed=*/21, /*writes=*/40, /*span=*/12);
+  // Only a handful of sectors were opened; every other one is still free
+  // and empty.
+  uint64_t opened = 0;
+  for (const SectorMeta& m : store.SnapshotSectors()) {
+    if (!m.free) {
+      opened += 1;
+    } else {
+      EXPECT_EQ(m.next_free_page, 0u);
+      EXPECT_EQ(m.valid_pages + m.dead_pages, 0u);
+    }
+  }
+  EXPECT_GT(opened, 0u);
+  EXPECT_LT(opened, 32u);
+  EXPECT_EQ(store.free_sectors(), flash_->num_sectors() - opened);
+}
+
+TEST_P(FewSectorsTest, AuditHoldsOnAStoreRebuiltOverAUsedDevice) {
+  {
+    // A first store wears some sectors; then the card is formatted by
+    // erasing whatever it left programmed.
+    FlashStore first(*flash_, options_);
+    Churn(first, /*seed=*/5, /*writes=*/1500, /*span=*/24);
+    EXPECT_GT(first.stats().erases.value(), 0u);
+  }
+  for (uint64_t s = flash_->NextTouchedSector(0); s < flash_->num_sectors();
+       s = flash_->NextTouchedSector(s + 1)) {
+    if (!flash_->IsSectorErased(s)) {
+      ASSERT_TRUE(flash_->EraseSector(s).ok());
+    }
+  }
+  // The rebuilt store opens sectors in the order the linear scan picks over
+  // the eager pool: every sector in ascending order at its erase count.
+  FlashStore store(*flash_, options_);
+  ASSERT_TRUE(store.CheckIndexConsistency().ok());
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> pools(
+      static_cast<size_t>(flash_->num_banks()));
+  for (uint64_t s = 0; s < flash_->num_sectors(); ++s) {
+    pools[static_cast<size_t>(flash_->BankOfSector(s))].emplace_back(
+        s, flash_->EraseCount(s));
+  }
+  // Distinct blocks: nothing dies, so each bank opens its sectors in turn.
+  std::vector<int64_t> active(pools.size(), -1);
+  for (uint64_t block = 0; block < 64; ++block) {
+    ASSERT_TRUE(store.Write(block, Block(7)).ok());
+    const uint64_t sector =
+        store.PhysicalAddressOf(block).value() / flash_->sector_bytes();
+    const size_t bank = static_cast<size_t>(flash_->BankOfSector(sector));
+    if (active[bank] != static_cast<int64_t>(sector)) {
+      auto& pool = pools[bank];
+      EXPECT_EQ(ScanPickFreeSector(pool, GetParam() != WearPolicy::kNone),
+                static_cast<int64_t>(sector))
+          << "block " << block;
+      pool.erase(std::find_if(pool.begin(), pool.end(), [&](const auto& e) {
+        return e.first == sector;
+      }));
+      active[bank] = static_cast<int64_t>(sector);
+    }
+    ASSERT_TRUE(store.CheckIndexConsistency().ok()) << "block " << block;
+  }
+  Churn(store, /*seed=*/6, /*writes=*/1200, /*span=*/48);
+}
+
+INSTANTIATE_TEST_SUITE_P(WearPolicies, FewSectorsTest,
+                         ::testing::Values(WearPolicy::kNone,
+                                           WearPolicy::kDynamic,
+                                           WearPolicy::kStatic));
+
 // --- Victim-selection policy unit tests ---------------------------------
 
 class VictimPolicyTest : public ::testing::Test {

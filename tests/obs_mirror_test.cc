@@ -386,11 +386,44 @@ TEST(ObsMirrorTest, EveryLayerMirrorsItsStatsAndOutlivesTheMachine) {
   EXPECT_EQ(obs.metrics().Snapshot(), after);
 }
 
+// Sum of `<layer>/tenant<T>/<field>` over every tenant key in `snap`.
+uint64_t TenantSum(const MetricsSnapshot& snap, const std::string& layer,
+                   const std::string& field) {
+  uint64_t sum = 0;
+  const std::string prefix = layer + "/tenant";
+  for (const auto& [name, value] : snap.values()) {
+    if (name.starts_with(prefix) && name.ends_with("/" + field)) {
+      sum += value.counter;
+    }
+  }
+  return sum;
+}
+
+// The rebuilt layers' per-tenant counters, each of which sums to its layer
+// total.
+const std::vector<std::pair<std::string, std::string>> kTenantTotals = {
+    {"fs", "reads"},         {"fs", "read_bytes"},
+    {"fs", "writes"},        {"fs", "written_bytes"},
+    {"residency", "promotions"}, {"residency", "promoted_bytes"},
+    {"residency", "clean_hits"}, {"residency", "clean_hit_bytes"}};
+
+void ExpectTotalsAreTenantSums(const MetricsSnapshot& snap) {
+  for (const auto& [layer, field] : kTenantTotals) {
+    EXPECT_EQ(CounterOf(snap, layer + "/" + field),
+              TenantSum(snap, layer, field))
+        << layer << "/" << field;
+  }
+}
+
 TEST(ObsMirrorTest, RecoveryRebuiltLayersTakeOverTheirMirrors) {
   Obs obs;
   MobileComputer machine(MirrorConfig(&obs));
   RunTwoTenants(machine);
   ASSERT_TRUE(machine.fs().Sync().ok());
+  const MetricsSnapshot before = obs.metrics().Snapshot();
+  ExpectTotalsAreTenantSums(before);
+  EXPECT_GT(CounterOf(before, "fs/tenant1/reads"), 0u);
+  EXPECT_GT(CounterOf(before, "residency/tenant1/clean_hits"), 0u);
   machine.InjectBatteryFailure();
   Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -402,14 +435,35 @@ TEST(ObsMirrorTest, RecoveryRebuiltLayersTakeOverTheirMirrors) {
   ASSERT_TRUE(machine.fs().Sync().ok());
 
   const MetricsSnapshot snap = obs.metrics().Snapshot();
-  // The pre-crash file system's tenant keys keep their final values, so
-  // only the rebuilt instances' own fields are compared.
+  // The pre-crash tenants' keys are still registered but now report the
+  // rebuilt instances, which have not seen those tenants: every layer
+  // total is again the sum of its tenant keys, and the pre-crash readers'
+  // keys read 0.
   ExpectMachine(machine,
                 TenantCleanPages(snap,
                                  machine.storage().residency().clean_pages()))
       .Check(snap, kMachinePrefixes, /*exhaustive=*/false);
+  ExpectTotalsAreTenantSums(snap);
+  EXPECT_TRUE(snap.values().contains("fs/tenant1/reads"));
+  EXPECT_EQ(CounterOf(snap, "fs/tenant1/reads"), 0u);
+  EXPECT_EQ(CounterOf(snap, "residency/tenant1/clean_hits"), 0u);
+  EXPECT_GT(CounterOf(snap, "fs/writes"), 0u);
   EXPECT_GT(CounterOf(snap, "fs/creates"), 0u);
   EXPECT_GT(CounterOf(snap, "journal/records"), 0u);
+}
+
+TEST(ObsMirrorTest, DetachingANeverAttachedLayerIsANoOp) {
+  // Benches call AttachObs(nullptr) when capture is off.
+  SimClock clock;
+  FlashDevice flash(SunDiskFlash1993(), 4 * kMiB, 1, clock);
+  flash.AttachObs(nullptr);
+  FlashStore store(flash, FlashStoreOptions{});
+  store.AttachObs(nullptr);
+  Obs obs;
+  flash.AttachObs(&obs);
+  flash.AttachObs(nullptr);
+  flash.AttachObs(nullptr);
+  EXPECT_TRUE(obs.metrics().Snapshot().values().contains("flash/reads"));
 }
 
 DiskSpec MirrorDiskSpec() {

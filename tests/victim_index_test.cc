@@ -109,6 +109,7 @@ TEST_P(VictimIndexDifferentialTest, MatchesScanUnderRandomChurn) {
     } else {
       m.candidate = false;  // Activated, freed, or retired.
     }
+    index.Open(s);  // Idempotent; the store opens a sector at every take.
     index.Sync(s, m.valid, m.dead, m.last_write, m.candidate);
 
     for (const SimTime probe : {now, now + 1, now + 2, now + 100000}) {
