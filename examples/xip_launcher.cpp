@@ -43,7 +43,7 @@ int main() {
 
   std::cout << "Installed " << std::size(apps)
             << " applications into flash; free DRAM pages: "
-            << machine.storage().free_dram_pages() << "\n\n";
+            << machine.storage().free_pages(PageTier::kDram) << "\n\n";
 
   ProgramLoader loader;
   Table table({"app", "strategy", "launch", "code DRAM", "first run"});

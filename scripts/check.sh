@@ -14,10 +14,12 @@
 # Two more legs are not in the default list. The first is a measurement,
 # not a gate; the second is the byte-identical bench check CI's bench-smoke
 # job runs (every experiment bench's output, BENCH_*.json, --metrics JSON
-# and trace digest against tests/golden/; ~8 min on 4 vCPUs):
+# and trace digest against tests/golden/, then one perfbench run per
+# workload against tests/golden/perfbench_sim.json; ~10 min on 4 vCPUs):
 #
 #   scripts/check.sh coverage   # gcov build + tests, per-file src/ coverage
-#   scripts/check.sh golden     # release build, then scripts/golden_check.py
+#   scripts/check.sh golden     # release build, golden_check.py, then
+#                               # perfbench_sim_check.py
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +33,8 @@ for preset in "${presets[@]}"; do
     cmake --build --preset release -j "$(nproc)"
     echo "=== golden: bench outputs vs tests/golden ==="
     python3 scripts/golden_check.py build-release/bench
+    echo "=== golden: perfbench simulated metrics vs tests/golden ==="
+    python3 scripts/perfbench_sim_check.py
     continue
   fi
   echo "=== ${preset}: configure ==="

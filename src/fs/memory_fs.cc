@@ -7,6 +7,7 @@
 
 #include "src/journal/journal.h"
 #include "src/obs/obs.h"
+#include "src/support/little_endian.h"
 
 namespace ssmc {
 
@@ -237,21 +238,17 @@ Result<uint64_t> MemoryFileSystem::Read(const std::string& path,
         res.TouchRead(slot, now);
         break;
       }
-      case Residency::kClean: {
-        // Promoted hot block: serve from the clean DRAM cache.
-        SSMC_RETURN_IF_ERROR(res.ReadClean(
-            slot, in_block, std::span<uint8_t>(out.data() + done, chunk)));
-        stats_.clean_cached_read_bytes.Add(chunk);
-        res.TouchRead(slot, now);
-        break;
-      }
+      case Residency::kClean:
       case Residency::kNvm: {
-        // Warm block: serve from the byte-addressable NVM tier. The touch
-        // may climb it one tier up into the DRAM clean cache.
-        SSMC_RETURN_IF_ERROR(res.ReadNvm(
+        // Promoted block: serve from its cache tier, the clean DRAM cache
+        // (hot) or the byte-addressable NVM tier (warm). The touch may climb
+        // an NVM block one tier up into DRAM.
+        SSMC_RETURN_IF_ERROR(res.ReadCached(
             slot, in_block, std::span<uint8_t>(out.data() + done, chunk)));
-        stats_.nvm_cached_read_bytes.Add(chunk);
-        res.OnNvmRead(slot, now);
+        (where == Residency::kNvm ? stats_.nvm_cached_read_bytes
+                                  : stats_.clean_cached_read_bytes)
+            .Add(chunk);
+        res.TouchRead(slot, now);
         break;
       }
       case Residency::kFlash: {
@@ -321,12 +318,10 @@ Status MemoryFileSystem::StageBlockWrite(Inode& inode, uint64_t block_index,
       SSMC_RETURN_IF_ERROR(buffer_.Get(slot, staging));
       break;
     case Residency::kClean:
-      // The promoted copy doubles as a DRAM-speed copy-on-write source.
-      SSMC_RETURN_IF_ERROR(res.ReadClean(slot, 0, staging));
-      break;
     case Residency::kNvm:
-      // NVM-speed copy-on-write source; still cheaper than a flash read.
-      SSMC_RETURN_IF_ERROR(res.ReadNvm(slot, 0, staging));
+      // The promoted copy doubles as a DRAM- or NVM-speed copy-on-write
+      // source; either is cheaper than a flash read.
+      SSMC_RETURN_IF_ERROR(res.ReadCached(slot, 0, staging));
       break;
     case Residency::kFlash: {
       // Copy-on-write: "when a write operation occurs, the affected block
@@ -592,63 +587,6 @@ Result<uint64_t> MemoryFileSystem::FileId(const std::string& path) {
   return node->inode.id;
 }
 
-// --- Metadata checkpointing ------------------------------------------------
-
-namespace {
-
-void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-// Bounds-checked little-endian reader over a blob.
-class BlobReader {
- public:
-  explicit BlobReader(std::span<const uint8_t> data) : data_(data) {}
-
-  // Reads a sizeof(T)-byte little-endian unsigned integer.
-  template <typename T>
-  bool Read(T* v) {
-    if (pos_ + sizeof(T) > data_.size()) {
-      return false;
-    }
-    uint64_t x = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      x |= uint64_t{data_[pos_ + i]} << (8 * i);
-    }
-    *v = static_cast<T>(x);
-    pos_ += sizeof(T);
-    return true;
-  }
-  bool ReadString(size_t n, std::string* out) {
-    if (pos_ + n > data_.size()) {
-      return false;
-    }
-    out->assign(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return true;
-  }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
 // --- Dense snapshot (journal checkpoints) ----------------------------------
 // Layout: u64 next_inode_id, u64 node_count, then one preorder record per
 // node: u32 parent_index (0 = root; nodes are numbered 1.. in emission
@@ -686,9 +624,7 @@ Status MemoryFileSystem::CheckpointMetadata() {
     }
     ++count;
   });
-  for (int i = 0; i < 8; ++i) {
-    dense[count_at + i] = static_cast<uint8_t>(count >> (8 * i));
-  }
+  StoreLe<uint64_t>(dense, count_at, count);
   SSMC_RETURN_IF_ERROR(options_.journal->WriteCheckpoint(dense));
   if (obs_ != nullptr) {
     const SimTime t1 = storage_.flash_store().device().clock().now();
@@ -802,7 +738,7 @@ Result<std::unique_ptr<MemoryFileSystem>> MemoryFileSystem::RecoverFromJournal(
   // 1. Install the dense checkpoint: array-indexed construction, one pass,
   // no path walks.
   if (!mount.value().checkpoint.empty()) {
-    BlobReader reader(mount.value().checkpoint);
+    LeReader reader(mount.value().checkpoint);
     uint64_t next_id = 0;
     uint64_t node_count = 0;
     if (!reader.Read(&next_id) || !reader.Read(&node_count)) {

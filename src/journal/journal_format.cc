@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "src/support/little_endian.h"
+
 namespace ssmc {
 namespace {
 
@@ -22,36 +24,6 @@ std::array<uint32_t, 256> BuildCrcTable() {
     table[i] = c;
   }
   return table;
-}
-
-void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void AppendU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-uint64_t ReadU64(std::span<const uint8_t> raw, uint64_t pos) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= uint64_t{raw[pos + i]} << (8 * i);
-  return v;
-}
-
-uint32_t ReadU32(std::span<const uint8_t> raw, uint64_t pos) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= uint32_t{raw[pos + i]} << (8 * i);
-  return v;
-}
-
-uint16_t ReadU16(std::span<const uint8_t> raw, uint64_t pos) {
-  return static_cast<uint16_t>(uint16_t{raw[pos]} |
-                               (uint16_t{raw[pos + 1]} << 8));
 }
 
 bool KnownRecordType(uint8_t type) {
@@ -120,10 +92,7 @@ uint64_t EncodeJournalRecord(const JournalRecord& record,
   // fails closed.
   const uint32_t crc = Crc32(
       std::span<const uint8_t>(out.data() + start + 4, total - 4));
-  out[start + 0] = static_cast<uint8_t>(crc);
-  out[start + 1] = static_cast<uint8_t>(crc >> 8);
-  out[start + 2] = static_cast<uint8_t>(crc >> 16);
-  out[start + 3] = static_cast<uint8_t>(crc >> 24);
+  StoreLe<uint32_t>(out, start, crc);
   return total;
 }
 
@@ -175,10 +144,7 @@ void EncodeJournalSuperblock(const JournalSuperblock& sb, uint64_t block_bytes,
   AppendU64(out, sb.log_blocks);
   const uint32_t crc = Crc32(
       std::span<const uint8_t>(out.data() + 12, kJournalSuperblockBytes - 12));
-  out[8] = static_cast<uint8_t>(crc);
-  out[9] = static_cast<uint8_t>(crc >> 8);
-  out[10] = static_cast<uint8_t>(crc >> 16);
-  out[11] = static_cast<uint8_t>(crc >> 24);
+  StoreLe<uint32_t>(out, 8, crc);
   out.resize(block_bytes, 0);
 }
 

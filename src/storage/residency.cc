@@ -59,20 +59,17 @@ ResidencyManager::ResidencyManager(StorageManager& storage,
     : storage_(storage), options_(options) {
   assert(options_.heat_half_life > 0);
   // BlockState keeps page indices in 32 bits.
-  assert(storage_.total_dram_pages() <= UINT32_MAX &&
-         storage_.total_nvm_pages() <= UINT32_MAX);
+  const uint64_t nvm_pages = storage_.total_pages(PageTier::kNvm);
+  assert(storage_.total_pages(PageTier::kDram) <= UINT32_MAX &&
+         nvm_pages <= UINT32_MAX);
   // Tier 0: the DRAM clean cache, always present.
-  CacheTier dram_tier;
-  dram_tier.residency = Residency::kClean;
-  dram_tier.capacity_pages = MaxCleanPages();
-  tiers_.push_back(dram_tier);
+  tiers_.push_back({Residency::kClean, PageTier::kDram,
+                    options_.promote_threshold, MaxCleanPages(), {}});
   // Tier 1: the NVM cache, only when the machine has NVM capacity — the
   // two-tier hierarchy stays bit-identical with no NVM behind the manager.
-  if (storage_.total_nvm_pages() > 0) {
-    CacheTier nvm_tier;
-    nvm_tier.residency = Residency::kNvm;
-    nvm_tier.capacity_pages = storage_.total_nvm_pages();
-    tiers_.push_back(nvm_tier);
+  if (nvm_pages > 0) {
+    tiers_.push_back(
+        {Residency::kNvm, PageTier::kNvm, kNvmAdmitHeat, nvm_pages, {}});
   }
 }
 
@@ -114,51 +111,27 @@ std::vector<ResidencyManager::TierStatus> ResidencyManager::Tiers() const {
   return out;
 }
 
-Status ResidencyManager::ReadClean(SlotId slot, uint64_t offset,
-                                   std::span<uint8_t> out) {
-  if (!CleanCached(slot)) {
-    return NotFoundError("block not clean-cached");
+Status ResidencyManager::ReadCached(SlotId slot, uint64_t offset,
+                                    std::span<uint8_t> out) {
+  CacheTier* tier = CacheTierOf(slot);
+  if (tier == nullptr) {
+    return NotFoundError("block not cached");
   }
   if (offset + out.size() > storage_.page_bytes()) {
-    return OutOfRangeError("clean-cache read exceeds block bounds");
+    return OutOfRangeError("cached read exceeds block bounds");
   }
-  blocks_.MoveToBack(tiers_[kDramTier].lru, slot);
-  storage_.ReadPagePayload(blocks_[slot].page, offset, out);
-  stats_.clean_hits.Add();
-  stats_.clean_hit_bytes.Add(out.size());
+  blocks_.MoveToBack(tier->lru, slot);
+  // A foreground blocking read, billed to the current tenant: the caller
+  // waits on the tier's medium (for NVM, at NVM — not flash — latency).
+  storage_.ReadPagePayload(tier->medium, blocks_[slot].page, offset, out,
+                           ForTenant(kForegroundIo, tenant_));
+  const bool nvm = tier->medium == PageTier::kNvm;
   TenantResidency& lane = stats_.by_tenant.For(tenant_);
-  lane.clean_hits.Add();
-  lane.clean_hit_bytes.Add(out.size());
+  (nvm ? stats_.nvm_hits : stats_.clean_hits).Add();
+  (nvm ? stats_.nvm_hit_bytes : stats_.clean_hit_bytes).Add(out.size());
+  (nvm ? lane.nvm_hits : lane.clean_hits).Add();
+  (nvm ? lane.nvm_hit_bytes : lane.clean_hit_bytes).Add(out.size());
   return Status::Ok();
-}
-
-Status ResidencyManager::ReadNvm(SlotId slot, uint64_t offset,
-                                 std::span<uint8_t> out) {
-  if (!NvmCached(slot)) {
-    return NotFoundError("block not NVM-cached");
-  }
-  if (offset + out.size() > storage_.page_bytes()) {
-    return OutOfRangeError("NVM-cache read exceeds block bounds");
-  }
-  blocks_.MoveToBack(tiers_[kNvmTier].lru, slot);
-  // A foreground blocking read through the NVM bank scheduler: the caller
-  // waits on the byte-addressable medium, at NVM (not flash) latency.
-  storage_.ReadNvmPagePayload(blocks_[slot].page, offset, out,
-                              ForTenant(kForegroundIo, tenant_));
-  stats_.nvm_hits.Add();
-  stats_.nvm_hit_bytes.Add(out.size());
-  TenantResidency& lane = stats_.by_tenant.For(tenant_);
-  lane.nvm_hits.Add();
-  lane.nvm_hit_bytes.Add(out.size());
-  return Status::Ok();
-}
-
-void ResidencyManager::FreeTierPage(const CacheTier& tier, uint64_t page) {
-  if (tier.residency == Residency::kNvm) {
-    (void)storage_.FreeNvmPage(page);
-  } else {
-    (void)storage_.FreeDramPage(page);
-  }
 }
 
 void ResidencyManager::Install(size_t tier_index, SlotId slot, uint64_t page,
@@ -172,23 +145,43 @@ void ResidencyManager::Install(size_t tier_index, SlotId slot, uint64_t page,
 }
 
 void ResidencyManager::EraseCacheEntry(CacheTier& tier, SlotId slot) {
-  FreeTierPage(tier, blocks_[slot].page);
+  (void)storage_.FreePage(tier.medium, blocks_[slot].page);
   blocks_.Unlink(tier.lru, slot);
   blocks_[slot].where = Residency::kHole;
 }
 
-void ResidencyManager::InvalidateClean(SlotId slot) {
+void ResidencyManager::MoveBlock(SlotId slot, size_t from, size_t to,
+                                 uint64_t page, TenantId tenant) {
+  // The payload moves by reference: the migration engine reads the whole
+  // page from the old medium and writes it to the new, both background
+  // I/O. The old page returns to its pool — tiers are exclusive.
+  const IoIssue issue = ForTenant(kCleanerIo, tenant);
+  PayloadRef payload = storage_.ReadPagePayloadRef(
+      tiers_[from].medium, blocks_[slot].page, issue);
+  storage_.InstallPagePayload(tiers_[to].medium, page, std::move(payload),
+                              issue);
+  EraseCacheEntry(tiers_[from], slot);
+  Install(to, slot, page, tenant);
+}
+
+ResidencyManager::CacheTier* ResidencyManager::CacheTierOf(SlotId slot) {
   if (slot == kNoSlot) {
-    return;
+    return nullptr;
   }
   // Exclusive: a block lives in at most one tier.
   for (CacheTier& tier : tiers_) {
     if (blocks_[slot].where == tier.residency) {
-      stats_.demotions_invalidated.Add();
-      EraseCacheEntry(tier, slot);
-      ReleaseIfIdle(slot);
-      return;
+      return &tier;
     }
+  }
+  return nullptr;
+}
+
+void ResidencyManager::InvalidateClean(SlotId slot) {
+  if (CacheTier* tier = CacheTierOf(slot)) {
+    stats_.demotions_invalidated.Add();
+    EraseCacheEntry(*tier, slot);
+    ReleaseIfIdle(slot);
   }
 }
 
@@ -205,7 +198,7 @@ void ResidencyManager::InvalidateAllClean() {
   }
 }
 
-bool ResidencyManager::DemoteOne(size_t tier_index, bool pressure) {
+bool ResidencyManager::DemoteOne(size_t tier_index) {
   CacheTier& tier = tiers_[tier_index];
   const SlotId victim = tier.lru.head;
   if (victim == kNoSlot) {
@@ -213,42 +206,28 @@ bool ResidencyManager::DemoteOne(size_t tier_index, bool pressure) {
   }
   // Adjacent-tier demotion: the DRAM tail falls into the NVM tier when one
   // exists (the payload moves by reference; the block stays cached, one
-  // tier colder). The bottom tier's tail drops — flash is authoritative.
+  // tier colder). The bottom tier's tail drops — flash is authoritative —
+  // and so does any tail with no room below (the pool exhausted by other
+  // consumers).
+  bool moved = false;
   if (tier_index + 1 < tiers_.size()) {
-    const TenantId owner = blocks_[victim].tenant;
     const Result<uint64_t> below = AllocateTierPage(tier_index + 1);
     if (below.ok()) {
-      // Move the payload down by reference: one full-page read from the
-      // upper medium, one background write to the lower.
-      PayloadRef payload = storage_.ReadPagePayloadRef(blocks_[victim].page);
-      storage_.InstallNvmPagePayload(below.value(), std::move(payload),
-                                     ForTenant(kCleanerIo, owner));
-      EraseCacheEntry(tier, victim);
-      Install(tier_index + 1, victim, below.value(), owner);
+      MoveBlock(victim, tier_index, tier_index + 1, below.value(),
+                blocks_[victim].tenant);
       stats_.demotions_to_nvm.Add();
-      if (pressure) {
-        stats_.demotions_pressure.Add();
-        if (obs_ != nullptr) {
-          obs_->tracer().Instant(obs_track_, "demote-pressure",
-                                 storage_.dram().clock().now());
-        }
-      }
-      return true;
+      moved = true;
     }
-    // No room below (pool exhausted by other consumers): fall through and
-    // drop, exactly like a bottom tier.
   }
-  if (pressure) {
-    stats_.demotions_pressure.Add();
-    if (obs_ != nullptr) {
-      obs_->tracer().Instant(obs_track_, "demote-pressure",
-                             storage_.dram().clock().now());
-    }
-  } else {
-    stats_.demotions_invalidated.Add();
+  if (!moved) {
+    EraseCacheEntry(tier, victim);
+    ReleaseIfIdle(victim);
   }
-  EraseCacheEntry(tier, victim);
-  ReleaseIfIdle(victim);
+  stats_.demotions_pressure.Add();
+  if (obs_ != nullptr) {
+    obs_->tracer().Instant(obs_track_, "demote-pressure",
+                           storage_.dram().clock().now());
+  }
   return true;
 }
 
@@ -274,30 +253,15 @@ double ResidencyManager::Touch(SlotId slot, SimTime now) {
   return b.decayed;
 }
 
-bool ResidencyManager::ShouldPromote(const BlockState& b) const {
+bool ResidencyManager::ShouldAdmit(const BlockState& b, size_t tier) const {
+  const double heat = tiers_[tier].admit_heat;
   switch (options_.policy) {
     case ResidencyPolicy::kWriteBufferOnly:
       return false;
     case ResidencyPolicy::kReadPromote:
-      return b.decayed >= options_.promote_threshold;
+      return b.decayed >= heat;
     case ResidencyPolicy::kAggressive:
-      return b.raw >= kAggressiveTouches ||
-             b.decayed >= options_.promote_threshold;
-  }
-  return false;
-}
-
-bool ResidencyManager::ShouldAdmitFromFlash(const BlockState& b) const {
-  if (!has_nvm_tier()) {
-    return ShouldPromote(b);
-  }
-  switch (options_.policy) {
-    case ResidencyPolicy::kWriteBufferOnly:
-      return false;
-    case ResidencyPolicy::kReadPromote:
-      return b.decayed >= kNvmAdmitHeat;
-    case ResidencyPolicy::kAggressive:
-      return b.raw >= kAggressiveTouches || b.decayed >= kNvmAdmitHeat;
+      return b.raw >= kAggressiveTouches || b.decayed >= heat;
   }
   return false;
 }
@@ -307,6 +271,9 @@ void ResidencyManager::TouchRead(SlotId slot, SimTime now) {
     return;
   }
   (void)Touch(slot, now);
+  if (NvmCached(slot) && ShouldAdmit(blocks_[slot], kDramTier)) {
+    PromoteNvmToDram(slot, now);
+  }
 }
 
 void ResidencyManager::TouchWrite(SlotId slot, SimTime now) {
@@ -322,19 +289,9 @@ void ResidencyManager::OnFlashRead(SlotId slot, uint64_t flash_block,
     return;
   }
   (void)Touch(slot, now);
-  if (ShouldAdmitFromFlash(blocks_[slot]) &&
+  if (ShouldAdmit(blocks_[slot], tiers_.size() - 1) &&
       blocks_[slot].where == Residency::kHole) {
     PromoteFromFlash(slot, flash_block, now);
-  }
-}
-
-void ResidencyManager::OnNvmRead(SlotId slot, SimTime now) {
-  if (!enabled()) {
-    return;
-  }
-  (void)Touch(slot, now);
-  if (ShouldPromote(blocks_[slot]) && NvmCached(slot)) {
-    PromoteNvmToDram(slot, now);
   }
 }
 
@@ -343,7 +300,7 @@ bool ResidencyManager::NoteVmFault(SlotId slot, SimTime now) {
     return false;
   }
   (void)Touch(slot, now);
-  if (ShouldPromote(blocks_[slot])) {
+  if (ShouldAdmit(blocks_[slot], kDramTier)) {
     stats_.vm_promote_faults.Add();
     return true;
   }
@@ -394,8 +351,9 @@ double ResidencyManager::HeatOf(SlotId slot, SimTime now) const {
 }
 
 uint64_t ResidencyManager::MaxCleanPages() const {
+  const uint64_t dram_pages = storage_.total_pages(PageTier::kDram);
   return static_cast<uint64_t>(options_.max_clean_fraction *
-                               static_cast<double>(storage_.total_dram_pages()));
+                               static_cast<double>(dram_pages));
 }
 
 Result<uint64_t> ResidencyManager::AllocateTierPage(size_t tier_index) {
@@ -406,13 +364,11 @@ Result<uint64_t> ResidencyManager::AllocateTierPage(size_t tier_index) {
   // Recycle the tier's own LRU tail at its budget — a cache never squeezes
   // dirty data or VM frames to grow.
   while (tier.lru.size >= tier.capacity_pages) {
-    (void)DemoteOne(tier_index, /*pressure=*/true);
+    (void)DemoteOne(tier_index);
   }
-  const bool nvm = tier.residency == Residency::kNvm;
-  Result<uint64_t> page =
-      nvm ? storage_.AllocateNvmPage() : storage_.AllocateDramPage();
-  while (!page.ok() && DemoteOne(tier_index, /*pressure=*/true)) {
-    page = nvm ? storage_.AllocateNvmPage() : storage_.AllocateDramPage();
+  Result<uint64_t> page = storage_.AllocatePage(tier.medium);
+  while (!page.ok() && DemoteOne(tier_index)) {
+    page = storage_.AllocatePage(tier.medium);
   }
   return page;
 }
@@ -422,6 +378,7 @@ void ResidencyManager::PromoteFromFlash(SlotId slot, uint64_t flash_block,
   // Admission from flash targets the bottom cache tier; blocks climb the
   // rest of the ladder one tier at a time as their heat holds up.
   const size_t target = tiers_.size() - 1;
+  const PageTier medium = tiers_[target].medium;
   const Result<uint64_t> page = AllocateTierPage(target);
   if (!page.ok()) {
     return;  // No free pages and nothing of ours to recycle: skip quietly.
@@ -435,32 +392,13 @@ void ResidencyManager::PromoteFromFlash(SlotId slot, uint64_t flash_block,
   Result<PayloadRef> read = storage_.flash_store().ReadRef(
       flash_block, ForTenant(kCleanerIo, tenant_));
   if (!read.ok()) {
-    FreeTierPage(tiers_[target], page.value());
+    (void)storage_.FreePage(medium, page.value());
     return;
   }
-  if (tiers_[target].residency == Residency::kNvm) {
-    storage_.InstallNvmPagePayload(page.value(), std::move(read.value()),
-                                   ForTenant(kCleanerIo, tenant_));
-    stats_.nvm_promotions.Add();
-    stats_.nvm_promoted_bytes.Add(storage_.page_bytes());
-  } else {
-    storage_.InstallPagePayload(page.value(), std::move(read.value()));
-    stats_.promotions.Add();
-    stats_.promoted_bytes.Add(storage_.page_bytes());
-    TenantResidency& lane = stats_.by_tenant.For(tenant_);
-    lane.promotions.Add();
-    lane.promoted_bytes.Add(storage_.page_bytes());
-  }
+  storage_.InstallPagePayload(medium, page.value(), std::move(read.value()),
+                              ForTenant(kCleanerIo, tenant_));
   Install(target, slot, page.value(), tenant_);
-  if (promote_heat_ != nullptr) {
-    promote_heat_->Record(static_cast<uint64_t>(HeatOf(slot, now) * 100.0));
-  }
-  if (obs_ != nullptr) {
-    const BlockKey& key = blocks_[slot].key;
-    const SimTime t1 = storage_.dram().clock().now();
-    obs_->tracer().Span(obs_track_, "promote", now, t1 - now,
-                        {"file", key.file_id}, {"block", key.block_index});
-  }
+  RecordPromotion(slot, medium, now, "promote");
 }
 
 void ResidencyManager::PromoteNvmToDram(SlotId slot, SimTime now) {
@@ -471,45 +409,48 @@ void ResidencyManager::PromoteNvmToDram(SlotId slot, SimTime now) {
   if (!NvmCached(slot)) {
     // Making room in DRAM demoted the DRAM tail into a full NVM tier, whose
     // own tail was this block: it has dropped to flash.
-    FreeTierPage(tiers_[kDramTier], page.value());
+    (void)storage_.FreePage(PageTier::kDram, page.value());
     return;
   }
-  // Move the payload up by reference: a background NVM read (the migration
-  // engine pulls the page) and a DRAM install. The NVM page returns to the
-  // pool — tiers are exclusive.
-  PayloadRef payload = storage_.ReadNvmPagePayloadRef(
-      blocks_[slot].page, ForTenant(kCleanerIo, tenant_));
-  storage_.InstallPagePayload(page.value(), std::move(payload));
-  EraseCacheEntry(tiers_[kNvmTier], slot);
-  Install(kDramTier, slot, page.value(), tenant_);
+  MoveBlock(slot, kNvmTier, kDramTier, page.value(), tenant_);
   stats_.nvm_to_dram_promotions.Add();
-  stats_.promotions.Add();
-  stats_.promoted_bytes.Add(storage_.page_bytes());
-  TenantResidency& lane = stats_.by_tenant.For(tenant_);
-  lane.promotions.Add();
-  lane.promoted_bytes.Add(storage_.page_bytes());
+  RecordPromotion(slot, PageTier::kDram, now, "promote-nvm-dram");
+}
+
+void ResidencyManager::RecordPromotion(SlotId slot, PageTier medium,
+                                       SimTime now, const char* span) {
+  if (medium == PageTier::kNvm) {
+    stats_.nvm_promotions.Add();
+    stats_.nvm_promoted_bytes.Add(storage_.page_bytes());
+  } else {
+    stats_.promotions.Add();
+    stats_.promoted_bytes.Add(storage_.page_bytes());
+    TenantResidency& lane = stats_.by_tenant.For(tenant_);
+    lane.promotions.Add();
+    lane.promoted_bytes.Add(storage_.page_bytes());
+  }
   if (promote_heat_ != nullptr) {
     promote_heat_->Record(static_cast<uint64_t>(HeatOf(slot, now) * 100.0));
   }
   if (obs_ != nullptr) {
     const BlockKey& key = blocks_[slot].key;
     const SimTime t1 = storage_.dram().clock().now();
-    obs_->tracer().Span(obs_track_, "promote-nvm-dram", now, t1 - now,
+    obs_->tracer().Span(obs_track_, span, now, t1 - now,
                         {"file", key.file_id}, {"block", key.block_index});
   }
 }
 
 Result<uint64_t> ResidencyManager::AllocateDramPage(ReclaimSource* requester) {
-  Result<uint64_t> page = storage_.AllocateDramPage();
+  Result<uint64_t> page = storage_.AllocatePage(PageTier::kDram);
   // 1. The clean cache is the cheapest thing in DRAM: demote it first (with
   // an NVM tier the tail falls one tier rather than out of the hierarchy).
-  while (!page.ok() && enabled() && DemoteOneClean(/*pressure=*/true)) {
-    page = storage_.AllocateDramPage();
+  while (!page.ok() && enabled() && DemoteOne(kDramTier)) {
+    page = storage_.AllocatePage(PageTier::kDram);
   }
   // 2. The requester's own reclaimable pages — exactly the historical VM
   // reclaim loop, so kWriteBufferOnly behavior is unchanged.
   while (!page.ok() && requester != nullptr && requester->TryReclaimOne()) {
-    page = storage_.AllocateDramPage();
+    page = storage_.AllocatePage(PageTier::kDram);
   }
   // 3. Under migration policies, every address space's clean pages compete
   // for the same DRAM (single-level store): reclaim from the others too, in
@@ -520,7 +461,7 @@ Result<uint64_t> ResidencyManager::AllocateDramPage(ReclaimSource* requester) {
         continue;
       }
       while (!page.ok() && source->TryReclaimOne()) {
-        page = storage_.AllocateDramPage();
+        page = storage_.AllocatePage(PageTier::kDram);
       }
       if (page.ok()) {
         break;
@@ -596,11 +537,13 @@ Status ResidencyManager::CheckInvariants() const {
   };
   // Which list each slot was found on, by walking every list once.
   std::vector<uint8_t> seen(blocks_.end(), 0);
-  std::vector<uint8_t> dram_used(storage_.total_dram_pages(), 0);
-  std::vector<uint8_t> nvm_used(storage_.total_nvm_pages(), 0);
+  // Pages seen held, per medium, to catch two slots sharing one.
+  std::vector<uint8_t> held[] = {
+      std::vector<uint8_t>(storage_.total_pages(PageTier::kDram), 0),
+      std::vector<uint8_t>(storage_.total_pages(PageTier::kNvm), 0)};
   // dirty_pages(), clean_pages() and nvm_pages() are the lists' sizes.
   const auto walk = [&](const SlotList& list, Residency where,
-                        const char* name) -> Status {
+                        PageTier medium, const char* name) -> Status {
     uint64_t length = 0;
     SlotId prev = kNoSlot;
     for (SlotId id = list.head; id != kNoSlot; id = blocks_[id].next) {
@@ -615,11 +558,8 @@ Status ResidencyManager::CheckInvariants() const {
       if (b.where != where || b.prev != prev) {
         return fail(id, std::string("is mislinked on ") + name);
       }
-      const bool nvm = where == Residency::kNvm;
-      std::vector<uint8_t>& used = nvm ? nvm_used : dram_used;
-      const bool allocated = nvm ? storage_.IsNvmPageUsed(b.page)
-                                 : storage_.IsDramPageUsed(b.page);
-      if (!allocated || used[b.page] != 0) {
+      std::vector<uint8_t>& used = held[static_cast<size_t>(medium)];
+      if (!storage_.IsPageUsed(medium, b.page) || used[b.page] != 0) {
         return fail(id, "holds a page that is free or shared");
       }
       used[b.page] = 1;
@@ -634,10 +574,11 @@ Status ResidencyManager::CheckInvariants() const {
   };
   if (dirty_backend_ != nullptr) {
     SSMC_RETURN_IF_ERROR(
-        walk(dirty_backend_->lru(), Residency::kDirty, "dirty"));
+        walk(dirty_backend_->lru(), Residency::kDirty, PageTier::kDram,
+             "dirty"));
   }
   for (const CacheTier& tier : tiers_) {
-    SSMC_RETURN_IF_ERROR(walk(tier.lru, tier.residency,
+    SSMC_RETURN_IF_ERROR(walk(tier.lru, tier.residency, tier.medium,
                               tier.residency == Residency::kNvm ? "nvm"
                                                                 : "clean"));
     if (tier.lru.size > tier.capacity_pages) {

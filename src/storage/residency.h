@@ -23,7 +23,10 @@
 //    enter the hierarchy from flash into the bottom cache tier, climb one
 //    tier at a time as their heat crosses that tier's threshold, and fall
 //    one tier at a time under capacity pressure (DRAM tail demotes into
-//    NVM; the NVM tail drops — the flash copy stays authoritative);
+//    NVM; the NVM tail drops — the flash copy stays authoritative). Each
+//    tier names the StorageManager PageTier its pages come from, so one
+//    code path reads, fills, moves and frees cached blocks whatever the
+//    medium — the tier decides only how the access is charged;
 //  * it arbitrates the shared DRAM budget: VM page frames, dirty buffer
 //    pages and the clean cache all draw from one pool (the paper's
 //    single-level-store premise), with clean pages demoted first.
@@ -69,6 +72,7 @@ namespace ssmc {
 class Obs;
 class StorageManager;
 class WriteBuffer;
+enum class PageTier : uint8_t;  // storage_manager.h
 
 // Which migration policy the residency manager runs.
 enum class ResidencyPolicy {
@@ -201,15 +205,12 @@ class ResidencyManager {
   };
   std::vector<TierStatus> Tiers() const;
 
-  // Reads bytes from a clean-cached block (DRAM access, charged to the
-  // caller's clock). Refreshes the block's LRU position. NOT_FOUND if the
-  // block is not cached.
-  Status ReadClean(SlotId slot, uint64_t offset, std::span<uint8_t> out);
-
-  // Reads bytes from an NVM-cached block: a foreground blocking read through
-  // the NVM device's bank scheduler, billed to the current tenant. Refreshes
-  // the block's LRU position. NOT_FOUND if the block is not in the NVM tier.
-  Status ReadNvm(SlotId slot, uint64_t offset, std::span<uint8_t> out);
+  // Reads bytes from a cached block, from whichever tier its slot names: a
+  // foreground blocking read of that tier's medium (DRAM time on the
+  // caller's clock, or the NVM device's bank scheduler), billed to the
+  // current tenant. Refreshes the block's LRU position and counts a clean
+  // or NVM hit. NOT_FOUND if the block is in no cache tier.
+  Status ReadCached(SlotId slot, uint64_t offset, std::span<uint8_t> out);
 
   // Drops one / every cached block from every tier (content changed, file
   // released, battery-backed DRAM lost). The flash copy is authoritative,
@@ -220,6 +221,9 @@ class ResidencyManager {
   // --- Heat & migration ---------------------------------------------------
   // Access notifications from the file system. Under kWriteBufferOnly they
   // return at once, so the slot may be kNoSlot; otherwise it must be live.
+  // TouchRead of a block in the NVM tier climbs it one tier up into the
+  // DRAM clean cache when its heat crosses the DRAM tier's threshold (the
+  // payload moves by reference; the NVM page returns to the pool).
   // OnFlashRead may promote the block into the bottom cache tier
   // (policy-dependent): the NVM tier when one exists, else straight into
   // the DRAM clean cache. The promotion flash read is issued cleaner-class
@@ -227,10 +231,6 @@ class ResidencyManager {
   void TouchRead(SlotId slot, SimTime now);
   void TouchWrite(SlotId slot, SimTime now);
   void OnFlashRead(SlotId slot, uint64_t flash_block, SimTime now);
-  // After a read served from the NVM tier: touches the block and, when its
-  // heat crosses the DRAM tier's threshold, promotes it one tier up (the
-  // payload moves by reference; the NVM page returns to the pool).
-  void OnNvmRead(SlotId slot, SimTime now);
 
   // A VM fault is about to map this flash block in place. Returns true if
   // the block is hot enough that the VM should copy it to DRAM instead
@@ -313,10 +313,12 @@ class ResidencyManager {
   static constexpr size_t kNvmTier = 1;
 
   // One clean cache tier. Its blocks are the slots on `lru`, all with
-  // where == `residency`; tiers are exclusive, so a block moves between
-  // adjacent tiers as its heat changes.
+  // where == `residency`, each holding a page of `medium`; tiers are
+  // exclusive, so a block moves between adjacent tiers as its heat changes.
   struct CacheTier {
     Residency residency = Residency::kClean;  // kClean or kNvm.
+    PageTier medium{};                        // Its pages' storage tier.
+    double admit_heat = 0;                    // Heat a block needs to enter.
     uint64_t capacity_pages = 0;              // Per-tier budget.
     SlotList lru;                             // Head = least recently used.
   };
@@ -325,25 +327,30 @@ class ResidencyManager {
   double DecayTo(BlockState& b, SimTime now) const;
   // Records one touch; returns the decayed count after it.
   double Touch(SlotId slot, SimTime now);
-  // Admission test for the DRAM tier (the historical promote rule).
-  bool ShouldPromote(const BlockState& b) const;
-  // Admission test for the bottom cache tier from flash: the NVM tier's
-  // (lower) threshold when the tier exists, else the DRAM rule.
-  bool ShouldAdmitFromFlash(const BlockState& b) const;
+  // Admission test for `tier` under the policy, against the tier's
+  // admit_heat: the DRAM tier's is the historical promote rule.
+  bool ShouldAdmit(const BlockState& b, size_t tier) const;
   // Promotes a flash block into the bottom cache tier.
   void PromoteFromFlash(SlotId slot, uint64_t flash_block, SimTime now);
   // Moves an NVM-tier block one tier up into the DRAM clean cache.
   void PromoteNvmToDram(SlotId slot, SimTime now);
-  // Drops (or, for the DRAM tier with an NVM tier below, demotes) the
-  // tier's LRU block; false if the tier is empty.
-  bool DemoteOne(size_t tier, bool pressure);
-  bool DemoteOneClean(bool pressure) { return DemoteOne(kDramTier, pressure); }
+  // Books a promotion into `medium` that started at `now`: its counters,
+  // the heat histogram and a trace span named `span`.
+  void RecordPromotion(SlotId slot, PageTier medium, SimTime now,
+                       const char* span);
+  // Under capacity pressure, drops (or, for the DRAM tier with an NVM tier
+  // below, demotes) the tier's LRU block; false if the tier is empty.
+  bool DemoteOne(size_t tier);
   // Links `slot` at the MRU end of `tier`, holding `page` for `tenant`.
   void Install(size_t tier, SlotId slot, uint64_t page, TenantId tenant);
+  // The cache tier holding `slot`'s block, or null (kNoSlot, or uncached).
+  CacheTier* CacheTierOf(SlotId slot);
   // Takes `slot` off its tier and frees its page; the slot stays live.
   void EraseCacheEntry(CacheTier& tier, SlotId slot);
-  // Frees `page` back to the allocator owning `tier`'s pages.
-  void FreeTierPage(const CacheTier& tier, uint64_t page);
+  // Moves `slot`'s block from tier `from` into `page` of tier `to`, by
+  // reference, as background migration I/O billed to `tenant`.
+  void MoveBlock(SlotId slot, size_t from, size_t to, uint64_t page,
+                 TenantId tenant);
   // Allocates a page for `tier`, recycling the tier's own LRU tail at its
   // budget. Failure (pool and tail both dry) returns !ok.
   Result<uint64_t> AllocateTierPage(size_t tier);

@@ -12,28 +12,32 @@ StorageManager::StorageManager(DramDevice& dram, FlashStore& flash_store,
                                ResidencyOptions residency, NvmDevice* nvm)
     : dram_(dram), flash_store_(flash_store), nvm_(nvm),
       page_bytes_(page_bytes),
-      dram_pages_(dram.capacity_bytes() / page_bytes),
-      nvm_pages_(nvm != nullptr ? nvm->capacity_bytes() / page_bytes : 0),
+      tiers_{TierPages{IndexPool(dram.capacity_bytes() / page_bytes), {}},
+             TierPages{IndexPool(nvm != nullptr
+                                     ? nvm->capacity_bytes() / page_bytes
+                                     : 0),
+                       {}}},
       flash_blocks_(flash_store.num_blocks()) {
   assert(page_bytes_ > 0);
   assert(page_bytes_ == flash_store_.block_bytes() &&
          "DRAM page size must match the flash store block size");
-  // Built after the allocators so the residency manager can size its clean
-  // cache against total_dram_pages().
+  // Built after the allocators so the residency manager can size its cache
+  // tiers against total_pages().
   residency_ = std::make_unique<ResidencyManager>(*this, residency);
 }
 
 void StorageManager::AttachObs(Obs* obs) {
   residency_->AttachObs(obs);
   std::vector<StatsMirror::GaugeField> gauges = {
-      {"free_dram_pages", [this] { return free_dram_pages(); }},
-      {"total_dram_pages", [this] { return total_dram_pages(); }},
+      {"free_dram_pages", [this] { return free_pages(PageTier::kDram); }},
+      {"total_dram_pages", [this] { return total_pages(PageTier::kDram); }},
       {"free_flash_blocks", [this] { return free_flash_blocks(); }},
       {"total_flash_blocks", [this] { return total_flash_blocks(); }}};
   if (nvm_ != nullptr) {
-    gauges.insert(gauges.end(),
-                  {{"free_nvm_pages", [this] { return free_nvm_pages(); }},
-                   {"total_nvm_pages", [this] { return total_nvm_pages(); }}});
+    gauges.insert(
+        gauges.end(),
+        {{"free_nvm_pages", [this] { return free_pages(PageTier::kNvm); }},
+         {"total_nvm_pages", [this] { return total_pages(PageTier::kNvm); }}});
   }
   mirror_.Attach(obs, {}, std::move(gauges));
 }
@@ -82,104 +86,63 @@ void StorageManager::IndexPool::Claim(uint64_t i) {
   free_ -= 1;
 }
 
-Result<uint64_t> StorageManager::AllocateDramPage() {
-  if (dram_pages_.free() == 0) {
-    return ResourceExhaustedError("out of DRAM pages");
+Result<uint64_t> StorageManager::AllocatePage(PageTier tier) {
+  TierPages& t = pages(tier);
+  if (t.pool.free() == 0) {
+    return ResourceExhaustedError(tier == PageTier::kDram
+                                      ? "out of DRAM pages"
+                                      : "out of NVM pages");
   }
-  const uint64_t page = dram_pages_.Take();
-  if (page >= page_payloads_.size()) {
-    page_payloads_.resize(dram_pages_.high_water());
-  }
-  return page;
-}
-
-Status StorageManager::FreeDramPage(uint64_t page) {
-  if (page >= total_dram_pages()) {
-    return OutOfRangeError("no such DRAM page");
-  }
-  if (!dram_pages_.used(page)) {
-    return FailedPreconditionError("double free of DRAM page " +
-                                   std::to_string(page));
-  }
-  dram_pages_.Put(page);
-  page_payloads_[page].Reset();
-  return Status::Ok();
-}
-
-Result<uint64_t> StorageManager::AllocateNvmPage() {
-  if (nvm_pages_.free() == 0) {
-    return ResourceExhaustedError("out of NVM pages");
-  }
-  const uint64_t page = nvm_pages_.Take();
-  if (page >= nvm_page_payloads_.size()) {
-    nvm_page_payloads_.resize(nvm_pages_.high_water());
+  const uint64_t page = t.pool.Take();
+  if (page >= t.payloads.size()) {
+    t.payloads.resize(t.pool.high_water());
   }
   return page;
 }
 
-Status StorageManager::FreeNvmPage(uint64_t page) {
-  if (page >= total_nvm_pages()) {
-    return OutOfRangeError("no such NVM page");
+Status StorageManager::FreePage(PageTier tier, uint64_t page) {
+  TierPages& t = pages(tier);
+  if (page >= t.pool.capacity()) {
+    return OutOfRangeError("no such page");
   }
-  if (!nvm_pages_.used(page)) {
-    return FailedPreconditionError("double free of NVM page " +
+  if (!t.pool.used(page)) {
+    return FailedPreconditionError("double free of page " +
                                    std::to_string(page));
   }
-  nvm_pages_.Put(page);
-  nvm_page_payloads_[page].Reset();
+  t.pool.Put(page);
+  t.payloads[page].Reset();
   return Status::Ok();
 }
 
-Duration StorageManager::ReadNvmPagePayload(uint64_t page, uint64_t offset,
-                                            std::span<uint8_t> out,
-                                            IoIssue issue) {
-  assert(nvm_ != nullptr);
-  assert(page < nvm_page_payloads_.size() &&
-         offset + out.size() <= page_bytes_);
-  const Result<Duration> d =
-      nvm_->Read(NvmPageAddress(page) + offset, out.size(), issue);
-  const PayloadRef& ref = nvm_page_payloads_[page];
-  if (ref) {
-    std::memcpy(out.data(), ref.data() + offset, out.size());
-  } else {
-    std::memset(out.data(), 0, out.size());
+Duration StorageManager::Charge(PageTier tier, uint64_t page, uint64_t offset,
+                                uint64_t bytes, bool is_write, IoIssue issue) {
+  if (tier == PageTier::kDram) {
+    return dram_.ChargeAccess(bytes, is_write);
   }
+  assert(nvm_ != nullptr);
+  const uint64_t addr = PageAddress(page) + offset;
+  const Result<Duration> d = is_write ? nvm_->Write(addr, bytes, issue)
+                                      : nvm_->Read(addr, bytes, issue);
   return d.value_or(0);
 }
 
-Duration StorageManager::InstallNvmPagePayload(uint64_t page,
-                                               PayloadRef payload,
-                                               IoIssue issue) {
-  assert(nvm_ != nullptr);
-  assert(page < nvm_page_payloads_.size() &&
-         payload.size() == page_bytes_);
-  const Result<Duration> d =
-      nvm_->Write(NvmPageAddress(page), page_bytes_, issue);
-  nvm_page_payloads_[page] = std::move(payload);
-  return d.value_or(0);
-}
-
-PayloadRef StorageManager::ReadNvmPagePayloadRef(uint64_t page,
-                                                 IoIssue issue) {
-  assert(nvm_ != nullptr);
-  assert(page < nvm_page_payloads_.size());
-  (void)nvm_->Read(NvmPageAddress(page), page_bytes_, issue);
-  PayloadRef& ref = nvm_page_payloads_[page];
-  if (!ref) {
-    if (!zero_extent_) {
-      zero_extent_ = extent_pool().Allocate();
-      std::memset(zero_extent_.MutableData(), 0, page_bytes_);
-    }
-    ref = zero_extent_;
+const PayloadRef& StorageManager::ZeroExtent() {
+  if (!zero_extent_) {
+    zero_extent_ = extent_pool().Allocate();
+    std::memset(zero_extent_.MutableData(), 0, page_bytes_);
   }
-  return ref;
+  return zero_extent_;
 }
 
-Duration StorageManager::ReadPagePayload(uint64_t page, uint64_t offset,
-                                         std::span<uint8_t> out) {
-  assert(page < page_payloads_.size() && offset + out.size() <= page_bytes_);
-  const Duration d = dram_.ChargeAccess(out.size(), /*is_write=*/false);
-  const PayloadRef& ref = page_payloads_[page];
+Duration StorageManager::ReadPagePayload(PageTier tier, uint64_t page,
+                                         uint64_t offset,
+                                         std::span<uint8_t> out,
+                                         IoIssue issue) {
+  TierPages& t = pages(tier);
+  assert(page < t.payloads.size() && offset + out.size() <= page_bytes_);
+  const Duration d =
+      Charge(tier, page, offset, out.size(), /*is_write=*/false, issue);
+  const PayloadRef& ref = t.payloads[page];
   if (ref) {
     std::memcpy(out.data(), ref.data() + offset, out.size());
   } else {
@@ -188,11 +151,35 @@ Duration StorageManager::ReadPagePayload(uint64_t page, uint64_t offset,
   return d;
 }
 
+Duration StorageManager::InstallPagePayload(PageTier tier, uint64_t page,
+                                            PayloadRef payload,
+                                            IoIssue issue) {
+  TierPages& t = pages(tier);
+  assert(page < t.payloads.size() && payload.size() == page_bytes_);
+  const Duration d =
+      Charge(tier, page, 0, page_bytes_, /*is_write=*/true, issue);
+  t.payloads[page] = std::move(payload);
+  return d;
+}
+
+PayloadRef StorageManager::ReadPagePayloadRef(PageTier tier, uint64_t page,
+                                              IoIssue issue) {
+  TierPages& t = pages(tier);
+  assert(page < t.payloads.size());
+  Charge(tier, page, 0, page_bytes_, /*is_write=*/false, issue);
+  PayloadRef& ref = t.payloads[page];
+  if (!ref) {
+    ref = ZeroExtent();
+  }
+  return ref;
+}
+
 Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
                                           std::span<const uint8_t> data) {
-  assert(page < page_payloads_.size() && offset + data.size() <= page_bytes_);
+  std::vector<PayloadRef>& payloads = pages(PageTier::kDram).payloads;
+  assert(page < payloads.size() && offset + data.size() <= page_bytes_);
   const Duration d = dram_.ChargeAccess(data.size(), /*is_write=*/true);
-  PayloadRef& ref = page_payloads_[page];
+  PayloadRef& ref = payloads[page];
   if (!ref) {
     if (offset == 0 && data.size() == page_bytes_) {
       ref = extent_pool().AllocateCopy(data.data());
@@ -208,45 +195,18 @@ Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
   return d;
 }
 
-Duration StorageManager::InstallPagePayload(uint64_t page, PayloadRef payload) {
-  assert(page < page_payloads_.size() && payload.size() == page_bytes_);
-  const Duration d = dram_.ChargeAccess(page_bytes_, /*is_write=*/true);
-  page_payloads_[page] = std::move(payload);
-  return d;
-}
-
 Duration StorageManager::ZeroFillPagePayload(uint64_t page) {
-  assert(page < page_payloads_.size());
-  const Duration d = dram_.ChargeAccess(page_bytes_, /*is_write=*/true);
-  if (!zero_extent_) {
-    zero_extent_ = extent_pool().Allocate();
-    std::memset(zero_extent_.MutableData(), 0, page_bytes_);
-  }
-  page_payloads_[page] = zero_extent_;
-  return d;
-}
-
-PayloadRef StorageManager::ReadPagePayloadRef(uint64_t page) {
-  assert(page < page_payloads_.size());
-  dram_.ChargeAccess(page_bytes_, /*is_write=*/false);
-  PayloadRef& ref = page_payloads_[page];
-  if (!ref) {
-    if (!zero_extent_) {
-      zero_extent_ = extent_pool().Allocate();
-      std::memset(zero_extent_.MutableData(), 0, page_bytes_);
-    }
-    ref = zero_extent_;
-  }
-  return ref;
+  return InstallPagePayload(PageTier::kDram, page, ZeroExtent());
 }
 
 void StorageManager::DropPagePayload(uint64_t page) {
-  assert(page < page_payloads_.size());
-  page_payloads_[page].Reset();
+  std::vector<PayloadRef>& payloads = pages(PageTier::kDram).payloads;
+  assert(page < payloads.size());
+  payloads[page].Reset();
 }
 
 void StorageManager::DropAllPagePayloads() {
-  for (PayloadRef& ref : page_payloads_) {
+  for (PayloadRef& ref : pages(PageTier::kDram).payloads) {
     ref.Reset();
   }
   zero_extent_.Reset();

@@ -4,7 +4,8 @@
 // the virtual memory system: it maintains "a list of free flash memory
 // sectors and a list of free DRAM pages, allocating them to the file and
 // virtual memory systems as needed." Concretely it provides:
-//  * a DRAM page allocator over the machine's DramDevice;
+//  * one page API over the byte-addressable tiers (PageTier: DRAM and the
+//    optional NVM of Section 5), each taking the tier as a parameter;
 //  * a logical flash-block allocator over the FlashStore;
 //  * metadata-access accounting (memory-resident structures cost DRAM time);
 //  * the shared WriteBuffer (write_buffer.h) is built on these allocators.
@@ -17,6 +18,7 @@
 #ifndef SSMC_SRC_STORAGE_STORAGE_MANAGER_H_
 #define SSMC_SRC_STORAGE_STORAGE_MANAGER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -34,9 +36,14 @@ namespace ssmc {
 
 class Obs;
 
+// The byte-addressable page tiers. Pages of either are allocated and hold
+// their contents the same way; the tier decides only how an access is
+// charged: DramDevice::ChargeAccess, or the NvmDevice's bank scheduler.
+enum class PageTier : uint8_t { kDram = 0, kNvm = 1 };
+
 class StorageManager {
  public:
-  // page_bytes is the unit of DRAM allocation; it must equal the flash
+  // page_bytes is the unit of page allocation; it must equal the flash
   // store's block size so buffered blocks flush 1:1. `residency` selects
   // the tier migration policy (residency.h); the default kWriteBufferOnly
   // is byte-identical to the pre-residency simulator. `nvm` adds the
@@ -55,28 +62,20 @@ class StorageManager {
   ResidencyManager& residency() { return *residency_; }
   const ResidencyManager& residency() const { return *residency_; }
 
-  // --- DRAM page allocation ---------------------------------------------
-  uint64_t total_dram_pages() const { return dram_pages_.capacity(); }
-  uint64_t free_dram_pages() const { return dram_pages_.free(); }
-  // Returns the page index; the page's device address is index * page_bytes.
-  // RESOURCE_EXHAUSTED when the pool is dry (a typed out-of-memory: callers
+  // --- Page allocation (either tier) --------------------------------------
+  uint64_t total_pages(PageTier tier) const {
+    return pages(tier).pool.capacity();
+  }
+  uint64_t free_pages(PageTier tier) const { return pages(tier).pool.free(); }
+  // Returns the page index; the page's device address is PageAddress(page).
+  // RESOURCE_EXHAUSTED when the tier is dry (a typed out-of-memory: callers
   // distinguish it from media-level kNoSpace).
-  Result<uint64_t> AllocateDramPage();
-  Status FreeDramPage(uint64_t page);
-  bool IsDramPageUsed(uint64_t page) const { return dram_pages_.used(page); }
-  uint64_t DramPageAddress(uint64_t page) const { return page * page_bytes_; }
-
-  // --- NVM page allocation ------------------------------------------------
-  // The optional byte-addressable NVM tier, allocated in the same page unit
-  // as DRAM. Null / zero-sized when the machine has no NVM.
-  NvmDevice* nvm() { return nvm_; }
-  const NvmDevice* nvm() const { return nvm_; }
-  uint64_t total_nvm_pages() const { return nvm_pages_.capacity(); }
-  uint64_t free_nvm_pages() const { return nvm_pages_.free(); }
-  Result<uint64_t> AllocateNvmPage();
-  Status FreeNvmPage(uint64_t page);
-  bool IsNvmPageUsed(uint64_t page) const { return nvm_pages_.used(page); }
-  uint64_t NvmPageAddress(uint64_t page) const { return page * page_bytes_; }
+  Result<uint64_t> AllocatePage(PageTier tier);
+  Status FreePage(PageTier tier, uint64_t page);
+  bool IsPageUsed(PageTier tier, uint64_t page) const {
+    return pages(tier).pool.used(page);
+  }
+  uint64_t PageAddress(uint64_t page) const { return page * page_bytes_; }
 
   // --- Flash logical-block allocation -------------------------------------
   uint64_t total_flash_blocks() const { return flash_store_.num_blocks(); }
@@ -95,55 +94,47 @@ class StorageManager {
   void AttachObs(Obs* obs);
 
   // --- Page payloads ------------------------------------------------------
-  // Every allocated DRAM page carries its contents as a refcounted payload
-  // extent; this table is the only copy of DRAM bytes (the DramDevice holds
-  // none). The accessors below charge the access through
-  // DramDevice::ChargeAccess (clock, energy, stats). Aliased pages (a
-  // flushed block that also sits programmed in flash, a promoted clean
-  // copy, an anonymous zero page) share one extent, and writes to shared
-  // extents copy-on-write.
-  // The pool is the flash store's: refs flow between DRAM pages and flash
+  // Every allocated page carries its contents as a refcounted payload
+  // extent; this table is the only copy of the bytes (the devices hold
+  // none). Aliased pages (a flushed block that also sits programmed in
+  // flash, a promoted clean copy, an anonymous zero page) share one extent,
+  // and writes to shared extents copy-on-write.
+  // The pool is the flash store's: refs flow between pages and flash
   // sectors without ever copying payload bytes.
   ExtentPool& extent_pool() { return flash_store_.extent_pool(); }
 
-  // Reads/writes within one page's payload. offset + size must stay inside
-  // the page; reads of never-written pages are zero fill.
-  Duration ReadPagePayload(uint64_t page, uint64_t offset,
-                           std::span<uint8_t> out);
+  // These charge the access to `tier`; `issue` schedules an NVM access on
+  // the device's bank queues, and DRAM ignores it.
+  // Reads within one page's payload. offset + size must stay inside the
+  // page; reads of never-written pages are zero fill.
+  Duration ReadPagePayload(PageTier tier, uint64_t page, uint64_t offset,
+                           std::span<uint8_t> out, IoIssue issue = {});
+  // Installs a whole-page payload by reference (zero-copy promotion, fill or
+  // migration); charges one full-page write. payload.size() must equal
+  // page_bytes.
+  Duration InstallPagePayload(PageTier tier, uint64_t page, PayloadRef payload,
+                              IoIssue issue = {});
+  // Borrows the page's payload as a ref (refcount bump), charging one
+  // full-page read — the flush and migration paths' "read the page" step. A
+  // never-written page materializes as the shared zero extent.
+  PayloadRef ReadPagePayloadRef(PageTier tier, uint64_t page,
+                                IoIssue issue = {});
+
+  // DRAM only (other tiers fill by whole-page installs): writes within one
+  // page's payload; offset + size must stay inside the page.
   Duration WritePagePayload(uint64_t page, uint64_t offset,
                             std::span<const uint8_t> data);
-  // Installs a whole-page payload by reference (zero-copy promotion/fill);
-  // charges one full-page DRAM write. payload.size() must equal page_bytes.
-  Duration InstallPagePayload(uint64_t page, PayloadRef payload);
-  // Zero-fills a page: charges a full-page DRAM write and aliases the shared
+  // Zero-fills a DRAM page: charges a full-page write and aliases the shared
   // all-zeros extent (every anonymous VM page starts as one refcount bump).
   Duration ZeroFillPagePayload(uint64_t page);
-  // Borrows the page's payload as a ref (refcount bump), charging one
-  // full-page DRAM read — the flush path's "read the buffer" step. A
-  // never-written page materializes as the shared zero extent.
-  PayloadRef ReadPagePayloadRef(uint64_t page);
-  // Forgets the page's contents, free of charge, leaving it allocated: the
-  // next write fills a fresh extent rather than copy-on-write the old one
-  // (a page handed from a flushed block to the next).
+  // Forgets a DRAM page's contents, free of charge, leaving it allocated:
+  // the next write fills a fresh extent rather than copy-on-write the old
+  // one (a page handed from a flushed block to the next).
   void DropPagePayload(uint64_t page);
   // Battery failure: volatile contents are gone (the machine records the
   // loss with DramDevice::ForceContentLoss) — subsequent reads see zero
   // fill. NVM page payloads are left intact: the tier is non-volatile.
   void DropAllPagePayloads();
-
-  // --- NVM page payloads --------------------------------------------------
-  // Same refcounted-extent representation as DRAM pages, charged against the
-  // NVM device's asymmetric read/write timing through its bank scheduler.
-  // Valid only when nvm() is non-null.
-  Duration ReadNvmPagePayload(uint64_t page, uint64_t offset,
-                              std::span<uint8_t> out, IoIssue issue = {});
-  // Installs a whole-page payload by reference (zero-copy promotion);
-  // charges one full-page NVM write. payload.size() must equal page_bytes.
-  Duration InstallNvmPagePayload(uint64_t page, PayloadRef payload,
-                                 IoIssue issue = kCleanerIo);
-  // Borrows the page's payload as a ref (refcount bump), charging one
-  // full-page NVM read.
-  PayloadRef ReadNvmPagePayloadRef(uint64_t page, IoIssue issue = {});
 
   // --- Metadata accounting ------------------------------------------------
   // Memory-resident metadata (directories, inodes, page tables) lives in
@@ -194,20 +185,34 @@ class StorageManager {
     uint64_t free_;
   };
 
+  // One page tier's allocator and contents.
+  struct TierPages {
+    IndexPool pool;
+    // Indexed by page; grows with pool.high_water(), since only pages
+    // handed out so far can hold a payload.
+    std::vector<PayloadRef> payloads;
+  };
+  TierPages& pages(PageTier tier) {
+    return tiers_[static_cast<size_t>(tier)];
+  }
+  const TierPages& pages(PageTier tier) const {
+    return tiers_[static_cast<size_t>(tier)];
+  }
+  // Charges a `bytes`-long access at `offset` into `page` to `tier`.
+  Duration Charge(PageTier tier, uint64_t page, uint64_t offset,
+                  uint64_t bytes, bool is_write, IoIssue issue);
+  // The shared all-zeros extent, built on first use.
+  const PayloadRef& ZeroExtent();
+
   DramDevice& dram_;
   FlashStore& flash_store_;
   NvmDevice* nvm_;
   uint64_t page_bytes_;
-  IndexPool dram_pages_;
-  IndexPool nvm_pages_;
+  // Indexed by PageTier. Declared before residency_: its destructor returns
+  // the cache tiers' pages here, so the pools must still be alive.
+  std::array<TierPages, 2> tiers_;
   IndexPool flash_blocks_;
-  // Indexed by page; each grows with its pool's high_water(), since only
-  // pages handed out so far can hold a payload.
-  std::vector<PayloadRef> page_payloads_;      // DRAM pages.
-  std::vector<PayloadRef> nvm_page_payloads_;  // NVM pages.
-  PayloadRef zero_extent_;                 // Lazily built, shared by aliasing.
-  // Declared after the allocators: its destructor returns the clean cache's
-  // DRAM pages to them, so they must still be alive.
+  PayloadRef zero_extent_;  // Lazily built, shared by aliasing.
   std::unique_ptr<ResidencyManager> residency_;
   StatsMirror mirror_{"storage"};  // Last: its destructor runs the collector.
 };

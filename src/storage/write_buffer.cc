@@ -118,12 +118,12 @@ Status WriteBuffer::Get(SlotId slot, std::span<uint8_t> out) {
   if (!Contains(slot)) {
     return NotFoundError("block not buffered");
   }
-  storage_.ReadPagePayload(blocks_[slot].page, 0, out);
+  storage_.ReadPagePayload(PageTier::kDram, blocks_[slot].page, 0, out);
   return Status::Ok();
 }
 
 void WriteBuffer::Remove(SlotId slot) {
-  (void)storage_.FreeDramPage(blocks_[slot].page);
+  (void)storage_.FreePage(PageTier::kDram, blocks_[slot].page);
   Detach(slot);
 }
 
@@ -153,12 +153,13 @@ Status WriteBuffer::FlushEntry(SlotId slot, uint32_t* kept_page) {
   // Reading the buffered page costs DRAM time as before, but hands the
   // flush destination the page's own extent: no staging copy.
   const BlockState block = blocks_[slot];
-  PayloadRef data = storage_.ReadPagePayloadRef(block.page);
+  PayloadRef data = storage_.ReadPagePayloadRef(PageTier::kDram, block.page);
   // Handing a kept page to the next block stands in for a free and an
   // allocation only because a flush itself allocates and frees no DRAM page.
-  [[maybe_unused]] const uint64_t free_pages = storage_.free_dram_pages();
+  [[maybe_unused]] const uint64_t free_pages =
+      storage_.free_pages(PageTier::kDram);
   SSMC_RETURN_IF_ERROR(flush_fn_(block.key, data, block.tenant));
-  assert(storage_.free_dram_pages() == free_pages);
+  assert(storage_.free_pages(PageTier::kDram) == free_pages);
   stats_.flushes.Add();
   stats_.flushed_bytes.Add(data.size());
   if (kept_page == nullptr) {

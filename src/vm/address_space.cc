@@ -27,6 +27,12 @@ const AddressSpace::Region* AddressSpace::FindRegion(uint64_t va) const {
 }
 
 namespace {
+// The storage manager tier behind a DRAM or NVM frame.
+PageTier FrameTier(FrameBacking backing) {
+  assert(backing != FrameBacking::kFlash);
+  return backing == FrameBacking::kNvm ? PageTier::kNvm : PageTier::kDram;
+}
+
 uint64_t RoundUp(uint64_t v, uint64_t unit) {
   return (v + unit - 1) / unit * unit;
 }
@@ -118,17 +124,18 @@ Status AddressSpace::Unmap(uint64_t va) {
   return Status::Ok();
 }
 
+uint64_t& AddressSpace::ResidentPages(PageTier tier) {
+  return tier == PageTier::kNvm ? resident_nvm_pages_ : resident_dram_pages_;
+}
+
 void AddressSpace::ReleaseFrame(const PageTableEntry& pte) {
-  if (pte.backing == FrameBacking::kDram) {
-    (void)storage_.FreeDramPage(pte.frame);
-    assert(resident_dram_pages_ > 0);
-    --resident_dram_pages_;
-  } else if (pte.backing == FrameBacking::kNvm) {
-    (void)storage_.FreeNvmPage(pte.frame);
-    assert(resident_nvm_pages_ > 0);
-    --resident_nvm_pages_;
+  if (pte.backing == FrameBacking::kFlash) {
+    return;  // The frame is a mapping into the store, not an allocation.
   }
-  // kFlash: the frame is a mapping into the store, not an allocation.
+  const PageTier tier = FrameTier(pte.backing);
+  (void)storage_.FreePage(tier, pte.frame);
+  assert(ResidentPages(tier) > 0);
+  --ResidentPages(tier);
 }
 
 bool AddressSpace::ReclaimOnePage() {
@@ -146,9 +153,7 @@ bool AddressSpace::ReclaimOnePage() {
     }
     // Clean file-backed page: its content can always be re-fetched from the
     // file system (flash or the battery-backed write buffer), so drop it.
-    (void)storage_.FreeDramPage(pte->frame);
-    assert(resident_dram_pages_ > 0);
-    --resident_dram_pages_;
+    ReleaseFrame(*pte);
     table_.MarkPresent(*pte, false);
     *pte = PageTableEntry{};
     stats_.reclaimed_pages.Add();
@@ -274,18 +279,21 @@ Result<PageTableEntry*> AddressSpace::EnsurePresent(uint64_t va,
   }
   if (for_write && !pte.writable) {
     // Copy-on-write: the page is mapped read-only into flash (or was
-    // hardware-migrated into NVM); the first write copies the affected
-    // block to DRAM (Section 3.1).
+    // hardware-migrated into NVM or DRAM); the first write copies the
+    // affected block to a fresh DRAM page (Section 3.1) and the old frame
+    // is released.
     stats_.faults.Add();
     stats_.cow_faults.Add();
     Result<uint64_t> page = CopyBlockToDram(*region, va);
     if (!page.ok()) {
       return page.status();
     }
-    if (pte.backing == FrameBacking::kNvm) {
-      (void)storage_.FreeNvmPage(pte.frame);
-      assert(resident_nvm_pages_ > 0);
-      --resident_nvm_pages_;
+    // Allocating the copy can reclaim this very page (a clean DRAM frame),
+    // which releases its frame and unmaps it.
+    if (pte.present) {
+      ReleaseFrame(pte);
+    } else {
+      table_.MarkPresent(pte, true);
     }
     pte.backing = FrameBacking::kDram;
     pte.frame = page.value();
@@ -302,15 +310,13 @@ Result<PageTableEntry*> AddressSpace::EnsurePresent(uint64_t va,
 Result<Duration> AddressSpace::FrameRead(const PageTableEntry& pte,
                                          uint64_t offset,
                                          std::span<uint8_t> out) {
-  if (pte.backing == FrameBacking::kDram) {
-    return storage_.ReadPagePayload(pte.frame, offset, out);
+  if (pte.backing == FrameBacking::kFlash) {
+    return storage_.flash_store().ReadPartial(pte.frame, offset, out);
   }
-  if (pte.backing == FrameBacking::kNvm) {
-    // A hardware-migrated page: byte-addressable NVM access, the caller
-    // blocks at NVM (not flash) latency.
-    return storage_.ReadNvmPagePayload(pte.frame, offset, out);
-  }
-  return storage_.flash_store().ReadPartial(pte.frame, offset, out);
+  // A DRAM frame or a hardware-migrated NVM page: a byte-addressable access,
+  // the caller blocks at the medium's (not flash) latency.
+  return storage_.ReadPagePayload(FrameTier(pte.backing), pte.frame, offset,
+                                  out, kForegroundIo);
 }
 
 Result<Duration> AddressSpace::FrameWrite(PageTableEntry& pte, uint64_t offset,
@@ -332,7 +338,10 @@ void AddressSpace::NoteHwAccess(uint64_t page_va) {
 
 void AddressSpace::RunHwEpoch() {
   stats_.hw_epochs.Add();
-  const bool to_nvm = storage_.total_nvm_pages() > 0;
+  const FrameBacking backing = storage_.total_pages(PageTier::kNvm) > 0
+                                   ? FrameBacking::kNvm
+                                   : FrameBacking::kDram;
+  const PageTier tier = FrameTier(backing);
   for (const uint64_t page_va : hw_access_order_) {
     if (hw_access_counts_[page_va] < hw_migration_.promote_threshold) {
       continue;
@@ -344,8 +353,7 @@ void AddressSpace::RunHwEpoch() {
     }
     // Hardware cannot ask the OS to reclaim: a plain allocation, and a hot
     // page simply stays flash-mapped when the pool is dry.
-    Result<uint64_t> page =
-        to_nvm ? storage_.AllocateNvmPage() : storage_.AllocateDramPage();
+    Result<uint64_t> page = storage_.AllocatePage(tier);
     if (!page.ok()) {
       continue;
     }
@@ -356,20 +364,14 @@ void AddressSpace::RunHwEpoch() {
     Result<PayloadRef> payload =
         storage_.flash_store().ReadRef(pte->frame, kCleanerIo);
     if (!payload.ok()) {
-      to_nvm ? (void)storage_.FreeNvmPage(page.value())
-             : (void)storage_.FreeDramPage(page.value());
+      (void)storage_.FreePage(tier, page.value());
       continue;
     }
-    if (to_nvm) {
-      storage_.InstallNvmPagePayload(page.value(), std::move(payload.value()));
-      pte->backing = FrameBacking::kNvm;
-      ++resident_nvm_pages_;
-    } else {
-      storage_.InstallPagePayload(page.value(), std::move(payload.value()));
-      pte->backing = FrameBacking::kDram;
-      ++resident_dram_pages_;
-    }
+    storage_.InstallPagePayload(tier, page.value(), std::move(payload.value()),
+                                kCleanerIo);
+    pte->backing = backing;
     pte->frame = page.value();
+    ++ResidentPages(tier);
     // Migrated pages stay read-only: the first write still takes the normal
     // copy-on-write fault into DRAM.
     stats_.hw_migrations.Add();

@@ -11,7 +11,10 @@
 // Accesses walk the page table (charged DRAM time per level), fault pages in
 // on demand, and then pay the backing device's access cost for the bytes
 // touched. Flash-backed pages re-resolve their physical address through the
-// flash store on each fault because the cleaner relocates blocks.
+// flash store on each fault because the cleaner relocates blocks. DRAM and
+// NVM frames are pages of the storage manager's tiers (PageTier): a frame's
+// backing picks the tier once, and reads, installs and frees take the same
+// path for either.
 
 #ifndef SSMC_SRC_VM_ADDRESS_SPACE_H_
 #define SSMC_SRC_VM_ADDRESS_SPACE_H_
@@ -183,6 +186,8 @@ class AddressSpace : public ResidencyManager::ReclaimSource {
   // Releases the frame a present PTE holds (DRAM or NVM; flash frames are
   // mappings, not allocations).
   void ReleaseFrame(const PageTableEntry& pte);
+  // The resident-page count of `tier`'s frames.
+  uint64_t& ResidentPages(PageTier tier);
 
   // Device access to the resolved frame.
   Result<Duration> FrameRead(const PageTableEntry& pte, uint64_t offset,

@@ -99,6 +99,56 @@ TEST_F(AddressSpaceTest, FileCowMapsFlashInPlace) {
   EXPECT_GE(space_->stats().flash_map_faults.value(), 1u);
 }
 
+// A copy-on-write fault whose DRAM allocation reclaims the very page being
+// written (a hardware-migrated DRAM copy, reached through a reclaim
+// candidate left from an earlier mapping of the same address): the page
+// ends up mapped to the copy, and no frame is freed twice or leaked.
+TEST_F(AddressSpaceTest, CowThatReclaimsItsOwnPageKeepsTheCopy) {
+  constexpr uint64_t kVa = 0x20000;
+  const std::vector<uint8_t> block(512, 0x3C);
+  ASSERT_TRUE(fs_->Create("/data").ok());
+  ASSERT_TRUE(fs_->Write("/data", 0, block).ok());  // Buffered, not flash.
+  std::vector<uint8_t> out(512);
+  // A read fault copies the buffered block and leaves a reclaim candidate
+  // that outlives the mapping.
+  ASSERT_TRUE(space_->MapFileCow(kVa, *fs_, "/data", true).ok());
+  ASSERT_TRUE(space_->Read(kVa, out).ok());
+  ASSERT_TRUE(space_->Unmap(kVa).ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+
+  HwMigrationOptions hw;
+  hw.enabled = true;
+  hw.epoch_accesses = 8;
+  hw.promote_threshold = 2;
+  space_->set_hw_migration(hw);
+  ASSERT_TRUE(space_->MapFileCow(kVa, *fs_, "/data", true).ok());
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(space_->Read(kVa, out).ok());
+  }
+  ASSERT_EQ(space_->stats().hw_migrations.value(), 1u);
+  ASSERT_EQ(space_->resident_dram_pages(), 1u);
+  std::vector<uint64_t> held;
+  while (manager_->free_pages(PageTier::kDram) > 0) {
+    held.push_back(manager_->AllocatePage(PageTier::kDram).value());
+  }
+
+  const std::vector<uint8_t> patch(4, 0x7E);
+  ASSERT_TRUE(space_->Write(kVa, patch).ok());
+  EXPECT_EQ(space_->stats().reclaimed_pages.value(), 1u);
+  EXPECT_EQ(space_->resident_dram_pages(), 1u);
+  EXPECT_EQ(manager_->free_pages(PageTier::kDram), 0u);
+  ASSERT_TRUE(space_->Read(kVa, out).ok());
+  EXPECT_EQ(out[0], 0x7E);
+  EXPECT_EQ(out[4], 0x3C);
+
+  ASSERT_TRUE(space_->Unmap(kVa).ok());
+  EXPECT_EQ(space_->resident_dram_pages(), 0u);
+  EXPECT_EQ(manager_->free_pages(PageTier::kDram), 1u);
+  for (const uint64_t page : held) {
+    ASSERT_TRUE(manager_->FreePage(PageTier::kDram, page).ok());
+  }
+}
+
 TEST_F(AddressSpaceTest, CowCopiesOnFirstWrite) {
   MakeFlashFile("/data", 2048, 5);
   ASSERT_TRUE(space_->MapFileCow(0x20000, *fs_, "/data", true).ok());
@@ -177,9 +227,9 @@ TEST_F(AddressSpaceTest, UnmapFreesDramPages) {
   ASSERT_TRUE(space_->MapAnonymous(0x10000, 4096, "heap").ok());
   std::vector<uint8_t> data(4096, 1);
   ASSERT_TRUE(space_->Write(0x10000, data).ok());
-  const uint64_t free_before = manager_->free_dram_pages();
+  const uint64_t free_before = manager_->free_pages(PageTier::kDram);
   ASSERT_TRUE(space_->Unmap(0x10000).ok());
-  EXPECT_EQ(manager_->free_dram_pages(), free_before + 8);
+  EXPECT_EQ(manager_->free_pages(PageTier::kDram), free_before + 8);
   EXPECT_EQ(space_->resident_dram_pages(), 0u);
   std::vector<uint8_t> out(8);
   EXPECT_FALSE(space_->Read(0x10000, out).ok());
@@ -220,7 +270,7 @@ TEST_F(AddressSpaceTest, CleanPagesReclaimedUnderMemoryPressure) {
   MakeFlashFile("/big", 64 * 1024, 2);  // 128 pages.
   ASSERT_TRUE(space_->MapFileDemandCopy(0x80000, *fs_, "/big", false).ok());
 
-  const uint64_t total = manager_->total_dram_pages();
+  const uint64_t total = manager_->total_pages(PageTier::kDram);
   // Leave room for only 32 pages.
   const uint64_t anon_pages = total - 32;
   ASSERT_TRUE(
@@ -251,7 +301,7 @@ TEST_F(AddressSpaceTest, ReclaimedPageRefaultsWithSameContent) {
   const std::vector<uint8_t> first = out;
 
   // Exhaust DRAM so the next faults force reclamation of page 0.
-  const uint64_t free_pages = manager_->free_dram_pages();
+  const uint64_t free_pages = manager_->free_pages(PageTier::kDram);
   ASSERT_TRUE(space_->MapAnonymous(uint64_t{1} << 41,
                                    free_pages * 512, "hog").ok());
   std::vector<uint8_t> touch(512, 9);

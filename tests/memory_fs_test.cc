@@ -298,11 +298,11 @@ TEST_F(MemoryFsTest, FailedAppendWithUnjournaledRollbackDropsBufferedTail) {
   // are left.
   constexpr uint64_t kBlocks = 6;
   uint64_t size = 0;
-  while (manager_->free_dram_pages() > kBlocks) {
+  while (manager_->free_pages(PageTier::kDram) > kBlocks) {
     ASSERT_TRUE(fs_->Write("/fill", size, Pattern(kBlocks * 512)).ok());
     size += kBlocks * 512;
   }
-  const uint64_t staged = manager_->free_dram_pages();
+  const uint64_t staged = manager_->free_pages(PageTier::kDram);
   ASSERT_GT(staged, 0u);
 
   // One block more than DRAM holds: staging fails after `staged` blocks,

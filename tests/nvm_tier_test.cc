@@ -107,7 +107,7 @@ TEST_F(NvmTierTest, FirstFlashReadAdmitsIntoNvmTier) {
 
   // The cached copy reads back byte-identical through the NVM device.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadNvm(slot(key), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(key), 0, out).ok());
   EXPECT_EQ(out, Page(0x5C));
   EXPECT_EQ(res().stats().nvm_hits.value(), 1u);
   EXPECT_EQ(res().stats().nvm_hit_bytes.value(), 512u);
@@ -115,11 +115,12 @@ TEST_F(NvmTierTest, FirstFlashReadAdmitsIntoNvmTier) {
 
   // Partial reads honor offsets; out-of-bounds and misses are rejected.
   std::vector<uint8_t> tail(12);
-  ASSERT_TRUE(res().ReadNvm(slot(key), 500, tail).ok());
+  ASSERT_TRUE(res().ReadCached(slot(key), 500, tail).ok());
   EXPECT_EQ(tail, std::vector<uint8_t>(12, 0x5C));
   std::vector<uint8_t> over(13);
-  EXPECT_EQ(res().ReadNvm(slot(key), 500, over).code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(res().ReadNvm(slot(BlockKey{9, 9}), 0, out).code(),
+  EXPECT_EQ(res().ReadCached(slot(key), 500, over).code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(res().ReadCached(slot(BlockKey{9, 9}), 0, out).code(),
             ErrorCode::kNotFound);
 }
 
@@ -131,16 +132,57 @@ TEST_F(NvmTierTest, HotNvmBlockClimbsIntoDram) {
 
   // The next read's touch crosses the DRAM threshold (2.0): the block moves
   // one tier up and its NVM page returns to the pool.
-  res().OnNvmRead(slot(key), clock_.now());
+  res().TouchRead(slot(key), clock_.now());
   EXPECT_TRUE(res().CleanCached(slot(key)));
   EXPECT_FALSE(res().NvmCached(slot(key)));
   EXPECT_EQ(res().Resolve(slot(key), 9), Residency::kClean);
   EXPECT_EQ(res().stats().nvm_to_dram_promotions.value(), 1u);
   EXPECT_EQ(res().stats().promotions.value(), 1u);
-  EXPECT_EQ(manager_.free_nvm_pages(), manager_.total_nvm_pages());
+  EXPECT_EQ(manager_.free_pages(PageTier::kNvm),
+            manager_.total_pages(PageTier::kNvm));
 
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadClean(slot(key), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(key), 0, out).ok());
+  EXPECT_EQ(out, Page(0x5C));
+}
+
+// Admission into NVM whose flash read fails hands the NVM page back.
+TEST_F(NvmTierTest, FailedAdmissionReadReturnsTheNvmPage) {
+  const BlockKey key{4, 2};
+  SeedFlashBlock(9, 0x5C);
+  const Result<uint64_t> addr = store_.PhysicalAddressOf(9);
+  ASSERT_TRUE(addr.ok());
+  flash_.InjectReadFaults(addr.value() / flash_.sector_bytes(), 1000);
+  res().OnFlashRead(slot(key), 9, clock_.now());
+  EXPECT_EQ(res().Resolve(slot(key), 9), Residency::kFlash);
+  EXPECT_EQ(res().stats().nvm_promotions.value(), 0u);
+  EXPECT_EQ(manager_.free_pages(PageTier::kNvm),
+            manager_.total_pages(PageTier::kNvm));
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram),
+            manager_.total_pages(PageTier::kDram));
+  EXPECT_TRUE(res().CheckInvariants().ok());
+}
+
+// A climb out of NVM with the DRAM pool dry and nothing in the DRAM tier to
+// recycle: the block stays warm in NVM, holding its one NVM page.
+TEST_F(NvmTierTest, ClimbWithDramDryStaysInNvm) {
+  const BlockKey key{4, 2};
+  SeedFlashBlock(9, 0x5C);
+  res().OnFlashRead(slot(key), 9, clock_.now());  // Admitted to NVM.
+  ASSERT_TRUE(res().NvmCached(slot(key)));
+  while (manager_.free_pages(PageTier::kDram) > 0) {
+    ASSERT_TRUE(manager_.AllocatePage(PageTier::kDram).ok());
+  }
+  const uint64_t free_nvm = manager_.free_pages(PageTier::kNvm);
+  res().TouchRead(slot(key), clock_.now());  // Heat 2.0: would climb.
+  EXPECT_TRUE(res().NvmCached(slot(key)));
+  EXPECT_EQ(res().clean_pages(), 0u);
+  EXPECT_EQ(res().stats().nvm_to_dram_promotions.value(), 0u);
+  EXPECT_EQ(manager_.free_pages(PageTier::kNvm), free_nvm);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), 0u);
+  EXPECT_TRUE(res().CheckInvariants().ok());
+  auto out = Page(0);
+  ASSERT_TRUE(res().ReadCached(slot(key), 0, out).ok());
   EXPECT_EQ(out, Page(0x5C));
 }
 
@@ -151,14 +193,15 @@ TEST_F(NvmTierTest, InvalidationCoversEveryTier) {
   const BlockKey in_dram{1, 1};
   res().OnFlashRead(slot(in_nvm), 0, clock_.now());
   res().OnFlashRead(slot(in_dram), 1, clock_.now());
-  res().OnNvmRead(slot(in_dram), clock_.now());
+  res().TouchRead(slot(in_dram), clock_.now());
   ASSERT_TRUE(res().NvmCached(slot(in_nvm)));
   ASSERT_TRUE(res().CleanCached(slot(in_dram)));
 
   res().InvalidateClean(slot(in_nvm));
   EXPECT_FALSE(res().NvmCached(slot(in_nvm)));
   EXPECT_EQ(res().stats().demotions_invalidated.value(), 1u);
-  EXPECT_EQ(manager_.free_nvm_pages(), manager_.total_nvm_pages());
+  EXPECT_EQ(manager_.free_pages(PageTier::kNvm),
+            manager_.total_pages(PageTier::kNvm));
 
   res().InvalidateAllClean();
   EXPECT_FALSE(res().CleanCached(slot(in_dram)));
@@ -198,7 +241,7 @@ TEST_F(NvmTinyTierTest, DramTailDemotesIntoNvmAndNvmTailDrops) {
   // Admit from flash into NVM, then climb to DRAM on the second touch.
   auto climb = [&](uint64_t b) {
     res().OnFlashRead(slot(BlockKey{1, b}), b, clock_.now());
-    res().OnNvmRead(slot(BlockKey{1, b}), clock_.now());
+    res().TouchRead(slot(BlockKey{1, b}), clock_.now());
   };
 
   climb(0);
@@ -227,11 +270,11 @@ TEST_F(NvmTinyTierTest, DramTailDemotesIntoNvmAndNvmTailDrops) {
 
   // Every survivor still reads back its own bytes from its current tier.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadNvm(slot(BlockKey{1, 1}), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(BlockKey{1, 1}), 0, out).ok());
   EXPECT_EQ(out, Page(0xA1));
-  ASSERT_TRUE(res().ReadClean(slot(BlockKey{1, 2}), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(BlockKey{1, 2}), 0, out).ok());
   EXPECT_EQ(out, Page(0xA2));
-  ASSERT_TRUE(res().ReadClean(slot(BlockKey{1, 3}), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(BlockKey{1, 3}), 0, out).ok());
   EXPECT_EQ(out, Page(0xA3));
 }
 
@@ -251,17 +294,18 @@ TEST_F(NvmOnePageTierTest, ClimbThatEvictsItselfFromNvmStaysInFlash) {
   const BlockKey a{1, 0};
   const BlockKey b{1, 1};
   res().OnFlashRead(slot(a), 0, clock_.now());
-  res().OnNvmRead(slot(a), clock_.now());  // DRAM = {a}, NVM empty.
+  res().TouchRead(slot(a), clock_.now());  // DRAM = {a}, NVM empty.
   ASSERT_TRUE(res().CleanCached(slot(a)));
   res().OnFlashRead(slot(b), 1, clock_.now());  // NVM = {b}.
   ASSERT_TRUE(res().NvmCached(slot(b)));
   // b's climb needs the DRAM page: a demotes into the full NVM tier, whose
   // tail is b itself. b drops to flash and the climb is abandoned.
-  res().OnNvmRead(slot(b), clock_.now());
+  res().TouchRead(slot(b), clock_.now());
   EXPECT_EQ(res().Resolve(slot(b), 1), Residency::kFlash);
   EXPECT_TRUE(res().NvmCached(slot(a)));
   EXPECT_EQ(res().clean_pages(), 0u);
-  EXPECT_EQ(manager_.free_dram_pages(), manager_.total_dram_pages());
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram),
+            manager_.total_pages(PageTier::kDram));
   EXPECT_TRUE(res().CheckInvariants().ok());
 }
 
@@ -329,7 +373,7 @@ TEST(HwMigrationTest, HotFlashPagesMigrateToNvmAndSurviveCleanerRelocation) {
   AddressSpace& space = machine.CreateAddressSpace();
   const uint64_t base = 8 * kMiB;
   ASSERT_TRUE(space.MapFileCow(base, fs, "/prog", /*writable=*/true).ok());
-  const uint64_t total_nvm = machine.storage().free_nvm_pages();
+  const uint64_t total_nvm = machine.storage().free_pages(PageTier::kNvm);
 
   // Touch every page once (mappings established), then hammer four hot
   // pages until the access-counter epoch fires and migrates them.
@@ -345,7 +389,7 @@ TEST(HwMigrationTest, HotFlashPagesMigrateToNvmAndSurviveCleanerRelocation) {
   EXPECT_GT(space.stats().hw_epochs.value(), 0u);
   ASSERT_GE(space.stats().hw_migrations.value(), 4u);
   EXPECT_GE(space.resident_nvm_pages(), 4u);
-  EXPECT_LT(machine.storage().free_nvm_pages(), total_nvm);
+  EXPECT_LT(machine.storage().free_pages(PageTier::kNvm), total_nvm);
 
   // Migrated pages are served from NVM: correct bytes, no flash traffic,
   // no new faults.
@@ -405,7 +449,7 @@ TEST(HwMigrationTest, HotFlashPagesMigrateToNvmAndSurviveCleanerRelocation) {
   // Unmapping balances every allocation: all NVM pages return to the pool.
   ASSERT_TRUE(space.Unmap(base).ok());
   EXPECT_EQ(space.resident_nvm_pages(), 0u);
-  EXPECT_EQ(machine.storage().free_nvm_pages(), total_nvm);
+  EXPECT_EQ(machine.storage().free_pages(PageTier::kNvm), total_nvm);
 }
 
 TEST(HwMigrationTest, FallsBackToDramWithoutNvm) {
@@ -434,6 +478,47 @@ TEST(HwMigrationTest, FallsBackToDramWithoutNvm) {
   EXPECT_EQ(space.resident_nvm_pages(), 0u);
   EXPECT_GT(space.resident_dram_pages(), 0u);
   EXPECT_EQ(out, std::vector<uint8_t>(512, 0x3C));
+}
+
+TEST(HwMigrationTest, WriteToDramMigratedPageReleasesTheOldFrame) {
+  MachineConfig config;
+  config.dram_bytes = 2 * kMiB;
+  config.flash_bytes = 4 * kMiB;
+  config.nvm_bytes = 0;
+  config.hw_migration.enabled = true;
+  config.hw_migration.epoch_accesses = 8;
+  config.hw_migration.promote_threshold = 2;
+  MobileComputer machine(config);
+
+  MemoryFileSystem& fs = machine.fs();
+  ASSERT_TRUE(fs.Create("/data").ok());
+  ASSERT_TRUE(fs.Write("/data", 0, std::vector<uint8_t>(512, 0x3C)).ok());
+  ASSERT_TRUE(fs.Sync().ok());
+  StorageManager& storage = machine.storage();
+  const uint64_t free_before = storage.free_pages(PageTier::kDram);
+
+  AddressSpace& space = machine.CreateAddressSpace();
+  ASSERT_TRUE(space.MapFileCow(4 * kMiB, fs, "/data", true).ok());
+  std::vector<uint8_t> out(512);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(space.Read(4 * kMiB, out).ok());
+  }
+  ASSERT_EQ(space.stats().hw_migrations.value(), 1u);
+  ASSERT_EQ(space.resident_dram_pages(), 1u);
+
+  // The copy-on-write fault moves the page to a fresh DRAM frame and frees
+  // the migrated one: still one resident page.
+  const std::vector<uint8_t> patch(4, 0x7E);
+  ASSERT_TRUE(space.Write(4 * kMiB, patch).ok());
+  EXPECT_EQ(space.resident_dram_pages(), 1u);
+  EXPECT_EQ(storage.free_pages(PageTier::kDram), free_before - 1);
+  ASSERT_TRUE(space.Read(4 * kMiB, out).ok());
+  EXPECT_EQ(out[0], 0x7E);
+  EXPECT_EQ(out[4], 0x3C);
+
+  ASSERT_TRUE(space.Unmap(4 * kMiB).ok());
+  EXPECT_EQ(space.resident_dram_pages(), 0u);
+  EXPECT_EQ(storage.free_pages(PageTier::kDram), free_before);
 }
 
 // --- Machine-level trace attribution --------------------------------------

@@ -137,13 +137,13 @@ void ExpectFtl(Expected& e, const FlashStore& store) {
 }
 
 void ExpectStorage(Expected& e, const StorageManager& storage) {
-  e.Gauge("storage/free_dram_pages", storage.free_dram_pages());
-  e.Gauge("storage/total_dram_pages", storage.total_dram_pages());
+  e.Gauge("storage/free_dram_pages", storage.free_pages(PageTier::kDram));
+  e.Gauge("storage/total_dram_pages", storage.total_pages(PageTier::kDram));
   e.Gauge("storage/free_flash_blocks", storage.free_flash_blocks());
   e.Gauge("storage/total_flash_blocks", storage.total_flash_blocks());
-  if (storage.total_nvm_pages() > 0) {
-    e.Gauge("storage/free_nvm_pages", storage.free_nvm_pages());
-    e.Gauge("storage/total_nvm_pages", storage.total_nvm_pages());
+  if (storage.total_pages(PageTier::kNvm) > 0) {
+    e.Gauge("storage/free_nvm_pages", storage.free_pages(PageTier::kNvm));
+    e.Gauge("storage/total_nvm_pages", storage.total_pages(PageTier::kNvm));
   }
 }
 

@@ -234,19 +234,19 @@ TEST_F(ResidencyTest, SecondHotReadPromotesAndServesFromDram) {
 
   // The cached copy is byte-identical to flash and charges DRAM time only.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadClean(slot(key), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(key), 0, out).ok());
   EXPECT_EQ(out, Page(0x5C));
   EXPECT_EQ(res().stats().clean_hits.value(), 1u);
   EXPECT_EQ(res().stats().clean_hit_bytes.value(), 512u);
 
   // Partial reads honor offsets; out-of-bounds is rejected.
   std::vector<uint8_t> tail(12);
-  ASSERT_TRUE(res().ReadClean(slot(key), 500, tail).ok());
+  ASSERT_TRUE(res().ReadCached(slot(key), 500, tail).ok());
   EXPECT_EQ(tail, std::vector<uint8_t>(12, 0x5C));
   std::vector<uint8_t> over(13);
-  EXPECT_EQ(res().ReadClean(slot(key), 500, over).code(),
+  EXPECT_EQ(res().ReadCached(slot(key), 500, over).code(),
             ErrorCode::kOutOfRange);
-  EXPECT_EQ(res().ReadClean(slot(BlockKey{9, 9}), 0, out).code(),
+  EXPECT_EQ(res().ReadCached(slot(BlockKey{9, 9}), 0, out).code(),
             ErrorCode::kNotFound);
 }
 
@@ -266,16 +266,16 @@ TEST_F(ResidencyTest, ColdReadsNeverPromote) {
 TEST_F(ResidencyTest, InvalidationDropsEntryAndFreesDram) {
   const BlockKey key{4, 2};
   SeedFlashBlock(9, 0x5C);
-  const uint64_t free_before = manager_.free_dram_pages();
+  const uint64_t free_before = manager_.free_pages(PageTier::kDram);
   res().OnFlashRead(slot(key), 9, clock_.now());
   res().OnFlashRead(slot(key), 9, clock_.now());
   ASSERT_TRUE(res().CleanCached(slot(key)));
-  EXPECT_EQ(manager_.free_dram_pages(), free_before - 1);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before - 1);
 
   res().InvalidateClean(slot(key));
   EXPECT_FALSE(res().CleanCached(slot(key)));
   EXPECT_EQ(res().stats().demotions_invalidated.value(), 1u);
-  EXPECT_EQ(manager_.free_dram_pages(), free_before);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before);
   // Invalidating a non-cached key is a no-op.
   res().InvalidateClean(slot(key));
   EXPECT_EQ(res().stats().demotions_invalidated.value(), 1u);
@@ -306,7 +306,7 @@ TEST_F(ResidencyTinyCacheTest, CacheCapRecyclesLeastRecentlyUsed) {
 
   // Touch block 0 so block 1 becomes the LRU victim.
   auto out = Page(0);
-  ASSERT_TRUE(res().ReadClean(slot(BlockKey{1, 0}), 0, out).ok());
+  ASSERT_TRUE(res().ReadCached(slot(BlockKey{1, 0}), 0, out).ok());
 
   promote(2);
   EXPECT_EQ(res().clean_pages(), 2u);
@@ -316,6 +316,56 @@ TEST_F(ResidencyTinyCacheTest, CacheCapRecyclesLeastRecentlyUsed) {
   EXPECT_EQ(res().stats().demotions_pressure.value(), 1u);
 }
 
+// A promotion whose flash read fails hands its page back: nothing is cached
+// and the pool is whole again. Once the fault clears the block promotes.
+TEST_F(ResidencyTest, FailedPromotionReadReturnsThePage) {
+  const BlockKey key{1, 0};
+  SeedFlashBlock(3, 0xAB);
+  const Result<uint64_t> addr = store_.PhysicalAddressOf(3);
+  ASSERT_TRUE(addr.ok());
+  flash_.InjectReadFaults(addr.value() / flash_.sector_bytes(), 1000);
+  const uint64_t free_before = manager_.free_pages(PageTier::kDram);
+  res().OnFlashRead(slot(key), 3, clock_.now());
+  res().OnFlashRead(slot(key), 3, clock_.now());  // Heat 2.0: promotes.
+  EXPECT_EQ(res().Resolve(slot(key), 3), Residency::kFlash);
+  EXPECT_EQ(res().clean_pages(), 0u);
+  EXPECT_EQ(res().stats().promotions.value(), 0u);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before);
+  EXPECT_TRUE(res().CheckInvariants().ok());
+
+  flash_.InjectReadFaults(0, 0);
+  res().OnFlashRead(slot(key), 3, clock_.now());
+  EXPECT_TRUE(res().CleanCached(slot(key)));
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before - 1);
+  EXPECT_TRUE(res().CheckInvariants().ok());
+}
+
+// max_clean_fraction = 0: the clean cache has no budget, so a block hot
+// enough to promote stays in flash and takes no page.
+class ResidencyNoCacheTest : public ResidencyTest {
+ protected:
+  static ResidencyOptions NoCacheOptions() {
+    ResidencyOptions options = ReadPromoteOptions();
+    options.max_clean_fraction = 0;
+    return options;
+  }
+  ResidencyNoCacheTest() : ResidencyTest(NoCacheOptions()) {}
+};
+
+TEST_F(ResidencyNoCacheTest, TierWithoutBudgetNeverPromotes) {
+  const BlockKey key{1, 0};
+  SeedFlashBlock(3, 0xAB);
+  const uint64_t free_before = manager_.free_pages(PageTier::kDram);
+  for (int i = 0; i < 4; ++i) {
+    res().OnFlashRead(slot(key), 3, clock_.now());
+  }
+  EXPECT_GE(res().HeatOf(slot(key), clock_.now()), 2.0);
+  EXPECT_EQ(res().Resolve(slot(key), 3), Residency::kFlash);
+  EXPECT_EQ(res().stats().promotions.value(), 0u);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before);
+  EXPECT_TRUE(res().CheckInvariants().ok());
+}
+
 TEST_F(ResidencyTest, DramPressureDemotesCleanPagesFirst) {
   SeedFlashBlock(0, 0xAA);
   res().OnFlashRead(slot(BlockKey{1, 0}), 0, clock_.now());
@@ -323,8 +373,8 @@ TEST_F(ResidencyTest, DramPressureDemotesCleanPagesFirst) {
   ASSERT_EQ(res().clean_pages(), 1u);
 
   // Exhaust the raw allocator.
-  while (manager_.free_dram_pages() > 0) {
-    ASSERT_TRUE(manager_.AllocateDramPage().ok());
+  while (manager_.free_pages(PageTier::kDram) > 0) {
+    ASSERT_TRUE(manager_.AllocatePage(PageTier::kDram).ok());
   }
 
   // The shared-budget allocator demotes the clean page rather than failing.
@@ -340,8 +390,8 @@ TEST_F(ResidencyTest, DramPressureDemotesCleanPagesFirst) {
 
 TEST_F(ResidencyTest, PromotionSkipsQuietlyWhenDramIsFull) {
   SeedFlashBlock(0, 0xAA);
-  while (manager_.free_dram_pages() > 0) {
-    ASSERT_TRUE(manager_.AllocateDramPage().ok());
+  while (manager_.free_pages(PageTier::kDram) > 0) {
+    ASSERT_TRUE(manager_.AllocatePage(PageTier::kDram).ok());
   }
   // Hot enough to promote, but there is no DRAM and nothing of the cache's
   // own to recycle: the read stays flash-resident, no error surfaces.
@@ -704,8 +754,8 @@ TEST_F(ResidencyDifferentialTest, SingleDramPoolIsSharedAcrossConsumers) {
   // allocator turns to the clean cache (and then the VM's own pages).
   ASSERT_TRUE(
       stack.space->MapFileDemandCopy(2 * kMiB, fs, "/hot", false).ok());
-  while (stack.manager->free_dram_pages() > 0) {
-    ASSERT_TRUE(stack.manager->AllocateDramPage().ok());
+  while (stack.manager->free_pages(PageTier::kDram) > 0) {
+    ASSERT_TRUE(stack.manager->AllocatePage(PageTier::kDram).ok());
   }
   ASSERT_TRUE(stack.space->Read(2 * kMiB, out).ok());
   EXPECT_EQ(out, bytes);

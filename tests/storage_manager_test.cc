@@ -56,47 +56,48 @@ class StorageManagerTest : public ::testing::Test {
 };
 
 TEST_F(StorageManagerTest, PageCountsFromCapacity) {
-  EXPECT_EQ(manager_.total_dram_pages(), 128u);  // 64 KiB / 512.
-  EXPECT_EQ(manager_.free_dram_pages(), 128u);
+  EXPECT_EQ(manager_.total_pages(PageTier::kDram), 128u);  // 64 KiB / 512.
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), 128u);
   EXPECT_EQ(manager_.total_flash_blocks(), store_.num_blocks());
   EXPECT_EQ(manager_.free_flash_blocks(), store_.num_blocks());
 }
 
 TEST_F(StorageManagerTest, DramPagesAllocatedLowFirst) {
-  Result<uint64_t> a = manager_.AllocateDramPage();
-  Result<uint64_t> b = manager_.AllocateDramPage();
+  Result<uint64_t> a = manager_.AllocatePage(PageTier::kDram);
+  Result<uint64_t> b = manager_.AllocatePage(PageTier::kDram);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value(), 0u);
   EXPECT_EQ(b.value(), 1u);
-  EXPECT_EQ(manager_.free_dram_pages(), 126u);
-  EXPECT_EQ(manager_.DramPageAddress(b.value()), 512u);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), 126u);
+  EXPECT_EQ(manager_.PageAddress(b.value()), 512u);
 }
 
 TEST_F(StorageManagerTest, FreeReturnsPageToPool) {
-  Result<uint64_t> a = manager_.AllocateDramPage();
+  Result<uint64_t> a = manager_.AllocatePage(PageTier::kDram);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(manager_.FreeDramPage(a.value()).ok());
-  EXPECT_EQ(manager_.free_dram_pages(), 128u);
+  ASSERT_TRUE(manager_.FreePage(PageTier::kDram, a.value()).ok());
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), 128u);
 }
 
 TEST_F(StorageManagerTest, DoubleFreeDetected) {
-  Result<uint64_t> a = manager_.AllocateDramPage();
+  Result<uint64_t> a = manager_.AllocatePage(PageTier::kDram);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(manager_.FreeDramPage(a.value()).ok());
-  EXPECT_EQ(manager_.FreeDramPage(a.value()).code(),
+  ASSERT_TRUE(manager_.FreePage(PageTier::kDram, a.value()).ok());
+  EXPECT_EQ(manager_.FreePage(PageTier::kDram, a.value()).code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(manager_.FreeDramPage(9999).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(manager_.FreePage(PageTier::kDram, 9999).code(),
+            ErrorCode::kOutOfRange);
 }
 
 TEST_F(StorageManagerTest, DramExhaustionReturnsTypedOutOfMemory) {
   for (uint64_t i = 0; i < 128; ++i) {
-    ASSERT_TRUE(manager_.AllocateDramPage().ok());
+    ASSERT_TRUE(manager_.AllocatePage(PageTier::kDram).ok());
   }
   // A dry DRAM pool is a typed out-of-memory, distinct from media-level
   // kNoSpace: callers (and tests) can tell "machine out of RAM" apart from
   // "flash/disk full" without parsing messages.
-  Result<uint64_t> dry = manager_.AllocateDramPage();
+  Result<uint64_t> dry = manager_.AllocatePage(PageTier::kDram);
   ASSERT_FALSE(dry.ok());
   EXPECT_EQ(dry.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_EQ(ErrorCodeName(dry.status().code()), "RESOURCE_EXHAUSTED");
@@ -174,35 +175,24 @@ class AllocatorDifferentialTest : public ::testing::TestWithParam<uint64_t> {
         flash_(TestFlashSpec(), 128 * 1024, 1, clock_),
         store_(flash_, {}),
         manager_(dram_, store_, 512, {}, &nvm_),
-        lanes_{Lane{EagerIndexAllocator(manager_.total_dram_pages(),
+        lanes_{Lane{EagerIndexAllocator(manager_.total_pages(PageTier::kDram),
                                         ResourceExhaustedError)},
-               Lane{EagerIndexAllocator(manager_.total_nvm_pages(),
+               Lane{EagerIndexAllocator(manager_.total_pages(PageTier::kNvm),
                                         ResourceExhaustedError)},
                Lane{EagerIndexAllocator(manager_.total_flash_blocks(),
                                         NoSpaceError)}} {}
 
+  // The page pools share one API, indexed by PageTier (kDram, kNvm).
+  static PageTier Tier(Pool pool) { return static_cast<PageTier>(pool); }
+
   Result<uint64_t> Allocate(Pool pool) {
-    switch (pool) {
-      case kDram:
-        return manager_.AllocateDramPage();
-      case kNvm:
-        return manager_.AllocateNvmPage();
-      case kFlash:
-        return manager_.AllocateFlashBlock();
-    }
-    return InternalError("unreachable");
+    return pool == kFlash ? manager_.AllocateFlashBlock()
+                          : manager_.AllocatePage(Tier(pool));
   }
 
   Status Free(Pool pool, uint64_t i) {
-    switch (pool) {
-      case kDram:
-        return manager_.FreeDramPage(i);
-      case kNvm:
-        return manager_.FreeNvmPage(i);
-      case kFlash:
-        return manager_.FreeFlashBlock(i);
-    }
-    return InternalError("unreachable");
+    return pool == kFlash ? manager_.FreeFlashBlock(i)
+                          : manager_.FreePage(Tier(pool), i);
   }
 
   // Marks a DRAM page's payload with its own index, so a page that lost or
@@ -214,7 +204,7 @@ class AllocatorDifferentialTest : public ::testing::TestWithParam<uint64_t> {
   }
   ::testing::AssertionResult DramPageStamped(uint64_t page) {
     uint8_t tag[8];
-    manager_.ReadPagePayload(page, 0, tag);
+    manager_.ReadPagePayload(PageTier::kDram, page, 0, tag);
     uint64_t got;
     std::memcpy(&got, tag, sizeof(got));
     if (got != page) {
@@ -233,8 +223,8 @@ class AllocatorDifferentialTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   ::testing::AssertionResult SameFreeCounts() {
-    const uint64_t got[] = {manager_.free_dram_pages(),
-                            manager_.free_nvm_pages(),
+    const uint64_t got[] = {manager_.free_pages(PageTier::kDram),
+                            manager_.free_pages(PageTier::kNvm),
                             manager_.free_flash_blocks()};
     for (int pool = kDram; pool <= kFlash; ++pool) {
       if (got[pool] != lanes_[pool].ref.free()) {

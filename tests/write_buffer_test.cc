@@ -130,11 +130,11 @@ TEST_F(WriteBufferTest, CapacityEvictionHandsVictimPageToIncomingBlock) {
   ASSERT_TRUE(buffer->Put(oldest, Page(1), clock_.now()).ok());
   ASSERT_TRUE(buffer->Put(younger, Page(2), clock_.now()).ok());
   const uint32_t oldest_page = blocks[oldest].page;
-  const uint64_t free_pages = manager_.free_dram_pages();
+  const uint64_t free_pages = manager_.free_pages(PageTier::kDram);
 
   const SlotId incoming = slot(BlockKey{1, 2});
   ASSERT_TRUE(buffer->Put(incoming, Page(3), clock_.now()).ok());
-  EXPECT_EQ(manager_.free_dram_pages(), free_pages);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_pages);
   EXPECT_EQ(blocks[incoming].page, oldest_page);
   auto out = Page(0);
   ASSERT_TRUE(buffer->Get(incoming, out).ok());
@@ -152,7 +152,7 @@ TEST_F(WriteBufferTest, CapacityEvictionHandsVictimPageToIncomingBlock) {
   EXPECT_EQ(out, Page(2));
   EXPECT_FALSE(blocks.live(refused));
   EXPECT_EQ(buffer->dirty_pages(), 2u);
-  EXPECT_EQ(manager_.free_dram_pages(), free_pages);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_pages);
 }
 
 TEST_F(WriteBufferTest, OverwriteKeepsFirstDirtyOrder) {
@@ -293,13 +293,13 @@ TEST_F(WriteBufferTest, DropAllReportsLostBytes) {
 
 TEST_F(WriteBufferTest, DramPagesReturnedOnDropAndFlush) {
   auto buffer = MakeBuffer(16);
-  const uint64_t free_before = manager_.free_dram_pages();
+  const uint64_t free_before = manager_.free_pages(PageTier::kDram);
   ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 0}), Page(1), clock_.now()).ok());
   ASSERT_TRUE(buffer->Put(slot(BlockKey{1, 1}), Page(1), clock_.now()).ok());
-  EXPECT_EQ(manager_.free_dram_pages(), free_before - 2);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before - 2);
   buffer->Drop(slot(BlockKey{1, 0}));
   ASSERT_TRUE(buffer->FlushAll().ok());
-  EXPECT_EQ(manager_.free_dram_pages(), free_before);
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram), free_before);
 }
 
 TEST_F(WriteBufferTest, RandomizedEvictionOrderIsStrictlyOldestFirst) {
