@@ -3,11 +3,11 @@
 
 Usage (from the repository root):
 
-  python3 scripts/perfbench_sim_check.py [--out DIR] [WORKLOAD ...]
+  python3 scripts/perfbench_sim_check.py [--out DIR]
 
 Runs `perfbench/run.py --seed 1 --seconds 1 --trace 0` for each workload
-(default: office, writehot, nvm, fleet; perfbench builds its own Release
-tree, see perfbench/README.md) and keeps each run's JSON result line in
+(office, writehot, nvm, fleet; perfbench builds its own Release tree, see
+perfbench/README.md) and keeps each run's JSON result line in
 DIR/perfbench-<workload>.json (default DIR: bench-artifacts). Each result
 must report a correct run with no failed operations, and its simulated
 metrics must equal tests/golden/perfbench_sim.json exactly: they depend only
@@ -45,11 +45,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="bench-artifacts",
                         help="directory for the per-workload JSON results")
-    parser.add_argument("workloads", nargs="*", default=list(WORKLOADS))
     args = parser.parse_args()
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for w in args.workloads:
+    for w in WORKLOADS:
         run = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "run.py"),
              "--workload", w, "--seed", "1", "--seconds", "1",

@@ -602,24 +602,24 @@ Status MemoryFileSystem::CheckpointMetadata() {
   }
   const SimTime t0 = storage_.flash_store().device().clock().now();
   std::vector<uint8_t> dense;
-  AppendU64(dense, tree_.next_id());
+  AppendLe<uint64_t>(dense, tree_.next_id());
   const size_t count_at = dense.size();
-  AppendU64(dense, 0);  // Node count, patched below.
+  AppendLe<uint64_t>(dense, 0);  // Node count, patched below.
   uint64_t count = 0;
   tree_.Walk([&](const Tree::Node& node, std::string_view name,
                  uint32_t parent) {
-    AppendU32(dense, parent);
+    AppendLe<uint32_t>(dense, parent);
     dense.push_back(node.is_dir ? 1 : 0);
-    AppendU16(dense, static_cast<uint16_t>(name.size()));
+    AppendLe<uint16_t>(dense, static_cast<uint16_t>(name.size()));
     dense.insert(dense.end(), name.begin(), name.end());
     if (!node.is_dir) {
       const Inode& inode = node.inode;
-      AppendU64(dense, inode.id);
-      AppendU64(dense, inode.size);
-      AppendU16(dense, inode.last_writer);
-      AppendU64(dense, inode.mapped);
+      AppendLe<uint64_t>(dense, inode.id);
+      AppendLe<uint64_t>(dense, inode.size);
+      AppendLe<uint16_t>(dense, inode.last_writer);
+      AppendLe<uint64_t>(dense, inode.mapped);
       for (uint64_t b = 0; b < inode.mapped; ++b) {
-        AppendU64(dense, static_cast<uint64_t>(inode.flash(b)));
+        AppendLe<uint64_t>(dense, static_cast<uint64_t>(inode.flash(b)));
       }
     }
     ++count;

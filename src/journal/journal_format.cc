@@ -76,17 +76,17 @@ uint64_t EncodeJournalRecord(const JournalRecord& record,
   const uint64_t start = out.size();
   const uint64_t total = EncodedJournalRecordSize(record);
   const uint32_t length = static_cast<uint32_t>(total - 8);  // After crc+len.
-  AppendU32(out, 0);  // CRC placeholder.
-  AppendU32(out, length);
+  AppendLe<uint32_t>(out, 0);  // CRC placeholder.
+  AppendLe<uint32_t>(out, length);
   out.push_back(static_cast<uint8_t>(record.type));
-  AppendU64(out, record.lsn);
-  AppendU64(out, record.file_id);
-  AppendU64(out, record.size);
-  AppendU64(out, record.flash_block);
-  AppendU16(out, record.tenant);
-  AppendU16(out, static_cast<uint16_t>(record.path.size()));
+  AppendLe<uint64_t>(out, record.lsn);
+  AppendLe<uint64_t>(out, record.file_id);
+  AppendLe<uint64_t>(out, record.size);
+  AppendLe<uint64_t>(out, record.flash_block);
+  AppendLe<uint16_t>(out, record.tenant);
+  AppendLe<uint16_t>(out, static_cast<uint16_t>(record.path.size()));
   out.insert(out.end(), record.path.begin(), record.path.end());
-  AppendU16(out, static_cast<uint16_t>(record.path2.size()));
+  AppendLe<uint16_t>(out, static_cast<uint16_t>(record.path2.size()));
   out.insert(out.end(), record.path2.begin(), record.path2.end());
   // CRC covers the length field onward so a truncated or bit-flipped record
   // fails closed.
@@ -100,25 +100,25 @@ bool DecodeJournalRecord(std::span<const uint8_t> data, uint64_t* pos,
                          JournalRecord* record) {
   const uint64_t p = *pos;
   if (data.size() - p < kRecordFixedBytes) return false;
-  const uint32_t crc = ReadU32(data, p);
-  const uint32_t length = ReadU32(data, p + 4);
+  const uint32_t crc = LoadLe<uint32_t>(data, p);
+  const uint32_t length = LoadLe<uint32_t>(data, p + 4);
   const uint64_t total = uint64_t{length} + 8;
   if (length < kRecordFixedBytes - 8 || total > data.size() - p) return false;
   if (Crc32(data.subspan(p + 4, total - 4)) != crc) return false;
   const uint8_t type = data[p + 8];
   if (!KnownRecordType(type)) return false;
   record->type = static_cast<JournalRecordType>(type);
-  record->lsn = ReadU64(data, p + 9);
-  record->file_id = ReadU64(data, p + 17);
-  record->size = ReadU64(data, p + 25);
-  record->flash_block = ReadU64(data, p + 33);
-  record->tenant = ReadU16(data, p + 41);
-  const uint16_t path_len = ReadU16(data, p + 43);
+  record->lsn = LoadLe<uint64_t>(data, p + 9);
+  record->file_id = LoadLe<uint64_t>(data, p + 17);
+  record->size = LoadLe<uint64_t>(data, p + 25);
+  record->flash_block = LoadLe<uint64_t>(data, p + 33);
+  record->tenant = LoadLe<uint16_t>(data, p + 41);
+  const uint16_t path_len = LoadLe<uint16_t>(data, p + 43);
   if (kRecordFixedBytes - 2 + path_len > total) return false;
   record->path.assign(reinterpret_cast<const char*>(data.data() + p + 45),
                       path_len);
   const uint64_t p2_at = p + 45 + path_len;
-  const uint16_t path2_len = ReadU16(data, p2_at);
+  const uint16_t path2_len = LoadLe<uint16_t>(data, p2_at);
   if (kRecordFixedBytes + path_len + path2_len != total) return false;
   record->path2.assign(
       reinterpret_cast<const char*>(data.data() + p2_at + 2), path2_len);
@@ -130,18 +130,18 @@ void EncodeJournalSuperblock(const JournalSuperblock& sb, uint64_t block_bytes,
                              std::vector<uint8_t>& out) {
   out.clear();
   out.reserve(block_bytes);
-  AppendU64(out, kSuperblockMagic);
-  AppendU32(out, 0);  // CRC placeholder (over every byte after it).
-  AppendU16(out, kFormatVersion);
-  AppendU16(out, 0);  // Reserved.
-  AppendU64(out, sb.generation);
-  AppendU64(out, sb.next_lsn);
-  AppendU64(out, sb.checkpoint_lsn);
-  AppendU64(out, sb.checkpoint_time);
-  AppendU64(out, sb.checkpoint_head);
-  AppendU64(out, sb.checkpoint_bytes);
-  AppendU64(out, sb.log_tail);
-  AppendU64(out, sb.log_blocks);
+  AppendLe<uint64_t>(out, kSuperblockMagic);
+  AppendLe<uint32_t>(out, 0);  // CRC placeholder (over every byte after it).
+  AppendLe<uint16_t>(out, kFormatVersion);
+  AppendLe<uint16_t>(out, 0);  // Reserved.
+  AppendLe<uint64_t>(out, sb.generation);
+  AppendLe<uint64_t>(out, sb.next_lsn);
+  AppendLe<uint64_t>(out, sb.checkpoint_lsn);
+  AppendLe<uint64_t>(out, sb.checkpoint_time);
+  AppendLe<uint64_t>(out, sb.checkpoint_head);
+  AppendLe<uint64_t>(out, sb.checkpoint_bytes);
+  AppendLe<uint64_t>(out, sb.log_tail);
+  AppendLe<uint64_t>(out, sb.log_blocks);
   const uint32_t crc = Crc32(
       std::span<const uint8_t>(out.data() + 12, kJournalSuperblockBytes - 12));
   StoreLe<uint32_t>(out, 8, crc);
@@ -151,48 +151,48 @@ void EncodeJournalSuperblock(const JournalSuperblock& sb, uint64_t block_bytes,
 bool DecodeJournalSuperblock(std::span<const uint8_t> raw,
                              JournalSuperblock* sb) {
   if (raw.size() < kJournalSuperblockBytes) return false;
-  if (ReadU64(raw, 0) != kSuperblockMagic) return false;
-  const uint32_t crc = ReadU32(raw, 8);
+  if (LoadLe<uint64_t>(raw, 0) != kSuperblockMagic) return false;
+  const uint32_t crc = LoadLe<uint32_t>(raw, 8);
   if (Crc32(raw.subspan(12, kJournalSuperblockBytes - 12)) != crc) return false;
-  if (ReadU16(raw, 12) != kFormatVersion) return false;
-  sb->generation = ReadU64(raw, 16);
-  sb->next_lsn = ReadU64(raw, 24);
-  sb->checkpoint_lsn = ReadU64(raw, 32);
-  sb->checkpoint_time = ReadU64(raw, 40);
-  sb->checkpoint_head = ReadU64(raw, 48);
-  sb->checkpoint_bytes = ReadU64(raw, 56);
-  sb->log_tail = ReadU64(raw, 64);
-  sb->log_blocks = ReadU64(raw, 72);
+  if (LoadLe<uint16_t>(raw, 12) != kFormatVersion) return false;
+  sb->generation = LoadLe<uint64_t>(raw, 16);
+  sb->next_lsn = LoadLe<uint64_t>(raw, 24);
+  sb->checkpoint_lsn = LoadLe<uint64_t>(raw, 32);
+  sb->checkpoint_time = LoadLe<uint64_t>(raw, 40);
+  sb->checkpoint_head = LoadLe<uint64_t>(raw, 48);
+  sb->checkpoint_bytes = LoadLe<uint64_t>(raw, 56);
+  sb->log_tail = LoadLe<uint64_t>(raw, 64);
+  sb->log_blocks = LoadLe<uint64_t>(raw, 72);
   return true;
 }
 
 void EncodeCheckpointBlockHeader(uint64_t next_block,
                                  std::vector<uint8_t>& out) {
-  AppendU64(out, kCheckpointMagic);
-  AppendU64(out, next_block);
+  AppendLe<uint64_t>(out, kCheckpointMagic);
+  AppendLe<uint64_t>(out, next_block);
 }
 
 bool DecodeCheckpointBlockHeader(std::span<const uint8_t> raw,
                                  uint64_t* next_block) {
   if (raw.size() < kCheckpointBlockHeaderBytes) return false;
-  if (ReadU64(raw, 0) != kCheckpointMagic) return false;
-  *next_block = ReadU64(raw, 8);
+  if (LoadLe<uint64_t>(raw, 0) != kCheckpointMagic) return false;
+  *next_block = LoadLe<uint64_t>(raw, 8);
   return true;
 }
 
 void EncodeLogBlockHeader(uint64_t prev_block, uint64_t base_lsn,
                           std::vector<uint8_t>& out) {
-  AppendU64(out, kLogMagic);
-  AppendU64(out, prev_block);
-  AppendU64(out, base_lsn);
+  AppendLe<uint64_t>(out, kLogMagic);
+  AppendLe<uint64_t>(out, prev_block);
+  AppendLe<uint64_t>(out, base_lsn);
 }
 
 bool DecodeLogBlockHeader(std::span<const uint8_t> raw, uint64_t* prev_block,
                           uint64_t* base_lsn) {
   if (raw.size() < kLogBlockHeaderBytes) return false;
-  if (ReadU64(raw, 0) != kLogMagic) return false;
-  *prev_block = ReadU64(raw, 8);
-  *base_lsn = ReadU64(raw, 16);
+  if (LoadLe<uint64_t>(raw, 0) != kLogMagic) return false;
+  *prev_block = LoadLe<uint64_t>(raw, 8);
+  *base_lsn = LoadLe<uint64_t>(raw, 16);
   return true;
 }
 

@@ -64,12 +64,15 @@ ResidencyManager::ResidencyManager(StorageManager& storage,
          nvm_pages <= UINT32_MAX);
   // Tier 0: the DRAM clean cache, always present.
   tiers_.push_back({Residency::kClean, PageTier::kDram,
-                    options_.promote_threshold, MaxCleanPages(), {}});
+                    options_.promote_threshold, MaxCleanPages(),
+                    &TenantResidency::clean_hits,
+                    &TenantResidency::clean_hit_bytes, {}});
   // Tier 1: the NVM cache, only when the machine has NVM capacity — the
   // two-tier hierarchy stays bit-identical with no NVM behind the manager.
   if (nvm_pages > 0) {
-    tiers_.push_back(
-        {Residency::kNvm, PageTier::kNvm, kNvmAdmitHeat, nvm_pages, {}});
+    tiers_.push_back({Residency::kNvm, PageTier::kNvm, kNvmAdmitHeat,
+                      nvm_pages, &TenantResidency::nvm_hits,
+                      &TenantResidency::nvm_hit_bytes, {}});
   }
 }
 
@@ -125,12 +128,11 @@ Status ResidencyManager::ReadCached(SlotId slot, uint64_t offset,
   // waits on the tier's medium (for NVM, at NVM — not flash — latency).
   storage_.ReadPagePayload(tier->medium, blocks_[slot].page, offset, out,
                            ForTenant(kForegroundIo, tenant_));
-  const bool nvm = tier->medium == PageTier::kNvm;
   TenantResidency& lane = stats_.by_tenant.For(tenant_);
-  (nvm ? stats_.nvm_hits : stats_.clean_hits).Add();
-  (nvm ? stats_.nvm_hit_bytes : stats_.clean_hit_bytes).Add(out.size());
-  (nvm ? lane.nvm_hits : lane.clean_hits).Add();
-  (nvm ? lane.nvm_hit_bytes : lane.clean_hit_bytes).Add(out.size());
+  (stats_.*tier->hits).Add();
+  (stats_.*tier->hit_bytes).Add(out.size());
+  (lane.*tier->hits).Add();
+  (lane.*tier->hit_bytes).Add(out.size());
   return Status::Ok();
 }
 

@@ -261,11 +261,11 @@ class ResidencyManager {
   // Per-tenant residency attribution: a promotion is billed to the tenant
   // whose read crossed the heat threshold, a clean hit to the reader.
   struct TenantResidency {
-    Counter promotions;
+    Counter promotions;       // Flash blocks promoted to the clean cache.
     Counter promoted_bytes;
-    Counter clean_hits;
+    Counter clean_hits;       // Reads served from the clean cache.
     Counter clean_hit_bytes;
-    Counter nvm_hits;
+    Counter nvm_hits;         // Reads served from the NVM tier.
     Counter nvm_hit_bytes;
 
     void Merge(const TenantResidency& other) {
@@ -278,12 +278,10 @@ class ResidencyManager {
     }
   };
 
-  struct Stats {
+  // The manager's totals: every tenant's attribution summed (inherited),
+  // then the counters kept only overall.
+  struct Stats : TenantResidency {
     Counter touches;                 // Heat updates (reads+writes+faults).
-    Counter promotions;              // Flash blocks promoted to clean cache.
-    Counter promoted_bytes;
-    Counter clean_hits;              // Reads served from the clean cache.
-    Counter clean_hit_bytes;
     Counter demotions_pressure;      // Clean pages dropped for DRAM space.
     Counter demotions_invalidated;   // Cached pages dropped by invalidation.
     Counter cold_stream_hints;       // Flushes routed to the cold stream.
@@ -291,8 +289,6 @@ class ResidencyManager {
     // NVM tier traffic (all zero without NVM).
     Counter nvm_promotions;          // Flash blocks admitted into the NVM tier.
     Counter nvm_promoted_bytes;
-    Counter nvm_hits;                // Reads served from the NVM tier.
-    Counter nvm_hit_bytes;
     Counter nvm_to_dram_promotions;  // Blocks climbing NVM -> DRAM.
     Counter demotions_to_nvm;        // DRAM tail pages demoted into NVM.
     TenantTable<TenantResidency> by_tenant;
@@ -320,7 +316,10 @@ class ResidencyManager {
     PageTier medium{};                        // Its pages' storage tier.
     double admit_heat = 0;                    // Heat a block needs to enter.
     uint64_t capacity_pages = 0;              // Per-tier budget.
-    SlotList lru;                             // Head = least recently used.
+    // What a read it serves books, in the totals and the reader's lane.
+    Counter TenantResidency::*hits = nullptr;
+    Counter TenantResidency::*hit_bytes = nullptr;
+    SlotList lru;  // Head = least recently used.
   };
 
   // Decays the slot's heat to `now` and returns the current count.

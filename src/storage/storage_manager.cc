@@ -196,7 +196,7 @@ Duration StorageManager::WritePagePayload(uint64_t page, uint64_t offset,
 }
 
 Duration StorageManager::ZeroFillPagePayload(uint64_t page) {
-  return InstallPagePayload(PageTier::kDram, page, ZeroExtent());
+  return InstallPagePayload(PageTier::kDram, page, ZeroExtent(), {});
 }
 
 void StorageManager::DropPagePayload(uint64_t page) {

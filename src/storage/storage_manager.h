@@ -104,21 +104,22 @@ class StorageManager {
   ExtentPool& extent_pool() { return flash_store_.extent_pool(); }
 
   // These charge the access to `tier`; `issue` schedules an NVM access on
-  // the device's bank queues, and DRAM ignores it.
+  // the device's bank queues, and DRAM ignores it. There is no default
+  // `issue`: an NVM caller states its priority class.
   // Reads within one page's payload. offset + size must stay inside the
   // page; reads of never-written pages are zero fill.
   Duration ReadPagePayload(PageTier tier, uint64_t page, uint64_t offset,
-                           std::span<uint8_t> out, IoIssue issue = {});
+                           std::span<uint8_t> out, IoIssue issue);
   // Installs a whole-page payload by reference (zero-copy promotion, fill or
   // migration); charges one full-page write. payload.size() must equal
   // page_bytes.
   Duration InstallPagePayload(PageTier tier, uint64_t page, PayloadRef payload,
-                              IoIssue issue = {});
+                              IoIssue issue);
   // Borrows the page's payload as a ref (refcount bump), charging one
   // full-page read — the flush and migration paths' "read the page" step. A
   // never-written page materializes as the shared zero extent.
   PayloadRef ReadPagePayloadRef(PageTier tier, uint64_t page,
-                                IoIssue issue = {});
+                                IoIssue issue);
 
   // DRAM only (other tiers fill by whole-page installs): writes within one
   // page's payload; offset + size must stay inside the page.

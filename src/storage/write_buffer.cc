@@ -118,7 +118,7 @@ Status WriteBuffer::Get(SlotId slot, std::span<uint8_t> out) {
   if (!Contains(slot)) {
     return NotFoundError("block not buffered");
   }
-  storage_.ReadPagePayload(PageTier::kDram, blocks_[slot].page, 0, out);
+  storage_.ReadPagePayload(PageTier::kDram, blocks_[slot].page, 0, out, {});
   return Status::Ok();
 }
 
@@ -153,7 +153,8 @@ Status WriteBuffer::FlushEntry(SlotId slot, uint32_t* kept_page) {
   // Reading the buffered page costs DRAM time as before, but hands the
   // flush destination the page's own extent: no staging copy.
   const BlockState block = blocks_[slot];
-  PayloadRef data = storage_.ReadPagePayloadRef(PageTier::kDram, block.page);
+  PayloadRef data =
+      storage_.ReadPagePayloadRef(PageTier::kDram, block.page, {});
   // Handing a kept page to the next block stands in for a free and an
   // allocation only because a flush itself allocates and frees no DRAM page.
   [[maybe_unused]] const uint64_t free_pages =

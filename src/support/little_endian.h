@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ssmc {
@@ -34,30 +35,12 @@ T LoadLe(std::span<const uint8_t> data, uint64_t pos) {
   return static_cast<T>(v);
 }
 
-// Appends `v` to `out`, least significant byte first.
+// Appends `v` to `out`, least significant byte first. T is never deduced
+// (AppendLe<uint32_t>(out, 0)), so a literal cannot pick the width.
 template <typename T>
-void AppendLe(std::vector<uint8_t>& out, T v) {
+void AppendLe(std::vector<uint8_t>& out, std::type_identity_t<T> v) {
   out.resize(out.size() + sizeof(T));
   StoreLe<T>(out, out.size() - sizeof(T), v);
-}
-
-inline void AppendU16(std::vector<uint8_t>& out, uint16_t v) {
-  AppendLe(out, v);
-}
-inline void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
-  AppendLe(out, v);
-}
-inline void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
-  AppendLe(out, v);
-}
-inline uint16_t ReadU16(std::span<const uint8_t> data, uint64_t pos) {
-  return LoadLe<uint16_t>(data, pos);
-}
-inline uint32_t ReadU32(std::span<const uint8_t> data, uint64_t pos) {
-  return LoadLe<uint32_t>(data, pos);
-}
-inline uint64_t ReadU64(std::span<const uint8_t> data, uint64_t pos) {
-  return LoadLe<uint64_t>(data, pos);
 }
 
 // Bounds-checked sequential reader over a blob: every read fails (returns

@@ -204,7 +204,7 @@ class AllocatorDifferentialTest : public ::testing::TestWithParam<uint64_t> {
   }
   ::testing::AssertionResult DramPageStamped(uint64_t page) {
     uint8_t tag[8];
-    manager_.ReadPagePayload(PageTier::kDram, page, 0, tag);
+    manager_.ReadPagePayload(PageTier::kDram, page, 0, tag, {});
     uint64_t got;
     std::memcpy(&got, tag, sizeof(got));
     if (got != page) {
