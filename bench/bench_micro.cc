@@ -519,6 +519,33 @@ void BM_TraceGenerationUser(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGenerationUser);
 
+void BM_FleetUserTeardown(benchmark::State& state) {
+  // Destroying one fleet user's machine after its replay (RunScaleout's
+  // per-user teardown): the file system hands back its dirty pages, slots
+  // and namespace, then the storage stack and the devices go. Generating
+  // the trace, building the machine and replaying run with the timer paused.
+  const ScaleoutOptions fleet;
+  uint64_t user = 0;
+  uint64_t ops = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    WorkloadOptions options =
+        user % 2 != 0 ? WriteHotWorkload() : OfficeWorkload();
+    options.seed = DeriveCellSeed(fleet.base_seed, 2 * user);
+    options.duration = 2 * kSecond;
+    options.max_file_bytes = fleet.max_file_bytes;
+    MachineConfig config = NotebookConfig();
+    config.seed = DeriveCellSeed(fleet.base_seed, 2 * user + 1);
+    ++user;
+    auto machine = std::make_unique<MobileComputer>(config);
+    ops += machine->RunTrace(WorkloadGenerator(options).Generate()).ops;
+    state.ResumeTiming();
+    machine.reset();
+  }
+  benchmark::DoNotOptimize(ops);
+}
+BENCHMARK(BM_FleetUserTeardown)->Unit(benchmark::kMicrosecond);
+
 void BM_TraceReplay(benchmark::State& state) {
   // Host cost of replaying one pre-generated office trace on a fresh
   // machine. Exercises the replayer's per-record path (period-256 pattern

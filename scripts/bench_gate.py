@@ -19,6 +19,8 @@ BENCH_micro.json — the hot paths a change is most likely to slow:
                                   stay close (ns_per_op);
   * BM_TraceGenerationUser      — generating one fleet user's two-second
                                   trace (ns_per_op);
+  * BM_FleetUserTeardown        — destroying one fleet user's machine after
+                                  its replay (ns_per_op);
   * BM_TraceReplay              — replaying a one-minute office trace on a
                                   fresh notebook machine: replayer and FS
                                   data path (ns_per_op);
@@ -52,6 +54,7 @@ REPORTS = {
         ("BM_MachineConstruct/32", "ns_per_op", False),
         ("BM_MachineConstruct/512", "ns_per_op", False),
         ("BM_TraceGenerationUser", "ns_per_op", False),
+        ("BM_FleetUserTeardown", "ns_per_op", False),
         ("BM_TraceReplay", "ns_per_op", False),
         ("BM_LargeStoreRandOverwrite/65536", "ns_per_op", False),
         ("BM_CleaningRelocation/512", "ns_per_op", False),

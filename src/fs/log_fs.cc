@@ -66,7 +66,7 @@ void LogFileSystem::ReleaseFile(Inode& inode) {
 }
 
 Status LogFileSystem::Unlink(const std::string& path) {
-  Result<std::unique_ptr<Tree::Node>> node =
+  Result<Tree::NodePtr> node =
       tree_.Remove(path, /*is_dir=*/false);
   if (!node.ok()) {
     return node.status();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "src/journal/journal.h"
@@ -32,6 +34,40 @@ MemoryFileSystem::MemoryFileSystem(StorageManager& storage,
   Status reserved = storage_.ReserveFlashBlock(kReservedBlock);
   assert(reserved.ok() && "reserved block unavailable");
   (void)reserved;
+}
+
+MemoryFileSystem::BlockMap& MemoryFileSystem::BlockMap::operator=(
+    BlockMap&& other) noexcept {
+  if (this != &other) {
+    delete[] heap_;
+    heap_ = std::exchange(other.heap_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, kInline);
+    std::copy_n(other.inline_, kInline, inline_);
+  }
+  return *this;
+}
+
+void MemoryFileSystem::BlockMap::reserve(size_t n) {
+  if (n <= capacity_) {
+    return;
+  }
+  if (n > UINT32_MAX) {
+    throw std::length_error("block map too long");
+  }
+  BlockEntry* grown = new BlockEntry[n];
+  std::copy_n(data(), size_, grown);
+  delete[] heap_;
+  heap_ = grown;
+  capacity_ = static_cast<uint32_t>(n);
+}
+
+void MemoryFileSystem::BlockMap::resize(size_t n) {
+  reserve(n);
+  if (n > size_) {
+    std::fill(data() + size_, data() + n, BlockEntry{});
+  }
+  size_ = static_cast<uint32_t>(n);
 }
 
 void MemoryFileSystem::set_current_tenant(TenantId tenant) {
@@ -139,7 +175,7 @@ void MemoryFileSystem::ReleaseBlock(Inode& inode, uint64_t block_index) {
 }
 
 Status MemoryFileSystem::Unlink(const std::string& path) {
-  Result<std::unique_ptr<Tree::Node>> node =
+  Result<Tree::NodePtr> node =
       tree_.Remove(path, /*is_dir=*/false, ChargeDirEntry(), [&] {
         return JournalPathOp(JournalRecordType::kUnlink, path);
       });
@@ -159,7 +195,7 @@ Status MemoryFileSystem::Unlink(const std::string& path) {
 }
 
 Status MemoryFileSystem::Rmdir(const std::string& path) {
-  Result<std::unique_ptr<Tree::Node>> node =
+  Result<Tree::NodePtr> node =
       tree_.Remove(path, /*is_dir=*/true, ChargeDirEntry(), [&] {
         return JournalPathOp(JournalRecordType::kRmdir, path);
       });

@@ -199,12 +199,48 @@ class MemoryFileSystem : public FileSystem {
   };
   static_assert(sizeof(BlockEntry) == 8);
 
+  // A file's block map: block index -> entry. Deliberately flat: "the
+  // complexity of multiple levels of indirect blocks may also be
+  // eliminated." Most files are a block or two (the trace studies' small
+  // files), so up to kInline entries live in the map itself and only a
+  // larger file's entries take a heap array.
+  class BlockMap {
+   public:
+    BlockMap() = default;
+    BlockMap(BlockMap&& other) noexcept { *this = std::move(other); }
+    BlockMap& operator=(BlockMap&& other) noexcept;
+    ~BlockMap() { delete[] heap_; }
+
+    size_t size() const { return size_; }
+    size_t capacity() const { return capacity_; }
+    BlockEntry& operator[](size_t b) { return data()[b]; }
+    const BlockEntry& operator[](size_t b) const { return data()[b]; }
+    BlockEntry* begin() { return data(); }
+    BlockEntry* end() { return data() + size_; }
+
+    // Makes room for `n` entries; never shrinks.
+    void reserve(size_t n);
+    // Entries past the old size start empty (no flash block, no slot).
+    void resize(size_t n);
+
+   private:
+    static constexpr uint32_t kInline = 2;
+
+    BlockEntry* data() { return heap_ != nullptr ? heap_ : inline_; }
+    const BlockEntry* data() const {
+      return heap_ != nullptr ? heap_ : inline_;
+    }
+
+    BlockEntry* heap_ = nullptr;  // Owned; null while the map fits inline.
+    uint32_t size_ = 0;
+    uint32_t capacity_ = kInline;
+    BlockEntry inline_[kInline];
+  };
+
   struct Inode {
     uint64_t id = 0;
     uint64_t size = 0;
-    // Block index -> entry. Deliberately a flat vector: "the complexity of
-    // multiple levels of indirect blocks may also be eliminated."
-    std::vector<BlockEntry> blocks;
+    BlockMap blocks;
     // Length of the flash block map the journal records. Entries at or past
     // it never hold a flash block, only a state slot (a block dirtied past
     // the last flushed one).

@@ -2,6 +2,10 @@
 // (MemoryFileSystem, and LogFileSystem's cached metadata): nodes whose
 // entries sit in a name-ordered map (List, the dense checkpoint's preorder
 // and the recovery claim order all follow it), plus the id -> inode index.
+// Nodes, map entries and index entries come from RequestArenas the tree
+// owns, so a file costs no heap allocation of its own beyond its inode's
+// contents, and destroying the tree hands the arenas' slabs back in a few
+// calls instead of freeing three objects per file.
 // The tree owns the namespace checks and their errors. Callers pass:
 //  * a hook, run once per directory entry a walk looks up or List returns
 //    (MemoryFileSystem charges a DRAM read there);
@@ -24,6 +28,7 @@
 
 #include "src/fs/file_system.h"
 #include "src/fs/path.h"
+#include "src/support/arena.h"
 #include "src/support/status.h"
 
 namespace ssmc {
@@ -32,13 +37,27 @@ namespace ssmc {
 template <typename Inode>
 class NamespaceTree {
  public:
+  struct Node;
+  // Dirs' entries, each child owned by the tree. std::less<> enables lookups
+  // by string_view without a key copy.
+  using Children =
+      std::map<std::string, Node*, std::less<>,
+               ArenaAllocator<std::pair<const std::string, Node*>>>;
   struct Node {
+    explicit Node(RequestArena* entries)
+        : children(ArenaAllocator<Node*>(entries)) {}
     bool is_dir = false;
-    // Dirs only. std::less<> enables lookups by string_view without a key
-    // copy.
-    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
-    Inode inode;  // Files only.
+    Children children;  // Dirs only.
+    Inode inode;        // Files only.
   };
+
+  // A node detached by Remove; deleting it returns it to the tree's node
+  // arena.
+  struct NodeDeleter {
+    RequestArena* arena;
+    void operator()(Node* node) const { arena->Delete(node); }
+  };
+  using NodePtr = std::unique_ptr<Node, NodeDeleter>;
 
   struct NoHook {
     void operator()() const {}
@@ -47,9 +66,13 @@ class NamespaceTree {
     Status operator()() const { return Status::Ok(); }
   };
 
-  NamespaceTree() : root_(std::make_unique<Node>()) { root_->is_dir = true; }
+  NamespaceTree() { root_.is_dir = true; }
+  ~NamespaceTree() { DeleteChildren(root_); }
 
-  Node& root() { return *root_; }
+  NamespaceTree(const NamespaceTree&) = delete;
+  NamespaceTree& operator=(const NamespaceTree&) = delete;
+
+  Node& root() { return root_; }
 
   // The node `path` names, or null if the path is invalid, a component is
   // missing or a file is traversed.
@@ -58,7 +81,7 @@ class NamespaceTree {
     if (!IsValidPath(path)) {
       return nullptr;
     }
-    Node* node = root_.get();
+    Node* node = &root_;
     for (const std::string_view component : PathComponents(path)) {
       if (!node->is_dir) {
         return nullptr;
@@ -68,7 +91,7 @@ class NamespaceTree {
       if (it == node->children.end()) {
         return nullptr;
       }
-      node = it->second.get();
+      node = it->second;
     }
     return node;
   }
@@ -160,8 +183,8 @@ class NamespaceTree {
     if (!inserted) {
       return nullptr;
     }
-    it->second = std::make_unique<Node>();
-    Node* node = it->second.get();
+    Node* node = node_arena_.New<Node>(&entry_arena_);
+    it->second = node;
     node->is_dir = is_dir;
     if (!is_dir) {
       node->inode = std::move(inode);
@@ -173,8 +196,8 @@ class NamespaceTree {
   // Detaches the file (or, with `is_dir`, the empty directory) at `path`
   // and returns it; a file leaves the index.
   template <typename Hook = NoHook, typename Commit = NoCommit>
-  Result<std::unique_ptr<Node>> Remove(std::string_view path, bool is_dir,
-                                       Hook hook = {}, Commit commit = {}) {
+  Result<NodePtr> Remove(std::string_view path, bool is_dir, Hook hook = {},
+                         Commit commit = {}) {
     Node* parent = FindParent(path, hook);
     if (parent == nullptr) {
       return NotFoundError("no parent directory for " + std::string(path));
@@ -192,7 +215,7 @@ class NamespaceTree {
       return FailedPreconditionError(std::string(path) + " is not empty");
     }
     SSMC_RETURN_IF_ERROR(commit());
-    std::unique_ptr<Node> node = std::move(it->second);
+    NodePtr node(it->second, NodeDeleter{&node_arena_});
     parent->children.erase(it);
     if (!is_dir) {
       index_.erase(node->inode.id);
@@ -225,7 +248,7 @@ class NamespaceTree {
       return AlreadyExistsError(std::string(to));
     }
     SSMC_RETURN_IF_ERROR(commit());
-    to_parent->children.emplace(std::string(to_name), std::move(it->second));
+    to_parent->children.emplace(std::string(to_name), it->second);
     from_parent->children.erase(it);
     return Status::Ok();
   }
@@ -236,7 +259,7 @@ class NamespaceTree {
   // directory (0 for the root).
   template <typename Fn>
   void Walk(Fn&& fn) {
-    WalkUnder(*root_, 0, 1, fn);
+    WalkUnder(root_, 0, 1, fn);
   }
 
   // The inode with id `id`, or null.
@@ -270,9 +293,29 @@ class NamespaceTree {
     return next;
   }
 
-  std::unique_ptr<Node> root_;
+  // Deletes every node under `dir`.
+  void DeleteChildren(Node& dir) {
+    for (const auto& [name, child] : dir.children) {
+      DeleteChildren(*child);
+      node_arena_.Delete(child);
+    }
+  }
+
+  // Nodes, map entries (a value plus four words of tree links) and index
+  // entries (a value plus a link) each take chunks of their own size, 32 to
+  // a slab; an entry larger than its chunk falls back to the heap. Declared
+  // first: everything below allocates from them.
+  RequestArena node_arena_{sizeof(Node), 32};
+  RequestArena entry_arena_{
+      sizeof(typename Children::value_type) + 4 * sizeof(void*), 32};
+  RequestArena index_arena_{
+      sizeof(std::pair<const uint64_t, Inode*>) + sizeof(void*), 32};
+  Node root_{&entry_arena_};
   // Inode id -> inode, owned by the tree. Only probed by id, never iterated.
-  std::unordered_map<uint64_t, Inode*> index_;
+  std::unordered_map<uint64_t, Inode*, std::hash<uint64_t>,
+                     std::equal_to<uint64_t>,
+                     ArenaAllocator<std::pair<const uint64_t, Inode*>>>
+      index_{0, ArenaAllocator<Inode*>(&index_arena_)};
   uint64_t next_id_ = 1;
 };
 

@@ -122,6 +122,11 @@ class BlockStateTable {
   // Returns an unlinked slot to the pool.
   void Free(SlotId id) {
     slots_[id].key.file_id = kFreeFileId;
+    // The pool never holds more than every slot: growing to that at once
+    // lets a run of frees allocate once.
+    if (free_.size() == free_.capacity()) {
+      free_.reserve(slots_.size());
+    }
     free_.push_back(id);
     --live_;
   }

@@ -83,9 +83,10 @@ ResidencyManager::~ResidencyManager() {
 void ResidencyManager::DetachFilesystem() {
   dirty_backend_ = nullptr;
   InvalidateAllClean();
-  // Forget all heat. Dirty slots stay live until the write buffer, which
-  // the file system destroys next, frees them.
-  for (SlotId id = 1; id < blocks_.end(); ++id) {
+  // Forget all heat, stopping once no slot carries any. Dirty slots stay
+  // live until the write buffer, which the file system destroys next, frees
+  // them.
+  for (SlotId id = 1; heated_ > 0 && id < blocks_.end(); ++id) {
     ForgetHeat(id);
   }
 }

@@ -67,13 +67,6 @@ void StorageManager::IndexPool::MarkUsed(uint64_t i) {
   used_[i] = true;
 }
 
-void StorageManager::IndexPool::Put(uint64_t i) {
-  assert(used(i));
-  used_[i] = false;
-  recycled_.push_back(i);
-  free_ += 1;
-}
-
 void StorageManager::IndexPool::Claim(uint64_t i) {
   assert(!used(i));
   // A recycled index leaves the stack in place, keeping the rest in order;
@@ -100,18 +93,12 @@ Result<uint64_t> StorageManager::AllocatePage(PageTier tier) {
   return page;
 }
 
-Status StorageManager::FreePage(PageTier tier, uint64_t page) {
-  TierPages& t = pages(tier);
-  if (page >= t.pool.capacity()) {
+Status StorageManager::FreePageError(uint64_t page, uint64_t capacity) {
+  if (page >= capacity) {
     return OutOfRangeError("no such page");
   }
-  if (!t.pool.used(page)) {
-    return FailedPreconditionError("double free of page " +
-                                   std::to_string(page));
-  }
-  t.pool.Put(page);
-  t.payloads[page].Reset();
-  return Status::Ok();
+  return FailedPreconditionError("double free of page " +
+                                 std::to_string(page));
 }
 
 Duration StorageManager::Charge(PageTier tier, uint64_t page, uint64_t offset,

@@ -19,6 +19,7 @@
 #define SSMC_SRC_STORAGE_STORAGE_MANAGER_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -71,7 +72,15 @@ class StorageManager {
   // RESOURCE_EXHAUSTED when the tier is dry (a typed out-of-memory: callers
   // distinguish it from media-level kNoSpace).
   Result<uint64_t> AllocatePage(PageTier tier);
-  Status FreePage(PageTier tier, uint64_t page);
+  Status FreePage(PageTier tier, uint64_t page) {
+    TierPages& t = pages(tier);
+    if (page >= t.pool.capacity() || !t.pool.used(page)) {
+      return FreePageError(page, t.pool.capacity());
+    }
+    t.pool.Put(page);
+    t.payloads[page].Reset();
+    return Status::Ok();
+  }
   bool IsPageUsed(PageTier tier, uint64_t page) const {
     return pages(tier).pool.used(page);
   }
@@ -171,7 +180,18 @@ class StorageManager {
     // Returns the next index; the pool must not be empty.
     uint64_t Take();
     // Returns a used index to the pool.
-    void Put(uint64_t i);
+    void Put(uint64_t i) {
+      assert(used(i));
+      used_[i] = false;
+      // The stack never holds more than the indices handed out so far;
+      // growing to that at once lets a run of frees (a file system's
+      // teardown) allocate once rather than double its way up.
+      if (recycled_.size() == recycled_.capacity()) {
+        recycled_.reserve(cursor_);
+      }
+      recycled_.push_back(i);
+      free_ += 1;
+    }
     // Takes a specific unused index out of the pool.
     void Claim(uint64_t i);
 
@@ -199,6 +219,8 @@ class StorageManager {
   const TierPages& pages(PageTier tier) const {
     return tiers_[static_cast<size_t>(tier)];
   }
+  // FreePage's error: `page` is out of range or not in use.
+  static Status FreePageError(uint64_t page, uint64_t capacity);
   // Charges a `bytes`-long access at `offset` into `page` to `tier`.
   Duration Charge(PageTier tier, uint64_t page, uint64_t offset,
                   uint64_t bytes, bool is_write, IoIssue issue);

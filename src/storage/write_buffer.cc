@@ -134,9 +134,19 @@ void WriteBuffer::Detach(SlotId slot) {
 }
 
 void WriteBuffer::RemoveAll() {
-  while (lru_.head != kNoSlot) {
-    Remove(lru_.head);
+  // One pass, first dirtied first, so pages reach the pool in the order
+  // they always have; the list is dropped whole at the end instead of
+  // unlinked a slot at a time.
+  for (SlotId slot = lru_.head; slot != kNoSlot;) {
+    BlockState& block = blocks_[slot];
+    const SlotId next = block.next;
+    (void)storage_.FreePage(PageTier::kDram, block.page);
+    block.prev = block.next = kNoSlot;
+    block.where = Residency::kHole;
+    residency_.ReleaseIfIdle(slot);
+    slot = next;
   }
+  lru_ = {};
 }
 
 bool WriteBuffer::Drop(SlotId slot) {

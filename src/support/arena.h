@@ -82,6 +82,49 @@ class RequestArena {
   uint64_t generation_ = 1;
 };
 
+// A standard-library allocator over a RequestArena: single objects no larger
+// than a chunk come from the arena, anything else (arrays, such as a hash
+// table's buckets) from the heap. Node-based containers sharing one arena
+// then allocate and free their nodes without touching the heap, and the
+// arena hands its slabs back in a few calls when it dies. The arena must
+// outlive every container using it.
+template <typename T>
+class ArenaAllocator {
+ public:
+  using value_type = T;
+
+  explicit ArenaAllocator(RequestArena* arena) : arena_(arena) {}
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
+
+  T* allocate(size_t n) {
+    return Pooled(n) ? static_cast<T*>(arena_->Allocate())
+                     : std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, size_t n) {
+    if (Pooled(n)) {
+      arena_->Release(p);
+    } else {
+      std::allocator<T>().deallocate(p, n);
+    }
+  }
+
+  RequestArena* arena() const { return arena_; }
+  template <typename U>
+  bool operator==(const ArenaAllocator<U>& other) const {
+    return arena_ == other.arena();
+  }
+
+ private:
+  // Chunks are max-aligned, so size is the only limit.
+  bool Pooled(size_t n) const {
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    return n == 1 && sizeof(T) <= arena_->chunk_bytes();
+  }
+
+  RequestArena* arena_;
+};
+
 }  // namespace ssmc
 
 #endif  // SSMC_SRC_SUPPORT_ARENA_H_

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -105,6 +106,28 @@ TEST(RequestArenaTest, ChunkSmallerThanPointerStillWorks) {
 // The scheduler's reservations live in its arena: heavy requests allocate a
 // chunk while queued and return it at retire, so steady-state traffic leaves
 // the arena empty with a bounded high-water mark.
+// Node containers take their nodes from the arena; arrays (a hash table's
+// buckets, a vector's storage) come from the heap.
+TEST(ArenaAllocatorTest, NodesComeFromTheArenaAndArraysFromTheHeap) {
+  RequestArena arena(64, /*chunks_per_slab=*/16);
+  {
+    std::map<int, int, std::less<>, ArenaAllocator<std::pair<const int, int>>>
+        map{ArenaAllocator<int>(&arena)};
+    for (int i = 0; i < 100; ++i) {
+      map.emplace(i, i);
+    }
+    EXPECT_EQ(arena.live(), 100u);
+    for (int i = 0; i < 100; i += 2) {
+      map.erase(i);
+    }
+    EXPECT_EQ(arena.live(), 50u);
+    std::vector<int, ArenaAllocator<int>> array{ArenaAllocator<int>(&arena)};
+    array.resize(1000);
+    EXPECT_EQ(arena.live(), 50u);
+  }
+  EXPECT_EQ(arena.live(), 0u);
+}
+
 TEST(IoSchedulerArenaTest, HeavyRequestsReturnChunksAtRetire) {
   SimClock clock;
   IoScheduler sched(clock, /*channels=*/1, IoSchedPolicy::kPriority);

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "tests/reference/legacy_generator.h"
@@ -151,8 +152,10 @@ TEST(GeneratorTest, ReadMostlyProfileReadsDominate) {
 
 // Differential suite: WorkloadGenerator against the original generator
 // (tests/reference/legacy_generator.h), record for record, across the three
-// profiles, three trace lengths, and a churn variant whose many 1 ms
-// lifetimes and 256-file population drive heavy unlink traffic.
+// profiles, three trace lengths, a churn variant whose many 1 ms lifetimes
+// and 256-file population drive heavy unlink traffic, and a wide variant
+// whose 100 directories and 2000 initial files give paths multi-digit
+// directory and file numbers.
 class GeneratorDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Index of the first record where the traces differ, or -1 if none do.
@@ -175,19 +178,22 @@ TEST_P(GeneratorDifferentialTest, MatchesLegacyGenerator) {
   };
   for (const auto& [name, profile] : profiles) {
     for (const Duration duration : {2 * kSecond, 30 * kSecond, 3 * kMinute}) {
-      for (const bool churn : {false, true}) {
+      for (const std::string_view variant : {"plain", "churn", "wide"}) {
         WorkloadOptions options = profile;
         options.seed = profile.seed * 1000003 + seed;
         options.duration = duration;
-        if (churn) {
+        if (variant == "churn") {
           options.initial_files = 256;
           options.short_lived_mean = kMillisecond;
+        } else if (variant == "wide") {
+          options.num_directories = 100;
+          options.initial_files = 2000;
         }
         const Trace expected = LegacyWorkloadGenerator(options).Generate();
         const Trace actual = WorkloadGenerator(options).Generate();
         ASSERT_EQ(FirstMismatch(actual, expected), -1)
             << name << " seed " << options.seed << " duration " << duration
-            << (churn ? " churn" : "") << ": " << actual.size() << " vs "
+            << " " << variant << ": " << actual.size() << " vs "
             << expected.size() << " records";
       }
     }

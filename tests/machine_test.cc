@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/trace/generator.h"
 
 namespace ssmc {
@@ -105,6 +108,33 @@ TEST(MachineTest, RecoverAfterFailureRestoresCheckpointedState) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(out, data);
   EXPECT_FALSE(machine.battery().dead());
+}
+
+// Recovery destroys the file system with whatever it buffered. Twice in a
+// row, each time with the write buffer full, the rebuilt storage stack must
+// pass the residency audit.
+TEST(MachineTest, BackToBackRecoveriesWithFullWriteBufferKeepInvariants) {
+  MachineConfig config = OmniBookConfig();
+  config.journal = true;
+  config.fs_options.write_buffer_pages = 32;
+  MobileComputer machine(config);
+  const std::vector<uint8_t> data(64 * 512, 0x5A);
+  for (int round = 0; round < 2; ++round) {
+    const std::string path = "/full" + std::to_string(round);
+    ASSERT_TRUE(machine.fs().Create(path).ok());
+    ASSERT_TRUE(machine.fs().Write(path, 0, data).ok());
+    ASSERT_EQ(machine.fs().write_buffer().dirty_pages(), 32u);
+    ASSERT_TRUE(machine.storage().residency().CheckInvariants().ok());
+
+    Result<RecoveryReport> report = machine.RecoverAfterFailure(20000);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const Status audit = machine.storage().residency().CheckInvariants();
+    EXPECT_TRUE(audit.ok()) << "round " << round << ": " << audit.ToString();
+    EXPECT_EQ(machine.fs().write_buffer().dirty_pages(), 0u);
+    EXPECT_EQ(machine.storage().residency().blocks().live_slots(), 0u);
+    EXPECT_EQ(machine.storage().free_pages(PageTier::kDram),
+              machine.storage().total_pages(PageTier::kDram));
+  }
 }
 
 TEST(MachineTest, RecoverWithoutCheckpointComesUpEmpty) {

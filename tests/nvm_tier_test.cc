@@ -223,6 +223,51 @@ TEST_F(NvmTierTest, TiersSnapshotReportsCapacityAndOccupancy) {
   EXPECT_EQ(tiers[1].cached_pages, 1u);
 }
 
+// A file system destroyed on its own, over a storage manager that lives on
+// (crash recovery and the tests do this), hands back everything it held:
+// dirty pages and their slots, clean-cache pages in DRAM and NVM, heat, and
+// the payload extents of its buffered blocks.
+TEST_F(NvmTierTest, FileSystemDestroyedAloneReturnsEveryPageSlotAndExtent) {
+  const std::vector<uint8_t> data(3 * 512, 0x3C);
+  std::vector<uint8_t> out(data.size());
+  size_t flushed_extents = 0;
+  {
+    MemoryFsOptions options;
+    options.write_buffer_pages = 16;
+    MemoryFileSystem fs(manager_, options);
+    ASSERT_TRUE(fs.Create("/warm").ok());
+    ASSERT_TRUE(fs.Create("/hot").ok());
+    ASSERT_TRUE(fs.Write("/warm", 0, data).ok());
+    ASSERT_TRUE(fs.Write("/hot", 0, data).ok());
+    ASSERT_TRUE(fs.Sync().ok());
+    // Flash now holds both files; the extents beyond these are the
+    // buffered blocks' own.
+    flushed_extents = store_.extent_pool().live();
+    // One read admits /warm's blocks into NVM; a second climbs /hot's into
+    // the DRAM clean cache.
+    ASSERT_TRUE(fs.Read("/warm", 0, out).ok());
+    ASSERT_TRUE(fs.Read("/hot", 0, out).ok());
+    ASSERT_TRUE(fs.Read("/hot", 0, out).ok());
+    ASSERT_TRUE(fs.Create("/dirty").ok());
+    ASSERT_TRUE(fs.Write("/dirty", 0, data).ok());
+
+    ASSERT_EQ(fs.write_buffer().dirty_pages(), 3u);
+    ASSERT_EQ(res().nvm_pages(), 3u);
+    ASSERT_EQ(res().clean_pages(), 3u);
+    ASSERT_GT(res().heat_entries(), 0u);
+    ASSERT_GT(store_.extent_pool().live(), flushed_extents);
+    ASSERT_TRUE(res().CheckInvariants().ok());
+  }
+  EXPECT_EQ(manager_.free_pages(PageTier::kDram),
+            manager_.total_pages(PageTier::kDram));
+  EXPECT_EQ(manager_.free_pages(PageTier::kNvm),
+            manager_.total_pages(PageTier::kNvm));
+  EXPECT_EQ(res().blocks().live_slots(), 0u);
+  EXPECT_EQ(res().heat_entries(), 0u);
+  EXPECT_EQ(store_.extent_pool().live(), flushed_extents);
+  EXPECT_TRUE(res().CheckInvariants().ok());
+}
+
 class NvmTinyTierTest : public NvmTierTest {
  protected:
   static ResidencyOptions TinyOptions() {
