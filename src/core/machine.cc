@@ -1,9 +1,26 @@
 #include "src/core/machine.h"
 
+#include <cassert>
+
 #include "src/obs/obs.h"
 #include "src/support/log.h"
 
 namespace ssmc {
+
+namespace {
+
+// True when no DRAM or NVM page and no residency slot is held: what the
+// file system, journal and address spaces must leave behind when they are
+// destroyed ahead of their storage manager.
+[[maybe_unused]] bool StorageReleased(StorageManager& storage) {
+  return storage.free_pages(PageTier::kDram) ==
+             storage.total_pages(PageTier::kDram) &&
+         storage.free_pages(PageTier::kNvm) ==
+             storage.total_pages(PageTier::kNvm) &&
+         storage.residency().blocks().live_slots() == 0;
+}
+
+}  // namespace
 
 MachineConfig OmniBookConfig() {
   MachineConfig config;
@@ -147,6 +164,7 @@ Result<RecoveryReport> MobileComputer::RecoverAfterFailure(
   // (allocators, namespace) from flash.
   fs_.reset();
   journal_.reset();
+  assert(StorageReleased(*storage_) && "torn-down layers leaked storage");
   RebuildStorage();
   RecoveryReport report;
   Status mounted =

@@ -48,22 +48,21 @@ MemoryFileSystem::BlockMap& MemoryFileSystem::BlockMap::operator=(
   return *this;
 }
 
-void MemoryFileSystem::BlockMap::reserve(size_t n) {
-  if (n <= capacity_) {
-    return;
-  }
+void MemoryFileSystem::BlockMap::resize(size_t n) {
   if (n > UINT32_MAX) {
     throw std::length_error("block map too long");
   }
-  BlockEntry* grown = new BlockEntry[n];
-  std::copy_n(data(), size_, grown);
-  delete[] heap_;
-  heap_ = grown;
-  capacity_ = static_cast<uint32_t>(n);
-}
-
-void MemoryFileSystem::BlockMap::resize(size_t n) {
-  reserve(n);
+  if (n > capacity_) {
+    // Geometric, so a map grown one block at a time (appends, flushes,
+    // journal replay) stays amortized.
+    const size_t grown_capacity = std::min<size_t>(
+        UINT32_MAX, std::max<size_t>(n, 2 * size_t{capacity_}));
+    BlockEntry* grown = new BlockEntry[grown_capacity];
+    std::copy_n(data(), size_, grown);
+    delete[] heap_;
+    heap_ = grown;
+    capacity_ = static_cast<uint32_t>(grown_capacity);
+  }
   if (n > size_) {
     std::fill(data() + size_, data() + n, BlockEntry{});
   }
@@ -451,16 +450,6 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
     }
     inode.last_writer = tenant_;
   }
-  if (!data.empty()) {
-    // AcquireSlot grows the block map one block at a time; make room for
-    // the whole write at once, geometrically, so appends stay amortized.
-    const uint64_t need = (offset + data.size() - 1) / bs + 1;
-    if (need > inode.blocks.capacity()) {
-      inode.blocks.reserve(
-          std::max<uint64_t>(need, 2 * inode.blocks.capacity()));
-    }
-  }
-
   uint64_t done = 0;
   while (done < data.size()) {
     const uint64_t pos = offset + done;

@@ -212,15 +212,13 @@ class MemoryFileSystem : public FileSystem {
     ~BlockMap() { delete[] heap_; }
 
     size_t size() const { return size_; }
-    size_t capacity() const { return capacity_; }
     BlockEntry& operator[](size_t b) { return data()[b]; }
     const BlockEntry& operator[](size_t b) const { return data()[b]; }
     BlockEntry* begin() { return data(); }
     BlockEntry* end() { return data() + size_; }
 
-    // Makes room for `n` entries; never shrinks.
-    void reserve(size_t n);
-    // Entries past the old size start empty (no flash block, no slot).
+    // Entries past the old size start empty (no flash block, no slot); the
+    // storage never shrinks.
     void resize(size_t n);
 
    private:

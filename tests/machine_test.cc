@@ -112,7 +112,11 @@ TEST(MachineTest, RecoverAfterFailureRestoresCheckpointedState) {
 
 // Recovery destroys the file system with whatever it buffered. Twice in a
 // row, each time with the write buffer full, the rebuilt storage stack must
-// pass the residency audit.
+// pass the residency audit. That the destroyed file system handed back every
+// page and slot is asserted inside RecoverAfterFailure, before its storage
+// manager goes, so a leak fails this test in a build with assertions; in any
+// build NvmTierTest.FileSystemDestroyedAloneReturnsEveryPageSlotAndExtent
+// checks the same release on a storage manager that outlives its file system.
 TEST(MachineTest, BackToBackRecoveriesWithFullWriteBufferKeepInvariants) {
   MachineConfig config = OmniBookConfig();
   config.journal = true;
@@ -131,9 +135,6 @@ TEST(MachineTest, BackToBackRecoveriesWithFullWriteBufferKeepInvariants) {
     const Status audit = machine.storage().residency().CheckInvariants();
     EXPECT_TRUE(audit.ok()) << "round " << round << ": " << audit.ToString();
     EXPECT_EQ(machine.fs().write_buffer().dirty_pages(), 0u);
-    EXPECT_EQ(machine.storage().residency().blocks().live_slots(), 0u);
-    EXPECT_EQ(machine.storage().free_pages(PageTier::kDram),
-              machine.storage().total_pages(PageTier::kDram));
   }
 }
 
