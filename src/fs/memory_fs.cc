@@ -450,6 +450,7 @@ Result<uint64_t> MemoryFileSystem::Write(const std::string& path,
     }
     inode.last_writer = tenant_;
   }
+
   uint64_t done = 0;
   while (done < data.size()) {
     const uint64_t pos = offset + done;

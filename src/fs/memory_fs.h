@@ -202,8 +202,10 @@ class MemoryFileSystem : public FileSystem {
   // A file's block map: block index -> entry. Deliberately flat: "the
   // complexity of multiple levels of indirect blocks may also be
   // eliminated." Most files are a block or two (the trace studies' small
-  // files), so up to kInline entries live in the map itself and only a
-  // larger file's entries take a heap array.
+  // files; 52-79% of the block maps the office, nvm and fleet workloads
+  // build end at two entries or fewer), so up to kInline entries live in
+  // the map itself, next to the inode, and only a larger file's entries
+  // take a heap array.
   class BlockMap {
    public:
     BlockMap() = default;
