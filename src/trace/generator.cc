@@ -157,8 +157,8 @@ Trace WorkloadGenerator::Generate() {
     const size_t id = name_counter++;
     const std::string_view path = FilePath(buf, dir, id);
     const uint64_t size = static_cast<uint64_t>(file_size.Sample(rng_));
-    trace.Add({at, TraceOp::kCreate, std::string(path), 0, 0, ""});
-    trace.Add({at, TraceOp::kWrite, std::string(path), 0, size, ""});
+    trace.Add(at, TraceOp::kCreate, path, 0, 0);
+    trace.Add(at, TraceOp::kWrite, path, 0, size);
     paths.emplace_back(path);
     slot.push_back(files.size());
     files.push_back({id, size});
@@ -182,7 +182,7 @@ Trace WorkloadGenerator::Generate() {
   // --- Population phase ---------------------------------------------------
   SimTime t = 0;
   for (int d = 0; d < options_.num_directories; ++d) {
-    trace.Add({t, TraceOp::kMkdir, std::string(DirPath(buf, d)), 0, 0, ""});
+    trace.Add(t, TraceOp::kMkdir, DirPath(buf, d), 0, 0);
   }
   for (int i = 0; i < options_.initial_files; ++i) {
     t += kMillisecond;
@@ -201,7 +201,7 @@ Trace WorkloadGenerator::Generate() {
       const auto [when, id] = deaths.top();
       deaths.pop();
       if (slot[id] != kDead) {
-        trace.Add({when, TraceOp::kUnlink, paths[id], 0, 0, ""});
+        trace.Add(when, TraceOp::kUnlink, paths[id], 0, 0);
         remove_file(id);
       }
     }
@@ -214,33 +214,33 @@ Trace WorkloadGenerator::Generate() {
     LiveFile* file = &files[zipf.Sample(rng_) % files.size()];
     const std::string& path = paths[file->id];
     if (u < options_.p_create + options_.p_delete) {
-      trace.Add({t, TraceOp::kUnlink, path, 0, 0, ""});
+      trace.Add(t, TraceOp::kUnlink, path, 0, 0);
       remove_file(file->id);
     } else if (u < options_.p_create + options_.p_delete + options_.p_write) {
       if (rng_.NextBool(options_.p_whole_file)) {
-        trace.Add({t, TraceOp::kWrite, path, 0, file->size, ""});
+        trace.Add(t, TraceOp::kWrite, path, 0, file->size);
       } else {
         const uint64_t len = std::max<uint64_t>(
             1, static_cast<uint64_t>(rng_.NextExponential(
                    static_cast<double>(options_.partial_io_bytes))));
         const uint64_t offset = rng_.NextBelow(std::max<uint64_t>(1, file->size));
-        trace.Add({t, TraceOp::kWrite, path, offset, len, ""});
+        trace.Add(t, TraceOp::kWrite, path, offset, len);
         file->size = std::max(file->size, offset + len);
       }
     } else if (u < options_.p_create + options_.p_delete + options_.p_write +
                        options_.p_read) {
       if (rng_.NextBool(options_.p_whole_file)) {
-        trace.Add({t, TraceOp::kRead, path, 0, file->size, ""});
+        trace.Add(t, TraceOp::kRead, path, 0, file->size);
       } else {
         const uint64_t offset = rng_.NextBelow(std::max<uint64_t>(1, file->size));
         const uint64_t len = std::max<uint64_t>(
             1, std::min(file->size - offset,
                         static_cast<uint64_t>(rng_.NextExponential(
                             static_cast<double>(options_.partial_io_bytes)))));
-        trace.Add({t, TraceOp::kRead, path, offset, len, ""});
+        trace.Add(t, TraceOp::kRead, path, offset, len);
       }
     } else {
-      trace.Add({t, TraceOp::kStat, path, 0, 0, ""});
+      trace.Add(t, TraceOp::kStat, path, 0, 0);
     }
   }
   return trace;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/io_request.h"
@@ -52,6 +53,16 @@ struct TraceRecord {
 class Trace {
  public:
   void Add(TraceRecord record) { records_.push_back(std::move(record)); }
+  // Appends a record built in place: no rename target, default tenant.
+  void Add(SimTime at, TraceOp op, std::string_view path, uint64_t offset,
+           uint64_t length) {
+    TraceRecord& record = records_.emplace_back();
+    record.at = at;
+    record.op = op;
+    record.path.assign(path);
+    record.offset = offset;
+    record.length = length;
+  }
   void Reserve(size_t records) { records_.reserve(records); }
   const std::vector<TraceRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }
